@@ -104,7 +104,7 @@ def _cmd_allocate(args) -> int:
         return 0
     traj = run_method(inst, MethodKind(args.method), h)
     if args.trajectory:
-        steps = [list(traj.allocation_at(k).seats) for k in range(h + 1)]
+        steps = [list(a.seats) for a in traj.allocations()]
         print(json.dumps({"h": h, "seats": list(traj.final.seats), "trajectory": steps}))
     else:
         print(allocation_to_json(traj.final))

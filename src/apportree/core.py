@@ -54,7 +54,7 @@ class StructuralError:
         return f"{self.kind}{where}: {self.message}"
 
 
-_WEIGHT_RE = re.compile(r"(\d+)(?:/(\d+))?")
+_WEIGHT_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_weight(text: str) -> Fraction:
@@ -85,7 +85,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order")
+    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_valid")
 
     def __init__(
         self,
@@ -115,6 +115,7 @@ class Instance:
         self._shares: tuple[Fraction, ...] | None = None
         self._fast = None
         self._order: tuple[int, ...] | None = None
+        self._valid = False
 
     @property
     def n(self) -> int:
@@ -238,10 +239,16 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
 
 
 def require_valid(inst: Instance) -> Instance:
-    """Return ``inst`` if valid, else raise :class:`InvalidInstanceError`."""
-    errors = validate_instance(inst)
-    if errors:
-        raise InvalidInstanceError(errors)
+    """Return ``inst`` if valid, else raise :class:`InvalidInstanceError`.
+
+    Success is remembered on the instance, so later calls return at once;
+    failure is not, so an invalid instance raises on every call.
+    """
+    if not inst._valid:
+        errors = validate_instance(inst)
+        if errors:
+            raise InvalidInstanceError(errors)
+        inst._valid = True
     return inst
 
 

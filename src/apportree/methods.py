@@ -22,6 +22,15 @@ quota, all with respect to every ancestor.  Rankings compare exact
 rationals via integer cross-multiplication, and ties are broken
 deterministically (see :class:`TieBreak`), so a whole trajectory is
 reproducible from the instance alone.
+
+Adams, Jefferson and the quota method need not be walked to learn their
+final counts.  Their rankings and the quota cap read only parent-relative
+weights and the parent's own count, so the seats a node passes to its
+children depend only on how many seats reached it: :func:`run_method`
+computes ``final`` top down, one single-level apportionment per node.  The
+walk stays the trajectory API and the reference the cascade is tested
+against; the upper-compliant method, whose threshold depends on the whole
+path, is always walked.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heapreplace
 
 from .core import Allocation, Instance, _fast_arrays, require_valid
 
@@ -73,7 +85,7 @@ class NoEligibleChild(RuntimeError):
         )
 
 
-def _choose_path(inst: Instance, seats, kind: MethodKind, tie: TieBreak) -> list[int]:
+def _choose_path(inst: Instance, seats, kind: MethodKind) -> list[int]:
     """Pick the root-to-leaf path the next seat travels, without assigning it.
 
     ``seats`` holds the current (pre-step) counts; every ranking and
@@ -133,11 +145,9 @@ def _choose_path(inst: Instance, seats, kind: MethodKind, tie: TieBreak) -> list
     return path
 
 
-def _step(
-    inst: Instance, alloc: Allocation, kind: MethodKind, tie: TieBreak
-) -> tuple[Allocation, tuple[int, ...]]:
+def _step(inst: Instance, alloc: Allocation, kind: MethodKind) -> tuple[Allocation, tuple[int, ...]]:
     seats = list(alloc.seats)
-    path = _choose_path(inst, seats, kind, tie)
+    path = _choose_path(inst, seats, kind)
     for i in path:
         seats[i] += 1
     return Allocation(alloc.h + 1, tuple(seats)), tuple(path)
@@ -145,12 +155,12 @@ def _step(
 
 def step_adams(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
     """One Adams step: next seat to the lowest seats-per-share child chain."""
-    return _step(inst, alloc, MethodKind.ADAMS, tie_break)
+    return _step(inst, alloc, MethodKind.ADAMS)
 
 
 def step_jefferson(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
     """One Jefferson step: next seat to the lowest next-seats-per-share chain."""
-    return _step(inst, alloc, MethodKind.JEFFERSON, tie_break)
+    return _step(inst, alloc, MethodKind.JEFFERSON)
 
 
 def step_quota(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
@@ -162,20 +172,137 @@ def step_quota(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
     less than the incremented parent count); :class:`NoEligibleChild` only
     guards the walk against corrupted inputs.
     """
-    return _step(inst, alloc, MethodKind.QUOTA, tie_break)
+    return _step(inst, alloc, MethodKind.QUOTA)
 
 
 def step_uc_quota(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
     """One Jefferson step under the descending seats-per-share threshold."""
-    return _step(inst, alloc, MethodKind.UC_QUOTA, tie_break)
+    return _step(inst, alloc, MethodKind.UC_QUOTA)
 
 
-_STEPPERS = {
-    MethodKind.ADAMS: step_adams,
-    MethodKind.JEFFERSON: step_jefferson,
-    MethodKind.QUOTA: step_quota,
-    MethodKind.UC_QUOTA: step_uc_quota,
-}
+def _walk(inst: Instance, kind: MethodKind, h: int) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Hand out ``h`` seats one at a time: the final counts and every path.
+
+    Starting from all zeros every state reached conserves flow, so the
+    constrained methods always find an eligible child and
+    :class:`NoEligibleChild` never escapes this loop.
+    """
+    seats = [0] * inst.n
+    paths = []
+    for _ in range(h):
+        path = _choose_path(inst, seats, kind)
+        for i in path:
+            seats[i] += 1
+        paths.append(tuple(path))
+    return seats, tuple(paths)
+
+
+def _best_child(seats, kids, wnum, wden, bump: int, cap: int = 0) -> int:
+    """The child the walk would pick at one node: smallest ``(seats + bump) / w``.
+
+    With ``cap`` > 0 only children holding fewer than ``cap * w`` seats
+    compete (the quota rule, ``cap`` being the parent's count after this
+    seat).  Ties go to the lowest node id, except that among Adams children
+    still at zero seats (``bump`` 0) the larger weight leads.
+    """
+    best = -1
+    bn = bd = 1
+    for c in kids:
+        vc = seats[c]
+        if cap and vc * wden[c] >= cap * wnum[c]:
+            continue
+        cn = (vc + bump) * wden[c]
+        cd = wnum[c]
+        if best < 0:
+            best, bn, bd = c, cn, cd
+            continue
+        left = cn * bd
+        right = bn * cd
+        if left < right:
+            best, bn, bd = c, cn, cd
+        elif left == right:
+            if cn == 0:
+                wc = wnum[c] * wden[best]
+                wb = wnum[best] * wden[c]
+                if wc > wb or (wc == wb and c < best):
+                    best, bn, bd = c, cn, cd
+            elif c < best:
+                best, bn, bd = c, cn, cd
+    return best
+
+
+# Nodes with more children than this rank their last seats in a heap
+# rather than rescanning every child for each seat.
+_SCAN_MAX = 8
+
+
+def _top_up(seats, kids, r: int, wnum, wden, bump: int) -> None:
+    """Give ``r`` more seats to ``kids`` one at a time, as the walk would."""
+    if len(kids) <= _SCAN_MAX:
+        for _ in range(r):
+            seats[_best_child(seats, kids, wnum, wden, bump)] += 1
+        return
+
+    def entry(c):
+        key = seats[c] + bump
+        # only zero keys tie on weight, and they compare with zero keys only
+        tie = -Fraction(wnum[c], wden[c]) if key == 0 else 0
+        return Fraction(key * wden[c], wnum[c]), tie, c
+
+    heap = [entry(c) for c in kids]
+    heapify(heap)
+    for _ in range(r):
+        c = heap[0][2]
+        seats[c] += 1
+        heapreplace(heap, entry(c))
+
+
+def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
+    """Final seats of Adams, Jefferson or quota at ``h``, level by level.
+
+    Each node, in breadth-first order, splits its seats among its children
+    as the single-level method would.  The divisor methods jump-start
+    every child at a count its first seats provably reach before the
+    walk's ``v``-th seat, then give out the few left one by one:
+
+    * Jefferson starts at ``floor(v * w)``: each of those seats has key
+      ``k / w <= v``, and there are at most ``v`` such seats in all, so
+      they all rank among the ``v`` best.  At most ``b - 1`` remain.
+    * Adams starts at ``ceil((v - b) * w)``: each of those seats has key
+      ``(k - 1) / w < v - b``, and fewer than ``v`` seats have such keys.
+      At most ``b`` remain.
+
+    The quota method splits two-child nodes as Jefferson does (Jefferson's
+    lower quota for the one sibling keeps the chosen child under its cap)
+    and walks wider nodes seat by seat, on that node alone.
+    """
+    order, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    seats = [0] * inst.n
+    seats[0] = h
+    adams = kind is MethodKind.ADAMS
+    walk_wide = kind is MethodKind.QUOTA
+    for i in order:
+        kids = children[i]
+        v = seats[i]
+        if not kids or not v:
+            continue
+        b = len(kids)
+        if walk_wide and b > 2:
+            # the children hold t - 1 < t seats in all, so one is under its cap
+            for t in range(1, v + 1):
+                seats[_best_child(seats, kids, wnum, wden, 1, t)] += 1
+            continue
+        if adams:
+            m = v - b
+            if m > 0:
+                for c in kids:
+                    seats[c] = -(-m * wnum[c] // wden[c])
+        else:
+            for c in kids:
+                seats[c] = v * wnum[c] // wden[c]
+        r = v - sum(seats[c] for c in kids)
+        _top_up(seats, kids, r, wnum, wden, 0 if adams else 1)
+    return seats
 
 
 @dataclass(frozen=True)
@@ -186,13 +313,21 @@ class Trajectory:
     Replaying path prefixes recovers the allocation at every intermediate
     house size, which is how house monotonicity is observed: the run for
     ``h`` seats is literally a prefix of the run for ``h + 1``.
+
+    For Adams, Jefferson and the quota method ``final`` is computed level
+    by level, and ``paths`` is walked seat by seat on first access (then
+    kept).  The upper-compliant method is walked up front, so its paths
+    come with it.
     """
 
     instance: Instance
     method: MethodKind
     tie_break: TieBreak
     final: Allocation
-    paths: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return _walk(self.instance, self.method, self.final.h)[1]
 
     def allocation_at(self, h: int) -> Allocation:
         """The allocation after the first ``h`` seats."""
@@ -222,22 +357,18 @@ def run_method(
 ) -> Trajectory:
     """Allocate ``h`` seats from scratch with the given method.
 
-    The instance is validated first.  Starting from all zeros every state
-    reached conserves flow, so the constrained methods always find an
-    eligible child and :class:`NoEligibleChild` never escapes this loop.
+    The instance is validated first (once per instance: success is
+    remembered on it).  Adams, Jefferson and quota compute the final
+    counts level by level; the upper-compliant method walks.
     """
     kind = MethodKind(method) if isinstance(method, str) else method
-    if not isinstance(h, int) or h < 0:
+    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
         raise ValueError("house size must be a non-negative integer")
     require_valid(inst)
 
-    n = inst.n
-    seats = [0] * n
-    paths = []
-    for _ in range(h):
-        path = _choose_path(inst, seats, kind, tie_break)
-        for i in path:
-            seats[i] += 1
-        paths.append(tuple(path))
-    final = Allocation(h, tuple(seats))
-    return Trajectory(inst, kind, tie_break, final, tuple(paths))
+    if kind is MethodKind.UC_QUOTA:
+        seats, paths = _walk(inst, kind, h)
+        traj = Trajectory(inst, kind, tie_break, Allocation(h, tuple(seats)))
+        object.__setattr__(traj, "paths", paths)
+        return traj
+    return Trajectory(inst, kind, tie_break, Allocation(h, tuple(_cascade(inst, kind, h))))

@@ -101,6 +101,28 @@ class TestAllocate:
         for before, after in zip(steps, steps[1:]):
             assert all(a <= b for a, b in zip(before, after))
 
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            (
+                "adams",
+                '{"h": 5, "seats": [5, 4, 1, 3, 1, 2, 1], "trajectory": [[0, 0, 0, 0, 0, 0, 0], '
+                "[1, 1, 0, 1, 0, 1, 0], [2, 1, 1, 1, 0, 1, 0], [3, 2, 1, 1, 1, 1, 0], "
+                "[4, 3, 1, 2, 1, 1, 1], [5, 4, 1, 3, 1, 2, 1]]}\n",
+            ),
+            (
+                "ucquota",
+                '{"h": 5, "seats": [5, 5, 0, 4, 1, 3, 1], "trajectory": [[0, 0, 0, 0, 0, 0, 0], '
+                "[1, 1, 0, 1, 0, 1, 0], [2, 2, 0, 2, 0, 2, 0], [3, 3, 0, 3, 0, 3, 0], "
+                "[4, 4, 0, 4, 0, 3, 1], [5, 5, 0, 4, 1, 3, 1]]}\n",
+            ),
+        ],
+    )
+    def test_trajectory_json_is_frozen(self, deep7_file, capsys, method, expected):
+        argv = ["allocate", deep7_file, "--method", method, "--seats", "5", "--trajectory"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_both_quotas_notice_and_validity(self, deep7_file, capsys, deep7):
         assert main(["allocate", deep7_file, "--method", "both-quotas", "--seats", "5"]) == 0
         captured = capsys.readouterr()
@@ -132,6 +154,24 @@ class TestAllocate:
         path = write(tmp_path, "bad.json", json.dumps(doc))
         assert main(["allocate", path, "--method", "adams", "--seats", "3"]) == 1
         assert "ChildrenWeightsNotNormalized" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("weight", ["1.5", "\u0663/\u0664"])
+    @pytest.mark.parametrize("command", ["validate", "allocate"])
+    def test_unparsable_weight_is_domain_error(self, tmp_path, capsys, weight, command):
+        doc = {
+            "nodes": [
+                {"id": 0, "parent": None, "weight": "1"},
+                {"id": 1, "parent": 0, "weight": weight},
+                {"id": 2, "parent": 0, "weight": "1/4"},
+            ]
+        }
+        path = write(tmp_path, "weights.json", json.dumps(doc))
+        argv = [command, path] + (["--method", "adams", "--seats", "3"] if command == "allocate" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "WeightOutOfRange" in captured.out + captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestCheck:

@@ -33,6 +33,8 @@ from apportree import (
     validate_instance,
 )
 
+import apportree.core as core
+
 from conftest import definitional_bounds, irregular_instances, make_sym7
 
 
@@ -57,6 +59,11 @@ class TestParseWeight:
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             parse_weight("1/0")
+
+    @pytest.mark.parametrize("bad", ["\u0663/\u0664", "\u0661", "\uff11/\uff12"])
+    def test_rejects_non_ascii_digits(self, bad):
+        with pytest.raises(ValueError):
+            parse_weight(bad)
 
 
 class TestInstanceBasics:
@@ -150,6 +157,20 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError) as exc:
             require_valid(inst)
         assert exc.value.errors[0].kind == CHILDREN_WEIGHTS_NOT_NORMALIZED
+
+    def test_require_valid_remembers_success_only(self, monkeypatch):
+        calls = []
+        original = core.validate_instance
+        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(inst) or original(inst))
+        good = make_sym7()
+        assert require_valid(good) is good
+        assert require_valid(good) is good
+        assert len(calls) == 1
+        bad = Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 3)])
+        for _ in range(2):
+            with pytest.raises(InvalidInstanceError):
+                require_valid(bad)
+        assert len(calls) == 3
 
     @given(irregular_instances())
     def test_strategy_instances_are_valid(self, inst):

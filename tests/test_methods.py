@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from apportree import (
     Allocation,
     Instance,
+    InvalidInstanceError,
     MethodKind,
     NoEligibleChild,
     QuotaMode,
@@ -25,6 +26,9 @@ from apportree import (
     step_quota,
     step_uc_quota,
 )
+
+import apportree.core as core
+from apportree.methods import _walk
 
 from conftest import irregular_instances
 from oracles import adams_single_level, jefferson_single_level, quota_single_level
@@ -128,6 +132,10 @@ class TestTrajectoryShape:
             run_method(sym7, "adams", -1)
         with pytest.raises(ValueError):
             run_method(sym7, "adams", 2.0)
+        with pytest.raises(ValueError):
+            run_method(sym7, "adams", True)
+        with pytest.raises(ValueError):
+            run_method(sym7, "adams", False)
 
     def test_run_validates_instance(self):
         bad = Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 3)])
@@ -298,3 +306,92 @@ class TestStepFunctions:
             step_quota(nested5, corrupted)
         assert exc.value.method is MethodKind.QUOTA
         assert exc.value.node == 0
+
+
+CASCADE_KINDS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA)
+
+
+def reversed_children(inst: Instance) -> Instance:
+    """The same tree with every child list in descending id order."""
+    return Instance(inst.parents, inst.weights, [tuple(reversed(k)) for k in inst.children])
+
+
+class TestLevelCascade:
+    """``final`` of Adams, Jefferson and quota is computed level by level;
+    the seat-by-seat walk is the reference it must match exactly."""
+
+    @given(irregular_instances(), st.sampled_from(CASCADE_KINDS), st.integers(0, 1000))
+    def test_final_matches_the_walk(self, inst, method, h):
+        traj = run_method(inst, method, h)
+        walked, _ = _walk(inst, method, h)
+        assert traj.final.seats == tuple(walked)
+        assert traj.allocation_at(h) == traj.final
+
+    @given(irregular_instances(), st.sampled_from(CASCADE_KINDS), st.integers(0, 300))
+    def test_ties_follow_node_ids_not_child_order(self, inst, method, h):
+        flipped = reversed_children(inst)
+        walked, _ = _walk(flipped, method, h)
+        assert run_method(flipped, method, h).final.seats == tuple(walked)
+
+    @given(
+        share_lists(max_parties=30, max_weight=1000),
+        st.sampled_from(CASCADE_KINDS),
+        st.one_of(st.integers(0, 30), st.integers(0, 400)),
+        st.booleans(),
+    )
+    def test_wide_nodes_match_the_walk(self, shares, method, h, flip):
+        # More than _SCAN_MAX children: the divisor methods rank their last
+        # seats in a heap and quota walks the node seat by seat.  Houses no
+        # bigger than the node keep Adams children at zero, where weight
+        # breaks ties.
+        inst = flat_instance(shares)
+        if flip:
+            inst = reversed_children(inst)
+        walked, _ = _walk(inst, method, h)
+        assert run_method(inst, method, h).final.seats == tuple(walked)
+
+    def test_paths_are_walked_once_on_demand(self, deep7):
+        traj = run_method(deep7, MethodKind.ADAMS, 9)
+        assert "paths" not in vars(traj)
+        assert traj.paths is traj.paths
+        assert traj.paths == _walk(deep7, MethodKind.ADAMS, 9)[1]
+
+    def test_uc_quota_carries_its_paths(self, deep7):
+        traj = run_method(deep7, MethodKind.UC_QUOTA, 9)
+        assert vars(traj)["paths"] == _walk(deep7, MethodKind.UC_QUOTA, 9)[1]
+
+    @pytest.mark.parametrize(
+        "method, kind, height",
+        [
+            (MethodKind.ADAMS, TreeKind.FULL_4ARY, 3),
+            (MethodKind.JEFFERSON, TreeKind.FULL_4ARY, 3),
+            (MethodKind.QUOTA, TreeKind.PERFECT_BINARY, 6),
+        ],
+    )
+    def test_million_seat_house(self, method, kind, height):
+        inst = random_instance(TreeFamily(kind, height), 11)
+        final = run_method(inst, method, 10**6).final
+        report = check_allocation(inst, final)
+        assert final.seats[0] == 10**6
+        assert report.flow_violations == ()
+        if method is MethodKind.ADAMS:
+            assert report.upper_violation_count == 0
+        else:
+            assert report.lower_violation_count == 0
+
+
+class TestValidationOnce:
+    def test_valid_instance_is_validated_once(self, deep7, monkeypatch):
+        calls = []
+        original = core.validate_instance
+        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(1) or original(inst))
+        for method in MethodKind:
+            for h in (0, 5, 9):
+                run_method(deep7, method, h)
+        assert len(calls) == 1
+
+    def test_invalid_instance_raises_on_every_call(self):
+        bad = Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 3)])
+        for method in MethodKind:
+            with pytest.raises(InvalidInstanceError):
+                run_method(bad, method, 3)
