@@ -38,9 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heapreplace
 
 from .core import Allocation, Instance, _fast_arrays, require_valid
 
@@ -231,30 +229,10 @@ def _best_child(seats, kids, wnum, wden, bump: int, cap: int = 0) -> int:
     return best
 
 
-# Nodes with more children than this rank their last seats in a heap
-# rather than rescanning every child for each seat.
-_SCAN_MAX = 8
-
-
 def _top_up(seats, kids, r: int, wnum, wden, bump: int) -> None:
     """Give ``r`` more seats to ``kids`` one at a time, as the walk would."""
-    if len(kids) <= _SCAN_MAX:
-        for _ in range(r):
-            seats[_best_child(seats, kids, wnum, wden, bump)] += 1
-        return
-
-    def entry(c):
-        key = seats[c] + bump
-        # only zero keys tie on weight, and they compare with zero keys only
-        tie = -Fraction(wnum[c], wden[c]) if key == 0 else 0
-        return Fraction(key * wden[c], wnum[c]), tie, c
-
-    heap = [entry(c) for c in kids]
-    heapify(heap)
     for _ in range(r):
-        c = heap[0][2]
-        seats[c] += 1
-        heapreplace(heap, entry(c))
+        seats[_best_child(seats, kids, wnum, wden, bump)] += 1
 
 
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
@@ -318,6 +296,11 @@ class Trajectory:
     by level, and ``paths`` is walked seat by seat on first access (then
     kept).  The upper-compliant method is walked up front, so its paths
     come with it.
+
+    ``paths`` is a cached property, not a field: the constructor takes
+    only ``instance``, ``method``, ``tie_break`` and ``final``, and
+    equality, hashing and ``repr`` read only those four.  The paths
+    follow from them, so equal trajectories still have equal paths.
     """
 
     instance: Instance

@@ -340,8 +340,8 @@ class TestLevelCascade:
         st.booleans(),
     )
     def test_wide_nodes_match_the_walk(self, shares, method, h, flip):
-        # More than _SCAN_MAX children: the divisor methods rank their last
-        # seats in a heap and quota walks the node seat by seat.  Houses no
+        # Many children: the divisor methods give out up to b last seats
+        # one at a time and quota walks the node seat by seat.  Houses no
         # bigger than the node keep Adams children at zero, where weight
         # breaks ties.
         inst = flat_instance(shares)
