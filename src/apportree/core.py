@@ -203,36 +203,40 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
         if i not in seen and isinstance(inst.parents[i], int):
             errors.append(StructuralError(NON_TREE, i, "node missing from its parent's child list"))
 
-    # cycle / connectivity: every node must reach the root within n steps
+    # connectivity: the child lists are now the exact inverse of the parent
+    # map, so a node reaches the root iff the search from the root finds it
     if not errors:
-        for i in range(1, n):
-            steps = 0
-            p = inst.parents[i]
-            while p is not None and steps <= n:
-                if p == 0:
-                    break
-                p = inst.parents[p]
-                steps += 1
-            else:
-                errors.append(StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
+        order = inst.bfs_order()
+        if len(order) != n:
+            reached = bytearray(n)
+            for i in order:
+                reached[i] = 1
+            for i in range(1, n):
+                if not reached[i]:
+                    errors.append(StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
 
-    if inst.weights[0] != 1:
+    weights = inst.weights
+    wnum = [w.numerator for w in weights]
+    wden = [w.denominator for w in weights]
+    if weights[0] != 1:
         errors.append(
-            StructuralError(WEIGHT_OUT_OF_RANGE, 0, f"root weight must be 1, got {inst.weights[0]}")
+            StructuralError(WEIGHT_OUT_OF_RANGE, 0, f"root weight must be 1, got {weights[0]}")
         )
     for i in range(1, n):
-        w = inst.weights[i]
-        if not 0 < w <= 1:
-            errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {w} not in (0, 1]"))
+        if not 0 < wnum[i] <= wden[i]:
+            errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {weights[i]} not in (0, 1]"))
 
-    for i in range(n):
-        kids = inst.children[i]
+    # each sibling sum in integers over the least common denominator
+    lcm = math.lcm
+    for i, kids in enumerate(inst.children):
         if kids:
-            total = sum((inst.weights[c] for c in kids), Fraction(0))
-            if total != 1:
+            den = lcm(*[wden[c] for c in kids])
+            num = sum([wnum[c] * (den // wden[c]) for c in kids])
+            if num != den:
                 errors.append(
                     StructuralError(
-                        CHILDREN_WEIGHTS_NOT_NORMALIZED, i, f"children weights sum to {total}"
+                        CHILDREN_WEIGHTS_NOT_NORMALIZED, i,
+                        f"children weights sum to {Fraction(num, den)}",
                     )
                 )
     return errors
@@ -259,21 +263,8 @@ def relative_entitlements(inst: Instance) -> tuple[Fraction, ...]:
     parent's relative entitlement, computed exactly.
     """
     if inst._shares is None:
-        shares: list[Fraction | None] = [None] * inst.n
-        shares[0] = inst.weights[0]
-        for i in inst.bfs_order():
-            if i != 0:
-                p = inst.parents[i]
-                if p is None or shares[p] is None:
-                    raise InvalidInstanceError(
-                        [StructuralError(NON_TREE, i, "unreachable from root")]
-                    )
-                shares[i] = shares[p] * inst.weights[i]
-        if any(s is None for s in shares):
-            raise InvalidInstanceError(
-                [StructuralError(NON_TREE, None, "tree is not connected")]
-            )
-        inst._shares = tuple(shares)  # type: ignore[arg-type]
+        _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
+        inst._shares = tuple(map(Fraction, rnum, rden))
     return inst._shares
 
 
@@ -293,17 +284,42 @@ def _fast_arrays(inst: Instance):
     Returns ``(order, parents, rnum, rden, wnum, wden, children)`` where
     node ``i``'s relative entitlement is ``rnum[i]/rden[i]`` and its
     parent-relative entitlement ``wnum[i]/wden[i]``, both in lowest terms,
-    and ``order`` is breadth-first.  Cached on the instance.
+    and ``order`` is breadth-first.  Cached on the instance.  Raises
+    :class:`InvalidInstanceError` if some node is unreachable from the root.
     """
     if inst._fast is None:
-        shares = relative_entitlements(inst)
+        order = inst.bfs_order()
+        parents = inst.parents
+        wnum = [w.numerator for w in inst.weights]
+        wden = [w.denominator for w in inst.weights]
+        # a zero denominator marks a share not computed yet
+        rnum = [0] * inst.n
+        rden = [0] * inst.n
+        rnum[0] = wnum[0]
+        rden[0] = wden[0]
+        gcd = math.gcd
+        for i in order:
+            if i == 0:
+                continue
+            p = parents[i]
+            if p is None or not rden[p]:
+                raise InvalidInstanceError([StructuralError(NON_TREE, i, "unreachable from root")])
+            # the parent's share times the node's weight, cancelled crosswise
+            # as Fraction multiplication does, so both stay in lowest terms
+            a, b, c, d = rnum[p], rden[p], wnum[i], wden[i]
+            g1 = gcd(a, d)
+            g2 = gcd(c, b)
+            rnum[i] = (a // g1) * (c // g2)
+            rden[i] = (b // g2) * (d // g1)
+        if not all(rden):
+            raise InvalidInstanceError([StructuralError(NON_TREE, None, "tree is not connected")])
         inst._fast = (
-            list(inst.bfs_order()),
-            list(inst.parents),
-            [s.numerator for s in shares],
-            [s.denominator for s in shares],
-            [w.numerator for w in inst.weights],
-            [w.denominator for w in inst.weights],
+            list(order),
+            list(parents),
+            rnum,
+            rden,
+            wnum,
+            wden,
             [list(k) for k in inst.children],
         )
     return inst._fast
@@ -547,9 +563,10 @@ def count_violations(
 def parse_instance_document(obj: object) -> tuple[Instance | None, list[StructuralError]]:
     """Build an Instance from parsed JSON, collecting every error found.
 
-    Returns ``(instance, [])`` on success.  If the document is too broken
-    to assemble (bad ids, missing fields), the instance is ``None`` and the
-    errors say why; otherwise structural errors from
+    Returns ``(instance, [])`` on success; the instance is marked valid, so
+    :func:`require_valid` does not check it again.  If the document is too
+    broken to assemble (bad ids, missing fields), the instance is ``None``
+    and the errors say why; otherwise structural errors from
     :func:`validate_instance` are returned alongside ``None``.
     """
     errors: list[StructuralError] = []
@@ -610,6 +627,7 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
     errors = validate_instance(inst)
     if errors:
         return None, errors
+    inst._valid = True
     return inst, []
 
 

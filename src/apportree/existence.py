@@ -28,6 +28,7 @@ allocations is included for cross-checking on small instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,8 +99,9 @@ class BinaryReduction:
         seats = [0] * self.reduced.n
         for i in range(self.original.n):
             seats[self.node_map[i]] = alloc.seats[i]
+        introduced = set(self.introduced)
         for k in reversed(self.reduced.bfs_order()):
-            if k in self.introduced:
+            if k in introduced:
                 seats[k] = sum(seats[c] for c in self.reduced.children[k])
         return Allocation(alloc.h, tuple(seats))
 
@@ -112,67 +114,73 @@ def to_full_binary(inst: Instance) -> BinaryReduction:
     fresh sibling (entitlement: one minus the first child's, children
     rescaled accordingly), repeatedly.  Surviving nodes keep their relative
     order and come first in the new numbering; introduced nodes follow in
-    creation order.
+    creation order.  Linear in the size of the tree.
     """
     require_valid(inst)
     n = inst.n
-    parent: dict[int, int | None] = {i: inst.parents[i] for i in range(n)}
-    weight: dict[int, Fraction] = {i: inst.weights[i] for i in range(n)}
-    children: dict[int, list[int]] = {i: list(inst.children[i]) for i in range(n)}
-    alias: dict[int, int] = {}
+    parent: list[int | None] = list(inst.parents)
+    weight: list[Fraction] = list(inst.weights)
+    children: list[list[int]] = [list(k) for k in inst.children]
+    absorber = list(range(n))
     created: list[int] = []
-    next_id = n
 
     # splice out chains: an only child always has entitlement 1
     queue = [0]
     while queue:
         i = queue.pop()
-        while len(children[i]) == 1:
-            c = children[i][0]
-            alias[c] = i
-            children[i] = children[c]
-            for g in children[c]:
+        kids = children[i]
+        while len(kids) == 1:
+            c = kids[0]
+            absorber[c] = i
+            kids = children[c]
+            for g in kids:
                 parent[g] = i
-            del children[c], parent[c], weight[c]
-        queue.extend(children[i])
+        children[i] = kids
+        queue.extend(kids)
 
-    # split wide nodes into a right-leaning comb of pairs
+    # split wide nodes into a right-leaning comb of pairs.  With S_k the sum
+    # of the weights of children k.. (S_0 = 1), the fresh node j_k holding
+    # children k.. weighs S_k/S_(k-1) and child k under it w_k/S_k: the same
+    # values as rescaling the remaining siblings level by level, in O(b).
     queue = [0]
     while queue:
         i = queue.pop()
         kids = children[i]
-        if len(kids) > 2:
-            first = kids[0]
-            rest = kids[1:]
-            rest_weight = 1 - weight[first]
-            j = next_id
-            next_id += 1
-            created.append(j)
-            parent[j] = i
-            weight[j] = rest_weight
-            children[j] = rest
-            children[i] = [first, j]
-            for c in rest:
-                parent[c] = j
-                weight[c] = weight[c] / rest_weight
-            queue.append(first)
-            queue.append(j)
-        else:
-            queue.extend(kids)
+        b = len(kids)
+        if b > 2:
+            den = math.lcm(*[weight[c].denominator for c in kids])
+            scaled = [weight[c].numerator * (den // weight[c].denominator) for c in kids]
+            suffix = scaled[:]
+            for k in range(b - 2, -1, -1):
+                suffix[k] += suffix[k + 1]
+            holder = i
+            for k in range(1, b - 1):
+                j = len(parent)
+                created.append(j)
+                parent.append(holder)
+                weight.append(Fraction(suffix[k], suffix[k - 1]))
+                children.append([])
+                children[holder] = [kids[k - 1], j]
+                parent[kids[k]] = j
+                weight[kids[k]] = Fraction(scaled[k], suffix[k])
+                holder = j
+            children[holder] = [kids[b - 2], kids[b - 1]]
+            parent[kids[b - 1]] = holder
+            weight[kids[b - 1]] = Fraction(scaled[b - 1], suffix[b - 2])
+        # the comb's fresh nodes are finished; the stack takes the original
+        # children in the order splitting them one level at a time would
+        queue.extend(kids)
 
-    survivors = [i for i in range(n) if i not in alias]
-    ordered = survivors + created
-    relabel = {v: k for k, v in enumerate(ordered)}
-    new_parents: list[int | None] = []
-    new_weights: list[Fraction] = []
-    new_children: list[list[int]] = []
-    for v in ordered:
-        p = parent[v]
-        new_parents.append(None if p is None else relabel[p])
-        new_weights.append(weight[v])
-        new_children.append([relabel[c] for c in children[v]])
-    reduced = Instance(new_parents, new_weights, new_children)
-    node_map = tuple(relabel[alias.get(i, i)] for i in range(n))
+    ordered = [i for i in range(n) if absorber[i] == i] + created
+    relabel = [0] * len(parent)
+    for k, v in enumerate(ordered):
+        relabel[v] = k
+    reduced = Instance(
+        [None if parent[v] is None else relabel[parent[v]] for v in ordered],
+        [weight[v] for v in ordered],
+        [[relabel[c] for c in children[v]] for v in ordered],
+    )
+    node_map = tuple(relabel[absorber[i]] for i in range(n))
     return BinaryReduction(inst, reduced, node_map, tuple(relabel[j] for j in created))
 
 
@@ -181,18 +189,22 @@ def _nearest_down(num: int, den: int) -> int:
     return -((-(2 * num - den)) // (2 * den))
 
 
-def _solve_binary(reduced: Instance, h: int) -> tuple[list[int], list[FeasibleInterval]]:
-    """Both-quotas allocation on a full binary tree, top-down."""
-    order, _, rnum, rden, wnum, wden, children = _fast_arrays(reduced)
+def _pair_intervals(reduced: Instance, seats: list[int]):
+    """Feasible seat counts for each pair of a full binary tree, top down.
+
+    Yields ``(x, y, v, low, high)`` per internal node in breadth-first
+    order: its children ``x`` and ``y`` share its ``v`` seats, and ``x``
+    may take ``low..high`` of them.  A node's seats are read from
+    ``seats`` only when it is reached, so a caller may fill in each pair
+    before the generator moves on.
+    """
+    order, _, rnum, rden, _, _, children = _fast_arrays(reduced)
     n = reduced.n
-    seats = [0] * n
-    seats[0] = h
     hi_n = [0] * n
     hi_d = [1] * n
     lo_n = [0] * n
     lo_d = [1] * n
-    hi_n[0] = lo_n[0] = h
-    intervals: list[FeasibleInterval] = []
+    hi_n[0] = lo_n[0] = seats[0]
 
     for i in order:
         kids = children[i]
@@ -219,11 +231,17 @@ def _solve_binary(reduced: Instance, h: int) -> tuple[list[int], list[FeasibleIn
         uq_y = -((-(rnum[y] * sn)) // (rden[y] * sd))
 
         v = seats[i]
-        low = max(lq_x, v - uq_y)
-        high = min(uq_x, v - lq_y)
+        yield x, y, v, max(lq_x, v - uq_y), min(uq_x, v - lq_y)
+
+
+def _solve_binary(reduced: Instance, h: int) -> list[int]:
+    """Both-quotas seat counts on a full binary tree, top-down."""
+    _, _, _, _, wnum, wden, _ = _fast_arrays(reduced)
+    seats = [0] * reduced.n
+    seats[0] = h
+    for x, y, v, low, high in _pair_intervals(reduced, seats):
         if low > high:
             raise EmptyInterval(x, low, high, h)
-        target = Fraction(wnum[x] * v, wden[x])
         pick = _nearest_down(wnum[x] * v, wden[x])
         if pick < low:
             pick = low
@@ -231,8 +249,15 @@ def _solve_binary(reduced: Instance, h: int) -> tuple[list[int], list[FeasibleIn
             pick = high
         seats[x] = pick
         seats[y] = v - pick
-        intervals.append(FeasibleInterval(x, low, high, target))
-    return seats, intervals
+    return seats
+
+
+def _both_quotas(inst: Instance, h: int) -> tuple[BinaryReduction, list[int]]:
+    """The binary reduction of ``inst`` and both-quotas seats on it."""
+    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+        raise ValueError("house size must be a non-negative integer")
+    reduction = to_full_binary(inst)
+    return reduction, _solve_binary(reduction.reduced, h)
 
 
 def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
@@ -241,10 +266,7 @@ def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
     Works for every valid instance and house size; see the module notes
     for the construction.
     """
-    if not isinstance(h, int) or h < 0:
-        raise ValueError("house size must be a non-negative integer")
-    reduction = to_full_binary(inst)
-    seats, _ = _solve_binary(reduction.reduced, h)
+    reduction, seats = _both_quotas(inst, h)
     return reduction.pull_back(Allocation(h, tuple(seats)))
 
 
@@ -253,11 +275,13 @@ def trace_both_quotas(
 ) -> tuple[Allocation, BinaryReduction, tuple[FeasibleInterval, ...]]:
     """Like :func:`allocate_both_quotas`, also exposing the reduction and
     the per-node feasible intervals on the reduced tree."""
-    if not isinstance(h, int) or h < 0:
-        raise ValueError("house size must be a non-negative integer")
-    reduction = to_full_binary(inst)
-    seats, intervals = _solve_binary(reduction.reduced, h)
-    return reduction.pull_back(Allocation(h, tuple(seats))), reduction, tuple(intervals)
+    reduction, seats = _both_quotas(inst, h)
+    _, _, _, _, wnum, wden, _ = _fast_arrays(reduction.reduced)
+    intervals = tuple(
+        FeasibleInterval(x, low, high, Fraction(wnum[x] * v, wden[x]))
+        for x, _, v, low, high in _pair_intervals(reduction.reduced, seats)
+    )
+    return reduction.pull_back(Allocation(h, tuple(seats))), reduction, intervals
 
 
 def brute_force_both_quotas(

@@ -144,3 +144,15 @@ def irregular_instances(draw, max_nodes: int = 12, max_weight: int = 9) -> Insta
     for i in range(1, n):
         weights.append(Fraction(raw[i], group_total[parents[i]]))
     return Instance(parents=parents, weights=weights)
+
+
+def flat_instance(shares: list[Fraction]) -> Instance:
+    return Instance([None] + [0] * len(shares), [Fraction(1)] + list(shares))
+
+
+@st.composite
+def share_lists(draw, max_parties: int = 6, max_weight: int = 9):
+    n = draw(st.integers(min_value=2, max_value=max_parties))
+    raw = [draw(st.integers(min_value=1, max_value=max_weight)) for _ in range(n)]
+    total = sum(raw)
+    return [Fraction(r, total) for r in raw]

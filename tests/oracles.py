@@ -11,11 +11,25 @@ party index, except among parties still at zero seats under the Adams
 rule, where the larger share goes first (the limit of seats-per-share
 ordering as seats approach zero) and the index only settles exact share
 ties.
+
+The second half keeps the straightforward instance preparation the
+library once used, as references for the linear versions: validation
+that walks every node up to the root, shares as running Fraction
+products, and the binary rewrite that rescales the remaining siblings
+at every level of a comb.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from apportree import Instance
+from apportree.core import (
+    CHILDREN_WEIGHTS_NOT_NORMALIZED,
+    NON_TREE,
+    WEIGHT_OUT_OF_RANGE,
+    StructuralError,
+)
 
 
 def adams_single_level(shares: list[Fraction], h: int) -> list[int]:
@@ -82,3 +96,143 @@ def quota_single_level(shares: list[Fraction], h: int) -> list[int]:
         assert best is not None
         seats[best] += 1
     return seats
+
+
+def validate_by_root_walks(inst: Instance) -> list[StructuralError]:
+    """Every structural error, finding cycles by walking each node upward.
+
+    O(n * depth); the error list must equal ``validate_instance``'s.
+    """
+    errors: list[StructuralError] = []
+    n = inst.n
+
+    if inst.parents[0] is not None:
+        errors.append(StructuralError(NON_TREE, 0, "root must have no parent"))
+    for i in range(1, n):
+        p = inst.parents[i]
+        if p is None:
+            errors.append(StructuralError(NON_TREE, i, "non-root node without a parent"))
+        elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
+            errors.append(StructuralError(NON_TREE, i, f"parent id {p!r} out of range"))
+        elif p == i:
+            errors.append(StructuralError(NON_TREE, i, "node is its own parent"))
+
+    seen: set[int] = set()
+    for i in range(n):
+        for c in inst.children[i]:
+            if not isinstance(c, int) or not 0 <= c < n or c == 0:
+                errors.append(StructuralError(NON_TREE, i, f"invalid child id {c!r}"))
+            elif c in seen:
+                errors.append(StructuralError(NON_TREE, c, "node listed as child more than once"))
+            else:
+                seen.add(c)
+                if inst.parents[c] != i:
+                    errors.append(
+                        StructuralError(NON_TREE, c, "children list disagrees with parent map")
+                    )
+    for i in range(1, n):
+        if i not in seen and isinstance(inst.parents[i], int):
+            errors.append(StructuralError(NON_TREE, i, "node missing from its parent's child list"))
+
+    if not errors:
+        for i in range(1, n):
+            steps = 0
+            p = inst.parents[i]
+            while p is not None and steps <= n:
+                if p == 0:
+                    break
+                p = inst.parents[p]
+                steps += 1
+            else:
+                errors.append(StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
+
+    if inst.weights[0] != 1:
+        errors.append(
+            StructuralError(WEIGHT_OUT_OF_RANGE, 0, f"root weight must be 1, got {inst.weights[0]}")
+        )
+    for i in range(1, n):
+        w = inst.weights[i]
+        if not 0 < w <= 1:
+            errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {w} not in (0, 1]"))
+
+    for i in range(n):
+        kids = inst.children[i]
+        if kids:
+            total = sum((inst.weights[c] for c in kids), Fraction(0))
+            if total != 1:
+                errors.append(
+                    StructuralError(
+                        CHILDREN_WEIGHTS_NOT_NORMALIZED, i, f"children weights sum to {total}"
+                    )
+                )
+    return errors
+
+
+def shares_by_products(inst: Instance) -> list[Fraction]:
+    """Each node's share of the house as a running Fraction product."""
+    shares: list[Fraction] = [inst.weights[0]] * inst.n
+    for i in inst.bfs_order()[1:]:
+        shares[i] = shares[inst.parents[i]] * inst.weights[i]
+    return shares
+
+
+def binary_by_rescaling(inst: Instance) -> tuple[Instance, tuple[int, ...], tuple[int, ...]]:
+    """``(reduced, node_map, introduced)`` of the full binary rewrite.
+
+    Splits a node with more than two children one level at a time,
+    dividing every remaining sibling by their combined weight at each
+    level: O(b^2) Fraction divisions for ``b`` children.
+    """
+    n = inst.n
+    parent: dict[int, int | None] = {i: inst.parents[i] for i in range(n)}
+    weight: dict[int, Fraction] = {i: inst.weights[i] for i in range(n)}
+    children: dict[int, list[int]] = {i: list(inst.children[i]) for i in range(n)}
+    alias: dict[int, int] = {}
+    created: list[int] = []
+    next_id = n
+
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        while len(children[i]) == 1:
+            c = children[i][0]
+            alias[c] = i
+            children[i] = children[c]
+            for g in children[c]:
+                parent[g] = i
+            del children[c], parent[c], weight[c]
+        queue.extend(children[i])
+
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        kids = children[i]
+        if len(kids) > 2:
+            first = kids[0]
+            rest = kids[1:]
+            rest_weight = 1 - weight[first]
+            j = next_id
+            next_id += 1
+            created.append(j)
+            parent[j] = i
+            weight[j] = rest_weight
+            children[j] = rest
+            children[i] = [first, j]
+            for c in rest:
+                parent[c] = j
+                weight[c] = weight[c] / rest_weight
+            queue.append(first)
+            queue.append(j)
+        else:
+            queue.extend(kids)
+
+    survivors = [i for i in range(n) if i not in alias]
+    ordered = survivors + created
+    relabel = {v: k for k, v in enumerate(ordered)}
+    reduced = Instance(
+        [None if parent[v] is None else relabel[parent[v]] for v in ordered],
+        [weight[v] for v in ordered],
+        [[relabel[c] for c in children[v]] for v in ordered],
+    )
+    node_map = tuple(relabel[alias.get(i, i)] for i in range(n))
+    return reduced, node_map, tuple(relabel[j] for j in created)

@@ -350,3 +350,37 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "valid: 7 nodes"
+
+
+class TestHostileSizes:
+    """Deep and wide inputs far past the benchmark's sizes.
+
+    Nothing is timed: each step is linear in the input, so these finish in
+    seconds, where a step quadratic in depth or fan-out would take minutes.
+    """
+
+    def allocate_and_check(self, tmp_path, capsys, nodes, seats: int) -> str:
+        path = write(tmp_path, "big.json", json.dumps({"nodes": nodes}))
+        assert main(["allocate", path, "--method", "both-quotas", "--seats", str(seats)]) == 0
+        alloc = write(tmp_path, "big.alloc.json", capsys.readouterr().out)
+        assert main(["check", path, alloc, "--strict"]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
+        return path
+
+    def test_chain_of_100000_nodes(self, tmp_path, capsys):
+        nodes = [{"id": i, "parent": i - 1 if i else None, "weight": "1"} for i in range(10**5)]
+        self.allocate_and_check(tmp_path, capsys, nodes, 1000)
+
+    def test_star_of_10000_leaves(self, tmp_path, capsys):
+        b = 10**4
+        raw = [1 + k * 7919 % 1000 for k in range(b)]
+        total = sum(raw)
+        nodes = [{"id": 0, "parent": None, "weight": "1"}] + [
+            {"id": k + 1, "parent": 0, "weight": str(Fraction(r, total))} for k, r in enumerate(raw)
+        ]
+        path = self.allocate_and_check(tmp_path, capsys, nodes, 12345)
+        assert main(["reduce", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["nodes"]) == 2 * b - 1
+        assert out["node_map"] == list(range(b + 1))
+        assert out["introduced"] == list(range(b + 1, 2 * b - 1))

@@ -36,6 +36,46 @@ from apportree import (
 import apportree.core as core
 
 from conftest import definitional_bounds, irregular_instances, make_sym7
+from oracles import shares_by_products, validate_by_root_walks
+
+
+@st.composite
+def malformed_instances(draw) -> Instance:
+    """Instances that may break any tree rule the validator names.
+
+    Starts from a valid tree or from random parents.  Then either hangs a
+    subtree below one of its own nodes (a cycle cut off from the root), or
+    points nodes at arbitrary parents (self-parents, out-of-range or bool
+    ids), keeps or redraws the child lists (inconsistent lists, child id 0,
+    negative ids, repeats) and redraws weights (outside (0, 1], so sibling
+    sums stop adding up).
+    """
+    base = draw(irregular_instances(max_nodes=8))
+    parents, weights, children = list(base.parents), list(base.weights), None
+    n = len(parents)
+    if draw(st.booleans()):
+        top = draw(st.integers(1, n - 1))
+        subtree = [top]
+        for i in subtree:
+            subtree.extend(base.children[i])
+        parents[top] = draw(st.sampled_from(subtree[1:] or subtree))
+        return Instance(parents, weights)
+    if draw(st.booleans()):
+        parents = [None] + [draw(st.integers(0, n - 1)) for _ in range(n - 1)]
+    elif draw(st.booleans()):
+        children = list(base.children)
+    parent_ids = st.one_of(st.none(), st.integers(-1, n), st.booleans())
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        parents[i] = draw(parent_ids)
+    if draw(st.booleans()):
+        # index-safe ids only: the validator indexes weights by child id
+        children = draw(
+            st.lists(st.lists(st.integers(-n, n - 1), max_size=3), min_size=n, max_size=n)
+        )
+    fractions = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        weights[i] = draw(fractions)
+    return Instance(parents, weights, children)
 
 
 class TestParseWeight:
@@ -176,6 +216,10 @@ class TestValidation:
     def test_strategy_instances_are_valid(self, inst):
         assert validate_instance(inst) == []
 
+    @given(malformed_instances())
+    def test_matches_root_walk_reference(self, inst):
+        assert validate_instance(inst) == validate_by_root_walks(inst)
+
 
 class TestEntitlements:
     def test_sym7_shares(self, sym7):
@@ -204,6 +248,22 @@ class TestEntitlements:
         shares = relative_entitlements(inst)
         for i in range(1, inst.n):
             assert shares[i] == inst.weights[i] * shares[inst.parents[i]]
+
+    @given(irregular_instances(max_nodes=30, max_weight=1000))
+    def test_fast_arrays_equal_fraction_products(self, inst):
+        _, _, rnum, rden, _, _, _ = core._fast_arrays(inst)
+        expected = shares_by_products(inst)
+        assert list(zip(rnum, rden)) == [(s.numerator, s.denominator) for s in expected]
+        assert relative_entitlements(inst) == tuple(expected)
+
+    def test_disconnected_trees_raise(self):
+        cycle = Instance([None, 0, 3, 2], [1, 1, Fraction(1, 2), Fraction(1, 2)])
+        with pytest.raises(InvalidInstanceError, match="tree is not connected"):
+            relative_entitlements(cycle)
+        # the child lists reach node 1, whose parent map points at unreached 2
+        stray = Instance([None, 2, 1], [1, 1, 1], children=[[1], [], []])
+        with pytest.raises(InvalidInstanceError, match=r"NonTree \(node 1\): unreachable from root"):
+            relative_entitlements(stray)
 
 
 def random_seats(inst: Instance, h: int, rand) -> tuple[int, ...]:

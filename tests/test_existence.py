@@ -17,13 +17,18 @@ from apportree import (
     allocate_both_quotas,
     brute_force_both_quotas,
     check_allocation,
+    instance_from_json,
+    instance_to_json,
     random_instance,
     relative_entitlements,
     to_full_binary,
     trace_both_quotas,
 )
 
-from conftest import irregular_instances
+import apportree.core as core
+
+from conftest import flat_instance, irregular_instances, share_lists
+from oracles import binary_by_rescaling
 
 
 def assert_full_binary(inst: Instance) -> None:
@@ -69,6 +74,23 @@ class TestToFullBinary:
         assert red.reduced.n == 1
         assert red.node_map == (0, 0, 0, 0)
 
+    def test_loaded_instance_is_validated_once(self, deep7, monkeypatch):
+        calls = []
+        original = core.validate_instance
+        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(1) or original(inst))
+        inst = instance_from_json(instance_to_json(deep7))
+        trace_both_quotas(inst, 5)
+        allocate_both_quotas(inst, 7)
+        assert len(calls) == 1
+
+    @given(st.one_of(irregular_instances(max_nodes=40), share_lists(30, 1000).map(flat_instance)))
+    def test_matches_rescaling_reference(self, inst):
+        red = to_full_binary(inst)
+        reduced, node_map, introduced = binary_by_rescaling(inst)
+        assert red.reduced == reduced
+        assert red.node_map == node_map
+        assert red.introduced == introduced
+
     @given(irregular_instances())
     def test_reduced_tree_is_valid_full_binary(self, inst):
         red = to_full_binary(inst)
@@ -111,8 +133,11 @@ class TestBothQuotas:
         assert alloc in brute_force_both_quotas(deep7, 5)
 
     def test_rejects_bad_house(self, sym7):
-        with pytest.raises(ValueError):
-            allocate_both_quotas(sym7, -1)
+        for h in (-1, 2.0, True, False):
+            with pytest.raises(ValueError):
+                allocate_both_quotas(sym7, h)
+            with pytest.raises(ValueError):
+                trace_both_quotas(sym7, h)
 
     @given(irregular_instances(), st.integers(0, 60))
     def test_never_violates_either_quota(self, inst, h):

@@ -30,7 +30,7 @@ from apportree import (
 import apportree.core as core
 from apportree.methods import _walk
 
-from conftest import irregular_instances
+from conftest import flat_instance, irregular_instances, share_lists
 from oracles import adams_single_level, jefferson_single_level, quota_single_level
 
 STEPPERS = {
@@ -238,18 +238,6 @@ class TestBinaryEquivalence:
         a = run_method(sym7, MethodKind.JEFFERSON, 40)
         b = run_method(sym7, MethodKind.QUOTA, 40)
         assert a.paths == b.paths
-
-
-def flat_instance(shares: list[Fraction]) -> Instance:
-    return Instance([None] + [0] * len(shares), [Fraction(1)] + list(shares))
-
-
-@st.composite
-def share_lists(draw, max_parties: int = 6, max_weight: int = 9):
-    n = draw(st.integers(min_value=2, max_value=max_parties))
-    raw = [draw(st.integers(min_value=1, max_value=max_weight)) for _ in range(n)]
-    total = sum(raw)
-    return [Fraction(r, total) for r in raw]
 
 
 class TestSingleLevelOracles:
