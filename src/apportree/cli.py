@@ -48,19 +48,20 @@ from .methods import MethodKind, NoEligibleChild, run_method
 SEED_ENV_VAR = "APPORTREE_SEED"
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+def _load(path: str, parse):
+    """Read a UTF-8 file and return ``parse(text)``.
 
-
-def _load_instance(path: str):
-    """Read and fully validate an instance file; raises on any problem."""
+    A file that cannot be read or holds malformed JSON raises
+    :class:`RuntimeError` with a one-line message, which :func:`main`
+    prints and answers with exit 1.
+    """
     try:
-        text = _read(path)
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc.strerror}") from exc
     try:
-        return instance_from_json(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise RuntimeError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -68,21 +69,7 @@ def _load_instance(path: str):
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = _read(args.instance)
-    except OSError as exc:
-        print(f"error: cannot read {args.instance}: {exc.strerror}", file=sys.stderr)
-        return 1
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: {args.instance}: invalid JSON at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 1
-    inst, errors = parse_instance_document(doc)
+    inst, errors = parse_instance_document(_load(args.instance, json.loads))
     if inst is None:
         for err in errors:
             print(str(err))
@@ -92,7 +79,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, instance_from_json)
     h = args.seats
     if args.method == "both-quotas":
         if args.trajectory:
@@ -112,19 +99,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    inst = _load_instance(args.instance)
-    try:
-        alloc = allocation_from_json(_read(args.allocation))
-    except OSError as exc:
-        print(f"error: cannot read {args.allocation}: {exc.strerror}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: {args.allocation}: invalid JSON at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 1
+    inst = _load(args.instance, instance_from_json)
+    alloc = _load(args.allocation, allocation_from_json)
     mode = QuotaMode.ALL_ANCESTORS if args.mode == "all" else QuotaMode.ROOT_ONLY
     report = check_allocation(inst, alloc, mode)
     for i in report.flow_violations:
@@ -156,7 +132,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, instance_from_json)
     reduction = to_full_binary(inst)
     doc = json.loads(instance_to_json(reduction.reduced))
     doc["node_map"] = list(reduction.node_map)
@@ -188,18 +164,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.config:
-        try:
-            config = config_from_json(_read(args.config))
-        except OSError as exc:
-            print(f"error: cannot read {args.config}: {exc.strerror}", file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as exc:
-            print(
-                f"error: {args.config}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}",
-                file=sys.stderr,
-            )
-            return 1
+        config = _load(args.config, config_from_json)
     else:
         if args.family is None or args.height is None:
             print("error: provide --config or both --family and --height", file=sys.stderr)
@@ -219,7 +184,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, instance_from_json)
     allocations = brute_force_both_quotas(
         inst, args.seats, max_nodes=args.max_nodes, max_house=args.max_house
     )

@@ -185,12 +185,15 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
         elif p == i:
             errors.append(StructuralError(NON_TREE, i, "node is its own parent"))
 
-    # children lists must partition 1..n-1 consistently with the parent map
+    # children lists must partition 1..n-1 consistently with the parent map;
+    # a child id must be a plain int, so a bool is not one
     seen: set[int] = set()
+    sibling_lists = inst.children
     for i in range(n):
         for c in inst.children[i]:
-            if not isinstance(c, int) or not 0 <= c < n or c == 0:
+            if type(c) is not int or not 0 < c < n:
                 errors.append(StructuralError(NON_TREE, i, f"invalid child id {c!r}"))
+                sibling_lists = None
             elif c in seen:
                 errors.append(StructuralError(NON_TREE, c, "node listed as child more than once"))
             else:
@@ -226,9 +229,12 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
         if not 0 < wnum[i] <= wden[i]:
             errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {weights[i]} not in (0, 1]"))
 
-    # each sibling sum in integers over the least common denominator
+    # each sibling sum in integers over the least common denominator, over
+    # the listed ids that name nodes
+    if sibling_lists is None:
+        sibling_lists = [[c for c in kids if type(c) is int and 0 < c < n] for kids in inst.children]
     lcm = math.lcm
-    for i, kids in enumerate(inst.children):
+    for i, kids in enumerate(sibling_lists):
         if kids:
             den = lcm(*[wden[c] for c in kids])
             num = sum([wnum[c] * (den // wden[c]) for c in kids])
@@ -380,6 +386,44 @@ class QuotaReport:
         )
 
 
+def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
+    """Quota bounds of every non-root node, top down in breadth-first order.
+
+    Yields ``(node, lower, upper, binding_lower, binding_upper)``, the
+    fields of :class:`QuotaBounds`.  Ancestor ``a``'s seats-per-share ratio
+    is ``seats[a] * rden[a] / rnum[a]``; the largest and smallest ratio
+    over a node's ancestors are carried down the tree, so each node costs
+    one comparison per bound.  Ties keep the ancestor nearest the root.  In
+    root-only mode the root's ratio binds every node.
+
+    ``seats[i]`` is read only when node ``i``'s children are reached, so a
+    caller may fill in each node's seats after it is yielded.
+    """
+    order, _, rnum, rden, _, _, children = _fast_arrays(inst)
+    fold = mode is QuotaMode.ALL_ANCESTORS
+    v = seats[0]
+    # per node: (hi_num, hi_den, hi_node, lo_num, lo_den, lo_node) of its ancestors
+    extremes = [(v, 1, 0, v, 1, 0)] * inst.n
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        hn, hd, ha, ln, ld, la = extremes[i]
+        if fold:
+            pn = seats[i] * rden[i]
+            pd = rnum[i]
+            if pn * hd > hn * pd:
+                hn, hd, ha = pn, pd, i
+            if pn * ld < ln * pd:
+                ln, ld, la = pn, pd, i
+        ext = hn, hd, ha, ln, ld, la
+        for c in kids:
+            extremes[c] = ext
+            num = rnum[c]
+            den = rden[c]
+            yield c, (num * hn) // (den * hd), -((-(num * ln)) // (den * ld)), ha, la
+
+
 def quota_bounds(
     inst: Instance, alloc: Allocation, i: int, mode: QuotaMode = QuotaMode.ALL_ANCESTORS
 ) -> QuotaBounds:
@@ -388,28 +432,16 @@ def quota_bounds(
     In all-ancestors mode the bounds take the tightest floor/ceiling over
     every ancestor; in root-only mode only the root constrains the node.
     The root itself is its own only ancestor, so its bounds collapse to
-    its own seat count.
+    its own seat count.  For every node at once, use
+    :func:`check_allocation`.
     """
-    shares = relative_entitlements(inst)
     seats = alloc.seats
-    ri = shares[i]
     if i == 0:
         return QuotaBounds(0, seats[0], seats[0], 0, 0)
-    if mode is QuotaMode.ROOT_ONLY:
-        candidates = [(Fraction(seats[0]), 0)]
-    else:
-        candidates = [(Fraction(seats[a]) / shares[a], a) for a in inst.ancestors(i)]
-    hi_ratio, hi_anc = candidates[0]
-    lo_ratio, lo_anc = candidates[0]
-    for ratio, a in candidates[1:]:
-        # candidates run nearest-first; ties keep the topmost, so replace on >=/<=
-        if ratio >= hi_ratio:
-            hi_ratio, hi_anc = ratio, a
-        if ratio <= lo_ratio:
-            lo_ratio, lo_anc = ratio, a
-    lower = math.floor(ri * hi_ratio)
-    upper = math.ceil(ri * lo_ratio)
-    return QuotaBounds(i, lower, upper, hi_anc, lo_anc)
+    for q in _quotas(inst, seats, mode):
+        if q[0] == i:
+            return QuotaBounds(*q)
+    raise IndexError(f"no node {i!r} in an instance of {inst.n} nodes")
 
 
 def check_allocation(
@@ -433,54 +465,18 @@ def check_allocation(
     if seats[0] != alloc.h and 0 not in flow:
         flow.insert(0, 0)
 
-    order, parents, rnum, rden, _, _, _ = _fast_arrays(inst)
-    root_only = mode is QuotaMode.ROOT_ONLY
-
-    # Seats-per-share ratio of ancestor a is seats[a]*rden[a]/rnum[a]; track
-    # the running extremes (and which ancestor set them) down the tree.
-    hi_n = [0] * n
-    hi_d = [1] * n
-    hi_a = [0] * n
-    lo_n = [0] * n
-    lo_d = [1] * n
-    lo_a = [0] * n
-    hi_n[0] = lo_n[0] = seats[0]
-
-    bounds: list[QuotaBounds | None] = [None] * n
+    bounds = [QuotaBounds(0, seats[0], seats[0], 0, 0)] * n
     low_flags = [False] * n
     up_flags = [False] * n
-    bounds[0] = QuotaBounds(0, seats[0], seats[0], 0, 0)
-
-    for i in order:
-        if i == 0:
-            continue
-        p = parents[i]
-        if root_only:
-            bn, bd, ba = seats[0], 1, 0
-            sn, sd, sa = bn, bd, ba
-        else:
-            # parent's own ratio competes with the best seen above it
-            pn = seats[p] * rden[p]
-            pd = rnum[p]
-            bn, bd, ba = hi_n[p], hi_d[p], hi_a[p]
-            if pn * bd > bn * pd:
-                bn, bd, ba = pn, pd, p
-            sn, sd, sa = lo_n[p], lo_d[p], lo_a[p]
-            if pn * sd < sn * pd:
-                sn, sd, sa = pn, pd, p
-            hi_n[i], hi_d[i], hi_a[i] = bn, bd, ba
-            lo_n[i], lo_d[i], lo_a[i] = sn, sd, sa
-        num = rnum[i]
-        den = rden[i]
-        lower = (num * bn) // (den * bd)
-        upper = -((-(num * sn)) // (den * sd))
-        bounds[i] = QuotaBounds(i, lower, upper, ba, sa)
-        low_flags[i] = seats[i] < lower
-        up_flags[i] = seats[i] > upper
+    for q in _quotas(inst, seats, mode):
+        i = q[0]
+        bounds[i] = QuotaBounds(*q)
+        low_flags[i] = seats[i] < q[1]
+        up_flags[i] = seats[i] > q[2]
 
     return QuotaReport(
         mode=mode,
-        bounds=tuple(bounds),  # type: ignore[arg-type]
+        bounds=tuple(bounds),
         lower_violated=tuple(low_flags),
         upper_violated=tuple(up_flags),
         flow_violations=tuple(flow),
@@ -498,52 +494,12 @@ def count_violations(
     flow-conserving allocation, but allocation-free: suitable for sweeps
     over many house sizes.
     """
-    order, parents, rnum, rden, _, _, _ = _fast_arrays(inst)
-    n = inst.n
-    if mode is QuotaMode.ROOT_ONLY:
-        v0 = seats[0]
-        low = up = 0
-        for i in range(1, n):
-            num = rnum[i] * v0
-            den = rden[i]
-            v = seats[i]
-            if (v + 1) * den <= num:
-                low += 1
-            elif v >= 1 and (v - 1) * den >= num:
-                up += 1
-        return low, up
-
-    hi_n = [0] * n
-    hi_d = [1] * n
-    lo_n = [0] * n
-    lo_d = [1] * n
-    hi_n[0] = lo_n[0] = seats[0]
     low = up = 0
-    for i in order:
-        if i == 0:
-            continue
-        p = parents[i]
-        pn = seats[p] * rden[p]
-        pd = rnum[p]
-        bn = hi_n[p]
-        bd = hi_d[p]
-        if pn * bd > bn * pd:
-            bn, bd = pn, pd
-        sn = lo_n[p]
-        sd = lo_d[p]
-        if pn * sd < sn * pd:
-            sn, sd = pn, pd
-        hi_n[i] = bn
-        hi_d[i] = bd
-        lo_n[i] = sn
-        lo_d[i] = sd
+    for i, lower, upper, _, _ in _quotas(inst, seats, mode):
         v = seats[i]
-        # violation iff v < floor(num*bn/(den*bd)), i.e. (v+1) <= that ratio
-        num = rnum[i]
-        den = rden[i]
-        if (v + 1) * den * bd <= num * bn:
+        if v < lower:
             low += 1
-        if v >= 1 and (v - 1) * den * sd >= num * sn:
+        if v > upper:
             up += 1
     return low, up
 

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, _fast_arrays, require_valid
+from .core import Allocation, Instance, QuotaMode, _fast_arrays, _quotas, require_valid
 
 
 class EmptyInterval(RuntimeError):
@@ -198,39 +198,12 @@ def _pair_intervals(reduced: Instance, seats: list[int]):
     ``seats`` only when it is reached, so a caller may fill in each pair
     before the generator moves on.
     """
-    order, _, rnum, rden, _, _, children = _fast_arrays(reduced)
-    n = reduced.n
-    hi_n = [0] * n
-    hi_d = [1] * n
-    lo_n = [0] * n
-    lo_d = [1] * n
-    hi_n[0] = lo_n[0] = seats[0]
-
-    for i in order:
-        kids = children[i]
-        if not kids:
-            continue
-        x, y = kids
-        # ancestor seats-per-share extremes for the children: node i's own
-        # ratio joins the extremes seen above it (ties keep the upper one)
-        pn = seats[i] * rden[i]
-        pd = rnum[i]
-        bn, bd = hi_n[i], hi_d[i]
-        if pn * bd > bn * pd:
-            bn, bd = pn, pd
-        sn, sd = lo_n[i], lo_d[i]
-        if pn * sd < sn * pd:
-            sn, sd = pn, pd
-        for c in (x, y):
-            hi_n[c], hi_d[c] = bn, bd
-            lo_n[c], lo_d[c] = sn, sd
-
-        lq_x = (rnum[x] * bn) // (rden[x] * bd)
-        uq_x = -((-(rnum[x] * sn)) // (rden[x] * sd))
-        lq_y = (rnum[y] * bn) // (rden[y] * bd)
-        uq_y = -((-(rnum[y] * sn)) // (rden[y] * sd))
-
-        v = seats[i]
+    parents = _fast_arrays(reduced)[1]
+    # siblings come out of the breadth-first kernel one after the other
+    quotas = _quotas(reduced, seats, QuotaMode.ALL_ANCESTORS)
+    for x, lq_x, uq_x, _, _ in quotas:
+        y, lq_y, uq_y, _, _ = next(quotas)
+        v = seats[parents[x]]
         yield x, y, v, max(lq_x, v - uq_y), min(uq_x, v - lq_y)
 
 

@@ -20,8 +20,12 @@ Adams satisfies upper quota everywhere, Jefferson and the quota-constrained
 method satisfy lower quota, and the upper-compliant method satisfies upper
 quota, all with respect to every ancestor.  Rankings compare exact
 rationals via integer cross-multiplication, and ties are broken
-deterministically (see :class:`TieBreak`), so a whole trajectory is
-reproducible from the instance alone.
+deterministically, so a whole trajectory is reproducible from the instance
+alone: among equally ranked children the lowest node index wins.  Adams
+refines this in its ranking itself: children with zero seats all share the
+ratio 0/R, and among them the larger entitlement goes first (the limiting
+order of V/R as V approaches 0 from above), the index deciding only exact
+entitlement ties.
 
 Adams, Jefferson and the quota method need not be walked to learn their
 final counts.  Their rankings and the quota cap read only parent-relative
@@ -48,20 +52,6 @@ class MethodKind(Enum):
     JEFFERSON = "jefferson"
     QUOTA = "quota"
     UC_QUOTA = "ucquota"
-
-
-class TieBreak(Enum):
-    """How equal-ranked children are separated: the lowest node index wins.
-
-    A single rule today, kept as an enum so alternative deterministic
-    rules can be added without changing signatures.  One refinement is
-    baked into Adams' ranking itself rather than here: children with zero
-    seats all share the ratio 0/R, and among them the larger entitlement
-    goes first (the limiting order of V/R as V approaches 0 from above),
-    with the index deciding only exact entitlement ties.
-    """
-
-    LOWEST_INDEX = "lowest-index"
 
 
 class NoEligibleChild(RuntimeError):
@@ -143,39 +133,20 @@ def _choose_path(inst: Instance, seats, kind: MethodKind) -> list[int]:
     return path
 
 
-def _step(inst: Instance, alloc: Allocation, kind: MethodKind) -> tuple[Allocation, tuple[int, ...]]:
+def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[Allocation, tuple[int, ...]]:
+    """One seat of ``method``: the allocation after it and the path it took.
+
+    The quota method only considers children whose current seats stay under
+    their entitlement share of the parent's incremented count, the
+    upper-compliant method those under the seats-per-share threshold.  On
+    flow-conserving seat counts an eligible child always exists;
+    :class:`NoEligibleChild` only guards the walk against corrupted inputs.
+    """
     seats = list(alloc.seats)
-    path = _choose_path(inst, seats, kind)
+    path = _choose_path(inst, seats, MethodKind(method))
     for i in path:
         seats[i] += 1
     return Allocation(alloc.h + 1, tuple(seats)), tuple(path)
-
-
-def step_adams(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
-    """One Adams step: next seat to the lowest seats-per-share child chain."""
-    return _step(inst, alloc, MethodKind.ADAMS)
-
-
-def step_jefferson(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
-    """One Jefferson step: next seat to the lowest next-seats-per-share chain."""
-    return _step(inst, alloc, MethodKind.JEFFERSON)
-
-
-def step_quota(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
-    """One Jefferson step restricted to children below their share bound.
-
-    A child is eligible while its current seats stay under its entitlement
-    share of the parent's incremented count.  On flow-conserving seat
-    counts an eligible child always exists (the children sum to strictly
-    less than the incremented parent count); :class:`NoEligibleChild` only
-    guards the walk against corrupted inputs.
-    """
-    return _step(inst, alloc, MethodKind.QUOTA)
-
-
-def step_uc_quota(inst, alloc, tie_break=TieBreak.LOWEST_INDEX):
-    """One Jefferson step under the descending seats-per-share threshold."""
-    return _step(inst, alloc, MethodKind.UC_QUOTA)
 
 
 def _walk(inst: Instance, kind: MethodKind, h: int) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -298,14 +269,13 @@ class Trajectory:
     come with it.
 
     ``paths`` is a cached property, not a field: the constructor takes
-    only ``instance``, ``method``, ``tie_break`` and ``final``, and
-    equality, hashing and ``repr`` read only those four.  The paths
-    follow from them, so equal trajectories still have equal paths.
+    only ``instance``, ``method`` and ``final``, and equality, hashing and
+    ``repr`` read only those three.  The paths follow from them, so equal
+    trajectories still have equal paths.
     """
 
     instance: Instance
     method: MethodKind
-    tie_break: TieBreak
     final: Allocation
 
     @cached_property
@@ -332,12 +302,7 @@ class Trajectory:
             yield Allocation(k, tuple(seats))
 
 
-def run_method(
-    inst: Instance,
-    method: MethodKind | str,
-    h: int,
-    tie_break: TieBreak = TieBreak.LOWEST_INDEX,
-) -> Trajectory:
+def run_method(inst: Instance, method: MethodKind | str, h: int) -> Trajectory:
     """Allocate ``h`` seats from scratch with the given method.
 
     The instance is validated first (once per instance: success is
@@ -351,7 +316,7 @@ def run_method(
 
     if kind is MethodKind.UC_QUOTA:
         seats, paths = _walk(inst, kind, h)
-        traj = Trajectory(inst, kind, tie_break, Allocation(h, tuple(seats)))
+        traj = Trajectory(inst, kind, Allocation(h, tuple(seats)))
         object.__setattr__(traj, "paths", paths)
         return traj
-    return Trajectory(inst, kind, tie_break, Allocation(h, tuple(_cascade(inst, kind, h))))
+    return Trajectory(inst, kind, Allocation(h, tuple(_cascade(inst, kind, h))))

@@ -102,17 +102,20 @@ def definitional_bounds(
     seats: tuple[int, ...],
     node: int,
     mode: QuotaMode = QuotaMode.ALL_ANCESTORS,
-) -> tuple[int, int]:
-    """Quota bounds straight from the definition, for cross-checking.
+) -> tuple[int, int, int, int]:
+    """Quota bounds and binding ancestors straight from the definition.
 
-    Lower bound: the largest floor of (R_node / R_a) * seats[a] over the
-    ancestors a in play; upper bound: the smallest ceiling of the same
-    quantity.  Everything stays a Fraction until the final floor/ceil.
+    Returns ``(lower, upper, binding_lower, binding_upper)``.  Lower bound:
+    the largest floor of (R_node / R_a) * seats[a] over the ancestors a in
+    play; upper bound: the smallest ceiling of the same quantity.  The
+    binding ancestors are those with the largest and the smallest
+    seats-per-share ratio seats[a] / R_a, the one nearest the root among
+    equal ratios.  Everything stays a Fraction until the final floor/ceil.
     """
     import math
 
     if node == 0:
-        return seats[0], seats[0]
+        return seats[0], seats[0], 0, 0
     shares = relative_entitlements(inst)
     if mode is QuotaMode.ROOT_ONLY:
         ancestors = [0]
@@ -121,7 +124,10 @@ def definitional_bounds(
     houses = [Fraction(seats[a]) / shares[a] for a in ancestors]
     lower = max(math.floor(shares[node] * x) for x in houses)
     upper = min(math.ceil(shares[node] * x) for x in houses)
-    return lower, upper
+    # max and min keep the first of equal keys, so scan from the root down
+    ratio = dict(zip(ancestors, houses))
+    top_down = ancestors[::-1]
+    return lower, upper, max(top_down, key=ratio.get), min(top_down, key=ratio.get)
 
 
 @st.composite

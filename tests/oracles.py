@@ -106,6 +106,9 @@ def validate_by_root_walks(inst: Instance) -> list[StructuralError]:
     errors: list[StructuralError] = []
     n = inst.n
 
+    def is_child_id(c) -> bool:
+        return isinstance(c, int) and not isinstance(c, bool) and 0 < c < n
+
     if inst.parents[0] is not None:
         errors.append(StructuralError(NON_TREE, 0, "root must have no parent"))
     for i in range(1, n):
@@ -120,7 +123,7 @@ def validate_by_root_walks(inst: Instance) -> list[StructuralError]:
     seen: set[int] = set()
     for i in range(n):
         for c in inst.children[i]:
-            if not isinstance(c, int) or not 0 <= c < n or c == 0:
+            if not is_child_id(c):
                 errors.append(StructuralError(NON_TREE, i, f"invalid child id {c!r}"))
             elif c in seen:
                 errors.append(StructuralError(NON_TREE, c, "node listed as child more than once"))
@@ -156,7 +159,7 @@ def validate_by_root_walks(inst: Instance) -> list[StructuralError]:
             errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {w} not in (0, 1]"))
 
     for i in range(n):
-        kids = inst.children[i]
+        kids = [c for c in inst.children[i] if is_child_id(c)]
         if kids:
             total = sum((inst.weights[c] for c in kids), Fraction(0))
             if total != 1:

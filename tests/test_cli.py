@@ -352,6 +352,39 @@ class TestTopLevel:
         assert result.stdout.strip() == "valid: 7 nodes"
 
 
+class TestInputFiles:
+    """Every file argument reports a missing file or malformed JSON alike."""
+
+    COMMANDS = {
+        "validate": ["validate", "{bad}"],
+        "allocate": ["allocate", "{bad}", "--method", "adams", "--seats", "3"],
+        "check-instance": ["check", "{bad}", "{alloc}"],
+        "check-allocation": ["check", "{inst}", "{bad}"],
+        "reduce": ["reduce", "{bad}"],
+        "oracle": ["oracle", "{bad}", "--seats", "3"],
+        "experiment": ["experiment", "--config", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("problem", ["missing", "malformed"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_1_with_one_error_line(self, command, problem, sym7_file, tmp_path, capsys):
+        alloc = write(tmp_path, "alloc.json", '{"h": 6, "seats": [6, 1, 2, 1, 2, 3, 3]}')
+        if problem == "missing":
+            bad = str(tmp_path / "nope.json")
+            expected = f"error: cannot read {bad}: No such file or directory\n"
+        else:
+            bad = write(tmp_path, "broken.json", "{")
+            expected = (
+                f"error: {bad}: invalid JSON at line 1, column 2: "
+                "Expecting property name enclosed in double quotes\n"
+            )
+        argv = [a.format(bad=bad, inst=sym7_file, alloc=alloc) for a in self.COMMANDS[command]]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == expected
+
+
 class TestHostileSizes:
     """Deep and wide inputs far past the benchmark's sizes.
 

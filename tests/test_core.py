@@ -47,8 +47,8 @@ def malformed_instances(draw) -> Instance:
     subtree below one of its own nodes (a cycle cut off from the root), or
     points nodes at arbitrary parents (self-parents, out-of-range or bool
     ids), keeps or redraws the child lists (inconsistent lists, child id 0,
-    negative ids, repeats) and redraws weights (outside (0, 1], so sibling
-    sums stop adding up).
+    negative ids, ids past ``n``, bools, strings and ``None``, repeats) and
+    redraws weights (outside (0, 1], so sibling sums stop adding up).
     """
     base = draw(irregular_instances(max_nodes=8))
     parents, weights, children = list(base.parents), list(base.weights), None
@@ -68,10 +68,10 @@ def malformed_instances(draw) -> Instance:
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         parents[i] = draw(parent_ids)
     if draw(st.booleans()):
-        # index-safe ids only: the validator indexes weights by child id
-        children = draw(
-            st.lists(st.lists(st.integers(-n, n - 1), max_size=3), min_size=n, max_size=n)
+        child_ids = st.one_of(
+            st.integers(-n, n + 2), st.booleans(), st.sampled_from(["x", None, 1.0])
         )
+        children = draw(st.lists(st.lists(child_ids, max_size=3), min_size=n, max_size=n))
     fractions = st.fractions(min_value=-1, max_value=2, max_denominator=6)
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         weights[i] = draw(fractions)
@@ -321,7 +321,10 @@ class TestQuotaBounds:
         for mode in QuotaMode:
             for i in range(inst.n):
                 b = quota_bounds(inst, alloc, i, mode)
-                assert (b.lower, b.upper) == definitional_bounds(inst, seats, i, mode)
+                assert b.node == i
+                assert (
+                    b.lower, b.upper, b.binding_lower_ancestor, b.binding_upper_ancestor
+                ) == definitional_bounds(inst, seats, i, mode)
 
     @given(irregular_instances(), st.integers(0, 40), st.randoms(use_true_random=False))
     def test_root_only_lower_never_exceeds_upper(self, inst, h, rand):
@@ -375,10 +378,15 @@ class TestCheckAllocation:
             report = check_allocation(inst, alloc, mode)
             assert report.flow_violations == ()
             for i in range(inst.n):
-                lo, hi = definitional_bounds(inst, seats, i, mode)
+                expected = definitional_bounds(inst, seats, i, mode)
+                lo, hi = expected[:2]
+                b = report.bounds[i]
                 assert report.lower_violated[i] == (seats[i] < lo)
                 assert report.upper_violated[i] == (seats[i] > hi)
-                assert (report.bounds[i].lower, report.bounds[i].upper) == (lo, hi)
+                assert b.node == i
+                assert (
+                    b.lower, b.upper, b.binding_lower_ancestor, b.binding_upper_ancestor
+                ) == expected
 
     @given(irregular_instances(), st.integers(0, 40), st.randoms(use_true_random=False))
     def test_count_violations_agrees_with_report(self, inst, h, rand):

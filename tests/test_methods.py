@@ -14,17 +14,13 @@ from apportree import (
     MethodKind,
     NoEligibleChild,
     QuotaMode,
-    TieBreak,
     TreeFamily,
     TreeKind,
     check_allocation,
     random_instance,
     relative_entitlements,
     run_method,
-    step_adams,
-    step_jefferson,
-    step_quota,
-    step_uc_quota,
+    step,
 )
 
 import apportree.core as core
@@ -32,13 +28,6 @@ from apportree.methods import _walk
 
 from conftest import flat_instance, irregular_instances, share_lists
 from oracles import adams_single_level, jefferson_single_level, quota_single_level
-
-STEPPERS = {
-    MethodKind.ADAMS: step_adams,
-    MethodKind.JEFFERSON: step_jefferson,
-    MethodKind.QUOTA: step_quota,
-    MethodKind.UC_QUOTA: step_uc_quota,
-}
 
 method_kinds = st.sampled_from(list(MethodKind))
 
@@ -110,7 +99,6 @@ class TestTrajectoryShape:
         traj = run_method(sym7, "adams", 6)
         assert traj.instance is sym7
         assert traj.method is MethodKind.ADAMS
-        assert traj.tie_break is TieBreak.LOWEST_INDEX
         assert len(traj.paths) == 6
 
     def test_allocation_at_prefixes(self, sym7):
@@ -269,17 +257,17 @@ class TestSingleLevelOracles:
 class TestStepFunctions:
     def test_step_returns_new_allocation_and_path(self, sym7):
         alloc = Allocation(0, (0,) * 7)
-        nxt, path = step_adams(sym7, alloc)
+        nxt, path = step(sym7, alloc, MethodKind.ADAMS)
         assert nxt.h == 1
         assert sum(nxt.seats) - sum(alloc.seats) == len(path)
         assert alloc.seats == (0,) * 7
 
     def test_steps_compose_into_run(self, deep7):
-        for method, step in STEPPERS.items():
+        for method in MethodKind:
             alloc = Allocation(0, (0,) * 7)
             paths = []
             for _ in range(7):
-                alloc, path = step(deep7, alloc)
+                alloc, path = step(deep7, alloc, method)
                 paths.append(path)
             traj = run_method(deep7, method, 7)
             assert alloc == traj.final
@@ -291,7 +279,7 @@ class TestStepFunctions:
         # the stuck node, and the house size it was stepping toward.
         corrupted = Allocation(0, (0, 1, 1, 1, 0))
         with pytest.raises(NoEligibleChild) as exc:
-            step_quota(nested5, corrupted)
+            step(nested5, corrupted, MethodKind.QUOTA)
         assert exc.value.method is MethodKind.QUOTA
         assert exc.value.node == 0
 
