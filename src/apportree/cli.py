@@ -24,8 +24,6 @@ from .core import (
     parse_instance_document,
 )
 from .existence import (
-    EmptyInterval,
-    SizeLimitExceeded,
     allocate_both_quotas,
     brute_force_both_quotas,
     to_full_binary,
@@ -40,10 +38,9 @@ from .experiments import (
 from .generator import (
     TreeFamily,
     TreeKind,
-    UnsupportedHeight,
     random_instance,
 )
-from .methods import MethodKind, NoEligibleChild, run_method
+from .methods import MethodKind, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
@@ -51,15 +48,17 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 def _load(path: str, parse):
     """Read a UTF-8 file and return ``parse(text)``.
 
-    A file that cannot be read or holds malformed JSON raises
-    :class:`RuntimeError` with a one-line message, which :func:`main`
-    prints and answers with exit 1.
+    A file that cannot be read, is not UTF-8 or holds malformed JSON
+    raises :class:`RuntimeError` with a one-line message naming the file,
+    which :func:`main` prints and answers with exit 1.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise RuntimeError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
@@ -274,9 +273,6 @@ def main(argv=None) -> int:
     except InvalidInstanceError as exc:
         for err in exc.errors:
             print(str(err), file=sys.stderr)
-        return 1
-    except (NoEligibleChild, EmptyInterval, SizeLimitExceeded, UnsupportedHeight) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,40 +1,42 @@
 """Iterative seat-by-seat apportionment methods on entitlement trees.
 
-Every method here hands out the house one seat at a time.  A step starts at
-the root and walks downward; at each internal node the new seat goes to the
-child that currently deserves it most, and every node along the walk gains
-one seat, so flow conservation holds after each step.  The methods differ
-only in how children are ranked and which of them are eligible:
+Every method here hands out the house one seat at a time.  A seat walks
+from the root to a leaf, every node it passes gains one seat (so flow
+conservation holds after each seat), and at each internal node it goes to
+the child that deserves it most.  Siblings share a parent, so ranking them
+by seats per parent-relative weight ``w`` ranks them by seats per share of
+the house too.  The methods differ in the ranking key and in one cap on
+seats per weight: a child holding ``cap * w`` seats or more sits out.
 
-* Adams ranks children by current seats per share, lowest first.
-* Jefferson ranks by seats-after-one-more per share, lowest first.
-* The quota-constrained method is Jefferson restricted to children whose
-  next seat would keep them under their parent-relative share of the
-  parent's upcoming seat count.
-* The upper-compliant quota method is Jefferson restricted by a seats-per-
-  share threshold carried down the walk; the threshold both forces upper
-  quota compliance and (unlike the plain quota constraint) can be shown to
-  always leave at least one child eligible.
+* Adams ranks children by current seats per weight, lowest first, uncapped.
+* Jefferson ranks by seats-after-one-more per weight, uncapped.
+* The quota method is Jefferson capped at node ``i`` by ``v_i``, the
+  node's count after the seat.
+* The upper-compliant quota method is Jefferson under an inherited cap:
+  ``v_0`` at the root, then ``min(cap * w_c, v_c)`` at child ``c`` (counts
+  after the seat), which is the lowest seats-per-share ratio on the path
+  times the node's share.  It is never looser than the quota cap, forces
+  upper quota, and can be shown to always leave a child eligible.
 
-Adams satisfies upper quota everywhere, Jefferson and the quota-constrained
-method satisfy lower quota, and the upper-compliant method satisfies upper
-quota, all with respect to every ancestor.  Rankings compare exact
-rationals via integer cross-multiplication, and ties are broken
-deterministically, so a whole trajectory is reproducible from the instance
-alone: among equally ranked children the lowest node index wins.  Adams
-refines this in its ranking itself: children with zero seats all share the
-ratio 0/R, and among them the larger entitlement goes first (the limiting
-order of V/R as V approaches 0 from above), the index deciding only exact
-entitlement ties.
+Adams satisfies upper quota everywhere, Jefferson and the quota method
+satisfy lower quota, and the upper-compliant method satisfies upper quota,
+all with respect to every ancestor.  Rankings compare exact rationals via
+integer cross-multiplication, and ties are broken deterministically, so a
+whole trajectory is reproducible from the instance alone: among equally
+ranked children the lowest node index wins.  Adams refines this in its
+ranking itself: children with zero seats all share the ratio 0/w, and
+among them the larger entitlement goes first (the limiting order of V/w as
+V approaches 0 from above), the index deciding only exact entitlement
+ties.
 
 Adams, Jefferson and the quota method need not be walked to learn their
-final counts.  Their rankings and the quota cap read only parent-relative
-weights and the parent's own count, so the seats a node passes to its
-children depend only on how many seats reached it: :func:`run_method`
-computes ``final`` top down, one single-level apportionment per node.  The
-walk stays the trajectory API and the reference the cascade is tested
-against; the upper-compliant method, whose threshold depends on the whole
-path, is always walked.
+final counts.  Their rankings and caps read only parent-relative weights
+and the parent's own count, so the seats a node passes to its children
+depend only on how many seats reached it: :func:`run_method` computes
+``final`` top down, one single-level apportionment per node.  The walk
+stays the trajectory API and the reference the cascade is tested against;
+the upper-compliant method, whose cap depends on the whole path, is always
+walked.
 """
 
 from __future__ import annotations
@@ -55,12 +57,12 @@ class MethodKind(Enum):
 
 
 class NoEligibleChild(RuntimeError):
-    """A constrained step found no child it was allowed to pick.
+    """A capped step found no child under its cap.
 
-    Unreachable from flow-conserving seat counts: both the plain quota
-    constraint and the upper-compliant threshold provably leave at least
-    one eligible child then.  Raising it means the input allocation was
-    corrupted (or there is a bug), so it is a RuntimeError, not ValueError.
+    Unreachable from flow-conserving seat counts: both the quota cap and
+    the upper-compliant cap provably leave at least one eligible child
+    then.  Raising it means the input allocation was corrupted (or there
+    is a bug), so it is a RuntimeError, not ValueError.
     """
 
     def __init__(self, method: MethodKind, node: int, house: int):
@@ -73,112 +75,19 @@ class NoEligibleChild(RuntimeError):
         )
 
 
-def _choose_path(inst: Instance, seats, kind: MethodKind) -> list[int]:
-    """Pick the root-to-leaf path the next seat travels, without assigning it.
+def _best_child(seats, kids, wnum, wden, bump: int, qn: int = 0, qd: int = 1) -> int:
+    """The child a seat goes to at one node: smallest ``(seats + bump) / w``.
 
-    ``seats`` holds the current (pre-step) counts; every ranking and
-    eligibility test below reads only those.
-    """
-    _, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
-    bump = 0 if kind is MethodKind.ADAMS else 1
-    is_quota = kind is MethodKind.QUOTA
-    is_ucq = kind is MethodKind.UC_QUOTA
-
-    # upper-compliance threshold, as a fraction tn/td on seats-per-share
-    tn = seats[0] + 1
-    td = 1
-
-    path = [0]
-    i = 0
-    kids = children[0]
-    while kids:
-        vi_next = seats[i] + 1
-        best = -1
-        bn = bd = 1
-        for c in kids:
-            vc = seats[c]
-            if is_quota and vc * wden[c] >= vi_next * wnum[c]:
-                continue
-            if is_ucq and vc * rden[c] * td >= tn * rnum[c]:
-                continue
-            cn = (vc + bump) * rden[c]
-            cd = rnum[c]
-            if best < 0:
-                best, bn, bd = c, cn, cd
-                continue
-            left = cn * bd
-            right = bn * cd
-            if left < right:
-                best, bn, bd = c, cn, cd
-            elif left == right:
-                if cn == 0:
-                    # Adams only: unseated children share ratio 0; the
-                    # larger entitlement leads, as V/R would for any V > 0
-                    rc = rnum[c] * rden[best]
-                    rb = rnum[best] * rden[c]
-                    if rc > rb or (rc == rb and c < best):
-                        best, bn, bd = c, cn, cd
-                elif c < best:
-                    best, bn, bd = c, cn, cd
-        if best < 0:
-            raise NoEligibleChild(kind, i, seats[0])
-        if is_ucq:
-            un = (seats[best] + 1) * rden[best]
-            ud = rnum[best]
-            if un * td < tn * ud:
-                tn, td = un, ud
-        i = best
-        path.append(i)
-        kids = children[i]
-    return path
-
-
-def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[Allocation, tuple[int, ...]]:
-    """One seat of ``method``: the allocation after it and the path it took.
-
-    The quota method only considers children whose current seats stay under
-    their entitlement share of the parent's incremented count, the
-    upper-compliant method those under the seats-per-share threshold.  On
-    flow-conserving seat counts an eligible child always exists;
-    :class:`NoEligibleChild` only guards the walk against corrupted inputs.
-    """
-    seats = list(alloc.seats)
-    path = _choose_path(inst, seats, MethodKind(method))
-    for i in path:
-        seats[i] += 1
-    return Allocation(alloc.h + 1, tuple(seats)), tuple(path)
-
-
-def _walk(inst: Instance, kind: MethodKind, h: int) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """Hand out ``h`` seats one at a time: the final counts and every path.
-
-    Starting from all zeros every state reached conserves flow, so the
-    constrained methods always find an eligible child and
-    :class:`NoEligibleChild` never escapes this loop.
-    """
-    seats = [0] * inst.n
-    paths = []
-    for _ in range(h):
-        path = _choose_path(inst, seats, kind)
-        for i in path:
-            seats[i] += 1
-        paths.append(tuple(path))
-    return seats, tuple(paths)
-
-
-def _best_child(seats, kids, wnum, wden, bump: int, cap: int = 0) -> int:
-    """The child the walk would pick at one node: smallest ``(seats + bump) / w``.
-
-    With ``cap`` > 0 only children holding fewer than ``cap * w`` seats
-    compete (the quota rule, ``cap`` being the parent's count after this
-    seat).  Ties go to the lowest node id, except that among Adams children
-    still at zero seats (``bump`` 0) the larger weight leads.
+    With ``qn`` > 0 only children holding fewer than ``qn / qd * w`` seats
+    compete: the cap on seats per weight.  Ties go to the lowest node id,
+    except that among Adams children still at zero seats (``bump`` 0) the
+    larger weight leads.  Returns -1 if no child is under the cap.
     """
     best = -1
     bn = bd = 1
     for c in kids:
         vc = seats[c]
-        if cap and vc * wden[c] >= cap * wnum[c]:
+        if qn and vc * wden[c] * qd >= qn * wnum[c]:
             continue
         cn = (vc + bump) * wden[c]
         cd = wnum[c]
@@ -200,10 +109,63 @@ def _best_child(seats, kids, wnum, wden, bump: int, cap: int = 0) -> int:
     return best
 
 
-def _top_up(seats, kids, r: int, wnum, wden, bump: int) -> None:
-    """Give ``r`` more seats to ``kids`` one at a time, as the walk would."""
-    for _ in range(r):
-        seats[_best_child(seats, kids, wnum, wden, bump)] += 1
+def _walk(
+    inst: Instance, kind: MethodKind, h: int, seats: list[int] | None = None
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Hand out ``h`` seats one at a time: the final counts and every path.
+
+    The seats go onto ``seats`` in place (all zeros if omitted).  Each
+    seat raises a node's count before picking among its children with
+    :func:`_best_child`, under the method's cap (see the module
+    docstring).  Starting from flow-conserving counts some child is always
+    under the cap; otherwise :class:`NoEligibleChild` reports the stuck
+    node and the house size before the seat.
+    """
+    _, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    if seats is None:
+        seats = [0] * inst.n
+    bump = 0 if kind is MethodKind.ADAMS else 1
+    is_quota = kind is MethodKind.QUOTA
+    is_ucq = kind is MethodKind.UC_QUOTA
+    qn, qd = 0, 1
+    paths = []
+    for _ in range(h):
+        seats[0] += 1
+        if is_ucq:
+            qn, qd = seats[0], 1
+        path = [0]
+        i = 0
+        kids = children[0]
+        while kids:
+            if is_quota:
+                qn = seats[i]
+            c = _best_child(seats, kids, wnum, wden, bump, qn, qd)
+            if c < 0:
+                raise NoEligibleChild(kind, i, seats[0] - 1)
+            seats[c] += 1
+            if is_ucq:
+                vc = seats[c]
+                qn *= wnum[c]
+                qd *= wden[c]
+                if qn >= vc * qd:
+                    qn, qd = vc, 1
+            path.append(c)
+            i = c
+            kids = children[c]
+        paths.append(tuple(path))
+    return seats, tuple(paths)
+
+
+def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[Allocation, tuple[int, ...]]:
+    """One seat of ``method``: the allocation after it and the path it took.
+
+    A one-seat :func:`_walk` on a copy of ``alloc.seats``, so ``alloc`` is
+    left as it is.  On flow-conserving seat counts a child under the cap
+    always exists; :class:`NoEligibleChild` only guards against corrupted
+    inputs.
+    """
+    seats, paths = _walk(inst, MethodKind(method), 1, list(alloc.seats))
+    return Allocation(alloc.h + 1, tuple(seats)), paths[0]
 
 
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
@@ -229,6 +191,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     seats = [0] * inst.n
     seats[0] = h
     adams = kind is MethodKind.ADAMS
+    bump = 0 if adams else 1
     walk_wide = kind is MethodKind.QUOTA
     for i in order:
         kids = children[i]
@@ -249,8 +212,8 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
         else:
             for c in kids:
                 seats[c] = v * wnum[c] // wden[c]
-        r = v - sum(seats[c] for c in kids)
-        _top_up(seats, kids, r, wnum, wden, 0 if adams else 1)
+        for _ in range(v - sum(seats[c] for c in kids)):
+            seats[_best_child(seats, kids, wnum, wden, bump)] += 1
     return seats
 
 

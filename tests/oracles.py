@@ -12,7 +12,12 @@ rule, where the larger share goes first (the limit of seats-per-share
 ordering as seats approach zero) and the index only settles exact share
 ties.
 
-The second half keeps the straightforward instance preparation the
+Then the multi-level walk as the library first wrote it, the reference
+for the walk that ranks siblings by parent-relative weight under one cap:
+it ranks siblings by their shares of the whole house and carries the
+upper-compliant rule as a seats-per-share threshold down the path.
+
+The last part keeps the straightforward instance preparation the
 library once used, as references for the linear versions: validation
 that walks every node up to the root, shares as running Fraction
 products, and the binary rewrite that rescales the remaining siblings
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from apportree import Instance
+from apportree import Instance, MethodKind, NoEligibleChild
 from apportree.core import (
     CHILDREN_WEIGHTS_NOT_NORMALIZED,
     NON_TREE,
@@ -96,6 +101,91 @@ def quota_single_level(shares: list[Fraction], h: int) -> list[int]:
         assert best is not None
         seats[best] += 1
     return seats
+
+
+def choose_path_by_global_shares(inst: Instance, seats, kind: MethodKind) -> list[int]:
+    """The root-to-leaf path the next seat travels, without assigning it.
+
+    ``seats`` holds the current (pre-step) counts.  Children are ranked by
+    ``(V_c + bump) / R_c`` with ``R_c`` the share of the house; the quota
+    method skips a child already at its parent-relative share of the
+    parent's next count, the upper-compliant method one at or above the
+    threshold ``tn / td`` on seats per share, which starts at the root's
+    next count and drops to ``(V_c + 1) / R_c`` whenever that is lower.
+    """
+    shares = shares_by_products(inst)
+    rnum = [r.numerator for r in shares]
+    rden = [r.denominator for r in shares]
+    wnum = [w.numerator for w in inst.weights]
+    wden = [w.denominator for w in inst.weights]
+    children = inst.children
+    bump = 0 if kind is MethodKind.ADAMS else 1
+    is_quota = kind is MethodKind.QUOTA
+    is_ucq = kind is MethodKind.UC_QUOTA
+
+    tn = seats[0] + 1
+    td = 1
+
+    path = [0]
+    i = 0
+    kids = children[0]
+    while kids:
+        vi_next = seats[i] + 1
+        best = -1
+        bn = bd = 1
+        for c in kids:
+            vc = seats[c]
+            if is_quota and vc * wden[c] >= vi_next * wnum[c]:
+                continue
+            if is_ucq and vc * rden[c] * td >= tn * rnum[c]:
+                continue
+            cn = (vc + bump) * rden[c]
+            cd = rnum[c]
+            if best < 0:
+                best, bn, bd = c, cn, cd
+                continue
+            left = cn * bd
+            right = bn * cd
+            if left < right:
+                best, bn, bd = c, cn, cd
+            elif left == right:
+                if cn == 0:
+                    # Adams only: unseated children share ratio 0; the
+                    # larger entitlement leads, as V/R would for any V > 0
+                    rc = rnum[c] * rden[best]
+                    rb = rnum[best] * rden[c]
+                    if rc > rb or (rc == rb and c < best):
+                        best, bn, bd = c, cn, cd
+                elif c < best:
+                    best, bn, bd = c, cn, cd
+        if best < 0:
+            raise NoEligibleChild(kind, i, seats[0])
+        if is_ucq:
+            un = (seats[best] + 1) * rden[best]
+            ud = rnum[best]
+            if un * td < tn * ud:
+                tn, td = un, ud
+        i = best
+        path.append(i)
+        kids = children[i]
+    return path
+
+
+def walk_by_global_shares(
+    inst: Instance, kind: MethodKind, h: int, seats=None
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Hand out ``h`` seats from ``seats`` (default all zeros), one path each.
+
+    Returns the final counts and every path, as ``methods._walk`` does.
+    """
+    seats = [0] * inst.n if seats is None else list(seats)
+    paths = []
+    for _ in range(h):
+        path = choose_path_by_global_shares(inst, seats, kind)
+        for i in path:
+            seats[i] += 1
+        paths.append(tuple(path))
+    return seats, tuple(paths)
 
 
 def validate_by_root_walks(inst: Instance) -> list[StructuralError]:

@@ -353,7 +353,7 @@ class TestTopLevel:
 
 
 class TestInputFiles:
-    """Every file argument reports a missing file or malformed JSON alike."""
+    """Every file argument reports a missing, undecodable or malformed file alike."""
 
     COMMANDS = {
         "validate": ["validate", "{bad}"],
@@ -365,19 +365,23 @@ class TestInputFiles:
         "experiment": ["experiment", "--config", "{bad}"],
     }
 
-    @pytest.mark.parametrize("problem", ["missing", "malformed"])
+    @pytest.mark.parametrize("problem", ["missing", "malformed", "not-utf8"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_exit_1_with_one_error_line(self, command, problem, sym7_file, tmp_path, capsys):
         alloc = write(tmp_path, "alloc.json", '{"h": 6, "seats": [6, 1, 2, 1, 2, 3, 3]}')
         if problem == "missing":
             bad = str(tmp_path / "nope.json")
             expected = f"error: cannot read {bad}: No such file or directory\n"
-        else:
+        elif problem == "malformed":
             bad = write(tmp_path, "broken.json", "{")
             expected = (
                 f"error: {bad}: invalid JSON at line 1, column 2: "
                 "Expecting property name enclosed in double quotes\n"
             )
+        else:
+            bad = str(tmp_path / "utf16.json")
+            (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{")
+            expected = f"error: {bad}: not UTF-8 (invalid start byte at byte 0)\n"
         argv = [a.format(bad=bad, inst=sym7_file, alloc=alloc) for a in self.COMMANDS[command]]
         assert main(argv) == 1
         out, err = capsys.readouterr()

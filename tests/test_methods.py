@@ -27,7 +27,12 @@ import apportree.core as core
 from apportree.methods import _walk
 
 from conftest import flat_instance, irregular_instances, share_lists
-from oracles import adams_single_level, jefferson_single_level, quota_single_level
+from oracles import (
+    adams_single_level,
+    jefferson_single_level,
+    quota_single_level,
+    walk_by_global_shares,
+)
 
 method_kinds = st.sampled_from(list(MethodKind))
 
@@ -282,14 +287,61 @@ class TestStepFunctions:
             step(nested5, corrupted, MethodKind.QUOTA)
         assert exc.value.method is MethodKind.QUOTA
         assert exc.value.node == 0
+        assert exc.value.house == 0
+        assert str(exc.value) == "quota: no eligible child under node 0 when assigning seat 1"
+        assert corrupted.seats == (0, 1, 1, 1, 0)
 
-
-CASCADE_KINDS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA)
+    def test_no_eligible_child_under_the_inherited_cap(self, nested5):
+        # The root's cap of 6 seats per weight admits node 1; its own count
+        # of 1 then caps node 1's children, which already hold a seat each.
+        # The seat has already raised the root and node 1 when the walk
+        # gets stuck, yet the reported house is the one before it.
+        corrupted = Allocation(5, (5, 0, 0, 1, 1))
+        with pytest.raises(NoEligibleChild) as exc:
+            step(nested5, corrupted, MethodKind.UC_QUOTA)
+        assert exc.value.method is MethodKind.UC_QUOTA
+        assert exc.value.node == 1
+        assert exc.value.house == 5
+        assert str(exc.value) == "ucquota: no eligible child under node 1 when assigning seat 6"
+        assert corrupted.seats == (5, 0, 0, 1, 1)
 
 
 def reversed_children(inst: Instance) -> Instance:
     """The same tree with every child list in descending id order."""
     return Instance(inst.parents, inst.weights, [tuple(reversed(k)) for k in inst.children])
+
+
+class TestGlobalShareReference:
+    """The walk ranks siblings by parent-relative weight under one cap on
+    seats per weight; the walk that ranks them by shares of the house and
+    carries a seats-per-share threshold must pick every path alike."""
+
+    @given(irregular_instances(), method_kinds, st.integers(0, 300), st.booleans())
+    def test_walk_matches_reference(self, inst, method, h, flip):
+        if flip:
+            inst = reversed_children(inst)
+        assert _walk(inst, method, h) == walk_by_global_shares(inst, method, h)
+
+    @given(
+        irregular_instances(),
+        method_kinds,
+        method_kinds,
+        st.integers(0, 300),
+        st.booleans(),
+    )
+    def test_step_from_mid_run_matches_reference(self, inst, earlier, method, k, flip):
+        # Counts reached by any method conserve flow, so every method can
+        # step on from them.
+        if flip:
+            inst = reversed_children(inst)
+        seats, _ = walk_by_global_shares(inst, earlier, k)
+        alloc = Allocation(k, tuple(seats))
+        expected, (path,) = walk_by_global_shares(inst, method, 1, seats)
+        assert step(inst, alloc, method) == (Allocation(k + 1, tuple(expected)), path)
+        assert alloc.seats == tuple(seats)
+
+
+CASCADE_KINDS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA)
 
 
 class TestLevelCascade:
