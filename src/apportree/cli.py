@@ -100,8 +100,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_check(args) -> int:
     inst = _load(args.instance, instance_from_json)
     alloc = _load(args.allocation, allocation_from_json)
-    mode = QuotaMode.ALL_ANCESTORS if args.mode == "all" else QuotaMode.ROOT_ONLY
-    report = check_allocation(inst, alloc, mode)
+    report = check_allocation(inst, alloc, QuotaMode(args.mode))
     for i in report.flow_violations:
         if i == 0 and alloc.seats[0] != alloc.h:
             print(f"node 0: root has {alloc.seats[0]} seats for house size {alloc.h}")
@@ -177,8 +176,7 @@ def _cmd_experiment(args) -> int:
             max_weight=args.max_weight,
         )
     table = run_experiment(config, workers=args.workers)
-    fmt = "markdown" if args.out == "md" else "csv"
-    sys.stdout.write(emit_table(table, fmt))
+    sys.stdout.write(emit_table(table, args.out))
     return 0
 
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class InvalidInstanceError(ValueError):
@@ -120,23 +120,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.parents)
-
-    def is_leaf(self, i: int) -> bool:
-        return not self.children[i]
-
-    def ancestors(self, i: int) -> Iterator[int]:
-        """Yield ancestors of ``i`` from parent up to the root.
-
-        Mirrors the convention that the root is its own (only) ancestor:
-        ``ancestors(0)`` yields ``0``.
-        """
-        if i == 0:
-            yield 0
-            return
-        p = self.parents[i]
-        while p is not None:
-            yield p
-            p = self.parents[p]
 
     def bfs_order(self) -> tuple[int, ...]:
         """Node ids in breadth-first order from the root (parents first)."""
@@ -272,16 +255,6 @@ def relative_entitlements(inst: Instance) -> tuple[Fraction, ...]:
         _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
         inst._shares = tuple(map(Fraction, rnum, rden))
     return inst._shares
-
-
-def relative_entitlement(inst: Instance, i: int) -> Fraction:
-    """Node ``i``'s entitlement relative to the root (share of the house)."""
-    return relative_entitlements(inst)[i]
-
-
-def strict_quota(inst: Instance, i: int, h: int) -> Fraction:
-    """The exact, generally fractional share of ``h`` seats owed to node ``i``."""
-    return relative_entitlement(inst, i) * h
 
 
 def _fast_arrays(inst: Instance):
@@ -424,26 +397,6 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
             yield c, (num * hn) // (den * hd), -((-(num * ln)) // (den * ld)), ha, la
 
 
-def quota_bounds(
-    inst: Instance, alloc: Allocation, i: int, mode: QuotaMode = QuotaMode.ALL_ANCESTORS
-) -> QuotaBounds:
-    """Exact quota bounds of node ``i`` under ``alloc``.
-
-    In all-ancestors mode the bounds take the tightest floor/ceiling over
-    every ancestor; in root-only mode only the root constrains the node.
-    The root itself is its own only ancestor, so its bounds collapse to
-    its own seat count.  For every node at once, use
-    :func:`check_allocation`.
-    """
-    seats = alloc.seats
-    if i == 0:
-        return QuotaBounds(0, seats[0], seats[0], 0, 0)
-    for q in _quotas(inst, seats, mode):
-        if q[0] == i:
-            return QuotaBounds(*q)
-    raise IndexError(f"no node {i!r} in an instance of {inst.n} nodes")
-
-
 def check_allocation(
     inst: Instance, alloc: Allocation, mode: QuotaMode = QuotaMode.ALL_ANCESTORS
 ) -> QuotaReport:
@@ -451,7 +404,8 @@ def check_allocation(
 
     Flow breaks (root seats != h, or an internal node's seats != sum of its
     children's) are reported in the result rather than raised, so broken
-    allocations can still be inspected.
+    allocations can still be inspected.  ``bounds[i]`` holds node ``i``'s
+    bounds; the root's collapse to its own seat count.
     """
     n = inst.n
     seats = alloc.seats

@@ -140,20 +140,12 @@ class MetricsTable:
     rows: tuple[TableRow, ...]
 
 
-def _evaluate_batch(args) -> list[tuple[int, int, int, int, Fraction, Fraction]]:
-    """Worker task: all (method, h) metrics for one generated instance.
-
-    Returns plain tuples keyed by (method index, house index) so results
-    can be merged in any order.
-    """
+def _evaluate_batch(args) -> list[InstanceMetrics]:
+    """Worker task: the metrics of one generated instance for every
+    (method, house size), method-major like the table's rows."""
     family, seed, max_weight, methods, house_sizes, mode = args
     inst = assign_entitlements(build_tree(family), seed, max_weight)
-    out = []
-    for mi, method in enumerate(methods):
-        for hi, h in enumerate(house_sizes):
-            m = evaluate_instance(inst, method, h, mode)
-            out.append((mi, hi, m.lower_violations, m.upper_violations, m.deviation_sum, m.deviation_max))
-    return out
+    return [evaluate_instance(inst, method, h, mode) for method in methods for h in house_sizes]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
@@ -165,11 +157,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     config names its instances independently of worker scheduling.
     """
     n = build_tree(config.family).n
-    rows = {
-        (mi, hi): TableRow(method, config.family, n, h)
-        for mi, method in enumerate(config.methods)
-        for hi, h in enumerate(config.house_sizes)
-    }
+    rows = tuple(
+        TableRow(method, config.family, n, h)
+        for method in config.methods
+        for h in config.house_sizes
+    )
     tasks = [
         (config.family, (config.base_seed + k) & ((1 << 64) - 1), config.max_weight,
          config.methods, config.house_sizes, config.mode)
@@ -181,12 +173,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     else:
         batches = map(_evaluate_batch, tasks)
     for batch in batches:
-        for mi, hi, low, up, dev_sum, dev_max in batch:
-            rows[(mi, hi)].add(
-                InstanceMetrics(n, low, up, dev_sum, dev_max)
-            )
+        for row, m in zip(rows, batch):
+            row.add(m)
 
-    for row in rows.values():
+    for row in rows:
         no_lower, no_upper = _GUARANTEES[row.method]
         if no_lower and row.lower_violation_total:
             raise RuntimeError(
@@ -199,12 +189,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
                 f"violations; it is guaranteed never to"
             )
 
-    ordered = tuple(
-        rows[(mi, hi)]
-        for mi in range(len(config.methods))
-        for hi in range(len(config.house_sizes))
-    )
-    return MetricsTable(config, ordered)
+    return MetricsTable(config, rows)
 
 
 def format_fixed(value: Fraction, places: int = 4) -> str:
@@ -240,7 +225,7 @@ def _row_cells(row: TableRow) -> list[str]:
 
 
 def emit_table(table: MetricsTable, format: str = "csv") -> str:
-    """Render a table as csv or markdown, 4 decimal places either way."""
+    """Render a table as ``"csv"`` or ``"md"`` (markdown), 4 decimal places either way."""
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -248,7 +233,7 @@ def emit_table(table: MetricsTable, format: str = "csv") -> str:
         for row in table.rows:
             writer.writerow(_row_cells(row))
         return buf.getvalue()
-    if format in ("md", "markdown"):
+    if format == "md":
         lines = [
             "| " + " | ".join(_CSV_COLUMNS) + " |",
             "|" + "|".join("---" for _ in _CSV_COLUMNS) + "|",
@@ -277,17 +262,24 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ValueError('config must be an object with a "family" object')
     fam = obj["family"]
     family = TreeFamily(TreeKind(fam.get("kind")), fam.get("height"))
+    for key in ("house_sizes", "methods"):
+        if not isinstance(obj.get(key, []), list):
+            raise ValueError(f'"{key}" must be a list, got {obj[key]!r}')
     kwargs = {}
-    if "instance_count" in obj:
-        kwargs["instance_count"] = int(obj["instance_count"])
-    if "base_seed" in obj:
-        kwargs["base_seed"] = int(obj["base_seed"])
+    for key in ("instance_count", "base_seed", "max_weight"):
+        if key in obj:
+            kwargs[key] = _json_int(obj[key], f'"{key}"')
     if "house_sizes" in obj:
-        kwargs["house_sizes"] = tuple(int(h) for h in obj["house_sizes"])
+        kwargs["house_sizes"] = tuple(_json_int(h, 'each "house_sizes" entry') for h in obj["house_sizes"])
     if "methods" in obj:
         kwargs["methods"] = tuple(MethodKind(m) for m in obj["methods"])
     if "mode" in obj:
         kwargs["mode"] = QuotaMode(obj["mode"])
-    if "max_weight" in obj:
-        kwargs["max_weight"] = int(obj["max_weight"])
     return ExperimentConfig(family, **kwargs)
+
+
+def _json_int(value, what: str) -> int:
+    # a plain JSON integer: not a bool, a float or a numeric string
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -272,7 +272,7 @@ def run_method(inst: Instance, method: MethodKind | str, h: int) -> Trajectory:
     remembered on it).  Adams, Jefferson and quota compute the final
     counts level by level; the upper-compliant method walks.
     """
-    kind = MethodKind(method) if isinstance(method, str) else method
+    kind = MethodKind(method)
     if not isinstance(h, int) or isinstance(h, bool) or h < 0:
         raise ValueError("house size must be a non-negative integer")
     require_valid(inst)

@@ -97,6 +97,21 @@ def single() -> Instance:
     return make_single()
 
 
+def ancestors_of(inst: Instance, i: int) -> list[int]:
+    """Ancestors of ``i`` from its parent up to the root.
+
+    The root is its own only ancestor: ``ancestors_of(inst, 0) == [0]``.
+    """
+    if i == 0:
+        return [0]
+    out = []
+    p = inst.parents[i]
+    while p is not None:
+        out.append(p)
+        p = inst.parents[p]
+    return out
+
+
 def definitional_bounds(
     inst: Instance,
     seats: tuple[int, ...],
@@ -120,7 +135,7 @@ def definitional_bounds(
     if mode is QuotaMode.ROOT_ONLY:
         ancestors = [0]
     else:
-        ancestors = list(inst.ancestors(node))
+        ancestors = ancestors_of(inst, node)
     houses = [Fraction(seats[a]) / shares[a] for a in ancestors]
     lower = max(math.floor(shares[node] * x) for x in houses)
     upper = min(math.ceil(shares[node] * x) for x in houses)

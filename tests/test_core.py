@@ -25,17 +25,14 @@ from apportree import (
     instance_to_json,
     parse_instance_document,
     parse_weight,
-    quota_bounds,
-    relative_entitlement,
     relative_entitlements,
     require_valid,
-    strict_quota,
     validate_instance,
 )
 
 import apportree.core as core
 
-from conftest import definitional_bounds, irregular_instances, make_sym7
+from conftest import ancestors_of, definitional_bounds, irregular_instances, make_sym7
 from oracles import shares_by_products, validate_by_root_walks
 
 
@@ -115,18 +112,18 @@ class TestInstanceBasics:
 
     def test_n_and_leaves(self, sym7):
         assert sym7.n == 7
-        assert [i for i in range(7) if sym7.is_leaf(i)] == [1, 2, 3, 4]
+        assert [i for i in range(7) if not sym7.children[i]] == [1, 2, 3, 4]
 
     def test_weight_coercion(self):
         inst = Instance(parents=[None, 0, 0], weights=[1, "1/2", Fraction(1, 2)])
         assert inst.weights == (Fraction(1), Fraction(1, 2), Fraction(1, 2))
 
     def test_ancestors_root_is_its_own(self, sym7):
-        assert list(sym7.ancestors(0)) == [0]
+        assert ancestors_of(sym7, 0) == [0]
 
     def test_ancestors_proper_chain(self, deep7):
-        assert list(deep7.ancestors(5)) == [3, 1, 0]
-        assert list(deep7.ancestors(1)) == [0]
+        assert ancestors_of(deep7, 5) == [3, 1, 0]
+        assert ancestors_of(deep7, 1) == [0]
 
     def test_bfs_order_parents_first(self, deep7):
         order = deep7.bfs_order()
@@ -232,16 +229,16 @@ class TestEntitlements:
         shares = relative_entitlements(deep7)
         assert shares[3] == Fraction(8, 9) * Fraction(9, 10)
         assert shares[5] == Fraction(32, 45)
-        assert relative_entitlement(deep7, 5) == Fraction(32, 45)
 
     def test_strict_quota(self, nested5):
-        assert strict_quota(nested5, 3, 5) == Fraction(64, 81) * 5
-        assert strict_quota(nested5, 0, 7) == 7
+        shares = relative_entitlements(nested5)
+        assert shares[3] * 5 == Fraction(320, 81)
+        assert shares[0] * 7 == 7
 
     @given(irregular_instances())
     def test_leaf_shares_sum_to_one(self, inst):
         shares = relative_entitlements(inst)
-        assert sum(shares[i] for i in range(inst.n) if inst.is_leaf(i)) == 1
+        assert sum(shares[i] for i in range(inst.n) if not inst.children[i]) == 1
 
     @given(irregular_instances())
     def test_share_is_weight_times_parent_share(self, inst):
@@ -286,14 +283,14 @@ def random_seats(inst: Instance, h: int, rand) -> tuple[int, ...]:
 
 class TestQuotaBounds:
     def test_root_bounds_collapse(self, sym7):
-        b = quota_bounds(sym7, Allocation(6, (6, 2, 1, 2, 1, 3, 3)), 0)
+        b = check_allocation(sym7, Allocation(6, (6, 2, 1, 2, 1, 3, 3))).bounds[0]
         assert (b.lower, b.upper) == (6, 6)
         assert b.binding_lower_ancestor == b.binding_upper_ancestor == 0
 
     def test_multi_ancestor_tightening(self, nested5):
         # With V = (5, 5, 0, ?, ?) node 3's parent allows ceil((8/9)*5) = 5
         # but the root allows only ceil((64/81)*5) = 4.
-        b = quota_bounds(nested5, Allocation(5, (5, 5, 0, 4, 1)), 3)
+        b = check_allocation(nested5, Allocation(5, (5, 5, 0, 4, 1))).bounds[3]
         assert b.upper == 4
         assert b.binding_upper_ancestor == 0
         assert b.lower == math.floor(Fraction(8, 9) * 5)
@@ -301,8 +298,8 @@ class TestQuotaBounds:
 
     def test_root_only_mode_is_looser(self, nested5):
         alloc = Allocation(5, (5, 5, 0, 5, 0))
-        all_b = quota_bounds(nested5, alloc, 3, QuotaMode.ALL_ANCESTORS)
-        root_b = quota_bounds(nested5, alloc, 3, QuotaMode.ROOT_ONLY)
+        all_b = check_allocation(nested5, alloc, QuotaMode.ALL_ANCESTORS).bounds[3]
+        root_b = check_allocation(nested5, alloc, QuotaMode.ROOT_ONLY).bounds[3]
         assert root_b.lower <= all_b.lower
         assert root_b.upper >= all_b.upper
         assert root_b.binding_lower_ancestor == 0
@@ -310,21 +307,9 @@ class TestQuotaBounds:
     def test_equal_ratios_report_topmost_ancestor(self, sym7):
         # Root house 6 and node 5's house 3/(1/2) = 6 tie exactly; the
         # ancestor nearest the root wins the report.
-        b = quota_bounds(sym7, Allocation(6, (6, 1, 2, 1, 2, 3, 3)), 1)
+        b = check_allocation(sym7, Allocation(6, (6, 1, 2, 1, 2, 3, 3))).bounds[1]
         assert b.binding_lower_ancestor == 0
         assert b.binding_upper_ancestor == 0
-
-    @given(irregular_instances(), st.integers(0, 40), st.randoms(use_true_random=False))
-    def test_matches_definition(self, inst, h, rand):
-        seats = random_seats(inst, h, rand)
-        alloc = Allocation(h, seats)
-        for mode in QuotaMode:
-            for i in range(inst.n):
-                b = quota_bounds(inst, alloc, i, mode)
-                assert b.node == i
-                assert (
-                    b.lower, b.upper, b.binding_lower_ancestor, b.binding_upper_ancestor
-                ) == definitional_bounds(inst, seats, i, mode)
 
     @given(irregular_instances(), st.integers(0, 40), st.randoms(use_true_random=False))
     def test_root_only_lower_never_exceeds_upper(self, inst, h, rand):
@@ -333,10 +318,8 @@ class TestQuotaBounds:
         # allocation the bounds can cross; they provably cannot once the
         # ancestors themselves sit within quota, which the both-quotas
         # allocator tests assert.)
-        seats = random_seats(inst, h, rand)
-        alloc = Allocation(h, seats)
-        for i in range(inst.n):
-            b = quota_bounds(inst, alloc, i, QuotaMode.ROOT_ONLY)
+        report = check_allocation(inst, Allocation(h, random_seats(inst, h, rand)), QuotaMode.ROOT_ONLY)
+        for b in report.bounds:
             assert b.lower <= b.upper
 
 

@@ -27,7 +27,7 @@ from apportree import (
 
 import apportree.core as core
 
-from conftest import flat_instance, irregular_instances, share_lists
+from conftest import ancestors_of, flat_instance, irregular_instances, share_lists
 from oracles import binary_by_rescaling
 
 
@@ -112,8 +112,8 @@ class TestToFullBinary:
         red = to_full_binary(inst)
         for j in range(1, inst.n):
             image = red.node_map[j]
-            reachable = {image} | set(red.reduced.ancestors(image))
-            for a in inst.ancestors(j):
+            reachable = {image} | set(ancestors_of(red.reduced, image))
+            for a in ancestors_of(inst, j):
                 assert red.node_map[a] in reachable
 
 
@@ -188,7 +188,7 @@ class TestBothQuotas:
         shares = relative_entitlements(reduced)
         for c in range(1, reduced.n):
             implied = [
-                shares[c] * Fraction(seats[a]) / shares[a] for a in reduced.ancestors(c)
+                shares[c] * Fraction(seats[a]) / shares[a] for a in ancestors_of(reduced, c)
             ]
             assert max(implied) - min(implied) < 1
 

@@ -255,6 +255,16 @@ class TestConfigFromJson:
             '{"family": {"kind": "ternary", "height": 3}}',
             '{"family": {"kind": "binary", "height": 0}}',
             '{"family": {"kind": "binary", "height": 3}, "methods": ["webster"]}',
+            '{"family": {"kind": "binary", "height": 3}, "methods": "adams"}',
+            '{"family": {"kind": "binary", "height": 3}, "instance_count": null}',
+            '{"family": {"kind": "binary", "height": 3}, "instance_count": true}',
+            '{"family": {"kind": "binary", "height": 3}, "instance_count": 2.9}',
+            '{"family": {"kind": "binary", "height": 3}, "instance_count": "\u0662"}',
+            '{"family": {"kind": "binary", "height": 3}, "base_seed": "1"}',
+            '{"family": {"kind": "binary", "height": 3}, "max_weight": 1.0}',
+            '{"family": {"kind": "binary", "height": 3}, "house_sizes": 5}',
+            '{"family": {"kind": "binary", "height": 3}, "house_sizes": [{}]}',
+            '{"family": {"kind": "binary", "height": 3}, "house_sizes": [true]}',
         ],
     )
     def test_bad_documents_rejected(self, doc):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from apportree import (
     Allocation,
@@ -150,7 +151,7 @@ def assert_path_is_root_to_leaf(inst: Instance, path: tuple[int, ...]) -> None:
     assert path[0] == 0
     for parent, child in zip(path, path[1:]):
         assert inst.parents[child] == parent
-    assert inst.is_leaf(path[-1])
+    assert not inst.children[path[-1]]
 
 
 class TestPerStepLaws:
@@ -406,6 +407,31 @@ class TestLevelCascade:
             assert report.upper_violation_count == 0
         else:
             assert report.lower_violation_count == 0
+
+
+PERIODIC_KINDS = (MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
+
+
+class TestWholeTreePeriod:
+    """With ``L`` the lcm of the share denominators, ``L * R_i`` is a whole
+    number of seats for every node.  Jefferson, quota and UC-quota reach
+    exactly those counts at ``h = L`` and then repeat their walk from an
+    empty house, shifted by ``L * R``.  Adams is left out: its zero-seat
+    tie rule makes it not periodic from ``h = 0``."""
+
+    @given(irregular_instances(max_nodes=8, max_weight=3), st.sampled_from(PERIODIC_KINDS), st.data())
+    def test_walk_repeats_every_period(self, inst, method, data):
+        shares = relative_entitlements(inst)
+        period = math.lcm(*(s.denominator for s in shares))
+        assume(period <= 120)
+        base = [s * period for s in shares]
+        assert _walk(inst, method, period)[0] == base
+        r = data.draw(st.integers(0, period))
+        seats, paths = _walk(inst, method, period + r)
+        rest, rest_paths = _walk(inst, method, r)
+        assert seats == [b + v for b, v in zip(base, rest)]
+        assert paths[period:] == rest_paths
+        assert run_method(inst, method, period + r).final.seats == tuple(seats)
 
 
 class TestValidationOnce:
