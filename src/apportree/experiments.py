@@ -17,9 +17,14 @@ method never violate lower quota) are asserted to produce exactly zero
 there; a nonzero count is an implementation bug and raises immediately.
 
 Aggregation is exact: integer violation counts and Fraction deviation
-sums, divided only when a table is rendered.  Sums are keyed by instance
-index and commutative, so a parallel run over a worker pool produces
-byte-identical tables to a serial run of the same config.
+sums, divided only when a table is rendered.  Within an instance the
+deviations stay integers: with ``rnum / rden`` a node's share, it is
+``|s * rden - rnum * h| / rden`` seats off, so over ``L``, the lcm of the
+``rden``, the sum is one integer numerator, and the maximum is found by
+cross-multiplication.  Each instance builds just two Fractions, its sum
+and its maximum.  Sums are keyed by instance index and commutative, so a
+parallel run over a worker pool produces byte-identical tables to a
+serial run of the same config.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .core import QuotaMode, count_violations, relative_entitlements
+from .core import QuotaMode, _fast_arrays, count_violations
 from .generator import TreeFamily, TreeKind, build_tree, assign_entitlements
 from .methods import MethodKind, run_method
 
@@ -81,15 +87,17 @@ def evaluate_instance(inst, method: MethodKind, h: int, mode=QuotaMode.ALL_ANCES
     traj = run_method(inst, method, h)
     seats = traj.final.seats
     low, up = count_violations(inst, seats, mode)
-    shares = relative_entitlements(inst)
-    dev_sum = Fraction(0)
-    dev_max = Fraction(0)
-    for i in range(inst.n):
-        dev = abs(seats[i] - shares[i] * h)
-        dev_sum += dev
-        if dev > dev_max:
-            dev_max = dev
-    return InstanceMetrics(inst.n, low, up, dev_sum, dev_max)
+    _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
+    common = math.lcm(*rden)
+    # node i deviates by |s * rden - rnum * h| / rden seats
+    dev_sum = 0
+    max_num, max_den = 0, 1
+    for s, num, den in zip(seats, rnum, rden):
+        dev = abs(s * den - num * h)
+        dev_sum += dev * (common // den)
+        if dev * max_den > max_num * den:
+            max_num, max_den = dev, den
+    return InstanceMetrics(inst.n, low, up, Fraction(dev_sum, common), Fraction(max_num, max_den))
 
 
 @dataclass
@@ -151,10 +159,11 @@ def _evaluate_batch(args) -> list[InstanceMetrics]:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     """Evaluate the whole config and aggregate exactly.
 
-    ``workers`` > 1 spreads instances over a process pool; because the
-    accumulator only adds exact, per-instance values, the result is
-    identical to the serial run.  Seeds are ``base_seed + index``, so a
-    config names its instances independently of worker scheduling.
+    ``workers`` > 1 spreads instances over a process pool, at most one
+    process per instance; because the accumulator only adds exact,
+    per-instance values, the result is identical to the serial run.
+    Seeds are ``base_seed + index``, so a config names its instances
+    independently of worker scheduling.
     """
     n = build_tree(config.family).n
     rows = tuple(
@@ -167,6 +176,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
          config.methods, config.house_sizes, config.mode)
         for k in range(config.instance_count)
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with Pool(workers) as pool:
             batches = pool.map(_evaluate_batch, tasks, chunksize=max(1, len(tasks) // (workers * 4)))

@@ -33,14 +33,18 @@ Adams, Jefferson and the quota method need not be walked to learn their
 final counts.  Their rankings and caps read only parent-relative weights
 and the parent's own count, so the seats a node passes to its children
 depend only on how many seats reached it: :func:`run_method` computes
-``final`` top down, one single-level apportionment per node.  The walk
-stays the trajectory API and the reference the cascade is tested against;
-the upper-compliant method, whose cap depends on the whole path, is always
-walked.
+``final`` top down, one single-level apportionment per node.  Adams and
+Jefferson split a node with ``b`` children in O(b) steps; the quota
+method repeats its split every ``D`` seats, ``D`` the lcm of the
+children's weight denominators, and walks at most ``D - 1`` of them, in
+O(b * D).  The walk stays the trajectory API and the reference the
+cascade is tested against; the upper-compliant method, whose cap depends
+on the whole path, is always walked.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -184,24 +188,36 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       At most ``b`` remain.
 
     The quota method splits two-child nodes as Jefferson does (Jefferson's
-    lower quota for the one sibling keeps the chosen child under its cap)
-    and walks wider nodes seat by seat, on that node alone.
+    lower quota for the one sibling keeps the chosen child under its cap).
+    A wider node's split is periodic: with ``D`` the lcm of the children's
+    weight denominators, every quota ``k * w`` is whole at ``k`` a multiple
+    of ``D``, and the quota method, meeting both quotas at one level
+    (Balinski & Young 1975), gives each child exactly that many.  From
+    there every key ``(s + 1) / w`` and every cap ``t * w`` moves by the
+    same ``k``, so the node starts every child at ``k * w`` for
+    ``k = v - v mod D`` and walks only the last ``v mod D < D`` seats, on
+    that node alone: O(b * D) per node, not O(b * v).
     """
     order, _, _, _, wnum, wden, children = _fast_arrays(inst)
     seats = [0] * inst.n
     seats[0] = h
     adams = kind is MethodKind.ADAMS
     bump = 0 if adams else 1
-    walk_wide = kind is MethodKind.QUOTA
+    is_quota = kind is MethodKind.QUOTA
     for i in order:
         kids = children[i]
         v = seats[i]
         if not kids or not v:
             continue
         b = len(kids)
-        if walk_wide and b > 2:
+        if is_quota and b > 2:
+            # at k = v - v mod D seats every child holds exactly k * w
+            d = math.lcm(*(wden[c] for c in kids))
+            k = v - v % d
+            for c in kids:
+                seats[c] = k // wden[c] * wnum[c]
             # the children hold t - 1 < t seats in all, so one is under its cap
-            for t in range(1, v + 1):
+            for t in range(k + 1, v + 1):
                 seats[_best_child(seats, kids, wnum, wden, 1, t)] += 1
             continue
         if adams:

@@ -21,14 +21,15 @@ The last part keeps the straightforward instance preparation the
 library once used, as references for the linear versions: validation
 that walks every node up to the root, shares as running Fraction
 products, and the binary rewrite that rescales the remaining siblings
-at every level of a comb.
+at every level of a comb.  The experiment harness's per-node Fraction
+deviations are kept as the reference for its integer sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from apportree import Instance, MethodKind, NoEligibleChild
+from apportree import Instance, MethodKind, NoEligibleChild, relative_entitlements
 from apportree.core import (
     CHILDREN_WEIGHTS_NOT_NORMALIZED,
     NON_TREE,
@@ -329,3 +330,16 @@ def binary_by_rescaling(inst: Instance) -> tuple[Instance, tuple[int, ...], tupl
     )
     node_map = tuple(relabel[alias.get(i, i)] for i in range(n))
     return reduced, node_map, tuple(relabel[j] for j in created)
+
+
+def deviations_by_fractions(inst: Instance, seats, h: int) -> tuple[Fraction, Fraction]:
+    """``(sum, max)`` over nodes of ``|seats - share * h|``, one Fraction per node."""
+    shares = relative_entitlements(inst)
+    dev_sum = Fraction(0)
+    dev_max = Fraction(0)
+    for i in range(inst.n):
+        dev = abs(seats[i] - shares[i] * h)
+        dev_sum += dev
+        if dev > dev_max:
+            dev_max = dev
+    return dev_sum, dev_max

@@ -8,10 +8,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import apportree.experiments as experiments
 from apportree import (
     ALL_METHODS,
     ExperimentConfig,
+    Instance,
     MethodKind,
     QuotaMode,
     TreeFamily,
@@ -23,7 +26,11 @@ from apportree import (
     evaluate_instance,
     format_fixed,
     run_experiment,
+    run_method,
 )
+
+from conftest import irregular_instances
+from oracles import deviations_by_fractions
 
 BINARY3 = TreeFamily(TreeKind.PERFECT_BINARY, 3)
 FOURARY3 = TreeFamily(TreeKind.FULL_4ARY, 3)
@@ -57,6 +64,24 @@ class TestEvaluateInstance:
         assert m.deviation_sum == sum(devs)
         assert m.deviation_max == max(devs)
         assert m.deviation_max.denominator == 4
+
+    @given(irregular_instances(), st.sampled_from(ALL_METHODS), st.integers(0, 300))
+    def test_deviations_match_per_node_fractions(self, inst, method, h):
+        m = evaluate_instance(inst, method, h)
+        seats = run_method(inst, method, h).final.seats
+        assert (m.deviation_sum, m.deviation_max) == deviations_by_fractions(inst, seats, h)
+
+    def test_max_deviation_tied_across_denominators(self):
+        # Nodes 1 and 2 each hold half the house and node 3 a sixth: at h=3
+        # each is half a seat off, as 1/2, 1/2 and 3/6.
+        half = Fraction(1, 2)
+        inst = Instance([None, 0, 0, 2, 2], [1, half, half, Fraction(1, 3), Fraction(2, 3)])
+        m = evaluate_instance(inst, MethodKind.JEFFERSON, 3)
+        seats = run_method(inst, MethodKind.JEFFERSON, 3).final.seats
+        assert seats == (3, 2, 1, 0, 1)
+        assert m.deviation_max == half
+        assert m.deviation_sum == Fraction(3, 2)
+        assert (m.deviation_sum, m.deviation_max) == deviations_by_fractions(inst, seats, 3)
 
 
 class TestRunExperiment:
@@ -215,6 +240,33 @@ class TestDeterminismAndParallel:
         serial = emit_table(run_experiment(self.CFG, workers=1), "csv")
         parallel = emit_table(run_experiment(self.CFG, workers=2), "csv")
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "workers, count, pools",
+        [(8, 2, [2]), (10**6, 3, [3]), (2, 5, [2]), (8, 1, [])],
+    )
+    def test_pool_has_at_most_one_process_per_instance(self, monkeypatch, workers, count, pools):
+        # A stand-in pool records its size and runs the tasks in this process.
+        made = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                made.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(experiments, "Pool", RecordingPool)
+        cfg = ExperimentConfig(BINARY3, instance_count=count, base_seed=3, house_sizes=(20,))
+        table = emit_table(run_experiment(cfg, workers=workers))
+        assert made == pools
+        assert table == emit_table(run_experiment(cfg))
 
 
 class TestConfigFromJson:

@@ -379,6 +379,26 @@ class TestLevelCascade:
         walked, _ = _walk(inst, method, h)
         assert run_method(inst, method, h).final.seats == tuple(walked)
 
+    @given(share_lists(max_parties=8, max_weight=6), st.booleans(), st.data())
+    def test_quota_splits_repeat_every_period(self, shares, flip, data):
+        # Quota starts a wide node at k = v - v mod D seats, D the lcm of
+        # the weight denominators, and walks the rest; houses up to 5 * D
+        # reach k >= D.
+        period = math.lcm(*(s.denominator for s in shares))
+        h = data.draw(st.integers(0, 5 * period))
+        inst = flat_instance(shares)
+        if flip:
+            inst = reversed_children(inst)
+        walked, _ = _walk(inst, MethodKind.QUOTA, h)
+        assert run_method(inst, MethodKind.QUOTA, h).final.seats == tuple(walked)
+
+    def test_quota_period_is_the_lcm_not_the_largest_denominator(self):
+        # The largest weight denominator is 6, the lcm 12.
+        inst = flat_instance([Fraction(1, 6), Fraction(1, 3), Fraction(1, 4), Fraction(1, 4)])
+        for h in range(61):
+            walked, _ = _walk(inst, MethodKind.QUOTA, h)
+            assert run_method(inst, MethodKind.QUOTA, h).final.seats == tuple(walked)
+
     def test_paths_are_walked_once_on_demand(self, deep7):
         traj = run_method(deep7, MethodKind.ADAMS, 9)
         assert "paths" not in vars(traj)
@@ -395,6 +415,7 @@ class TestLevelCascade:
             (MethodKind.ADAMS, TreeKind.FULL_4ARY, 3),
             (MethodKind.JEFFERSON, TreeKind.FULL_4ARY, 3),
             (MethodKind.QUOTA, TreeKind.PERFECT_BINARY, 6),
+            (MethodKind.QUOTA, TreeKind.FULL_4ARY, 3),
         ],
     )
     def test_million_seat_house(self, method, kind, height):
