@@ -79,7 +79,11 @@ class Instance:
     ``parents[0]`` is ``None`` and ``parents[i]`` is the parent id of node
     ``i``.  ``weights[i]`` is node ``i``'s entitlement relative to its
     parent (the root's is 1).  ``children`` keeps each node's children in
-    input order; that order drives deterministic tie-breaking everywhere.
+    input order.  The four methods ignore that order: their ties go to the
+    lowest node id.  It matters where children are taken in turn:
+    ``to_full_binary`` peels a wide node's children off in this order,
+    ``assign_entitlements`` draws sibling weights in it, and breadth-first
+    order (so ``instance_to_json``'s node order) follows it.
 
     Instances are immutable after construction and safe to share between
     threads.  Construction does not validate; see :func:`validate_instance`.
@@ -491,6 +495,9 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
     weights: list[Fraction] = [Fraction(0)] * n
     children_order: list[list[int]] = [[] for _ in range(n)]
     seen_ids: set[int] = set()
+    # files repeat few weight strings; a failing one is parsed again for
+    # each node that has it, so each gets its own error
+    parsed: dict[str, Fraction] = {}
 
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -516,11 +523,13 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
                 StructuralError(WEIGHT_OUT_OF_RANGE, ident, 'weight must be a "p" or "p/q" string')
             )
             continue
-        try:
-            weight = parse_weight(raw_weight)
-        except ValueError as exc:
-            errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, ident, str(exc)))
-            continue
+        weight = parsed.get(raw_weight)
+        if weight is None:
+            try:
+                weight = parsed[raw_weight] = parse_weight(raw_weight)
+            except ValueError as exc:
+                errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, ident, str(exc)))
+                continue
         parents[ident] = parent
         weights[ident] = weight
         if parent is not None and 0 <= parent < n:

@@ -29,17 +29,21 @@ among them the larger entitlement goes first (the limiting order of V/w as
 V approaches 0 from above), the index deciding only exact entitlement
 ties.
 
-Adams, Jefferson and the quota method need not be walked to learn their
-final counts.  Their rankings and caps read only parent-relative weights
-and the parent's own count, so the seats a node passes to its children
-depend only on how many seats reached it: :func:`run_method` computes
-``final`` top down, one single-level apportionment per node.  Adams and
-Jefferson split a node with ``b`` children in O(b) steps; the quota
-method repeats its split every ``D`` seats, ``D`` the lcm of the
-children's weight denominators, and walks at most ``D - 1`` of them, in
-O(b * D).  The walk stays the trajectory API and the reference the
-cascade is tested against; the upper-compliant method, whose cap depends
-on the whole path, is always walked.
+None of the four methods needs to be walked to learn its final counts:
+:func:`run_method` computes ``final`` top down, one single-level split
+per node.  The rankings and caps of Adams, Jefferson and the quota method
+read only parent-relative weights and the parent's own count, so the
+seats a node passes to its children depend only on how many seats reached
+it.  Adams and Jefferson split a node with ``b`` children in O(b) steps;
+the quota method repeats its split every ``D`` seats, ``D`` the lcm of
+the children's weight denominators, and walks at most ``D - 1`` of them,
+in O(b * D).  The upper-compliant cap depends on the path only through
+the cap a seat brings to a node: which child takes the seat depends on
+that cap and the counts of the node's own children, and the child passes
+on ``min(cap * w_c, v_c)``.  So a node is split in one pass over the caps
+its seats bring, in arrival order, O(v) per node and O(h) per level.  The
+walk stays the trajectory API and the reference the cascade is tested
+against.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 
 from .core import Allocation, Instance, _fast_arrays, require_valid
 
@@ -173,7 +178,7 @@ def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[A
 
 
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
-    """Final seats of Adams, Jefferson or quota at ``h``, level by level.
+    """Final seats of any of the four methods at ``h``, level by level.
 
     Each node, in breadth-first order, splits its seats among its children
     as the single-level method would.  The divisor methods jump-start
@@ -197,10 +202,21 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     same ``k``, so the node starts every child at ``k * w`` for
     ``k = v - v mod D`` and walks only the last ``v mod D < D`` seats, on
     that node alone: O(b * D) per node, not O(b * v).
+
+    The upper-compliant method is split by :func:`_uc_split`, one pass
+    over the caps the node's seats bring, in arrival order.
     """
     order, _, _, _, wnum, wden, children = _fast_arrays(inst)
     seats = [0] * inst.n
     seats[0] = h
+    if kind is MethodKind.UC_QUOTA:
+        # the root's t-th seat brings the cap t; no caps kept for leaves,
+        # and each node's caps are dropped once the node is split
+        caps = {0: (range(1, h + 1), repeat(1))}
+        for i in order:
+            if children[i] and seats[i]:
+                _uc_split(seats, children[i], wnum, wden, children, *caps.pop(i), caps)
+        return seats
     adams = kind is MethodKind.ADAMS
     bump = 0 if adams else 1
     is_quota = kind is MethodKind.QUOTA
@@ -233,6 +249,116 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     return seats
 
 
+def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
+    """Split one node's seats under the upper-compliant method.
+
+    The node's ``k``-th seat brought the cap ``qns[k] / qds[k]``.  Which
+    child a seat goes to depends only on that cap and the counts of the
+    node's own children, so one pass over the caps, in arrival order, sets
+    the children's final counts.  Each non-leaf child ``c`` gets in
+    ``out[c]`` the caps it passes on, ``min(cap * w_c, v_c)`` with ``v_c``
+    its count after the seat, as the walk computes them.  The inherited
+    cap always leaves some child eligible (see the module docstring).
+    Numerators and denominators go in two lists of ints, which the
+    garbage collector does not track as it would a tuple per seat.
+
+    A two-child node keeps both counts in locals and ranks the children by
+    ``(s + 1) * p`` against each other, ``p`` the sibling's weight
+    numerator times the child's own weight denominator; the tie goes to
+    the lower node id.  If the first-ranked child ``a`` is at its cap, the
+    other child ``b`` takes the seat and passes on ``cap * w_b`` unclamped:
+    with ``v`` the node's count after the seat, ranking first gives
+    ``s_a < v * w_a``, so ``cap <= s_a / w_a < v``, and then
+    ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
+    (v - cap) <= 0``.
+    """
+    if len(kids) != 2:
+        kids = sorted(kids)
+        # key[j] = (s + 1) * unit[j] is child j's Jefferson key (s + 1) / w
+        # over the lcm of the weight numerators, all integers
+        lcm = math.lcm(*(wnum[c] for c in kids))
+        unit = [wden[c] * (lcm // wnum[c]) for c in kids]
+        key = unit[:]
+        held = [0] * len(kids)
+        keep = [out.setdefault(c, ([], [])) if children[c] else None for c in kids]
+        for qn, qd in zip(qns, qds):
+            k = min(key)
+            j = key.index(k)
+            # eligible: s < cap * w, that is s * unit < qn / qd * lcm
+            top = qn * lcm
+            if (k - unit[j]) * qd >= top:
+                # the first-ranked child is at its cap: the best one under it
+                j = min((k, m) for m, k in enumerate(key) if (k - unit[m]) * qd < top)[1]
+            key[j] += unit[j]
+            held[j] += 1
+            if keep[j]:
+                c = kids[j]
+                vc = held[j]
+                x = qn * wnum[c]
+                y = qd * wden[c]
+                if x >= vc * y:
+                    x, y = vc, 1
+                keep[j][0].append(x)
+                keep[j][1].append(y)
+        for c, vc in zip(kids, held):
+            seats[c] = vc
+        return
+    a, b = sorted(kids)
+    na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
+    pa = da * nb
+    pb = db * na
+    an = ad = bn = bd = None
+    if children[a]:
+        nums, dens = out.setdefault(a, ([], []))
+        an, ad = nums.append, dens.append
+    if children[b]:
+        nums, dens = out.setdefault(b, ([], []))
+        bn, bd = nums.append, dens.append
+    sa = sb = 0
+    # (s + 1) * p for each child: the lower one ranks first
+    ra, rb = pa, pb
+    for qn, qd in zip(qns, qds):
+        if ra <= rb:
+            x = qn * na
+            y = qd * da
+            if sa * y < x:
+                sa += 1
+                ra += pa
+                if an:
+                    if x >= sa * y:
+                        x, y = sa, 1
+                    an(x)
+                    ad(y)
+                continue
+            # a ranks first but is at its cap, so b takes the seat and
+            # passes on cap * w_b, below v_b (see the docstring)
+            sb += 1
+            rb += pb
+            if bn:
+                bn(qn * nb)
+                bd(qd * db)
+        else:
+            x = qn * nb
+            y = qd * db
+            if sb * y < x:
+                sb += 1
+                rb += pb
+                if bn:
+                    if x >= sb * y:
+                        x, y = sb, 1
+                    bn(x)
+                    bd(y)
+                continue
+            # likewise with a and b swapped
+            sa += 1
+            ra += pa
+            if an:
+                an(qn * na)
+                ad(qd * da)
+    seats[a] = sa
+    seats[b] = sb
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A full run of one method: the final allocation plus each seat's path.
@@ -242,10 +368,8 @@ class Trajectory:
     house size, which is how house monotonicity is observed: the run for
     ``h`` seats is literally a prefix of the run for ``h + 1``.
 
-    For Adams, Jefferson and the quota method ``final`` is computed level
-    by level, and ``paths`` is walked seat by seat on first access (then
-    kept).  The upper-compliant method is walked up front, so its paths
-    come with it.
+    ``final`` is computed level by level, and ``paths`` is walked seat by
+    seat on first access (then kept), for all four methods.
 
     ``paths`` is a cached property, not a field: the constructor takes
     only ``instance``, ``method`` and ``final``, and equality, hashing and
@@ -285,17 +409,12 @@ def run_method(inst: Instance, method: MethodKind | str, h: int) -> Trajectory:
     """Allocate ``h`` seats from scratch with the given method.
 
     The instance is validated first (once per instance: success is
-    remembered on it).  Adams, Jefferson and quota compute the final
-    counts level by level; the upper-compliant method walks.
+    remembered on it).  All four methods compute the final counts level
+    by level; the paths are walked only when first read.
     """
     kind = MethodKind(method)
     if not isinstance(h, int) or isinstance(h, bool) or h < 0:
         raise ValueError("house size must be a non-negative integer")
     require_valid(inst)
 
-    if kind is MethodKind.UC_QUOTA:
-        seats, paths = _walk(inst, kind, h)
-        traj = Trajectory(inst, kind, Allocation(h, tuple(seats)))
-        object.__setattr__(traj, "paths", paths)
-        return traj
     return Trajectory(inst, kind, Allocation(h, tuple(_cascade(inst, kind, h))))

@@ -17,6 +17,7 @@ from apportree import (
     Instance,
     InvalidInstanceError,
     QuotaMode,
+    StructuralError,
     allocation_from_json,
     allocation_to_json,
     check_allocation,
@@ -431,6 +432,34 @@ class TestJson:
         inst, errors = parse_instance_document(doc)
         assert inst is None
         assert any(e.kind == WEIGHT_OUT_OF_RANGE for e in errors)
+
+    def test_each_weight_string_is_parsed_once(self, monkeypatch):
+        calls = []
+        original = core.parse_weight
+        monkeypatch.setattr(core, "parse_weight", lambda text: calls.append(text) or original(text))
+        doc = {"nodes": [{"id": 0, "parent": None, "weight": "1"}]}
+        doc["nodes"] += [{"id": i, "parent": 0, "weight": "1/4"} for i in range(1, 5)]
+        inst, errors = parse_instance_document(doc)
+        assert errors == []
+        assert inst.weights == (Fraction(1),) + (Fraction(1, 4),) * 4
+        assert calls == ["1", "1/4"]
+
+    def test_a_repeated_bad_weight_is_reported_for_every_node(self):
+        doc = {
+            "nodes": [
+                {"id": 0, "parent": None, "weight": "1"},
+                {"id": 1, "parent": 0, "weight": "1/0"},
+                {"id": 2, "parent": 0, "weight": "0.5"},
+                {"id": 3, "parent": 0, "weight": "1/0"},
+            ]
+        }
+        inst, errors = parse_instance_document(doc)
+        assert inst is None
+        assert errors == [
+            StructuralError(WEIGHT_OUT_OF_RANGE, 1, "zero denominator in weight: '1/0'"),
+            StructuralError(WEIGHT_OUT_OF_RANGE, 2, "not a rational 'p' or 'p/q' string: '0.5'"),
+            StructuralError(WEIGHT_OUT_OF_RANGE, 3, "zero denominator in weight: '1/0'"),
+        ]
 
     def test_unnormalized_file_raises_through_loader(self):
         doc = {

@@ -15,6 +15,7 @@ from apportree import (
     MethodKind,
     NoEligibleChild,
     QuotaMode,
+    SplitMix64,
     TreeFamily,
     TreeKind,
     check_allocation,
@@ -342,12 +343,31 @@ class TestGlobalShareReference:
         assert alloc.seats == tuple(seats)
 
 
-CASCADE_KINDS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA)
+CASCADE_KINDS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
+
+
+def caterpillar(spine: int, seed: int) -> Instance:
+    """A spine of ``spine`` two-child splits, each with one leaf hanging off.
+
+    Which child continues the spine and the integer sibling weights in
+    [1, 10] come from SplitMix64, so the depth is exactly ``spine``.
+    """
+    rng = SplitMix64(seed)
+    parents: list[int | None] = [None]
+    weights = [Fraction(1)]
+    tip = 0
+    for _ in range(spine):
+        a, b = rng.randint(1, 10), rng.randint(1, 10)
+        first = len(parents)
+        parents += [tip, tip]
+        weights += [Fraction(a, a + b), Fraction(b, a + b)]
+        tip = first + rng.randint(0, 1)
+    return Instance(parents, weights)
 
 
 class TestLevelCascade:
-    """``final`` of Adams, Jefferson and quota is computed level by level;
-    the seat-by-seat walk is the reference it must match exactly."""
+    """``final`` of every method is computed level by level; the
+    seat-by-seat walk is the reference it must match exactly."""
 
     @given(irregular_instances(), st.sampled_from(CASCADE_KINDS), st.integers(0, 1000))
     def test_final_matches_the_walk(self, inst, method, h):
@@ -370,9 +390,10 @@ class TestLevelCascade:
     )
     def test_wide_nodes_match_the_walk(self, shares, method, h, flip):
         # Many children: the divisor methods give out up to b last seats
-        # one at a time and quota walks the node seat by seat.  Houses no
-        # bigger than the node keep Adams children at zero, where weight
-        # breaks ties.
+        # one at a time, quota walks the node seat by seat and UC-quota
+        # takes its generic, not its two-child, split.  Houses no bigger
+        # than the node keep Adams children at zero, where weight breaks
+        # ties.
         inst = flat_instance(shares)
         if flip:
             inst = reversed_children(inst)
@@ -399,15 +420,46 @@ class TestLevelCascade:
             walked, _ = _walk(inst, MethodKind.QUOTA, h)
             assert run_method(inst, MethodKind.QUOTA, h).final.seats == tuple(walked)
 
-    def test_paths_are_walked_once_on_demand(self, deep7):
-        traj = run_method(deep7, MethodKind.ADAMS, 9)
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_six_decimal_weights_on_thirty_children(self, flip):
+        # D = 10**6 for quota; UC-quota's generic split ranks the 30
+        # children over the lcm of their weight numerators.
+        rng = SplitMix64(6)
+        raw = [rng.randint(1, 30000) for _ in range(29)]
+        raw.append(10**6 - sum(raw))
+        inst = flat_instance([Fraction(r, 10**6) for r in raw])
+        if flip:
+            inst = reversed_children(inst)
+        for method in MethodKind:
+            for h in (1, 29, 30, 31, 1000, 2345):
+                walked, _ = _walk(inst, method, h)
+                assert run_method(inst, method, h).final.seats == tuple(walked)
+
+    def test_uc_quota_matches_the_walk_on_generated_trees(self):
+        # The min with v_c in the caps a split passes on decides seats on
+        # binary height 4 seed 571 at h=200 (a two-child split) and on
+        # 4-ary height 5 seed 910567 from h=944 (the generic split); the
+        # other 4-ary trees reach the generic split's cap test.
+        cases = [(TreeKind.PERFECT_BINARY, 4, 571, 10, 200), (TreeKind.FULL_4ARY, 5, 910567, 10, 1000)]
+        cases += [(TreeKind.FULL_4ARY, 3, seed, 10, 200) for seed in range(40)]
+        for kind, height, seed, max_weight, h in cases:
+            inst = random_instance(TreeFamily(kind, height), seed, max_weight)
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+            assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_depth_1000_caterpillar(self, method):
+        inst = caterpillar(1000, 8)
+        for h in (1, 2, 3, 120):
+            walked, _ = _walk(inst, method, h)
+            assert run_method(inst, method, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("method", list(MethodKind))
+    def test_paths_are_walked_once_on_demand(self, deep7, method):
+        traj = run_method(deep7, method, 9)
         assert "paths" not in vars(traj)
         assert traj.paths is traj.paths
-        assert traj.paths == _walk(deep7, MethodKind.ADAMS, 9)[1]
-
-    def test_uc_quota_carries_its_paths(self, deep7):
-        traj = run_method(deep7, MethodKind.UC_QUOTA, 9)
-        assert vars(traj)["paths"] == _walk(deep7, MethodKind.UC_QUOTA, 9)[1]
+        assert traj.paths == _walk(deep7, method, 9)[1]
 
     @pytest.mark.parametrize(
         "method, kind, height",
