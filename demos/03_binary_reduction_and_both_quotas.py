@@ -15,6 +15,11 @@ It works in two moves:
    the way to the leaves.
 
 The result pulls back to the original tree with zero violations.
+
+allocate_both_quotas simulates the rewrite on the original tree: it
+walks the same pairs in one pass without building the binary tree.
+The rewrite remains for inspection through to_full_binary (below, and
+`apportree reduce`) and trace_both_quotas, which replays the pairs on it.
 """
 
 from apportree import (

@@ -16,9 +16,9 @@ import sys
 from .core import (
     InvalidInstanceError,
     QuotaMode,
+    _audit,
     allocation_from_json,
     allocation_to_json,
-    check_allocation,
     instance_from_json,
     instance_to_json,
     parse_instance_document,
@@ -100,32 +100,25 @@ def _cmd_allocate(args) -> int:
 def _cmd_check(args) -> int:
     inst = _load(args.instance, instance_from_json)
     alloc = _load(args.allocation, allocation_from_json)
-    report = check_allocation(inst, alloc, QuotaMode(args.mode))
-    for i in report.flow_violations:
-        if i == 0 and alloc.seats[0] != alloc.h:
-            print(f"node 0: root has {alloc.seats[0]} seats for house size {alloc.h}")
+    flow, quotas = _audit(inst, alloc, QuotaMode(args.mode))
+    seats = alloc.seats
+    for i in flow:
+        if i == 0 and seats[0] != alloc.h:
+            print(f"node 0: root has {seats[0]} seats for house size {alloc.h}")
         else:
             print(f"node {i}: seats do not equal the sum over its children")
-    for b in report.bounds:
-        i = b.node
-        if report.lower_violated[i]:
-            print(
-                f"node {i}: {alloc.seats[i]} seats below lower quota {b.lower} "
-                f"(binding ancestor {b.binding_lower_ancestor})"
-            )
-        if report.upper_violated[i]:
-            print(
-                f"node {i}: {alloc.seats[i]} seats above upper quota {b.upper} "
-                f"(binding ancestor {b.binding_upper_ancestor})"
-            )
-    if report.ok:
+    low = up = 0
+    for (i, lower, upper, binding_lower, binding_upper), v in zip(quotas, seats):
+        if v < lower:
+            low += 1
+            print(f"node {i}: {v} seats below lower quota {lower} (binding ancestor {binding_lower})")
+        if v > upper:
+            up += 1
+            print(f"node {i}: {v} seats above upper quota {upper} (binding ancestor {binding_upper})")
+    if not (flow or low or up):
         print("ok: allocation satisfies both quotas at every node")
         return 0
-    print(
-        f"lower violations: {report.lower_violation_count}, "
-        f"upper violations: {report.upper_violation_count}, "
-        f"flow violations: {len(report.flow_violations)}"
-    )
+    print(f"lower violations: {low}, upper violations: {up}, flow violations: {len(flow)}")
     return 1 if args.strict else 0
 
 

@@ -401,6 +401,33 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
             yield c, (num * hn) // (den * hd), -((-(num * ln)) // (den * ld)), ha, la
 
 
+def _audit(inst: Instance, alloc: Allocation, mode: QuotaMode) -> tuple[list[int], list[tuple]]:
+    """The pass behind :func:`check_allocation` and CLI ``check``.
+
+    Checks the seat counts, then returns ``(flow, quotas)``: the flow
+    breaks in ascending node order (the root first if its seats are not
+    ``h``), and each node's :func:`_quotas` tuple by node id, the root's
+    collapsed to its own seat count.
+    """
+    n = inst.n
+    seats = alloc.seats
+    if len(seats) != n:
+        raise ValueError(f"allocation has {len(seats)} entries for {n} nodes")
+    for i, v in enumerate(seats):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ValueError(f"seat count for node {i} must be a non-negative integer")
+
+    at = seats.__getitem__
+    flow = [i for i, kids in enumerate(inst.children) if kids and seats[i] != sum(map(at, kids))]
+    if seats[0] != alloc.h and (not flow or flow[0] != 0):
+        flow.insert(0, 0)
+
+    quotas = [(0, seats[0], seats[0], 0, 0)] * n
+    for q in _quotas(inst, seats, mode):
+        quotas[q[0]] = q
+    return flow, quotas
+
+
 def check_allocation(
     inst: Instance, alloc: Allocation, mode: QuotaMode = QuotaMode.ALL_ANCESTORS
 ) -> QuotaReport:
@@ -411,32 +438,15 @@ def check_allocation(
     allocations can still be inspected.  ``bounds[i]`` holds node ``i``'s
     bounds; the root's collapse to its own seat count.
     """
-    n = inst.n
+    flow, quotas = _audit(inst, alloc, mode)
     seats = alloc.seats
-    if len(seats) != n:
-        raise ValueError(f"allocation has {len(seats)} entries for {n} nodes")
-    for i, v in enumerate(seats):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"seat count for node {i} must be a non-negative integer")
-
-    flow = [i for i in range(n) if inst.children[i] and seats[i] != sum(seats[c] for c in inst.children[i])]
-    if seats[0] != alloc.h and 0 not in flow:
-        flow.insert(0, 0)
-
-    bounds = [QuotaBounds(0, seats[0], seats[0], 0, 0)] * n
-    low_flags = [False] * n
-    up_flags = [False] * n
-    for q in _quotas(inst, seats, mode):
-        i = q[0]
-        bounds[i] = QuotaBounds(*q)
-        low_flags[i] = seats[i] < q[1]
-        up_flags[i] = seats[i] > q[2]
-
+    low_flags = tuple(v < q[1] for v, q in zip(seats, quotas))
+    up_flags = tuple(v > q[2] for v, q in zip(seats, quotas))
     return QuotaReport(
         mode=mode,
-        bounds=tuple(bounds),
-        lower_violated=tuple(low_flags),
-        upper_violated=tuple(up_flags),
+        bounds=tuple(QuotaBounds(*q) for q in quotas),
+        lower_violated=low_flags,
+        upper_violated=up_flags,
         flow_violations=tuple(flow),
         lower_violation_count=sum(low_flags),
         upper_violation_count=sum(up_flags),

@@ -2,7 +2,7 @@
 
 For any valid entitlement tree and any house size there exists an
 allocation meeting both the lower and the upper quota at every node, with
-respect to every ancestor.  The construction here works in two moves:
+respect to every ancestor.  The construction works in two moves:
 
 1. Reduce the tree to an equivalent *full binary* one (every internal node
    has exactly two children).  Weight-1 only children are spliced out, and
@@ -18,6 +18,14 @@ respect to every ancestor.  The construction here works in two moves:
    interval is never empty, and any choice inside it keeps both quotas
    satisfiable underneath.  This implementation picks the integer nearest
    x's proportional share of ``V`` (ties rounded down).
+
+:func:`allocate_both_quotas` does both moves in one integer pass over the
+original tree, without building the rewrite: an only child takes its
+parent's seats, a two-child node is one pair, and a wider node walks the
+comb of pairs the rewrite would give it, each fresh holder's seats and
+share folded into the ancestor ratios as it goes.  The rewrite itself
+remains for inspection: :func:`to_full_binary` (CLI ``reduce``) builds it,
+and :func:`trace_both_quotas` replays the pairs on it.
 
 :class:`EmptyInterval` exists as a guard rail: it is raised if the interval
 were ever empty, which the accompanying tests drive hard to show it is not.
@@ -36,7 +44,10 @@ from .core import Allocation, Instance, QuotaMode, _fast_arrays, _quotas, requir
 
 
 class EmptyInterval(RuntimeError):
-    """The top-down construction found no feasible seat count for a node."""
+    """The top-down construction found no feasible seat count for a node.
+
+    ``node`` is the id, in the original tree, of the pair's first child.
+    """
 
     def __init__(self, node: int, low: int, high: int, house: int):
         self.node = node
@@ -194,9 +205,7 @@ def _pair_intervals(reduced: Instance, seats: list[int]):
 
     Yields ``(x, y, v, low, high)`` per internal node in breadth-first
     order: its children ``x`` and ``y`` share its ``v`` seats, and ``x``
-    may take ``low..high`` of them.  A node's seats are read from
-    ``seats`` only when it is reached, so a caller may fill in each pair
-    before the generator moves on.
+    may take ``low..high`` of them.
     """
     parents = _fast_arrays(reduced)[1]
     # siblings come out of the breadth-first kernel one after the other
@@ -207,54 +216,117 @@ def _pair_intervals(reduced: Instance, seats: list[int]):
         yield x, y, v, max(lq_x, v - uq_y), min(uq_x, v - lq_y)
 
 
-def _solve_binary(reduced: Instance, h: int) -> list[int]:
-    """Both-quotas seat counts on a full binary tree, top-down."""
-    _, _, _, _, wnum, wden, _ = _fast_arrays(reduced)
-    seats = [0] * reduced.n
-    seats[0] = h
-    for x, y, v, low, high in _pair_intervals(reduced, seats):
-        if low > high:
-            raise EmptyInterval(x, low, high, h)
-        pick = _nearest_down(wnum[x] * v, wden[x])
-        if pick < low:
-            pick = low
-        elif pick > high:
-            pick = high
-        seats[x] = pick
-        seats[y] = v - pick
-    return seats
-
-
-def _both_quotas(inst: Instance, h: int) -> tuple[BinaryReduction, list[int]]:
-    """The binary reduction of ``inst`` and both-quotas seats on it."""
-    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
-        raise ValueError("house size must be a non-negative integer")
-    reduction = to_full_binary(inst)
-    return reduction, _solve_binary(reduction.reduced, h)
-
-
 def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
     """An allocation of ``h`` seats meeting lower and upper quota everywhere.
 
     Works for every valid instance and house size; see the module notes
-    for the construction.
+    for the construction.  One top-down pass over the original tree, in
+    integers: each node carries the largest and smallest seats-per-share
+    ratio ``hn/hd`` and ``ln/ld`` over its ancestors in the binary rewrite,
+    so a child of share ``R`` has quotas ``floor(R*hn/hd)`` and
+    ``ceil(R*ln/ld)``.
     """
-    reduction, seats = _both_quotas(inst, h)
-    return reduction.pull_back(Allocation(h, tuple(seats)))
+    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+        raise ValueError("house size must be a non-negative integer")
+    require_valid(inst)
+    order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
+    seats = [0] * inst.n
+    seats[0] = h
+    extremes = [(h, 1, h, 1)] * inst.n
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        v = seats[i]
+        hn, hd, ln, ld = extremes[i]
+        pn = v * rden[i]
+        pd = rnum[i]
+        if pn * hd > hn * pd:
+            hn, hd = pn, pd
+        if pn * ld < ln * pd:
+            ln, ld = pn, pd
+        b = len(kids)
+        if b == 1:
+            # a spliced node: same share, same seats, same ratio
+            c = kids[0]
+            seats[c] = v
+            extremes[c] = hn, hd, ln, ld
+            continue
+        if b == 2:
+            x, y = kids
+            extremes[x] = extremes[y] = hn, hd, ln, ld
+            xn, xd, yn, yd = rnum[x], rden[x], rnum[y], rden[y]
+            low = max((xn * hn) // (xd * hd), v + (-(yn * ln)) // (yd * ld))
+            high = min(-((-(xn * ln)) // (xd * ld)), v - (yn * hn) // (yd * hd))
+            if low > high:
+                raise EmptyInterval(x, low, high, h)
+            pick = _nearest_down(wnum[x] * v, wden[x])
+            if pick < low:
+                pick = low
+            elif pick > high:
+                pick = high
+            seats[x] = pick
+            seats[y] = v - pick
+            continue
+        # the comb to_full_binary builds: holder j_m holds children m.. with
+        # share a*suffix[m]/d and seats v, child m weighs scaled[m]/suffix[m]
+        # within it, and j_0 is node i, whose ratio is already folded
+        den = math.lcm(*[wden[c] for c in kids])
+        scaled = [wnum[c] * (den // wden[c]) for c in kids]
+        suffix = scaled[:]
+        for k in range(b - 2, -1, -1):
+            suffix[k] += suffix[k + 1]
+        a = rnum[i]
+        d = rden[i] * den
+        for m in range(b - 1):
+            if m:
+                pn = v * d
+                pd = a * suffix[m]
+                if pn * hd > hn * pd:
+                    hn, hd = pn, pd
+                if pn * ld < ln * pd:
+                    ln, ld = pn, pd
+            x = kids[m]
+            extremes[x] = hn, hd, ln, ld
+            xn, xd = rnum[x], rden[x]
+            # y is the next holder, or the last child
+            yn = a * suffix[m + 1]
+            low = max((xn * hn) // (xd * hd), v + (-(yn * ln)) // (d * ld))
+            high = min(-((-(xn * ln)) // (xd * ld)), v - (yn * hn) // (d * hd))
+            if low > high:
+                raise EmptyInterval(x, low, high, h)
+            pick = _nearest_down(scaled[m] * v, suffix[m])
+            if pick < low:
+                pick = low
+            elif pick > high:
+                pick = high
+            seats[x] = pick
+            v -= pick
+        c = kids[-1]
+        seats[c] = v
+        extremes[c] = hn, hd, ln, ld
+    return Allocation(h, tuple(seats))
 
 
 def trace_both_quotas(
     inst: Instance, h: int
 ) -> tuple[Allocation, BinaryReduction, tuple[FeasibleInterval, ...]]:
-    """Like :func:`allocate_both_quotas`, also exposing the reduction and
-    the per-node feasible intervals on the reduced tree."""
-    reduction, seats = _both_quotas(inst, h)
+    """Like :func:`allocate_both_quotas`, also exposing the binary rewrite
+    and the per-pair feasible intervals on it.
+
+    The seats are pushed forward onto :func:`to_full_binary`'s tree and
+    the intervals replayed there; ``FeasibleInterval.node`` is a node id
+    of that reduced tree.
+    """
+    alloc = allocate_both_quotas(inst, h)
+    reduction = to_full_binary(inst)
+    seats = list(reduction.push_forward(alloc).seats)
     _, _, _, _, wnum, wden, _ = _fast_arrays(reduction.reduced)
     intervals = tuple(
         FeasibleInterval(x, low, high, Fraction(wnum[x] * v, wden[x]))
         for x, _, v, low, high in _pair_intervals(reduction.reduced, seats)
     )
-    return reduction.pull_back(Allocation(h, tuple(seats))), reduction, intervals
+    return alloc, reduction, intervals
 
 
 def brute_force_both_quotas(
@@ -284,48 +356,64 @@ def brute_force_both_quotas(
     lo_n = [0] * n
     lo_d = [1] * n
     hi_n[0] = lo_n[0] = h
+    # per internal node, while it is being split: its children's lower and
+    # upper quotas and the suffix sums of each
+    quotas: list = [None] * len(internal)
     results: list[Allocation] = []
+    # (idx, pos, value, remaining): child ``pos`` of node ``internal[idx]``
+    # takes ``value`` of the ``remaining`` seats; pushed in descending value
+    # order so they come off ascending
+    stack: list[tuple[int, int, int, int]] = []
 
-    def split(idx: int) -> None:
-        if idx == len(internal):
-            results.append(Allocation(h, tuple(seats)))
-            return
-        i = internal[idx]
-        kids = children[i]
-        pn = seats[i] * rden[i]
-        pd = rnum[i]
-        bn, bd = hi_n[i], hi_d[i]
-        if pn * bd > bn * pd:
-            bn, bd = pn, pd
-        sn, sd = lo_n[i], lo_d[i]
-        if pn * sd < sn * pd:
-            sn, sd = pn, pd
-        lqs = []
-        uqs = []
-        for c in kids:
-            hi_n[c], hi_d[c] = bn, bd
-            lo_n[c], lo_d[c] = sn, sd
-            lqs.append((rnum[c] * bn) // (rden[c] * bd))
-            uqs.append(-((-(rnum[c] * sn)) // (rden[c] * sd)))
-        suffix_lq = [0] * (len(kids) + 1)
-        suffix_uq = [0] * (len(kids) + 1)
-        for k in range(len(kids) - 1, -1, -1):
-            suffix_lq[k] = suffix_lq[k + 1] + lqs[k]
-            suffix_uq[k] = suffix_uq[k + 1] + uqs[k]
-
-        def compose(pos: int, remaining: int) -> None:
+    def advance(idx: int, pos: int, remaining: int) -> None:
+        """Fix forced choices from child ``pos`` of ``internal[idx]`` on,
+        up to the next real choice, whose values go on the stack."""
+        while True:
+            if pos == 0:
+                if idx == len(internal):
+                    results.append(Allocation(h, tuple(seats)))
+                    return
+                i = internal[idx]
+                remaining = seats[i]
+                pn = remaining * rden[i]
+                pd = rnum[i]
+                bn, bd = hi_n[i], hi_d[i]
+                if pn * bd > bn * pd:
+                    bn, bd = pn, pd
+                sn, sd = lo_n[i], lo_d[i]
+                if pn * sd < sn * pd:
+                    sn, sd = pn, pd
+                lq = []
+                uq = []
+                for c in children[i]:
+                    hi_n[c], hi_d[c] = bn, bd
+                    lo_n[c], lo_d[c] = sn, sd
+                    lq.append((rnum[c] * bn) // (rden[c] * bd))
+                    uq.append(-((-(rnum[c] * sn)) // (rden[c] * sd)))
+                slq = [0] * (len(lq) + 1)
+                suq = [0] * (len(uq) + 1)
+                for k in range(len(lq) - 1, -1, -1):
+                    slq[k] = slq[k + 1] + lq[k]
+                    suq[k] = suq[k + 1] + uq[k]
+                quotas[idx] = lq, uq, slq, suq
+            kids = children[internal[idx]]
+            lq, uq, slq, suq = quotas[idx]
             if pos == len(kids) - 1:
-                if lqs[pos] <= remaining <= uqs[pos]:
-                    seats[kids[pos]] = remaining
-                    split(idx + 1)
-                return
-            lo = max(lqs[pos], remaining - suffix_uq[pos + 1])
-            hi = min(uqs[pos], remaining - suffix_lq[pos + 1])
-            for v in range(lo, hi + 1):
-                seats[kids[pos]] = v
-                compose(pos + 1, remaining - v)
+                if not lq[pos] <= remaining <= uq[pos]:
+                    return
+                seats[kids[pos]] = remaining
+                idx += 1
+                pos = 0
+                continue
+            lo = max(lq[pos], remaining - suq[pos + 1])
+            hi = min(uq[pos], remaining - slq[pos + 1])
+            for v in range(hi, lo - 1, -1):
+                stack.append((idx, pos, v, remaining))
+            return
 
-        compose(0, seats[i])
-
-    split(0)
+    advance(0, 0, h)
+    while stack:
+        idx, pos, v, remaining = stack.pop()
+        seats[children[internal[idx]][pos]] = v
+        advance(idx, pos + 1, remaining - v)
     return tuple(results)

@@ -22,19 +22,35 @@ library once used, as references for the linear versions: validation
 that walks every node up to the root, shares as running Fraction
 products, and the binary rewrite that rescales the remaining siblings
 at every level of a comb.  The experiment harness's per-node Fraction
-deviations are kept as the reference for its integer sums.
+deviations are kept as the reference for its integer sums, and the
+both-quotas construction as first written, on the binary rewrite, as the
+reference for the pass that simulates the rewrite on the original tree.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from apportree import Instance, MethodKind, NoEligibleChild, relative_entitlements
+from apportree import (
+    Allocation,
+    BinaryReduction,
+    EmptyInterval,
+    FeasibleInterval,
+    Instance,
+    MethodKind,
+    NoEligibleChild,
+    QuotaMode,
+    relative_entitlements,
+    to_full_binary,
+)
 from apportree.core import (
     CHILDREN_WEIGHTS_NOT_NORMALIZED,
     NON_TREE,
     WEIGHT_OUT_OF_RANGE,
     StructuralError,
+    _fast_arrays,
+    _quotas,
 )
 
 
@@ -343,3 +359,42 @@ def deviations_by_fractions(inst: Instance, seats, h: int) -> tuple[Fraction, Fr
         if dev > dev_max:
             dev_max = dev
     return dev_sum, dev_max
+
+
+def both_quotas_by_reduction(
+    inst: Instance, h: int
+) -> tuple[Allocation, BinaryReduction, tuple[FeasibleInterval, ...]]:
+    """Both-quotas seats solved on the full binary rewrite, then pulled back.
+
+    Each pair ``(x, y)`` of the rewrite splits its parent's ``v`` seats:
+    ``x`` takes the integer nearest ``w_x * v`` (halves down), clamped into
+    ``[max(LQ_x, v - UQ_y), min(UQ_x, v - LQ_y)]``.  Returns the pulled-back
+    allocation, the rewrite and each pair's interval on it, as
+    ``trace_both_quotas`` does.
+    """
+    reduction = to_full_binary(inst)
+    reduced = reduction.reduced
+    _, parents, _, _, wnum, wden, _ = _fast_arrays(reduced)
+    seats = [0] * reduced.n
+    seats[0] = h
+    intervals = []
+    # siblings come out of the breadth-first pass one after the other, and
+    # a node's seats are read only once its children are reached
+    quotas = _quotas(reduced, seats, QuotaMode.ALL_ANCESTORS)
+    for x, lq_x, uq_x, _, _ in quotas:
+        y, lq_y, uq_y, _, _ = next(quotas)
+        v = seats[parents[x]]
+        low = max(lq_x, v - uq_y)
+        high = min(uq_x, v - lq_y)
+        if low > high:
+            raise EmptyInterval(x, low, high, h)
+        target = Fraction(wnum[x] * v, wden[x])
+        intervals.append(FeasibleInterval(x, low, high, target))
+        pick = math.floor(target + Fraction(1, 2))
+        if pick - target == Fraction(1, 2):
+            pick -= 1
+        pick = min(max(pick, low), high)
+        seats[x] = pick
+        seats[y] = v - pick
+    alloc = reduction.pull_back(Allocation(h, tuple(seats)))
+    return alloc, reduction, tuple(intervals)

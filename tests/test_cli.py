@@ -11,6 +11,7 @@ import pytest
 
 from apportree import (
     Allocation,
+    QuotaMode,
     allocation_to_json,
     brute_force_both_quotas,
     check_allocation,
@@ -19,6 +20,10 @@ from apportree import (
     validate_instance,
 )
 from apportree.cli import SEED_ENV_VAR, main
+
+import apportree.core as core
+
+from conftest import make_deep7, make_flat5, make_nested5, make_sym7
 
 
 @pytest.fixture
@@ -214,6 +219,93 @@ class TestCheck:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+def render_check(inst, alloc: Allocation, mode: QuotaMode, strict: bool) -> tuple[int, str]:
+    """Exit code and stdout ``check`` owes for ``alloc``, from the library's report."""
+    report = check_allocation(inst, alloc, mode)
+    lines = []
+    for i in report.flow_violations:
+        if i == 0 and alloc.seats[0] != alloc.h:
+            lines.append(f"node 0: root has {alloc.seats[0]} seats for house size {alloc.h}")
+        else:
+            lines.append(f"node {i}: seats do not equal the sum over its children")
+    for b in report.bounds:
+        if report.lower_violated[b.node]:
+            lines.append(
+                f"node {b.node}: {alloc.seats[b.node]} seats below lower quota {b.lower} "
+                f"(binding ancestor {b.binding_lower_ancestor})"
+            )
+        if report.upper_violated[b.node]:
+            lines.append(
+                f"node {b.node}: {alloc.seats[b.node]} seats above upper quota {b.upper} "
+                f"(binding ancestor {b.binding_upper_ancestor})"
+            )
+    if report.ok:
+        lines.append("ok: allocation satisfies both quotas at every node")
+        return 0, "\n".join(lines) + "\n"
+    lines.append(
+        f"lower violations: {report.lower_violation_count}, "
+        f"upper violations: {report.upper_violation_count}, "
+        f"flow violations: {len(report.flow_violations)}"
+    )
+    return (1 if strict else 0), "\n".join(lines) + "\n"
+
+
+CHECK_CASES = {
+    "clean": (make_sym7, Allocation(6, (6, 1, 2, 1, 2, 3, 3))),
+    "lower-and-upper": (make_sym7, Allocation(6, (6, 2, 2, 1, 1, 4, 2))),
+    "internal-flow": (make_sym7, Allocation(6, (6, 2, 2, 1, 2, 3, 3))),
+    "root-size": (make_sym7, Allocation(7, (6, 1, 2, 1, 2, 3, 3))),
+    "root-flow": (make_sym7, Allocation(7, (7, 1, 2, 1, 2, 3, 3))),
+    "everything": (make_sym7, Allocation(9, (5, 0, 4, 0, 0, 3, 1))),
+    "ancestor-only-lower": (make_deep7, Allocation(5, (5, 5, 0, 4, 1, 3, 1))),
+    "nested-upper": (make_nested5, Allocation(5, (5, 5, 0, 5, 0))),
+    "flat-lower-and-upper": (make_flat5, Allocation(20, (20, 5, 9, 3, 3))),
+    # two seats moved from node 6 to its sibling 5 in a compliant allocation
+    "both-quotas-shifted": (make_deep7, Allocation(40, (40, 36, 4, 32, 4, 30, 2))),
+}
+
+
+class TestCheckOutput:
+    """``check`` prints exactly what the library's report says, byte for byte."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("mode", list(QuotaMode))
+    @pytest.mark.parametrize("case", sorted(CHECK_CASES))
+    def test_matches_report(self, case, mode, strict, tmp_path, capsys):
+        make, alloc = CHECK_CASES[case]
+        inst = make()
+        path = write(tmp_path, "inst.json", instance_to_json(inst))
+        apath = write(tmp_path, "alloc.json", allocation_to_json(alloc))
+        expected_rc, expected_out = render_check(inst, alloc, mode, strict)
+        argv = ["check", path, apath, "--mode", mode.value] + (["--strict"] if strict else [])
+        assert main(argv) == expected_rc
+        assert capsys.readouterr() == (expected_out, "")
+
+    def test_cases_cover_every_kind_of_violation(self):
+        reports = [check_allocation(make(), alloc) for make, alloc in CHECK_CASES.values()]
+        assert any(r.lower_violation_count for r in reports)
+        assert any(r.upper_violation_count for r in reports)
+        assert any(r.flow_violations and r.flow_violations[0] != 0 for r in reports)
+        assert any(0 in r.flow_violations for r in reports)
+        assert any(r.ok for r in reports)
+
+    def test_builds_no_quota_bounds(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "inst.json", instance_to_json(make_sym7()))
+        good = write(tmp_path, "good.json", allocation_to_json(CHECK_CASES["clean"][1]))
+        bad = write(tmp_path, "bad.json", allocation_to_json(CHECK_CASES["everything"][1]))
+        expected = render_check(make_sym7(), CHECK_CASES["everything"][1], QuotaMode.ALL_ANCESTORS, True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check must not build per-node report objects")
+
+        monkeypatch.setattr(core, "QuotaBounds", refuse)
+        monkeypatch.setattr(core, "check_allocation", refuse)
+        assert main(["check", path, good, "--strict"]) == 0
+        assert capsys.readouterr().out.startswith("ok:")
+        assert main(["check", path, bad, "--strict"]) == expected[0]
+        assert capsys.readouterr().out == expected[1]
+
+
 class TestReduce:
     def test_flat_four_way(self, tmp_path, capsys):
         quarter = "1/4"
@@ -333,6 +425,14 @@ class TestOracle:
     def test_size_limit_is_domain_error(self, sym7_file, capsys):
         assert main(["oracle", sym7_file, "--seats", "11"]) == 1
         assert "exceeds" in capsys.readouterr().err
+
+    def test_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        nodes = [{"id": i, "parent": i - 1 if i else None, "weight": "1"} for i in range(800)]
+        path = write(tmp_path, "chain.json", json.dumps({"nodes": nodes}))
+        assert main(["oracle", path, "--seats", "2", "--max-nodes", "1000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["count"] == 1
+        assert doc["allocations"] == [[2] * 800]
 
 
 class TestTopLevel:

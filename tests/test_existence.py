@@ -12,6 +12,7 @@ from apportree import (
     Allocation,
     Instance,
     SizeLimitExceeded,
+    SplitMix64,
     TreeFamily,
     TreeKind,
     allocate_both_quotas,
@@ -26,9 +27,10 @@ from apportree import (
 )
 
 import apportree.core as core
+import apportree.existence as existence
 
 from conftest import ancestors_of, flat_instance, irregular_instances, share_lists
-from oracles import binary_by_rescaling
+from oracles import binary_by_rescaling, both_quotas_by_reduction
 
 
 def assert_full_binary(inst: Instance) -> None:
@@ -199,6 +201,89 @@ class TestBothQuotas:
         assert red.pull_back(forward) == alloc
 
 
+def reversed_children(inst: Instance) -> Instance:
+    """The same tree with every child list in reverse order."""
+    return Instance(inst.parents, inst.weights, [kids[::-1] for kids in inst.children])
+
+
+@st.composite
+def six_decimal_shares(draw, max_parties: int = 30) -> list[Fraction]:
+    """Shares written with six decimals, ``k/10**6``, summing to one."""
+    n = draw(st.integers(2, max_parties))
+    cuts = draw(st.lists(st.integers(1, 10**6 - 1), min_size=n - 1, max_size=n - 1, unique=True))
+    points = [0, *sorted(cuts), 10**6]
+    return [Fraction(b - a, 10**6) for a, b in zip(points, points[1:])]
+
+
+def caterpillar(seed: int, spine: int) -> Instance:
+    """A spine of binary splits with one leaf off each, weights in 1..10."""
+    rng = SplitMix64(seed)
+    parents: list[int | None] = [None]
+    weights = [Fraction(1)]
+    tip = 0
+    for _ in range(spine):
+        a, b = rng.randint(1, 10), rng.randint(1, 10)
+        first = len(parents)
+        parents += [tip, tip]
+        weights += [Fraction(a, a + b), Fraction(b, a + b)]
+        tip = first + rng.randint(0, 1)
+    return Instance(parents, weights)
+
+
+HOUSES = st.one_of(st.integers(0, 60), st.integers(0, 10**6))
+
+
+class TestOnOriginalTree:
+    """The one-pass construction against the binary rewrite it simulates."""
+
+    @given(irregular_instances(max_nodes=40), st.booleans(), HOUSES)
+    def test_matches_reduction_oracle(self, inst, flip, h):
+        if flip:
+            inst = reversed_children(inst)
+        expected = both_quotas_by_reduction(inst, h)
+        assert allocate_both_quotas(inst, h) == expected[0]
+        assert trace_both_quotas(inst, h) == expected
+
+    @given(
+        st.one_of(share_lists(max_parties=30), share_lists(30, 1000), six_decimal_shares()),
+        HOUSES,
+    )
+    def test_wide_node_matches_reduction_oracle(self, shares, h):
+        inst = flat_instance(shares)
+        assert allocate_both_quotas(inst, h) == both_quotas_by_reduction(inst, h)[0]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_instance(TreeFamily(TreeKind.PERFECT_BINARY, 11), 3),
+            lambda: random_instance(TreeFamily(TreeKind.FULL_4ARY, 10), 4),
+            lambda: caterpillar(5, 1000),
+        ],
+        ids=["binary-h11", "4ary-h10", "caterpillar"],
+    )
+    def test_benchmark_shapes(self, make):
+        inst = make()
+        assert allocate_both_quotas(inst, 10**4) == both_quotas_by_reduction(inst, 10**4)[0]
+
+    def test_builds_no_rewrite_instance_or_fraction(self, monkeypatch):
+        # a chain into a wide node, and a wide node under a pair
+        inst = Instance(
+            [None, 0, 1, 2, 2, 2, 2, 1, 7, 7, 7],
+            [1, 1, Fraction(1, 2), Fraction(1, 7), Fraction(2, 7), Fraction(3, 7), Fraction(1, 7),
+             Fraction(1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
+            [[1], [2, 7], [3, 4, 5, 6], [], [], [], [], [8, 9, 10], [], [], []],
+        )
+        expected = [allocate_both_quotas(inst, h) for h in range(40)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the both-quotas path must not build this")
+
+        monkeypatch.setattr(existence, "to_full_binary", refuse)
+        monkeypatch.setattr(existence, "Fraction", refuse)
+        monkeypatch.setattr(Instance, "__init__", refuse)
+        assert [allocate_both_quotas(inst, h) for h in range(40)] == expected
+
+
 def enumerate_flows(inst: Instance, h: int):
     """Every flow-conserving allocation, by brute product over splits."""
     seats = [0] * inst.n
@@ -253,14 +338,19 @@ class TestBruteForce:
     @settings(max_examples=40)
     @given(irregular_instances(max_nodes=7), st.integers(0, 5))
     def test_equals_filtering_all_flows(self, inst, h):
+        # both enumerate node by node in breadth-first order, each child's
+        # seats ascending, so the order agrees too
         got = brute_force_both_quotas(inst, h)
         expected = tuple(
             Allocation(h, seats)
             for seats in enumerate_flows(inst, h)
             if check_allocation(inst, Allocation(h, seats)).ok
         )
-        assert set(got) == set(expected)
-        assert len(got) == len(expected)
+        assert got == expected
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        chain = Instance([None] + list(range(599)), [1] * 600)
+        assert brute_force_both_quotas(chain, 2, max_nodes=600) == (Allocation(2, (2,) * 600),)
 
     @settings(max_examples=40)
     @given(irregular_instances(max_nodes=7), st.integers(0, 5))
