@@ -20,12 +20,13 @@ respect to every ancestor.  The construction works in two moves:
    x's proportional share of ``V`` (ties rounded down).
 
 :func:`allocate_both_quotas` does both moves in one integer pass over the
-original tree, without building the rewrite: an only child takes its
-parent's seats, a two-child node is one pair, and a wider node walks the
-comb of pairs the rewrite would give it, each fresh holder's seats and
-share folded into the ancestor ratios as it goes.  The rewrite itself
-remains for inspection: :func:`to_full_binary` (CLI ``reduce``) builds it,
-and :func:`trace_both_quotas` replays the pairs on it.
+original tree, without building the rewrite: one loop walks each node's
+children as the comb of pairs the rewrite would give them, each fresh
+holder's seats and share folded into the ancestor ratios as it goes.  Two
+children make a single pair, and an only child takes its parent's seats
+unchanged, as splicing it out would.  The rewrite itself remains for
+inspection: :func:`to_full_binary` (CLI ``reduce``) builds it, and
+:func:`trace_both_quotas` replays the pairs on it.
 
 :class:`EmptyInterval` exists as a guard rail: it is raised if the interval
 were ever empty, which the accompanying tests drive hard to show it is not.
@@ -237,71 +238,44 @@ def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
         kids = children[i]
         if not kids:
             continue
+        # the comb to_full_binary builds: child k weighs scaled_k/den with
+        # den the children's common weight denominator, and rest is the sum
+        # of scaled_k over k >= m (den at m = 0).  Holder j_m holds children
+        # m.. with share a*rest/d and the seats v not yet picked, and child
+        # m weighs scaled_m/rest within it; j_0 is node i itself.  Two
+        # children are one pair.  An only child takes v and i's extremes;
+        # its own ratio, folded when it is reached, equals i's.
         v = seats[i]
         hn, hd, ln, ld = extremes[i]
-        pn = v * rden[i]
-        pd = rnum[i]
-        if pn * hd > hn * pd:
-            hn, hd = pn, pd
-        if pn * ld < ln * pd:
-            ln, ld = pn, pd
-        b = len(kids)
-        if b == 1:
-            # a spliced node: same share, same seats, same ratio
-            c = kids[0]
-            seats[c] = v
-            extremes[c] = hn, hd, ln, ld
-            continue
-        if b == 2:
-            x, y = kids
-            extremes[x] = extremes[y] = hn, hd, ln, ld
-            xn, xd, yn, yd = rnum[x], rden[x], rnum[y], rden[y]
-            low = max((xn * hn) // (xd * hd), v + (-(yn * ln)) // (yd * ld))
-            high = min(-((-(xn * ln)) // (xd * ld)), v - (yn * hn) // (yd * hd))
-            if low > high:
-                raise EmptyInterval(x, low, high, h)
-            pick = _nearest_down(wnum[x] * v, wden[x])
-            if pick < low:
-                pick = low
-            elif pick > high:
-                pick = high
-            seats[x] = pick
-            seats[y] = v - pick
-            continue
-        # the comb to_full_binary builds: holder j_m holds children m.. with
-        # share a*suffix[m]/d and seats v, child m weighs scaled[m]/suffix[m]
-        # within it, and j_0 is node i, whose ratio is already folded
         den = math.lcm(*[wden[c] for c in kids])
-        scaled = [wnum[c] * (den // wden[c]) for c in kids]
-        suffix = scaled[:]
-        for k in range(b - 2, -1, -1):
-            suffix[k] += suffix[k + 1]
         a = rnum[i]
         d = rden[i] * den
-        for m in range(b - 1):
-            if m:
-                pn = v * d
-                pd = a * suffix[m]
-                if pn * hd > hn * pd:
-                    hn, hd = pn, pd
-                if pn * ld < ln * pd:
-                    ln, ld = pn, pd
-            x = kids[m]
+        rest = den
+        for x in kids[:-1]:
+            # fold the holder's seats-per-share ratio into the extremes
+            pn = v * d
+            pd = a * rest
+            if pn * hd > hn * pd:
+                hn, hd = pn, pd
+            if pn * ld < ln * pd:
+                ln, ld = pn, pd
             extremes[x] = hn, hd, ln, ld
+            scaled = wnum[x] * (den // wden[x])
             xn, xd = rnum[x], rden[x]
             # y is the next holder, or the last child
-            yn = a * suffix[m + 1]
+            yn = a * (rest - scaled)
             low = max((xn * hn) // (xd * hd), v + (-(yn * ln)) // (d * ld))
             high = min(-((-(xn * ln)) // (xd * ld)), v - (yn * hn) // (d * hd))
             if low > high:
                 raise EmptyInterval(x, low, high, h)
-            pick = _nearest_down(scaled[m] * v, suffix[m])
+            pick = _nearest_down(scaled * v, rest)
             if pick < low:
                 pick = low
             elif pick > high:
                 pick = high
             seats[x] = pick
             v -= pick
+            rest -= scaled
         c = kids[-1]
         seats[c] = v
         extremes[c] = hn, hd, ln, ld

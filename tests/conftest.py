@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from apportree import Instance, QuotaMode, relative_entitlements
+from apportree import Instance, QuotaMode, SplitMix64, relative_entitlements
 
 settings.register_profile(
     "repo",
@@ -169,6 +169,30 @@ def irregular_instances(draw, max_nodes: int = 12, max_weight: int = 9) -> Insta
 
 def flat_instance(shares: list[Fraction]) -> Instance:
     return Instance([None] + [0] * len(shares), [Fraction(1)] + list(shares))
+
+
+def reversed_children(inst: Instance) -> Instance:
+    """The same tree with every child list in reverse order."""
+    return Instance(inst.parents, inst.weights, [kids[::-1] for kids in inst.children])
+
+
+def caterpillar(seed: int, spine: int) -> Instance:
+    """A spine of ``spine`` two-child splits, each with one leaf hanging off.
+
+    Which child continues the spine and the integer sibling weights in
+    [1, 10] come from SplitMix64, so the depth is exactly ``spine``.
+    """
+    rng = SplitMix64(seed)
+    parents: list[int | None] = [None]
+    weights = [Fraction(1)]
+    tip = 0
+    for _ in range(spine):
+        a, b = rng.randint(1, 10), rng.randint(1, 10)
+        first = len(parents)
+        parents += [tip, tip]
+        weights += [Fraction(a, a + b), Fraction(b, a + b)]
+        tip = first + rng.randint(0, 1)
+    return Instance(parents, weights)
 
 
 @st.composite

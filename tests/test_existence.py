@@ -12,7 +12,6 @@ from apportree import (
     Allocation,
     Instance,
     SizeLimitExceeded,
-    SplitMix64,
     TreeFamily,
     TreeKind,
     allocate_both_quotas,
@@ -29,7 +28,14 @@ from apportree import (
 import apportree.core as core
 import apportree.existence as existence
 
-from conftest import ancestors_of, flat_instance, irregular_instances, share_lists
+from conftest import (
+    ancestors_of,
+    caterpillar,
+    flat_instance,
+    irregular_instances,
+    reversed_children,
+    share_lists,
+)
 from oracles import binary_by_rescaling, both_quotas_by_reduction
 
 
@@ -201,11 +207,6 @@ class TestBothQuotas:
         assert red.pull_back(forward) == alloc
 
 
-def reversed_children(inst: Instance) -> Instance:
-    """The same tree with every child list in reverse order."""
-    return Instance(inst.parents, inst.weights, [kids[::-1] for kids in inst.children])
-
-
 @st.composite
 def six_decimal_shares(draw, max_parties: int = 30) -> list[Fraction]:
     """Shares written with six decimals, ``k/10**6``, summing to one."""
@@ -213,21 +214,6 @@ def six_decimal_shares(draw, max_parties: int = 30) -> list[Fraction]:
     cuts = draw(st.lists(st.integers(1, 10**6 - 1), min_size=n - 1, max_size=n - 1, unique=True))
     points = [0, *sorted(cuts), 10**6]
     return [Fraction(b - a, 10**6) for a, b in zip(points, points[1:])]
-
-
-def caterpillar(seed: int, spine: int) -> Instance:
-    """A spine of binary splits with one leaf off each, weights in 1..10."""
-    rng = SplitMix64(seed)
-    parents: list[int | None] = [None]
-    weights = [Fraction(1)]
-    tip = 0
-    for _ in range(spine):
-        a, b = rng.randint(1, 10), rng.randint(1, 10)
-        first = len(parents)
-        parents += [tip, tip]
-        weights += [Fraction(a, a + b), Fraction(b, a + b)]
-        tip = first + rng.randint(0, 1)
-    return Instance(parents, weights)
 
 
 HOUSES = st.one_of(st.integers(0, 60), st.integers(0, 10**6))

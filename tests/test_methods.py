@@ -28,7 +28,7 @@ from apportree import (
 import apportree.core as core
 from apportree.methods import _walk
 
-from conftest import flat_instance, irregular_instances, share_lists
+from conftest import caterpillar, flat_instance, irregular_instances, reversed_children, share_lists
 from oracles import (
     adams_single_level,
     jefferson_single_level,
@@ -308,11 +308,6 @@ class TestStepFunctions:
         assert corrupted.seats == (5, 0, 0, 1, 1)
 
 
-def reversed_children(inst: Instance) -> Instance:
-    """The same tree with every child list in descending id order."""
-    return Instance(inst.parents, inst.weights, [tuple(reversed(k)) for k in inst.children])
-
-
 class TestGlobalShareReference:
     """The walk ranks siblings by parent-relative weight under one cap on
     seats per weight; the walk that ranks them by shares of the house and
@@ -344,25 +339,6 @@ class TestGlobalShareReference:
 
 
 CASCADE_KINDS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
-
-
-def caterpillar(spine: int, seed: int) -> Instance:
-    """A spine of ``spine`` two-child splits, each with one leaf hanging off.
-
-    Which child continues the spine and the integer sibling weights in
-    [1, 10] come from SplitMix64, so the depth is exactly ``spine``.
-    """
-    rng = SplitMix64(seed)
-    parents: list[int | None] = [None]
-    weights = [Fraction(1)]
-    tip = 0
-    for _ in range(spine):
-        a, b = rng.randint(1, 10), rng.randint(1, 10)
-        first = len(parents)
-        parents += [tip, tip]
-        weights += [Fraction(a, a + b), Fraction(b, a + b)]
-        tip = first + rng.randint(0, 1)
-    return Instance(parents, weights)
 
 
 class TestLevelCascade:
@@ -449,7 +425,7 @@ class TestLevelCascade:
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_depth_1000_caterpillar(self, method):
-        inst = caterpillar(1000, 8)
+        inst = caterpillar(8, 1000)
         for h in (1, 2, 3, 120):
             walked, _ = _walk(inst, method, h)
             assert run_method(inst, method, h).final.seats == tuple(walked)
