@@ -19,7 +19,9 @@ The result pulls back to the original tree with zero violations.
 allocate_both_quotas simulates the rewrite on the original tree: it
 walks the same pairs in one pass without building the binary tree.
 The rewrite remains for inspection through to_full_binary (below, and
-`apportree reduce`) and trace_both_quotas, which replays the pairs on it.
+`apportree reduce`) and trace_both_quotas, which records each pair's
+interval from the pass that allocates, keyed by the rewrite's node ids;
+it replays nothing.
 """
 
 from apportree import (

@@ -267,26 +267,21 @@ def _fast_arrays(inst: Instance):
     Returns ``(order, parents, rnum, rden, wnum, wden, children)`` where
     node ``i``'s relative entitlement is ``rnum[i]/rden[i]`` and its
     parent-relative entitlement ``wnum[i]/wden[i]``, both in lowest terms,
-    and ``order`` is breadth-first.  Cached on the instance.  Raises
-    :class:`InvalidInstanceError` if some node is unreachable from the root.
+    and ``order`` is breadth-first.  Cached on the instance.  Built only
+    for a valid instance: the first call goes through :func:`require_valid`.
     """
     if inst._fast is None:
+        require_valid(inst)
         order = inst.bfs_order()
         parents = inst.parents
         wnum = [w.numerator for w in inst.weights]
         wden = [w.denominator for w in inst.weights]
-        # a zero denominator marks a share not computed yet
-        rnum = [0] * inst.n
-        rden = [0] * inst.n
-        rnum[0] = wnum[0]
-        rden[0] = wden[0]
+        # a valid root weighs 1
+        rnum = [1] * inst.n
+        rden = [1] * inst.n
         gcd = math.gcd
-        for i in order:
-            if i == 0:
-                continue
+        for i in order[1:]:
             p = parents[i]
-            if p is None or not rden[p]:
-                raise InvalidInstanceError([StructuralError(NON_TREE, i, "unreachable from root")])
             # the parent's share times the node's weight, cancelled crosswise
             # as Fraction multiplication does, so both stay in lowest terms
             a, b, c, d = rnum[p], rden[p], wnum[i], wden[i]
@@ -294,8 +289,6 @@ def _fast_arrays(inst: Instance):
             g2 = gcd(c, b)
             rnum[i] = (a // g1) * (c // g2)
             rden[i] = (b // g2) * (d // g1)
-        if not all(rden):
-            raise InvalidInstanceError([StructuralError(NON_TREE, None, "tree is not connected")])
         inst._fast = (
             list(order),
             list(parents),
@@ -306,6 +299,12 @@ def _fast_arrays(inst: Instance):
             [list(k) for k in inst.children],
         )
     return inst._fast
+
+
+def _check_house(h: object) -> None:
+    """Raise :class:`ValueError` unless ``h`` is a non-negative int (not a bool)."""
+    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+        raise ValueError("house size must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -418,7 +417,8 @@ def _audit(inst: Instance, alloc: Allocation, mode: QuotaMode) -> tuple[list[int
             raise ValueError(f"seat count for node {i} must be a non-negative integer")
 
     at = seats.__getitem__
-    flow = [i for i, kids in enumerate(inst.children) if kids and seats[i] != sum(map(at, kids))]
+    children = _fast_arrays(inst)[6]  # validates the instance first
+    flow = [i for i, kids in enumerate(children) if kids and seats[i] != sum(map(at, kids))]
     if seats[0] != alloc.h and (not flow or flow[0] != 0):
         flow.insert(0, 0)
 

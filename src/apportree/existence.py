@@ -26,7 +26,8 @@ holder's seats and share folded into the ancestor ratios as it goes.  Two
 children make a single pair, and an only child takes its parent's seats
 unchanged, as splicing it out would.  The rewrite itself remains for
 inspection: :func:`to_full_binary` (CLI ``reduce``) builds it, and
-:func:`trace_both_quotas` replays the pairs on it.
+:func:`trace_both_quotas` records each pair's interval from that same pass,
+keyed by the rewrite's node ids; it replays nothing.
 
 :class:`EmptyInterval` exists as a guard rail: it is raised if the interval
 were ever empty, which the accompanying tests drive hard to show it is not.
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, QuotaMode, _fast_arrays, _quotas, require_valid
+from .core import Allocation, Instance, _check_house, _fast_arrays, require_valid
 
 
 class EmptyInterval(RuntimeError):
@@ -136,10 +137,10 @@ def to_full_binary(inst: Instance) -> BinaryReduction:
     absorber = list(range(n))
     created: list[int] = []
 
-    # splice out chains: an only child always has entitlement 1
-    queue = [0]
-    while queue:
-        i = queue.pop()
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        # splice out a chain: an only child always has entitlement 1
         kids = children[i]
         while len(kids) == 1:
             c = kids[0]
@@ -148,16 +149,11 @@ def to_full_binary(inst: Instance) -> BinaryReduction:
             for g in kids:
                 parent[g] = i
         children[i] = kids
-        queue.extend(kids)
-
-    # split wide nodes into a right-leaning comb of pairs.  With S_k the sum
-    # of the weights of children k.. (S_0 = 1), the fresh node j_k holding
-    # children k.. weighs S_k/S_(k-1) and child k under it w_k/S_k: the same
-    # values as rescaling the remaining siblings level by level, in O(b).
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        kids = children[i]
+        # split a wide node into a right-leaning comb of pairs.  With S_k the
+        # sum of the weights of children k.. (S_0 = 1), the fresh node j_k
+        # holding children k.. weighs S_k/S_(k-1) and child k under it
+        # w_k/S_k: the same values as rescaling the remaining siblings level
+        # by level, in O(b).
         b = len(kids)
         if b > 2:
             den = math.lcm(*[weight[c].denominator for c in kids])
@@ -181,7 +177,7 @@ def to_full_binary(inst: Instance) -> BinaryReduction:
             weight[kids[b - 1]] = Fraction(scaled[b - 1], suffix[b - 2])
         # the comb's fresh nodes are finished; the stack takes the original
         # children in the order splitting them one level at a time would
-        queue.extend(kids)
+        stack.extend(kids)
 
     ordered = [i for i in range(n) if absorber[i] == i] + created
     relabel = [0] * len(parent)
@@ -201,37 +197,18 @@ def _nearest_down(num: int, den: int) -> int:
     return -((-(2 * num - den)) // (2 * den))
 
 
-def _pair_intervals(reduced: Instance, seats: list[int]):
-    """Feasible seat counts for each pair of a full binary tree, top down.
+def _pairs(inst: Instance, h: int, seats: list[int]):
+    """The both-quotas pass: fill in ``seats`` for ``h``, yielding each pair.
 
-    Yields ``(x, y, v, low, high)`` per internal node in breadth-first
-    order: its children ``x`` and ``y`` share its ``v`` seats, and ``x``
-    may take ``low..high`` of them.
+    One top-down integer pass over the original tree: each node carries
+    the largest and smallest seats-per-share ratio ``hn/hd`` and ``ln/ld``
+    over its ancestors in the binary rewrite, so a child of share ``R`` has
+    quotas ``floor(R*hn/hd)`` and ``ceil(R*ln/ld)``.  Per pair of the
+    rewrite, yields ``(x, v, low, high, scaled, rest)``: its first child
+    ``x``, an original node weighing ``scaled/rest`` in the pair, may take
+    ``low..high`` of the pair's ``v`` seats.
     """
-    parents = _fast_arrays(reduced)[1]
-    # siblings come out of the breadth-first kernel one after the other
-    quotas = _quotas(reduced, seats, QuotaMode.ALL_ANCESTORS)
-    for x, lq_x, uq_x, _, _ in quotas:
-        y, lq_y, uq_y, _, _ = next(quotas)
-        v = seats[parents[x]]
-        yield x, y, v, max(lq_x, v - uq_y), min(uq_x, v - lq_y)
-
-
-def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
-    """An allocation of ``h`` seats meeting lower and upper quota everywhere.
-
-    Works for every valid instance and house size; see the module notes
-    for the construction.  One top-down pass over the original tree, in
-    integers: each node carries the largest and smallest seats-per-share
-    ratio ``hn/hd`` and ``ln/ld`` over its ancestors in the binary rewrite,
-    so a child of share ``R`` has quotas ``floor(R*hn/hd)`` and
-    ``ceil(R*ln/ld)``.
-    """
-    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
-        raise ValueError("house size must be a non-negative integer")
-    require_valid(inst)
     order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
-    seats = [0] * inst.n
     seats[0] = h
     extremes = [(h, 1, h, 1)] * inst.n
     for i in order:
@@ -274,11 +251,24 @@ def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
             elif pick > high:
                 pick = high
             seats[x] = pick
+            yield x, v, low, high, scaled, rest
             v -= pick
             rest -= scaled
         c = kids[-1]
         seats[c] = v
         extremes[c] = hn, hd, ln, ld
+
+
+def allocate_both_quotas(inst: Instance, h: int) -> Allocation:
+    """An allocation of ``h`` seats meeting lower and upper quota everywhere.
+
+    Works for every valid instance and house size; see the module notes
+    for the construction.  One integer pass over the original tree.
+    """
+    _check_house(h)
+    seats = [0] * inst.n
+    for _ in _pairs(inst, h, seats):
+        pass
     return Allocation(h, tuple(seats))
 
 
@@ -286,21 +276,26 @@ def trace_both_quotas(
     inst: Instance, h: int
 ) -> tuple[Allocation, BinaryReduction, tuple[FeasibleInterval, ...]]:
     """Like :func:`allocate_both_quotas`, also exposing the binary rewrite
-    and the per-pair feasible intervals on it.
+    and the feasible interval of each of its pairs.
 
-    The seats are pushed forward onto :func:`to_full_binary`'s tree and
-    the intervals replayed there; ``FeasibleInterval.node`` is a node id
-    of that reduced tree.
+    The intervals are those of the pass that allocates, nothing replayed:
+    ``FeasibleInterval.node`` is the pair's first child as a node id of
+    :func:`to_full_binary`'s tree, and the intervals come in that tree's
+    breadth-first order.
     """
-    alloc = allocate_both_quotas(inst, h)
+    _check_house(h)
     reduction = to_full_binary(inst)
-    seats = list(reduction.push_forward(alloc).seats)
-    _, _, _, _, wnum, wden, _ = _fast_arrays(reduction.reduced)
-    intervals = tuple(
-        FeasibleInterval(x, low, high, Fraction(wnum[x] * v, wden[x]))
-        for x, _, v, low, high in _pair_intervals(reduction.reduced, seats)
+    node_map = reduction.node_map
+    rank = {node: k for k, node in enumerate(reduction.reduced.bfs_order())}
+    seats = [0] * inst.n
+    intervals = sorted(
+        (
+            FeasibleInterval(node_map[x], low, high, Fraction(scaled * v, rest))
+            for x, v, low, high, scaled, rest in _pairs(inst, h, seats)
+        ),
+        key=lambda iv: rank[iv.node],
     )
-    return alloc, reduction, intervals
+    return Allocation(h, tuple(seats)), reduction, tuple(intervals)
 
 
 def brute_force_both_quotas(
@@ -314,6 +309,7 @@ def brute_force_both_quotas(
     ascending order, node by node in breadth-first order.  Guarded by
     :class:`SizeLimitExceeded` since the output can grow quickly.
     """
+    _check_house(h)
     require_valid(inst)
     if inst.n > max_nodes:
         raise SizeLimitExceeded(f"instance has {inst.n} nodes, limit is {max_nodes}")

@@ -55,7 +55,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import repeat
 
-from .core import Allocation, Instance, _fast_arrays, require_valid
+from .core import Allocation, Instance, _check_house, _fast_arrays
 
 
 class MethodKind(Enum):
@@ -386,14 +386,15 @@ class Trajectory:
         return _walk(self.instance, self.method, self.final.h)[1]
 
     def allocation_at(self, h: int) -> Allocation:
-        """The allocation after the first ``h`` seats."""
+        """The allocation after the first ``h`` seats.
+
+        The run for ``h`` seats is a prefix of this one, so this is the
+        level-by-level result at ``h``; it does not walk ``paths``.
+        """
         if not 0 <= h <= self.final.h:
             raise ValueError(f"h must be in 0..{self.final.h}")
-        seats = [0] * len(self.final.seats)
-        for path in self.paths[:h]:
-            for i in path:
-                seats[i] += 1
-        return Allocation(h, tuple(seats))
+        _check_house(h)
+        return Allocation(h, tuple(_cascade(self.instance, self.method, h)))
 
     def allocations(self) -> Iterator[Allocation]:
         """Yield the allocation at every house size from 0 to the final h."""
@@ -413,8 +414,5 @@ def run_method(inst: Instance, method: MethodKind | str, h: int) -> Trajectory:
     by level; the paths are walked only when first read.
     """
     kind = MethodKind(method)
-    if not isinstance(h, int) or isinstance(h, bool) or h < 0:
-        raise ValueError("house size must be a non-negative integer")
-    require_valid(inst)
-
+    _check_house(h)
     return Trajectory(inst, kind, Allocation(h, tuple(_cascade(inst, kind, h))))

@@ -426,6 +426,12 @@ class TestOracle:
         assert main(["oracle", sym7_file, "--seats", "11"]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_negative_seats_is_domain_error(self, sym7_file, capsys):
+        assert main(["oracle", sym7_file, "--seats", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: house size must be a non-negative integer\n"
+
     def test_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         nodes = [{"id": i, "parent": i - 1 if i else None, "weight": "1"} for i in range(800)]
         path = write(tmp_path, "chain.json", json.dumps({"nodes": nodes}))

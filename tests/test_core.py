@@ -28,6 +28,7 @@ from apportree import (
     parse_weight,
     relative_entitlements,
     require_valid,
+    step,
     validate_instance,
 )
 
@@ -256,12 +257,32 @@ class TestEntitlements:
 
     def test_disconnected_trees_raise(self):
         cycle = Instance([None, 0, 3, 2], [1, 1, Fraction(1, 2), Fraction(1, 2)])
-        with pytest.raises(InvalidInstanceError, match="tree is not connected"):
+        with pytest.raises(InvalidInstanceError, match=r"NonTree \(node 2\): node does not reach the root"):
             relative_entitlements(cycle)
         # the child lists reach node 1, whose parent map points at unreached 2
         stray = Instance([None, 2, 1], [1, 1, 1], children=[[1], [], []])
-        with pytest.raises(InvalidInstanceError, match=r"NonTree \(node 1\): unreachable from root"):
+        with pytest.raises(InvalidInstanceError, match=r"NonTree \(node 1\): children list disagrees"):
             relative_entitlements(stray)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance([None, 0], [1, 1], children=[[5], []]),
+            Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 3)]),
+        ],
+        ids=["bad-child-id", "weights-sum-to-5/6"],
+    )
+    def test_entry_points_validate(self, inst):
+        seats = (1,) * inst.n
+        calls = [
+            lambda: relative_entitlements(inst),
+            lambda: check_allocation(inst, Allocation(1, seats)),
+            lambda: count_violations(inst, seats),
+            lambda: step(inst, Allocation(0, (0,) * inst.n), "adams"),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInstanceError, match=validate_instance(inst)[0].message):
+                call()
 
 
 def random_seats(inst: Instance, h: int, rand) -> tuple[int, ...]:

@@ -146,6 +146,8 @@ class TestBothQuotas:
                 allocate_both_quotas(sym7, h)
             with pytest.raises(ValueError):
                 trace_both_quotas(sym7, h)
+            with pytest.raises(ValueError):
+                brute_force_both_quotas(sym7, h)
 
     @given(irregular_instances(), st.integers(0, 60))
     def test_never_violates_either_quota(self, inst, h):

@@ -108,12 +108,15 @@ class TestTrajectoryShape:
         assert traj.method is MethodKind.ADAMS
         assert len(traj.paths) == 6
 
-    def test_allocation_at_prefixes(self, sym7):
-        traj = run_method(sym7, "jefferson", 8)
-        assert traj.allocation_at(0) == Allocation(0, (0,) * 7)
-        assert traj.allocation_at(8) == traj.final
-        for h, alloc in enumerate(traj.allocations()):
-            assert alloc == traj.allocation_at(h)
+    @given(irregular_instances(), method_kinds, st.integers(0, 25))
+    def test_allocation_at_prefixes(self, inst, method, h):
+        traj = run_method(inst, method, h)
+        assert traj.allocation_at(0) == Allocation(0, (0,) * inst.n)
+        at = [traj.allocation_at(k) for k in range(h + 1)]
+        assert at[h] == traj.final
+        # read off the cascade: nothing walked the paths yet
+        assert "paths" not in vars(traj)
+        assert at == list(traj.allocations())
 
     def test_allocation_at_range_checked(self, sym7):
         traj = run_method(sym7, "adams", 3)
