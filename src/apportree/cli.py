@@ -17,6 +17,7 @@ from .core import (
     InvalidInstanceError,
     QuotaMode,
     _audit,
+    _fast_arrays,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -44,6 +45,11 @@ from .methods import MethodKind, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
+# UC-quota hands every seat down every level, h * height seat-levels in
+# all; 10**7 of them take about 2 s and 200 MiB, so a larger run is
+# refused before it starts.  The library itself sets no bound.
+_UC_QUOTA_BUDGET = 10**7
+
 
 def _load(path: str, parse):
     """Read a UTF-8 file and return ``parse(text)``.
@@ -67,6 +73,22 @@ def _load(path: str, parse):
         ) from exc
 
 
+def _check_uc_quota_work(h: int, height: int) -> None:
+    if h * height > _UC_QUOTA_BUDGET:
+        raise ValueError(
+            f"ucquota at h={h} on a tree of height {height} needs {h * height} "
+            f"seat-levels of work, over the budget of {_UC_QUOTA_BUDGET}"
+        )
+
+
+def _height(inst) -> int:
+    order, parents, _, _, _, _, _ = _fast_arrays(inst)
+    depth = [0] * inst.n
+    for i in order[1:]:
+        depth[i] = depth[parents[i]] + 1
+    return max(depth)
+
+
 def _cmd_validate(args) -> int:
     inst, errors = parse_instance_document(_load(args.instance, json.loads))
     if inst is None:
@@ -88,6 +110,8 @@ def _cmd_allocate(args) -> int:
         alloc = allocate_both_quotas(inst, h)
         print(allocation_to_json(alloc))
         return 0
+    if args.method == "ucquota":
+        _check_uc_quota_work(h, _height(inst))
     traj = run_method(inst, MethodKind(args.method), h)
     if args.trajectory:
         steps = [list(a.seats) for a in traj.allocations()]
@@ -168,6 +192,8 @@ def _cmd_experiment(args) -> int:
             methods=tuple(MethodKind(m) for m in args.methods.split(",")) if args.methods else ALL_METHODS,
             max_weight=args.max_weight,
         )
+    if MethodKind.UC_QUOTA in config.methods:
+        _check_uc_quota_work(max(config.house_sizes, default=0), config.family.height)
     table = run_experiment(config, workers=args.workers)
     sys.stdout.write(emit_table(table, args.out))
     return 0

@@ -95,29 +95,6 @@ class BinaryReduction:
     node_map: tuple[int, ...]
     introduced: tuple[int, ...]
 
-    def pull_back(self, alloc: Allocation) -> Allocation:
-        """Translate an allocation on the reduced tree to the original."""
-        if len(alloc.seats) != self.reduced.n:
-            raise ValueError("allocation does not match the reduced tree")
-        return Allocation(alloc.h, tuple(alloc.seats[self.node_map[i]] for i in range(self.original.n)))
-
-    def push_forward(self, alloc: Allocation) -> Allocation:
-        """Translate an allocation on the original tree to the reduced one.
-
-        Introduced nodes take the sum of their children's seats; spliced
-        nodes need no entry of their own.
-        """
-        if len(alloc.seats) != self.original.n:
-            raise ValueError("allocation does not match the original tree")
-        seats = [0] * self.reduced.n
-        for i in range(self.original.n):
-            seats[self.node_map[i]] = alloc.seats[i]
-        introduced = set(self.introduced)
-        for k in reversed(self.reduced.bfs_order()):
-            if k in introduced:
-                seats[k] = sum(seats[c] for c in self.reduced.children[k])
-        return Allocation(alloc.h, tuple(seats))
-
 
 def to_full_binary(inst: Instance) -> BinaryReduction:
     """Rewrite a valid instance as an equivalent full binary tree.

@@ -41,9 +41,18 @@ in O(b * D).  The upper-compliant cap depends on the path only through
 the cap a seat brings to a node: which child takes the seat depends on
 that cap and the counts of the node's own children, and the child passes
 on ``min(cap * w_c, v_c)``.  So a node is split in one pass over the caps
-its seats bring, in arrival order, O(v) per node and O(h) per level.  The
-walk stays the trajectory API and the reference the cascade is tested
-against.
+its seats bring, in arrival order, O(v) per node and O(h) per level.
+Node ``i``'s caps are kept as one list of integers ``X`` over a
+denominator ``Q_i`` shared by the whole list, the product of the weight
+denominators on its root path (``Q_0 = 1``), so a seat at a two-child
+node costs one multiplication ``X * wnum[c]`` and integer comparisons.
+``Q_i`` grows with depth, so a node whose children's ``Q`` would pass
+2**60, or that has more than two children, hands its list on as
+``(numerator, denominator)`` pairs, and its subtree keeps that form,
+where clamping a cap to a count resets its denominator to 1.  The
+command line refuses an upper-compliant run over a fixed budget of
+``h * height`` seat-levels; the library sets no bound.  The walk stays
+the trajectory API and the reference the cascade is tested against.
 """
 
 from __future__ import annotations
@@ -56,6 +65,11 @@ from functools import cached_property
 from itertools import repeat
 
 from .core import Allocation, Instance, _check_house, _fast_arrays
+
+# the largest Q_c a child's caps keep as one list of numerators; past it
+# the subtree's caps go in (numerator, denominator) pairs, whose clamp to
+# a count resets the denominator to 1
+_Q_LIMIT = 1 << 60
 
 
 class MethodKind(Enum):
@@ -192,8 +206,11 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       ``(k - 1) / w < v - b``, and fewer than ``v`` seats have such keys.
       At most ``b`` remain.
 
-    The quota method splits two-child nodes as Jefferson does (Jefferson's
-    lower quota for the one sibling keeps the chosen child under its cap).
+    A two-child node is split in locals: both counts and the at most two
+    seats left, with Adams' zero-seat tie to the larger weight, then the
+    lower id.  The quota method splits two-child nodes as Jefferson does
+    (Jefferson's lower quota for the one sibling keeps the chosen child
+    under its cap).
     A wider node's split is periodic: with ``D`` the lcm of the children's
     weight denominators, every quota ``k * w`` is whole at ``k`` a multiple
     of ``D``, and the quota method, meeting both quotas at one level
@@ -203,19 +220,35 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     ``k = v - v mod D`` and walks only the last ``v mod D < D`` seats, on
     that node alone: O(b * D) per node, not O(b * v).
 
-    The upper-compliant method is split by :func:`_uc_split`, one pass
-    over the caps the node's seats bring, in arrival order.
+    The upper-compliant method splits a node in one pass over the caps
+    the node's seats bring, in arrival order.  The root's ``t``-th seat
+    brings the cap ``t``.  A node's caps come either as one list of
+    numerators over its ``Q_i`` (see the module docstring), which
+    :func:`_uc_split_two` splits at a two-child node while the children's
+    ``Q`` stay within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split`
+    splits; a list reaches it as pairs over ``repeat(Q_i)``.
     """
     order, _, _, _, wnum, wden, children = _fast_arrays(inst)
     seats = [0] * inst.n
     seats[0] = h
     if kind is MethodKind.UC_QUOTA:
-        # the root's t-th seat brings the cap t; no caps kept for leaves,
-        # and each node's caps are dropped once the node is split
-        caps = {0: (range(1, h + 1), repeat(1))}
+        # the root's t-th seat brings the cap t: over Q_0 = 1, or one list
+        # of numerators X over node i's own Q_i; no caps are kept for
+        # leaves, and each node's caps are dropped once the node is split
+        ints = {0: (range(1, h + 1), 1)}
+        pairs = {}
         for i in order:
-            if children[i] and seats[i]:
-                _uc_split(seats, children[i], wnum, wden, children, *caps.pop(i), caps)
+            kids = children[i]
+            if not kids or not seats[i]:
+                continue
+            if i in pairs:
+                _uc_split(seats, kids, wnum, wden, children, *pairs.pop(i), pairs)
+                continue
+            xs, q = ints.pop(i)
+            if len(kids) == 2 and q * max(wden[kids[0]], wden[kids[1]]) <= _Q_LIMIT:
+                _uc_split_two(seats, kids, wnum, wden, children, xs, q, ints)
+            else:
+                _uc_split(seats, kids, wnum, wden, children, xs, repeat(q), pairs)
         return seats
     adams = kind is MethodKind.ADAMS
     bump = 0 if adams else 1
@@ -225,8 +258,39 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
         v = seats[i]
         if not kids or not v:
             continue
-        b = len(kids)
-        if is_quota and b > 2:
+        if len(kids) == 2:
+            a, b = sorted(kids)
+            na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
+            if adams:
+                m = v - 2
+                sa = sb = 0
+                if m > 0:
+                    sa = -(-m * na // da)
+                    sb = -(-m * nb // db)
+                # at most two seats are left; keys s / w, compared as s * p
+                pa = da * nb
+                pb = db * na
+                for _ in range(v - sa - sb):
+                    ka = sa * pa
+                    kb = sb * pb
+                    # at zero seats the larger weight w_a >= w_b leads
+                    if ka < kb or ka == kb and (ka or pb >= pa):
+                        sa += 1
+                    else:
+                        sb += 1
+            else:
+                sa = v * na // da
+                sb = v * nb // db
+                if sa + sb < v:
+                    # the one seat left: keys (s + 1) / w, the tie to a
+                    if (sa + 1) * da * nb <= (sb + 1) * db * na:
+                        sa += 1
+                    else:
+                        sb += 1
+            seats[a] = sa
+            seats[b] = sb
+            continue
+        if is_quota:
             # at k = v - v mod D seats every child holds exactly k * w
             d = math.lcm(*(wden[c] for c in kids))
             k = v - v % d
@@ -237,7 +301,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                 seats[_best_child(seats, kids, wnum, wden, 1, t)] += 1
             continue
         if adams:
-            m = v - b
+            m = v - len(kids)
             if m > 0:
                 for c in kids:
                     seats[c] = -(-m * wnum[c] // wden[c])
@@ -250,12 +314,14 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
 
 
 def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
-    """Split one node's seats under the upper-compliant method.
+    """Split one node's seats under the upper-compliant method, caps in pairs.
 
-    The node's ``k``-th seat brought the cap ``qns[k] / qds[k]``.  Which
-    child a seat goes to depends only on that cap and the counts of the
-    node's own children, so one pass over the caps, in arrival order, sets
-    the children's final counts.  Each non-leaf child ``c`` gets in
+    The node's ``k``-th seat brought the cap ``qns[k] / qds[k]``: pairs
+    below a node whose children's ``Q`` would pass ``_Q_LIMIT``, or a
+    list of numerators with ``qds`` repeating its ``Q_i``.  Which child a
+    seat goes to depends only on that cap and the counts of the node's
+    own children, so one pass over the caps, in arrival order, sets the
+    children's final counts.  Each non-leaf child ``c`` gets in
     ``out[c]`` the caps it passes on, ``min(cap * w_c, v_c)`` with ``v_c``
     its count after the seat, as the walk computes them.  The inherited
     cap always leaves some child eligible (see the module docstring).
@@ -357,6 +423,66 @@ def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
                 ad(qd * da)
     seats[a] = sa
     seats[b] = sb
+
+
+def _uc_split_two(seats, kids, wnum, wden, children, xs, q, out) -> None:
+    """Split a two-child node's seats under the upper-compliant method.
+
+    The node's ``k``-th seat brought the cap ``xs[k] / q``, ``q`` the
+    product ``Q_i`` of the weight denominators on the node's root path.
+    A child ``c`` counts in units of its own ``Q_c = q * wden[c]``: it
+    holds ``t_c = s_c * Q_c``, kept by addition, is eligible while
+    ``t_c < x`` with ``x = X * wnum[c]`` (that is ``s_c < cap * w_c``),
+    and passes on ``min(x, t_c)`` after the seat, over ``Q_c``.  The
+    ranking and the override are :func:`_uc_split`'s, whose docstring
+    shows that an overriding child passes on ``x`` unclamped.  Each
+    non-leaf child gets ``(list, Q_c)`` in ``out``.
+    """
+    a, b = sorted(kids)
+    na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
+    pa = da * nb
+    pb = db * na
+    qa = q * da
+    qb = q * db
+    add_a = add_b = None
+    if children[a]:
+        keep = []
+        out[a] = (keep, qa)
+        add_a = keep.append
+    if children[b]:
+        keep = []
+        out[b] = (keep, qb)
+        add_b = keep.append
+    ta = tb = 0
+    # (s + 1) * p for each child: the lower one ranks first
+    ra, rb = pa, pb
+    for x in xs:
+        if ra <= rb:
+            y = x * na
+            if ta < y:
+                ta += qa
+                ra += pa
+                if add_a:
+                    add_a(y if y < ta else ta)
+                continue
+            tb += qb
+            rb += pb
+            if add_b:
+                add_b(x * nb)
+        else:
+            y = x * nb
+            if tb < y:
+                tb += qb
+                rb += pb
+                if add_b:
+                    add_b(y if y < tb else tb)
+                continue
+            ta += qa
+            ra += pa
+            if add_a:
+                add_a(x * na)
+    seats[a] = ta // qa
+    seats[b] = tb // qb
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ products, and the binary rewrite that rescales the remaining siblings
 at every level of a comb.  The experiment harness's per-node Fraction
 deviations are kept as the reference for its integer sums, and the
 both-quotas construction as first written, on the binary rewrite, as the
-reference for the pass that simulates the rewrite on the original tree.
+reference for the pass that simulates the rewrite on the original tree;
+``pull_back`` and ``push_forward`` carry allocations between a tree and
+its rewrite.
 """
 
 from __future__ import annotations
@@ -396,5 +398,32 @@ def both_quotas_by_reduction(
         pick = min(max(pick, low), high)
         seats[x] = pick
         seats[y] = v - pick
-    alloc = reduction.pull_back(Allocation(h, tuple(seats)))
+    alloc = pull_back(reduction, Allocation(h, tuple(seats)))
     return alloc, reduction, tuple(intervals)
+
+
+def pull_back(reduction: BinaryReduction, alloc: Allocation) -> Allocation:
+    """Translate an allocation on the reduced tree to the original."""
+    if len(alloc.seats) != reduction.reduced.n:
+        raise ValueError("allocation does not match the reduced tree")
+    node_map = reduction.node_map
+    return Allocation(alloc.h, tuple(alloc.seats[node_map[i]] for i in range(reduction.original.n)))
+
+
+def push_forward(reduction: BinaryReduction, alloc: Allocation) -> Allocation:
+    """Translate an allocation on the original tree to the reduced one.
+
+    Introduced nodes take the sum of their children's seats; spliced
+    nodes need no entry of their own.
+    """
+    if len(alloc.seats) != reduction.original.n:
+        raise ValueError("allocation does not match the original tree")
+    reduced = reduction.reduced
+    seats = [0] * reduced.n
+    for i in range(reduction.original.n):
+        seats[reduction.node_map[i]] = alloc.seats[i]
+    introduced = set(reduction.introduced)
+    for k in reversed(reduced.bfs_order()):
+        if k in introduced:
+            seats[k] = sum(seats[c] for c in reduced.children[k])
+    return Allocation(alloc.h, tuple(seats))

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from apportree import (
 )
 from apportree.cli import SEED_ENV_VAR, main
 
+import apportree.cli as cli
 import apportree.core as core
 
 from conftest import make_deep7, make_flat5, make_nested5, make_sym7
@@ -127,6 +129,23 @@ class TestAllocate:
         argv = ["allocate", deep7_file, "--method", method, "--seats", "5", "--trajectory"]
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+    def test_uc_quota_over_budget_exits_at_once(self, sym7_file, capsys):
+        start = perf_counter()
+        assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "1000000000"]) == 1
+        assert perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ucquota at h=1000000000 on a tree of height 2")
+        assert captured.err.count("\n") == 1
+
+    def test_uc_quota_budget_is_h_times_height(self, sym7_file, capsys, monkeypatch):
+        # sym7 has height 2: ten seats are 20 seat-levels, eleven are 22
+        monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 20)
+        assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "10"]) == 0
+        assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "11"]) == 1
+        # the other methods' work does not grow with h
+        assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "11"]) == 0
 
     def test_both_quotas_notice_and_validity(self, deep7_file, capsys, deep7):
         assert main(["allocate", deep7_file, "--method", "both-quotas", "--seats", "5"]) == 0
@@ -406,6 +425,26 @@ class TestExperiment:
         serial = capsys.readouterr().out
         assert main(self.FLAGS + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("methods", [["ucquota"], ["adams", "ucquota"]])
+    def test_uc_quota_over_budget_exits_at_once(self, tmp_path, capsys, methods):
+        cfg = {"family": {"kind": "binary", "height": 3}, "house_sizes": [1000000000], "methods": methods}
+        path = write(tmp_path, "cfg.json", json.dumps(cfg))
+        start = perf_counter()
+        assert main(["experiment", "--config", path]) == 1
+        assert perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ucquota at h=1000000000 on a tree of height 3")
+        assert captured.err.count("\n") == 1
+
+    def test_uc_quota_budget_reads_the_largest_house(self, capsys, monkeypatch):
+        # binary height 3: a largest house of 10 is 30 seat-levels
+        monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 29)
+        assert main(self.FLAGS) == 1
+        assert main(self.FLAGS[:-1] + ["adams"]) == 0
+        monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 30)
+        assert main(self.FLAGS[:7] + ["--house-sizes", "1,10"] + self.FLAGS[9:]) == 0
 
     def test_malformed_config(self, tmp_path, capsys):
         path = write(tmp_path, "cfg.json", "{]")

@@ -36,7 +36,7 @@ from conftest import (
     reversed_children,
     share_lists,
 )
-from oracles import binary_by_rescaling, both_quotas_by_reduction
+from oracles import binary_by_rescaling, both_quotas_by_reduction, pull_back, push_forward
 
 
 def assert_full_binary(inst: Instance) -> None:
@@ -172,7 +172,7 @@ class TestBothQuotas:
     @given(irregular_instances(), st.integers(0, 60))
     def test_trace_intervals_and_choices(self, inst, h):
         alloc, red, intervals = trace_both_quotas(inst, h)
-        reduced_seats = red.push_forward(alloc).seats
+        reduced_seats = push_forward(red, alloc).seats
         by_node = {}
         for iv in intervals:
             assert iv.low <= iv.high
@@ -194,7 +194,7 @@ class TestBothQuotas:
         # feasible integer always exists.
         alloc, red, _ = trace_both_quotas(inst, h)
         reduced = red.reduced
-        seats = red.push_forward(alloc).seats
+        seats = push_forward(red, alloc).seats
         shares = relative_entitlements(reduced)
         for c in range(1, reduced.n):
             implied = [
@@ -205,8 +205,8 @@ class TestBothQuotas:
     @given(irregular_instances(), st.integers(0, 60))
     def test_push_forward_round_trip(self, inst, h):
         alloc, red, _ = trace_both_quotas(inst, h)
-        forward = red.push_forward(alloc)
-        assert red.pull_back(forward) == alloc
+        forward = push_forward(red, alloc)
+        assert pull_back(red, forward) == alloc
 
 
 @st.composite

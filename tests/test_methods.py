@@ -26,6 +26,8 @@ from apportree import (
 )
 
 import apportree.core as core
+import apportree.methods as methods
+from apportree.cli import _height
 from apportree.methods import _walk
 
 from conftest import caterpillar, flat_instance, irregular_instances, reversed_children, share_lists
@@ -432,6 +434,75 @@ class TestLevelCascade:
         for h in (1, 2, 3, 120):
             walked, _ = _walk(inst, method, h)
             assert run_method(inst, method, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("heavy_first", [True, False])
+    def test_uc_quota_on_a_heavy_spine(self, heavy_first):
+        # Each level multiplies the caps denominator by 10**4, so five
+        # levels down, past 2**60, the spine's caps switch from one list
+        # of numerators to (numerator, denominator) pairs.
+        parents: list[int | None] = [None]
+        weights = [Fraction(1)]
+        tip = 0
+        for _ in range(200):
+            first = len(parents)
+            parents += [tip, tip]
+            heavy, light = Fraction(9999, 10000), Fraction(1, 10000)
+            weights += [heavy, light] if heavy_first else [light, heavy]
+            tip = first if heavy_first else first + 1
+        inst = Instance(parents, weights)
+        for h in (1, 2, 37, 150, 1000):
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+            assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("pair_caps", [False, True])
+    @pytest.mark.parametrize("heavy", [2, 4])
+    def test_uc_quota_cap_met_exactly(self, monkeypatch, pair_caps, heavy):
+        # The second seat brings node 1 the cap 2 * 2/3.  Its child of
+        # weight 3/4 ranks first holding 1 seat, exactly 4/3 * 3/4, so it
+        # is at its cap and the sibling takes the seat, whichever of the
+        # two has the lower id.  A limit of 0 sends every cap through the
+        # (numerator, denominator) split instead of the one-list split.
+        if pair_caps:
+            monkeypatch.setattr(methods, "_Q_LIMIT", 0)
+        light = 6 - heavy
+        weights = [Fraction(1), Fraction(2, 3), None, Fraction(1, 3), None]
+        weights[heavy], weights[light] = Fraction(3, 4), Fraction(1, 4)
+        inst = Instance([None, 0, 1, 0, 1], weights)
+        walked, _ = _walk(inst, MethodKind.UC_QUOTA, 2)
+        assert walked[heavy] == 1 and walked[light] == 1
+        assert run_method(inst, MethodKind.UC_QUOTA, 2).final.seats == tuple(walked)
+
+    @given(
+        irregular_instances(max_nodes=20, max_weight=10**6).filter(lambda inst: _height(inst) >= 5),
+        st.integers(0, 300),
+        st.booleans(),
+    )
+    def test_uc_quota_caps_change_form_down_a_path(self, inst, h, flip):
+        # Weight denominators up to about 10**7 take a path's caps
+        # denominator past 2**60 within a few two-child levels.
+        if flip:
+            inst = reversed_children(inst)
+        walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+        assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("method", [MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA])
+    @pytest.mark.parametrize(
+        "pair", [(1, 1), (1, 2), (2, 1), (3, 5), (1, 9)], ids=lambda p: f"{p[0]}-{p[1]}"
+    )
+    def test_two_child_splits_at_small_houses(self, method, pair):
+        # Two children are split in locals: Adams' zero-seat tie to the
+        # larger weight, then the lower id, and Jefferson's tie to the
+        # lower id, in both child orders and one level down as well.
+        a, b = pair
+        top = flat_instance([Fraction(a, a + b), Fraction(b, a + b)])
+        nested = Instance(
+            [None, 0, 0, 1, 1],
+            [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(a, a + b), Fraction(b, a + b)],
+        )
+        for inst in (top, reversed_children(top), nested, reversed_children(nested)):
+            for h in range(5):
+                walked, _ = _walk(inst, method, h)
+                assert run_method(inst, method, h).final.seats == tuple(walked)
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_paths_are_walked_once_on_demand(self, deep7, method):
