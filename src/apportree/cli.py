@@ -50,6 +50,12 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 # refused before it starts.  The library itself sets no bound.
 _UC_QUOTA_BUDGET = 10**7
 
+# --trajectory holds and prints all h + 1 allocations of n counts each.
+# On a 7-node tree 2 * 10**6 counts (h = 285713) take about 1.4 s and
+# 130 MiB peak RSS with Jefferson, so a larger run is refused before it
+# starts; per count, larger trees cost less.
+_TRAJECTORY_BUDGET = 2 * 10**6
+
 
 def _load(path: str, parse):
     """Read a UTF-8 file and return ``parse(text)``.
@@ -78,6 +84,14 @@ def _check_uc_quota_work(h: int, height: int) -> None:
         raise ValueError(
             f"ucquota at h={h} on a tree of height {height} needs {h * height} "
             f"seat-levels of work, over the budget of {_UC_QUOTA_BUDGET}"
+        )
+
+
+def _check_trajectory_work(h: int, n: int) -> None:
+    if (h + 1) * n > _TRAJECTORY_BUDGET:
+        raise ValueError(
+            f"--trajectory at h={h} on a tree of {n} nodes prints {(h + 1) * n} "
+            f"seat counts, over the budget of {_TRAJECTORY_BUDGET}"
         )
 
 
@@ -112,6 +126,8 @@ def _cmd_allocate(args) -> int:
         return 0
     if args.method == "ucquota":
         _check_uc_quota_work(h, _height(inst))
+    if args.trajectory:
+        _check_trajectory_work(h, inst.n)
     traj = run_method(inst, MethodKind(args.method), h)
     if args.trajectory:
         steps = [list(a.seats) for a in traj.allocations()]

@@ -89,7 +89,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_valid")
+    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order")
 
     def __init__(
         self,
@@ -115,11 +115,11 @@ class Instance:
                     kids[p].append(i)
             self.children = tuple(tuple(k) for k in kids)
         else:
-            self.children = tuple(tuple(k) for k in children)
+            self.children = tuple(map(tuple, children))
         self._shares: tuple[Fraction, ...] | None = None
+        # set by validate_instance once the instance is valid, so it marks validity
         self._fast = None
         self._order: tuple[int, ...] | None = None
-        self._valid = False
 
     @property
     def n(self) -> int:
@@ -157,7 +157,17 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
     ``NonTree`` for parent/cycle/connectivity defects, ``WeightOutOfRange``
     for entitlements outside (0, 1] (or a root entitlement other than 1),
     and ``ChildrenWeightsNotNormalized`` with the exact sibling sum.
+
+    A valid instance is accepted by one breadth-first walk, :func:`_accept`,
+    which also builds and caches the integer arrays of :func:`_fast_arrays`.
+    Only once that walk meets a fault does the full report below run, so
+    the report alone decides which errors are returned and in what order.
     """
+    if _accept(inst):
+        return []
+    # The full report.  Any rule added or changed here must be mirrored in
+    # _accept, which has to accept exactly what this reports nothing for;
+    # test_accept_pass_matches_root_walk_reference checks that they agree.
     errors: list[StructuralError] = []
     n = inst.n
 
@@ -235,17 +245,83 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
     return errors
 
 
+def _accept(inst: Instance) -> bool:
+    """Accept a valid instance in one walk and cache its integer arrays.
+
+    Walks the child lists breadth first from the root.  Each listed child
+    must be a plain int in ``1..n-1`` not met before, whose parent entry is
+    an int (not a bool) naming the node that lists it, with a weight in
+    (0, 1]; each sibling group must sum to exactly 1, in integers over the
+    lcm of its denominators; the walk must reach all ``n`` nodes; the root
+    must have no parent and weigh 1.  These are to hold exactly when the
+    full report in :func:`validate_instance` finds nothing, so a rule
+    changed there is changed here too.  On the way, each node's
+    share ``rnum/rden`` is its parent's times its weight.
+
+    Returns ``False`` at the first condition that fails.  On success it
+    sets ``inst._fast`` and returns ``True``.
+    """
+    parents = inst.parents
+    children = inst.children
+    n = len(parents)
+    wnum = [w.numerator for w in inst.weights]
+    wden = [w.denominator for w in inst.weights]
+    if parents[0] is not None or wnum[0] != 1 or wden[0] != 1:
+        return False
+    rnum = [1] * n
+    rden = [1] * n
+    reached = bytearray(n)
+    order = [0]
+    gcd = math.gcd
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        a = rnum[i]
+        b = rden[i]
+        # the sibling weights' running sum t/m, m the lcm of their denominators
+        t = 0
+        m = 1
+        for c in kids:
+            if type(c) is not int or not 0 < c < n or reached[c]:
+                return False
+            p = parents[c]
+            # an int as the report takes it: int subclasses pass, bools do not
+            if p != i or type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
+                return False
+            num = wnum[c]
+            den = wden[c]
+            if not 0 < num <= den:
+                return False
+            reached[c] = 1
+            # the parent's share times the weight, cancelled crosswise as
+            # Fraction multiplication does, so both stay in lowest terms
+            g1 = gcd(a, den)
+            g2 = gcd(num, b)
+            rnum[c] = (a // g1) * (num // g2)
+            rden[c] = (b // g2) * (den // g1)
+            g = gcd(m, den)
+            t = t * (den // g) + num * (m // g)
+            m = m // g * den
+        if t != m:
+            return False
+        order.extend(kids)
+    if len(order) != n:
+        return False
+    inst._fast = (order, parents, rnum, rden, wnum, wden, children)
+    return True
+
+
 def require_valid(inst: Instance) -> Instance:
     """Return ``inst`` if valid, else raise :class:`InvalidInstanceError`.
 
     Success is remembered on the instance, so later calls return at once;
     failure is not, so an invalid instance raises on every call.
     """
-    if not inst._valid:
+    if inst._fast is None:
         errors = validate_instance(inst)
         if errors:
             raise InvalidInstanceError(errors)
-        inst._valid = True
     return inst
 
 
@@ -267,38 +343,11 @@ def _fast_arrays(inst: Instance):
     Returns ``(order, parents, rnum, rden, wnum, wden, children)`` where
     node ``i``'s relative entitlement is ``rnum[i]/rden[i]`` and its
     parent-relative entitlement ``wnum[i]/wden[i]``, both in lowest terms,
-    and ``order`` is breadth-first.  Cached on the instance.  Built only
-    for a valid instance: the first call goes through :func:`require_valid`.
+    and ``order`` is breadth-first.  Built only for a valid instance, by
+    the walk that validates it: the first call goes through
+    :func:`require_valid`.
     """
-    if inst._fast is None:
-        require_valid(inst)
-        order = inst.bfs_order()
-        parents = inst.parents
-        wnum = [w.numerator for w in inst.weights]
-        wden = [w.denominator for w in inst.weights]
-        # a valid root weighs 1
-        rnum = [1] * inst.n
-        rden = [1] * inst.n
-        gcd = math.gcd
-        for i in order[1:]:
-            p = parents[i]
-            # the parent's share times the node's weight, cancelled crosswise
-            # as Fraction multiplication does, so both stay in lowest terms
-            a, b, c, d = rnum[p], rden[p], wnum[i], wden[i]
-            g1 = gcd(a, d)
-            g2 = gcd(c, b)
-            rnum[i] = (a // g1) * (c // g2)
-            rden[i] = (b // g2) * (d // g1)
-        inst._fast = (
-            list(order),
-            list(parents),
-            rnum,
-            rden,
-            wnum,
-            wden,
-            [list(k) for k in inst.children],
-        )
-    return inst._fast
+    return require_valid(inst)._fast
 
 
 def _check_house(h: object) -> None:
@@ -487,7 +536,7 @@ def count_violations(
 def parse_instance_document(obj: object) -> tuple[Instance | None, list[StructuralError]]:
     """Build an Instance from parsed JSON, collecting every error found.
 
-    Returns ``(instance, [])`` on success; the instance is marked valid, so
+    Returns ``(instance, [])`` on success; the instance is validated, so
     :func:`require_valid` does not check it again.  If the document is too
     broken to assemble (bad ids, missing fields), the instance is ``None``
     and the errors say why; otherwise structural errors from
@@ -504,7 +553,7 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
     parents: list[int | None] = [None] * n
     weights: list[Fraction] = [Fraction(0)] * n
     children_order: list[list[int]] = [[] for _ in range(n)]
-    seen_ids: set[int] = set()
+    seen = bytearray(n)
     # files repeat few weight strings; a failing one is parsed again for
     # each node that has it, so each gets its own error
     parsed: dict[str, Fraction] = {}
@@ -514,20 +563,23 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
             errors.append(StructuralError(NON_TREE, None, f"node entry #{pos} is not an object"))
             continue
         ident = entry.get("id")
-        if not isinstance(ident, int) or isinstance(ident, bool) or not 0 <= ident < n:
+        # an int subclass passes and a bool does not; the exact type first,
+        # as JSON gives only plain ints
+        if type(ident) is not int and (isinstance(ident, bool) or not isinstance(ident, int)) or not 0 <= ident < n:
             errors.append(
                 StructuralError(NON_TREE, None, f"node entry #{pos} has bad id {ident!r} (ids must be dense 0..{n - 1})")
             )
             continue
-        if ident in seen_ids:
+        if seen[ident]:
             errors.append(StructuralError(NON_TREE, ident, "duplicate node id"))
             continue
-        seen_ids.add(ident)
+        seen[ident] = 1
         parent = entry.get("parent")
-        if parent is not None and (not isinstance(parent, int) or isinstance(parent, bool)):
+        if parent is not None and type(parent) is not int and (isinstance(parent, bool) or not isinstance(parent, int)):
             errors.append(StructuralError(NON_TREE, ident, f"bad parent {parent!r}"))
             continue
         raw_weight = entry.get("weight")
+        # checked before the lookup, which an unhashable value would break
         if not isinstance(raw_weight, str):
             errors.append(
                 StructuralError(WEIGHT_OUT_OF_RANGE, ident, 'weight must be a "p" or "p/q" string')
@@ -545,10 +597,9 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
         if parent is not None and 0 <= parent < n:
             children_order[parent].append(ident)
 
-    if len(seen_ids) != n:
-        errors.append(
-            StructuralError(NON_TREE, None, f"ids are not dense 0..{n - 1} ({len(seen_ids)} distinct)")
-        )
+    distinct = n - seen.count(0)
+    if distinct != n:
+        errors.append(StructuralError(NON_TREE, None, f"ids are not dense 0..{n - 1} ({distinct} distinct)"))
     if errors:
         return None, errors
 
@@ -556,7 +607,6 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
     errors = validate_instance(inst)
     if errors:
         return None, errors
-    inst._valid = True
     return inst, []
 
 

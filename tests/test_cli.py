@@ -147,6 +147,29 @@ class TestAllocate:
         # the other methods' work does not grow with h
         assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "11"]) == 0
 
+    def test_trajectory_over_budget_exits_at_once(self, sym7_file, capsys):
+        start = perf_counter()
+        argv = ["allocate", sym7_file, "--method", "jefferson", "--seats", "1000000000", "--trajectory"]
+        assert main(argv) == 1
+        assert perf_counter() - start < 5
+        assert capsys.readouterr() == (
+            "",
+            "error: --trajectory at h=1000000000 on a tree of 7 nodes prints 7000000007 "
+            "seat counts, over the budget of 2000000\n",
+        )
+
+    @pytest.mark.parametrize("method", ["adams", "jefferson", "quota", "ucquota"])
+    def test_trajectory_budget_is_h_plus_one_times_n(self, sym7_file, capsys, monkeypatch, method):
+        # sym7 has 7 nodes: nine seats print 10 allocations, 70 counts
+        monkeypatch.setattr(cli, "_TRAJECTORY_BUDGET", 70)
+        argv = ["allocate", sym7_file, "--method", method, "--seats"]
+        assert main(argv + ["9", "--trajectory"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["trajectory"]) == 10
+        assert main(argv + ["10", "--trajectory"]) == 1
+        assert capsys.readouterr().err.startswith("error: --trajectory at h=10 on a tree of 7 nodes")
+        # without --trajectory only the final allocation is printed
+        assert main(argv + ["10"]) == 0
+
     def test_both_quotas_notice_and_validity(self, deep7_file, capsys, deep7):
         assert main(["allocate", deep7_file, "--method", "both-quotas", "--seats", "5"]) == 0
         captured = capsys.readouterr()
@@ -487,6 +510,24 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_calls_in_a_row_print_what_separate_runs_print(self, sym7_file, tmp_path, capsys):
+        # main may run many times in one process; no run may see another's options
+        alloc = write(tmp_path, "bad.json", allocation_to_json(Allocation(6, (6, 2, 2, 1, 1, 4, 2))))
+        runs = [
+            ["check", sym7_file, alloc, "--strict"],
+            ["check", sym7_file, alloc, "--mode", "root"],
+            ["allocate", sym7_file, "--method", "webster", "--seats", "3"],
+            ["allocate", sym7_file, "--method", "adams", "--seats", "3", "--trajectory"],
+            ["validate", sym7_file],
+        ]
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            separate = subprocess.run(
+                [sys.executable, "-m", "apportree", *argv], capture_output=True, text=True
+            )
+            assert (code, out, err) == (separate.returncode, separate.stdout, separate.stderr)
+
     def test_module_entry_point(self, sym7_file):
         result = subprocess.run(
             [sys.executable, "-m", "apportree", "validate", sym7_file],
@@ -532,6 +573,149 @@ class TestInputFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == expected
+
+
+def nodes(*entries) -> dict:
+    """An instance document from ``(id, parent, weight)`` triples."""
+    return {"nodes": [{"id": i, "parent": p, "weight": w} for i, p, w in entries]}
+
+
+class TestHostileDocuments:
+    """Broken instance documents and the exact error lines they give.
+
+    ``validate`` prints the lines on stdout, ``allocate`` on stderr; both
+    exit 1.  The lines are frozen: kind, node, message and order.
+    """
+
+    CASES = {
+        "not-a-dict": (
+            [[0, None, "1"], [1, 0, "1"]],
+            'NonTree: document must be {"nodes": [...]}\n',
+        ),
+        "no-nodes-key": ({"node": []}, 'NonTree: document must be {"nodes": [...]}\n'),
+        "empty-nodes": ({"nodes": []}, "NonTree: empty node list\n"),
+        "entry-not-object": (
+            {"nodes": [{"id": 0, "parent": None, "weight": "1"}, 5, {"id": 1, "parent": 0, "weight": "1"}]},
+            "NonTree: node entry #1 is not an object\nNonTree: ids are not dense 0..2 (2 distinct)\n",
+        ),
+        "bool-id": (
+            {"nodes": [{"id": 0, "parent": None, "weight": "1"}, {"id": True, "parent": 0, "weight": "1"}]},
+            "NonTree: node entry #1 has bad id True (ids must be dense 0..1)\n"
+            "NonTree: ids are not dense 0..1 (1 distinct)\n",
+        ),
+        "duplicate-id": (
+            nodes((0, None, "1"), (1, 0, "1/2"), (1, 0, "1/2")),
+            "NonTree (node 1): duplicate node id\nNonTree: ids are not dense 0..2 (2 distinct)\n",
+        ),
+        "sparse-ids": (
+            nodes((0, None, "1"), (1, 0, "1/2"), (5, 0, "1/2")),
+            "NonTree: node entry #2 has bad id 5 (ids must be dense 0..2)\n"
+            "NonTree: ids are not dense 0..2 (2 distinct)\n",
+        ),
+        "bool-parent": (
+            nodes((0, None, "1"), (1, True, "1/2"), (2, 0, "1/2")),
+            "NonTree (node 1): bad parent True\n",
+        ),
+        "string-parent": (
+            nodes((0, None, "1"), (1, "0", "1/2"), (2, 0, "1/2")),
+            "NonTree (node 1): bad parent '0'\n",
+        ),
+        "self-parent": (
+            nodes((0, None, "1"), (1, 1, "1/2"), (2, 0, "1/2")),
+            "NonTree (node 1): node is its own parent\n"
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 1/2\n"
+            "ChildrenWeightsNotNormalized (node 1): children weights sum to 1/2\n",
+        ),
+        "root-with-parent": (
+            nodes((0, 1, "1"), (1, 0, "1")),
+            "NonTree (node 0): root must have no parent\nNonTree (node 1): invalid child id 0\n",
+        ),
+        "parent-out-of-range": (
+            nodes((0, None, "1"), (1, 3, "1/2"), (2, 0, "1/2")),
+            "NonTree (node 1): parent id 3 out of range\n"
+            "NonTree (node 1): node missing from its parent's child list\n"
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 1/2\n",
+        ),
+        "negative-parent": (
+            nodes((0, None, "1"), (1, -1, "1/2"), (2, 0, "1/2")),
+            "NonTree (node 1): parent id -1 out of range\n"
+            "NonTree (node 1): node missing from its parent's child list\n"
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 1/2\n",
+        ),
+        "missing-parent": (
+            nodes((0, None, "1"), (1, None, "1/2"), (2, 0, "1/2")),
+            "NonTree (node 1): non-root node without a parent\n"
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 1/2\n",
+        ),
+        # unhashable weights must be refused before any lookup by weight string
+        "list-weight": (
+            nodes((0, None, "1"), (1, 0, [1, 2]), (2, 0, "1/2")),
+            'WeightOutOfRange (node 1): weight must be a "p" or "p/q" string\n',
+        ),
+        "dict-weight": (
+            nodes((0, None, "1"), (1, 0, {"p": 1}), (2, 0, "1/2")),
+            'WeightOutOfRange (node 1): weight must be a "p" or "p/q" string\n',
+        ),
+        "int-weight": (
+            nodes((0, None, "1"), (1, 0, 1)),
+            'WeightOutOfRange (node 1): weight must be a "p" or "p/q" string\n',
+        ),
+        "decimal-weight": (
+            nodes((0, None, "1"), (1, 0, "1.0")),
+            "WeightOutOfRange (node 1): not a rational 'p' or 'p/q' string: '1.0'\n",
+        ),
+        "non-ascii-digits": (
+            nodes((0, None, "1"), (1, 0, "١/٢"), (2, 0, "1/2")),
+            "WeightOutOfRange (node 1): not a rational 'p' or 'p/q' string: '١/٢'\n",
+        ),
+        "zero-denominator": (
+            nodes((0, None, "1"), (1, 0, "1/0"), (2, 0, "1/2")),
+            "WeightOutOfRange (node 1): zero denominator in weight: '1/0'\n",
+        ),
+        "weight-above-one": (
+            nodes((0, None, "1"), (1, 0, "3/2"), (2, 0, "1/2")),
+            "WeightOutOfRange (node 1): weight 3/2 not in (0, 1]\n"
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 2\n",
+        ),
+        "zero-weight": (
+            nodes((0, None, "1"), (1, 0, "0"), (2, 0, "1")),
+            "WeightOutOfRange (node 1): weight 0 not in (0, 1]\n",
+        ),
+        "root-weight-half": (
+            nodes((0, None, "1/2"), (1, 0, "1")),
+            "WeightOutOfRange (node 0): root weight must be 1, got 1/2\n",
+        ),
+        "siblings-sum-5/6": (
+            nodes((0, None, "1"), (1, 0, "1/2"), (2, 0, "1/3")),
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 5/6\n",
+        ),
+        "two-node-cycle": (
+            nodes((0, None, "1"), (1, 0, "1"), (2, 3, "1"), (3, 2, "1")),
+            "NonTree (node 2): node does not reach the root (cycle)\n"
+            "NonTree (node 3): node does not reach the root (cycle)\n",
+        ),
+        "many-errors": (
+            nodes((0, 2, "1/2"), (1, 1, "2"), (2, 0, "1/3"), (3, 0, "1/3"), (4, 9, "1")),
+            "NonTree (node 0): root must have no parent\n"
+            "NonTree (node 1): node is its own parent\n"
+            "NonTree (node 4): parent id 9 out of range\n"
+            "NonTree (node 2): invalid child id 0\n"
+            "NonTree (node 4): node missing from its parent's child list\n"
+            "WeightOutOfRange (node 0): root weight must be 1, got 1/2\n"
+            "WeightOutOfRange (node 1): weight 2 not in (0, 1]\n"
+            "ChildrenWeightsNotNormalized (node 0): children weights sum to 2/3\n"
+            "ChildrenWeightsNotNormalized (node 1): children weights sum to 2\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_lines_are_frozen(self, case, tmp_path, capsys):
+        doc, expected = self.CASES[case]
+        path = write(tmp_path, "bad.json", json.dumps(doc))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr() == (expected, "")
+        assert main(["allocate", path, "--method", "adams", "--seats", "3"]) == 1
+        assert capsys.readouterr() == ("", expected)
 
 
 class TestHostileSizes:

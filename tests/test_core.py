@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from apportree import (
     CHILDREN_WEIGHTS_NOT_NORMALIZED,
@@ -36,6 +36,10 @@ import apportree.core as core
 
 from conftest import ancestors_of, definitional_bounds, irregular_instances, make_sym7
 from oracles import shares_by_products, validate_by_root_walks
+
+
+class NodeId(int):
+    """An int subclass, which the validator takes as a node id."""
 
 
 @st.composite
@@ -219,6 +223,16 @@ class TestValidation:
     def test_matches_root_walk_reference(self, inst):
         assert validate_instance(inst) == validate_by_root_walks(inst)
 
+    @given(malformed_instances())
+    # a bool parent that names the node listing it
+    @example(Instance([None, 0, True], [1, 1, 1]))
+    # a child listed twice while its sibling is listed nowhere
+    @example(Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 2)], children=[[1, 1], [], []]))
+    # an int subclass is an int parent
+    @example(Instance([None, NodeId(0)], [1, 1]))
+    def test_accept_pass_matches_root_walk_reference(self, inst):
+        assert core._accept(inst) == (validate_by_root_walks(inst) == [])
+
 
 class TestEntitlements:
     def test_sym7_shares(self, sym7):
@@ -254,6 +268,15 @@ class TestEntitlements:
         expected = shares_by_products(inst)
         assert list(zip(rnum, rden)) == [(s.numerator, s.denominator) for s in expected]
         assert relative_entitlements(inst) == tuple(expected)
+
+    @given(irregular_instances(max_nodes=30, max_weight=1000))
+    def test_loaded_arrays_equal_api_arrays(self, inst):
+        # the loader hands its integer weights to the walk that validates
+        loaded = instance_from_json(instance_to_json(inst))
+        assert loaded._fast == core._fast_arrays(Instance(inst.parents, inst.weights))
+        _, _, rnum, rden, _, _, _ = loaded._fast
+        expected = shares_by_products(inst)
+        assert list(zip(rnum, rden)) == [(s.numerator, s.denominator) for s in expected]
 
     def test_disconnected_trees_raise(self):
         cycle = Instance([None, 0, 3, 2], [1, 1, Fraction(1, 2), Fraction(1, 2)])
@@ -447,6 +470,24 @@ class TestJson:
         inst, errors = parse_instance_document(doc)
         assert inst is None
         assert any("duplicate" in e.message for e in errors)
+
+    def test_int_subclass_ids_and_parents_load_and_bools_do_not(self):
+        doc = {
+            "nodes": [
+                {"id": NodeId(0), "parent": None, "weight": "1"},
+                {"id": 1, "parent": NodeId(0), "weight": "1"},
+            ]
+        }
+        inst, errors = parse_instance_document(doc)
+        assert errors == []
+        assert inst.parents == (None, 0)
+        # the id is taken, but a child id must be a plain int
+        doc["nodes"][1] = {"id": NodeId(1), "parent": 0, "weight": "1"}
+        assert parse_instance_document(doc)[1][0] == StructuralError(NON_TREE, 0, "invalid child id 1")
+        doc["nodes"][1] = {"id": True, "parent": 0, "weight": "1"}
+        assert parse_instance_document(doc)[1][0].message.startswith("node entry #1 has bad id True")
+        doc["nodes"][1] = {"id": 1, "parent": False, "weight": "1"}
+        assert parse_instance_document(doc)[1] == [StructuralError(NON_TREE, 1, "bad parent False")]
 
     def test_decimal_weight_rejected(self):
         doc = {"nodes": [{"id": 0, "parent": None, "weight": "1.0"}]}
