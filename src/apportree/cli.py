@@ -39,9 +39,10 @@ from .experiments import (
 from .generator import (
     TreeFamily,
     TreeKind,
+    build_tree,
     random_instance,
 )
-from .methods import MethodKind, run_method
+from .methods import MethodKind, _wide_splits, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
@@ -49,6 +50,13 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 # all; 10**7 of them take about 2 s and 200 MiB, so a larger run is
 # refused before it starts.  The library itself sets no bound.
 _UC_QUOTA_BUDGET = 10**7
+
+# The quota method walks the last v mod D seats at a node with three or
+# more children, each over its b children (see _quota_work).  2 * 10**6
+# such child visits take about 0.5 s on one node of 30 children and
+# 0.9 s on one of 3, six-decimal weights, 17 MiB peak RSS, so a larger
+# run is refused before it starts.  The library itself sets no bound.
+_QUOTA_BUDGET = 2 * 10**6
 
 # --trajectory holds and prints all h + 1 allocations of n counts each.
 # On a 7-node tree 2 * 10**6 counts (h = 285713) take about 1.4 s and
@@ -87,6 +95,56 @@ def _check_uc_quota_work(h: int, height: int) -> None:
         )
 
 
+def _quota_work(h: int, splits) -> int:
+    """An upper bound on the child visits of the quota method's walks.
+
+    ``splits`` gives ``(depth, b, D)`` for each node with three or more
+    children, ``D`` (a bound on) the lcm of their weight denominators.
+    Such a node walks its last ``v mod D < D`` seats, each over its ``b``
+    children, and the nodes at one depth hold at most ``h`` seats in all,
+    so a depth costs at most the smaller of the sum of ``b * (D - 1)`` and
+    ``h`` times its largest ``b``.  Two-child nodes cost no walk.
+    """
+    levels: dict[int, tuple[int, int]] = {}
+    for depth, b, d in splits:
+        total, widest = levels.get(depth, (0, 0))
+        levels[depth] = (total + b * (d - 1), max(widest, b))
+    return sum(min(total, h * widest) for total, widest in levels.values())
+
+
+def _check_quota_work(h: int, splits) -> None:
+    work = _quota_work(h, splits)
+    if work > _QUOTA_BUDGET:
+        raise ValueError(
+            f"quota at h={h} may walk {work} child visits at nodes with three "
+            f"or more children, over the budget of {_QUOTA_BUDGET}"
+        )
+
+
+def _instance_splits(inst) -> list[tuple[int, int, int]]:
+    """``(depth, b, D)`` of each node with three or more children."""
+    depth = _depths(inst)
+    return [(depth[i], b, d) for i, b, d in _wide_splits(inst)]
+
+
+def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """``(depth, b, D)`` bounds for every tree ``config`` generates.
+
+    A generated sibling group's weights are integer draws in
+    ``[1, max_weight]`` over their sum, so ``D`` divides that sum, which
+    is at most ``b * max_weight``.
+    """
+    skeleton = build_tree(config.family)
+    depth = [0] * skeleton.n
+    for i in range(1, skeleton.n):
+        depth[i] = depth[skeleton.parents[i]] + 1
+    return [
+        (depth[i], len(kids), len(kids) * config.max_weight)
+        for i, kids in enumerate(skeleton.children)
+        if len(kids) >= 3
+    ]
+
+
 def _check_trajectory_work(h: int, n: int) -> None:
     if (h + 1) * n > _TRAJECTORY_BUDGET:
         raise ValueError(
@@ -95,12 +153,16 @@ def _check_trajectory_work(h: int, n: int) -> None:
         )
 
 
-def _height(inst) -> int:
+def _depths(inst) -> list[int]:
     order, parents, _, _, _, _, _ = _fast_arrays(inst)
     depth = [0] * inst.n
     for i in order[1:]:
         depth[i] = depth[parents[i]] + 1
-    return max(depth)
+    return depth
+
+
+def _height(inst) -> int:
+    return max(_depths(inst))
 
 
 def _cmd_validate(args) -> int:
@@ -126,6 +188,8 @@ def _cmd_allocate(args) -> int:
         return 0
     if args.method == "ucquota":
         _check_uc_quota_work(h, _height(inst))
+    if args.method == "quota":
+        _check_quota_work(h, _instance_splits(inst))
     if args.trajectory:
         _check_trajectory_work(h, inst.n)
     traj = run_method(inst, MethodKind(args.method), h)
@@ -210,6 +274,8 @@ def _cmd_experiment(args) -> int:
         )
     if MethodKind.UC_QUOTA in config.methods:
         _check_uc_quota_work(max(config.house_sizes, default=0), config.family.height)
+    if MethodKind.QUOTA in config.methods:
+        _check_quota_work(max(config.house_sizes, default=0), _family_splits(config))
     table = run_experiment(config, workers=args.workers)
     sys.stdout.write(emit_table(table, args.out))
     return 0

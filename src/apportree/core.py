@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 
@@ -89,7 +90,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order")
+    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_plan")
 
     def __init__(
         self,
@@ -98,11 +99,14 @@ class Instance:
         children: Sequence[Sequence[int]] | None = None,
     ):
         self.parents = tuple(parents)
-        self.weights = tuple(
-            w if isinstance(w, Fraction) else
-            parse_weight(w) if isinstance(w, str) else Fraction(w)
-            for w in weights
-        )
+        ws = tuple(weights)
+        if not all(map(isinstance, ws, repeat(Fraction))):
+            ws = tuple(
+                w if isinstance(w, Fraction) else
+                parse_weight(w) if isinstance(w, str) else Fraction(w)
+                for w in ws
+            )
+        self.weights = ws
         n = len(self.parents)
         if n == 0:
             raise ValueError("instance needs at least the root node")
@@ -120,6 +124,8 @@ class Instance:
         # set by validate_instance once the instance is valid, so it marks validity
         self._fast = None
         self._order: tuple[int, ...] | None = None
+        # the methods' per-node split data, built on the first allocation
+        self._plan: list[tuple] | None = None
 
     @property
     def n(self) -> int:
@@ -461,9 +467,12 @@ def _audit(inst: Instance, alloc: Allocation, mode: QuotaMode) -> tuple[list[int
     seats = alloc.seats
     if len(seats) != n:
         raise ValueError(f"allocation has {len(seats)} entries for {n} nodes")
-    for i, v in enumerate(seats):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"seat count for node {i} must be a non-negative integer")
+    # plain ints pass in one C-level test; the loop names a bad count, and
+    # accepts int subclasses
+    if not ({int} >= set(map(type, seats)) and min(seats) >= 0):
+        for i, v in enumerate(seats):
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(f"seat count for node {i} must be a non-negative integer")
 
     at = seats.__getitem__
     children = _fast_arrays(inst)[6]  # validates the instance first
@@ -635,8 +644,9 @@ def allocation_from_json(text: str) -> Allocation:
     seats = obj.get("seats")
     if not isinstance(h, int) or isinstance(h, bool) or h < 0:
         raise ValueError('"h" must be a non-negative integer')
-    if not isinstance(seats, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in seats
+    # json.loads gives a non-negative integer as a plain int and nothing else
+    if not isinstance(seats, list) or not (
+        {int} >= set(map(type, seats)) and (not seats or min(seats) >= 0)
     ):
         raise ValueError('"seats" must be a list of non-negative integers')
     return Allocation(h, tuple(seats))

@@ -51,8 +51,12 @@ node costs one multiplication ``X * wnum[c]`` and integer comparisons.
 ``(numerator, denominator)`` pairs, and its subtree keeps that form,
 where clamping a cap to a count resets its denominator to 1.  The
 command line refuses an upper-compliant run over a fixed budget of
-``h * height`` seat-levels; the library sets no bound.  The walk stays
-the trajectory API and the reference the cascade is tested against.
+``h * height`` seat-levels, and a quota run over one of child visits;
+the library sets no bound.  What a split reads of a node that does not
+depend on ``h`` (its sorted children, their weights' cross products,
+``D`` and ``Q_i``) is built once per instance, on its first allocation,
+and kept.  The walk reads none of it: it stays the trajectory API and
+the reference the cascade is tested against.
 """
 
 from __future__ import annotations
@@ -191,11 +195,80 @@ def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[A
     return Allocation(alloc.h + 1, tuple(seats)), paths[0]
 
 
+def _split_plan(inst: Instance) -> list[tuple]:
+    """The instance's split plan (see :func:`_build_plan`), built on first use and kept."""
+    plan = inst._plan
+    if plan is None:
+        plan = inst._plan = _build_plan(inst)
+    return plan
+
+
+def _build_plan(inst: Instance) -> list[tuple]:
+    """What every cascade reads of each node, whatever the house size.
+
+    One record per node with children, in breadth-first order (so after
+    its parent's): ``(i, a, b, na, da, nb, db, pa, pb, uc)``.
+
+    * Two children: ``a < b``, weights ``na / da`` and ``nb / db``, and
+      ``pa = da * nb``, ``pb = db * na``, so that the keys ``s_a / w_a``
+      and ``s_b / w_b`` compare as ``s_a * pa`` and ``s_b * pb``.
+    * One child, or more than two: ``a`` is the children in id order,
+      ``b`` is ``None``, ``na`` is ``D``, the lcm of their weight
+      denominators, and the other numbers are 0.
+
+    ``uc = (q, qa, qb, ka, kb)`` is for the upper-compliant split.  ``q``
+    is the node's ``Q_i`` if its caps come as one list of numerators, else
+    0: they come as pairs, and so do its whole subtree's.  ``qa = q * da``
+    and ``qb = q * db`` are the two children's ``Q`` if the node splits
+    its list as one, both at most ``_Q_LIMIT``, else 0.  So no stored
+    ``Q`` passes ``_Q_LIMIT``, and the plan stays O(n) words at any depth.
+    ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that is,
+    whether they keep the caps they pass on.
+    """
+    order, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    # Q_i of the nodes whose caps come as one list, 0 for the others
+    qs = [0] * inst.n
+    qs[0] = 1
+    lcm = math.lcm
+    plan = []
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        q = qs[i]
+        if len(kids) != 2:
+            kids = tuple(sorted(kids))
+            d = lcm(*[wden[c] for c in kids])
+            plan.append((i, kids, None, d, 0, 0, 0, 0, 0, (q, 0, 0, False, False)))
+            continue
+        a, b = sorted(kids)
+        na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
+        qa = qb = 0
+        if q and q * max(da, db) <= _Q_LIMIT:
+            qa = qs[a] = q * da
+            qb = qs[b] = q * db
+        uc = (q, qa, qb, bool(children[a]), bool(children[b]))
+        plan.append((i, a, b, na, da, nb, db, da * nb, db * na, uc))
+    return plan
+
+
+def _wide_splits(inst: Instance) -> list[tuple[int, int, int]]:
+    """``(i, b, D)`` of each node ``i`` with ``b >= 3`` children, from the
+    split plan: what the quota method's walk at ``i`` costs."""
+    return [
+        (i, len(kids), d)
+        for i, kids, b, d, _, _, _, _, _, _ in _split_plan(inst)
+        if b is None and len(kids) >= 3
+    ]
+
+
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     """Final seats of any of the four methods at ``h``, level by level.
 
     Each node, in breadth-first order, splits its seats among its children
-    as the single-level method would.  The divisor methods jump-start
+    as the single-level method would, reading its record of the
+    instance's split plan (:func:`_build_plan`, built on the first call
+    and kept on the instance).  The divisor methods jump-start
     every child at a count its first seats provably reach before the
     walk's ``v``-th seat, then give out the few left one by one:
 
@@ -228,101 +301,104 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     ``Q`` stay within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split`
     splits; a list reaches it as pairs over ``repeat(Q_i)``.
     """
-    order, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    _, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    plan = _split_plan(inst)
     seats = [0] * inst.n
     seats[0] = h
     if kind is MethodKind.UC_QUOTA:
-        # the root's t-th seat brings the cap t: over Q_0 = 1, or one list
-        # of numerators X over node i's own Q_i; no caps are kept for
-        # leaves, and each node's caps are dropped once the node is split
-        ints = {0: (range(1, h + 1), 1)}
-        pairs = {}
-        for i in order:
-            kids = children[i]
-            if not kids or not seats[i]:
+        # the caps node i's seats brought: a list of numerators over Q_i
+        # (the root's t-th seat brings t, over Q_0 = 1) or two lists of
+        # numerators and denominators; leaves keep none, and each node's
+        # are dropped once the node is split
+        caps = [None] * inst.n
+        caps[0] = range(1, h + 1)
+        for rec in plan:
+            i = rec[0]
+            if not seats[i]:
                 continue
-            if i in pairs:
-                _uc_split(seats, kids, wnum, wden, children, *pairs.pop(i), pairs)
-                continue
-            xs, q = ints.pop(i)
-            if len(kids) == 2 and q * max(wden[kids[0]], wden[kids[1]]) <= _Q_LIMIT:
-                _uc_split_two(seats, kids, wnum, wden, children, xs, q, ints)
+            xs = caps[i]
+            caps[i] = None
+            q, qa, _, _, _ = rec[9]
+            if qa:
+                _uc_split_two(seats, rec, xs, caps)
+            elif q:
+                _uc_split(seats, rec, xs, repeat(q), caps, wnum, wden, children)
             else:
-                _uc_split(seats, kids, wnum, wden, children, xs, repeat(q), pairs)
+                _uc_split(seats, rec, xs[0], xs[1], caps, wnum, wden, children)
         return seats
-    adams = kind is MethodKind.ADAMS
-    bump = 0 if adams else 1
-    is_quota = kind is MethodKind.QUOTA
-    for i in order:
-        kids = children[i]
-        v = seats[i]
-        if not kids or not v:
-            continue
-        if len(kids) == 2:
-            a, b = sorted(kids)
-            na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
-            if adams:
-                m = v - 2
-                sa = sb = 0
+    if kind is MethodKind.ADAMS:
+        for i, a, b, na, da, nb, db, pa, pb, _ in plan:
+            v = seats[i]
+            if not v:
+                continue
+            if b is None:
+                kids = a
+                m = v - len(kids)
                 if m > 0:
-                    sa = -(-m * na // da)
-                    sb = -(-m * nb // db)
-                # at most two seats are left; keys s / w, compared as s * p
-                pa = da * nb
-                pb = db * na
-                for _ in range(v - sa - sb):
-                    ka = sa * pa
-                    kb = sb * pb
-                    # at zero seats the larger weight w_a >= w_b leads
-                    if ka < kb or ka == kb and (ka or pb >= pa):
-                        sa += 1
-                    else:
-                        sb += 1
-            else:
-                sa = v * na // da
-                sb = v * nb // db
-                if sa + sb < v:
-                    # the one seat left: keys (s + 1) / w, the tie to a
-                    if (sa + 1) * da * nb <= (sb + 1) * db * na:
-                        sa += 1
-                    else:
-                        sb += 1
+                    for c in kids:
+                        seats[c] = -(-m * wnum[c] // wden[c])
+                for _ in range(v - sum(seats[c] for c in kids)):
+                    seats[_best_child(seats, kids, wnum, wden, 0)] += 1
+                continue
+            m = v - 2
+            sa = sb = 0
+            if m > 0:
+                sa = -(-m * na // da)
+                sb = -(-m * nb // db)
+            # at most two seats are left; keys s / w, compared as s * p
+            while sa + sb < v:
+                ka = sa * pa
+                kb = sb * pb
+                # at zero seats the larger weight w_a >= w_b leads
+                if ka < kb or ka == kb and (ka or pb >= pa):
+                    sa += 1
+                else:
+                    sb += 1
             seats[a] = sa
             seats[b] = sb
+        return seats
+    is_quota = kind is MethodKind.QUOTA
+    for i, a, b, na, da, nb, db, pa, pb, _ in plan:
+        v = seats[i]
+        if not v:
             continue
+        if b is not None:
+            sa = v * na // da
+            sb = v * nb // db
+            # at most one seat is left: keys (s + 1) / w, the tie to a
+            if sa + sb < v and (sa + 1) * pa <= (sb + 1) * pb:
+                sa += 1
+            seats[a] = sa
+            seats[b] = v - sa
+            continue
+        kids = a
         if is_quota:
             # at k = v - v mod D seats every child holds exactly k * w
-            d = math.lcm(*(wden[c] for c in kids))
-            k = v - v % d
+            k = v - v % na
             for c in kids:
                 seats[c] = k // wden[c] * wnum[c]
             # the children hold t - 1 < t seats in all, so one is under its cap
             for t in range(k + 1, v + 1):
                 seats[_best_child(seats, kids, wnum, wden, 1, t)] += 1
             continue
-        if adams:
-            m = v - len(kids)
-            if m > 0:
-                for c in kids:
-                    seats[c] = -(-m * wnum[c] // wden[c])
-        else:
-            for c in kids:
-                seats[c] = v * wnum[c] // wden[c]
+        for c in kids:
+            seats[c] = v * wnum[c] // wden[c]
         for _ in range(v - sum(seats[c] for c in kids)):
-            seats[_best_child(seats, kids, wnum, wden, bump)] += 1
+            seats[_best_child(seats, kids, wnum, wden, 1)] += 1
     return seats
 
 
-def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
+def _uc_split(seats, rec, qns, qds, caps, wnum, wden, children) -> None:
     """Split one node's seats under the upper-compliant method, caps in pairs.
 
-    The node's ``k``-th seat brought the cap ``qns[k] / qds[k]``: pairs
+    ``rec`` is the node's record of the split plan.  The node's ``k``-th
+    seat brought the cap ``qns[k] / qds[k]``: pairs
     below a node whose children's ``Q`` would pass ``_Q_LIMIT``, or a
     list of numerators with ``qds`` repeating its ``Q_i``.  Which child a
     seat goes to depends only on that cap and the counts of the node's
     own children, so one pass over the caps, in arrival order, sets the
     children's final counts.  Each non-leaf child ``c`` gets in
-    ``out[c]`` the caps it passes on, ``min(cap * w_c, v_c)`` with ``v_c``
+    ``caps[c]`` the caps it passes on, ``min(cap * w_c, v_c)`` with ``v_c``
     its count after the seat, as the walk computes them.  The inherited
     cap always leaves some child eligible (see the module docstring).
     Numerators and denominators go in two lists of ints, which the
@@ -338,15 +414,16 @@ def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
     ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
     (v - cap) <= 0``.
     """
-    if len(kids) != 2:
-        kids = sorted(kids)
+    _, a, b, na, da, nb, db, pa, pb, (_, _, _, ka, kb) = rec
+    if b is None:
+        kids = a
         # key[j] = (s + 1) * unit[j] is child j's Jefferson key (s + 1) / w
         # over the lcm of the weight numerators, all integers
         lcm = math.lcm(*(wnum[c] for c in kids))
         unit = [wden[c] * (lcm // wnum[c]) for c in kids]
         key = unit[:]
         held = [0] * len(kids)
-        keep = [out.setdefault(c, ([], [])) if children[c] else None for c in kids]
+        keep = [([], []) if children[c] else None for c in kids]
         for qn, qd in zip(qns, qds):
             k = min(key)
             j = key.index(k)
@@ -366,19 +443,16 @@ def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
                     x, y = vc, 1
                 keep[j][0].append(x)
                 keep[j][1].append(y)
-        for c, vc in zip(kids, held):
+        for c, vc, kept in zip(kids, held, keep):
             seats[c] = vc
+            caps[c] = kept
         return
-    a, b = sorted(kids)
-    na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
-    pa = da * nb
-    pb = db * na
     an = ad = bn = bd = None
-    if children[a]:
-        nums, dens = out.setdefault(a, ([], []))
+    if ka:
+        nums, dens = caps[a] = ([], [])
         an, ad = nums.append, dens.append
-    if children[b]:
-        nums, dens = out.setdefault(b, ([], []))
+    if kb:
+        nums, dens = caps[b] = ([], [])
         bn, bd = nums.append, dens.append
     sa = sb = 0
     # (s + 1) * p for each child: the lower one ranks first
@@ -425,33 +499,27 @@ def _uc_split(seats, kids, wnum, wden, children, qns, qds, out) -> None:
     seats[b] = sb
 
 
-def _uc_split_two(seats, kids, wnum, wden, children, xs, q, out) -> None:
+def _uc_split_two(seats, rec, xs, caps) -> None:
     """Split a two-child node's seats under the upper-compliant method.
 
-    The node's ``k``-th seat brought the cap ``xs[k] / q``, ``q`` the
-    product ``Q_i`` of the weight denominators on the node's root path.
-    A child ``c`` counts in units of its own ``Q_c = q * wden[c]``: it
+    ``rec`` is the node's record of the split plan.  The node's ``k``-th
+    seat brought the cap ``xs[k] / Q_i``, ``Q_i`` the product of the
+    weight denominators on the node's root path.
+    A child ``c`` counts in units of its own ``Q_c = Q_i * wden[c]``: it
     holds ``t_c = s_c * Q_c``, kept by addition, is eligible while
     ``t_c < x`` with ``x = X * wnum[c]`` (that is ``s_c < cap * w_c``),
     and passes on ``min(x, t_c)`` after the seat, over ``Q_c``.  The
     ranking and the override are :func:`_uc_split`'s, whose docstring
     shows that an overriding child passes on ``x`` unclamped.  Each
-    non-leaf child gets ``(list, Q_c)`` in ``out``.
+    non-leaf child gets its list in ``caps``.
     """
-    a, b = sorted(kids)
-    na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
-    pa = da * nb
-    pb = db * na
-    qa = q * da
-    qb = q * db
+    _, a, b, na, _, nb, _, pa, pb, (_, qa, qb, ka, kb) = rec
     add_a = add_b = None
-    if children[a]:
-        keep = []
-        out[a] = (keep, qa)
+    if ka:
+        keep = caps[a] = []
         add_a = keep.append
-    if children[b]:
-        keep = []
-        out[b] = (keep, qb)
+    if kb:
+        keep = caps[b] = []
         add_b = keep.append
     ta = tb = 0
     # (s + 1) * p for each child: the lower one ranks first

@@ -12,6 +12,7 @@ import pytest
 
 from apportree import (
     Allocation,
+    Instance,
     QuotaMode,
     allocation_to_json,
     brute_force_both_quotas,
@@ -25,7 +26,7 @@ from apportree.cli import SEED_ENV_VAR, main
 import apportree.cli as cli
 import apportree.core as core
 
-from conftest import make_deep7, make_flat5, make_nested5, make_sym7
+from conftest import flat_instance, make_deep7, make_flat5, make_nested5, make_sym7
 
 
 @pytest.fixture
@@ -146,6 +147,57 @@ class TestAllocate:
         assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "11"]) == 1
         # the other methods' work does not grow with h
         assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "11"]) == 0
+
+    def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
+        # one node of 30 children with six-decimal weights: D = 10**6
+        raw = [33333] * 29 + [10**6 - 29 * 33333]
+        inst = flat_instance([Fraction(r, 10**6) for r in raw])
+        path = write(tmp_path, "wide.json", instance_to_json(inst))
+        start = perf_counter()
+        assert main(["allocate", path, "--method", "quota", "--seats", "100000"]) == 1
+        assert perf_counter() - start < 5
+        assert capsys.readouterr() == (
+            "",
+            "error: quota at h=100000 may walk 3000000 child visits at nodes with "
+            "three or more children, over the budget of 2000000\n",
+        )
+        # the same house is O(b) work for the divisor methods
+        assert main(["allocate", path, "--method", "jefferson", "--seats", "100000"]) == 0
+
+    def test_quota_budget_is_the_smaller_bound(self, flat5_file, capsys, monkeypatch):
+        # flat5's four children have D = 20: at most 4 * 19 = 76 visits,
+        # and at most 4 * h of them at a house of h
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 75)
+        argv = ["allocate", flat5_file, "--method", "quota", "--seats"]
+        assert main(argv + ["18"]) == 0
+        assert main(argv + ["19"]) == 1
+        assert capsys.readouterr().err.startswith("error: quota at h=19 may walk 76 child visits")
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 76)
+        assert main(argv + ["1000000000"]) == 0
+        # the other methods' work does not depend on D
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
+        assert main(["allocate", flat5_file, "--method", "jefferson", "--seats", "19"]) == 0
+
+    def test_quota_budget_sums_the_depths(self, tmp_path, capsys, monkeypatch):
+        # a root of three children (D = 3) over two of flat5's shape (D = 20)
+        # at depth 1: min(3 * 2, 3 * h) + min(2 * 4 * 19, 4 * h), the
+        # two-child node free
+        parents = [None, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
+        group = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
+        third = Fraction(1, 3)
+        inst = Instance(parents, [Fraction(1), third, third, third] + group + group + [Fraction(1, 2)] * 2)
+        path = write(tmp_path, "levels.json", instance_to_json(inst))
+        argv = ["allocate", path, "--method", "quota", "--seats"]
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 158)
+        assert main(argv + ["1000"]) == 0
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 157)
+        assert main(argv + ["1000"]) == 1
+        assert main(argv + ["37"]) == 0
+        assert main(argv + ["38"]) == 1
+        # a binary tree costs nothing at any house
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
+        sym7 = write(tmp_path, "sym7.json", instance_to_json(make_sym7()))
+        assert main(["allocate", sym7, "--method", "quota", "--seats", "1000000000"]) == 0
 
     def test_trajectory_over_budget_exits_at_once(self, sym7_file, capsys):
         start = perf_counter()
@@ -468,6 +520,43 @@ class TestExperiment:
         assert main(self.FLAGS[:-1] + ["adams"]) == 0
         monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 30)
         assert main(self.FLAGS[:7] + ["--house-sizes", "1,10"] + self.FLAGS[9:]) == 0
+
+    def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
+        # 4-ary height 3, weights up to 10**6: each depth may walk 4 * h visits
+        cfg = {
+            "family": {"kind": "4ary", "height": 3}, "house_sizes": [10, 1000000],
+            "methods": ["adams", "quota"], "max_weight": 1000000,
+        }
+        path = write(tmp_path, "cfg.json", json.dumps(cfg))
+        start = perf_counter()
+        assert main(["experiment", "--config", path]) == 1
+        assert perf_counter() - start < 5
+        assert capsys.readouterr() == (
+            "",
+            "error: quota at h=1000000 may walk 12000000 child visits at nodes with "
+            "three or more children, over the budget of 2000000\n",
+        )
+
+    def test_quota_budget_bounds_d_by_the_largest_draw(self, capsys, monkeypatch):
+        # 4-ary height 2 has one 4-child node at depth 0 and two at depth 1;
+        # with draws up to 10, D <= 40: min(4 * 39, 4 * h) + min(8 * 39, 4 * h)
+        flags = [
+            "experiment", "--family", "4ary", "--height", "2", "--count", "2",
+            "--house-sizes", "1,10", "--methods", "quota",
+        ]
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 79)
+        assert main(flags) == 1
+        assert capsys.readouterr().err.startswith("error: quota at h=10 may walk 80 child visits")
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 80)
+        assert main(flags) == 0
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 467)
+        assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 1
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 468)
+        assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 0
+        # binary families and the other methods cost nothing
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
+        assert main(flags[:2] + ["binary"] + flags[3:]) == 0
+        assert main(flags[:-1] + ["adams,jefferson"]) == 0
 
     def test_malformed_config(self, tmp_path, capsys):
         path = write(tmp_path, "cfg.json", "{]")

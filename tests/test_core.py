@@ -124,6 +124,14 @@ class TestInstanceBasics:
         inst = Instance(parents=[None, 0, 0], weights=[1, "1/2", Fraction(1, 2)])
         assert inst.weights == (Fraction(1), Fraction(1, 2), Fraction(1, 2))
 
+    def test_weights_all_fractions_are_kept(self):
+        weights = [Fraction(1), Fraction(1, 3), Fraction(2, 3)]
+        inst = Instance(parents=[None, 0, 0], weights=iter(weights))
+        assert all(w is v for w, v in zip(inst.weights, weights))
+        mixed = Instance(parents=[None, 0, 0], weights=[Fraction(1), Fraction(1, 3), "2/3"])
+        assert mixed.weights == tuple(weights)
+        assert all(type(w) is Fraction for w in mixed.weights)
+
     def test_ancestors_root_is_its_own(self, sym7):
         assert ancestors_of(sym7, 0) == [0]
 
@@ -398,6 +406,18 @@ class TestCheckAllocation:
         with pytest.raises(ValueError):
             check_allocation(sym7, Allocation(0, (0, 0, 0, 0, 0, -1, 1)))
 
+    @pytest.mark.parametrize("bad", [-1, True, 1.0, "1", None])
+    def test_bad_seat_named_by_node(self, sym7, bad):
+        seats = (6, 1, 2, 1, 2, 3, 3)
+        alloc = Allocation(6, seats[:4] + (bad,) + seats[5:])
+        with pytest.raises(ValueError, match=r"^seat count for node 4 must be a non-negative integer$"):
+            check_allocation(sym7, alloc)
+
+    def test_int_subclass_seats_accepted(self, sym7):
+        seats = (6, 1, 2, 1, 2, 3, 3)
+        report = check_allocation(sym7, Allocation(6, tuple(map(NodeId, seats))))
+        assert report == check_allocation(sym7, Allocation(6, seats))
+
     @given(irregular_instances(), st.integers(0, 40), st.randoms(use_true_random=False))
     def test_flags_match_definition(self, inst, h, rand):
         seats = random_seats(inst, h, rand)
@@ -556,3 +576,14 @@ class TestJson:
     def test_bad_allocation_documents(self, text):
         with pytest.raises(ValueError):
             allocation_from_json(text)
+
+    @pytest.mark.parametrize(
+        "seats", ["[2, 1, -1]", "[2, true, 1]", "[2, 1.0, 1]", "[2, null, 1]", "[2, [1], 1]", '{"0": 2}']
+    )
+    def test_bad_seat_lists(self, seats):
+        with pytest.raises(ValueError, match=r'^"seats" must be a list of non-negative integers$'):
+            allocation_from_json(f'{{"h": 2, "seats": {seats}}}')
+
+    def test_empty_and_huge_seat_lists_parse(self):
+        assert allocation_from_json('{"h": 0, "seats": []}') == Allocation(0, ())
+        assert allocation_from_json(f'{{"h": 0, "seats": [0, {10**30}]}}').seats == (0, 10**30)

@@ -18,7 +18,10 @@ from apportree import (
     SplitMix64,
     TreeFamily,
     TreeKind,
+    allocate_both_quotas,
     check_allocation,
+    instance_from_json,
+    instance_to_json,
     random_instance,
     relative_entitlements,
     run_method,
@@ -572,3 +575,62 @@ class TestValidationOnce:
         for method in MethodKind:
             with pytest.raises(InvalidInstanceError):
                 run_method(bad, method, 3)
+
+
+def heavy_spine(levels: int) -> Instance:
+    """A spine of two-child nodes, weights 9999/10000 and 1/10000, so each
+    level multiplies the caps denominator by 10**4."""
+    parents: list[int | None] = [None]
+    weights = [Fraction(1)]
+    for _ in range(levels):
+        tip = len(parents) - 2 if len(parents) > 1 else 0
+        parents += [tip, tip]
+        weights += [Fraction(9999, 10000), Fraction(1, 10000)]
+    return Instance(parents, weights)
+
+
+class TestSplitPlan:
+    """Each instance's per-node split data is built once, on its first
+    cascade, and only there."""
+
+    def test_plan_is_built_once(self, deep7, monkeypatch):
+        calls = []
+        original = methods._build_plan
+        monkeypatch.setattr(methods, "_build_plan", lambda inst: calls.append(1) or original(inst))
+        for method in MethodKind:
+            for h in (0, 5, 9, 1000):
+                run_method(deep7, method, h)
+        run_method(deep7, MethodKind.QUOTA, 12).allocation_at(7)
+        assert len(calls) == 1
+
+    def test_loading_and_auditing_build_no_plan(self, deep7):
+        inst = instance_from_json(instance_to_json(deep7))
+        alloc = allocate_both_quotas(inst, 7)
+        core._audit(inst, alloc, QuotaMode.ALL_ANCESTORS)
+        check_allocation(inst, alloc)
+        assert inst._plan is None
+        run_method(inst, MethodKind.ADAMS, 7)
+        assert inst._plan is not None
+
+    @pytest.mark.parametrize("inst", [heavy_spine(200), caterpillar(8, 1000)], ids=["spine", "caterpillar"])
+    def test_no_stored_q_passes_the_limit(self, inst):
+        run_method(inst, MethodKind.UC_QUOTA, 50)
+        plan = inst._plan
+        assert len(plan) == sum(1 for kids in inst.children if kids)
+        for _, _, _, _, _, _, _, _, _, (q, qa, qb, _, _) in plan:
+            assert 0 <= q <= methods._Q_LIMIT
+            assert 0 <= qa <= methods._Q_LIMIT and 0 <= qb <= methods._Q_LIMIT
+        # the spine's caps switch to pairs five levels down, and stay so
+        if inst.n == 401:
+            assert [rec[9][0] > 0 for rec in plan] == [True] * 5 + [False] * 195
+
+    def test_records(self, flat5, nested5):
+        # two children in id order with their cross products, or the
+        # children and the lcm of their weight denominators
+        # and the caps denominators: Q_0 = 1, Q_1 = 9, and both children's
+        assert methods._split_plan(reversed_children(nested5)) == [
+            (0, 1, 2, 8, 9, 1, 9, 9, 72, (1, 9, 9, True, False)),
+            (1, 3, 4, 8, 9, 1, 9, 9, 72, (9, 81, 81, False, False)),
+        ]
+        (rec,) = methods._split_plan(reversed_children(flat5))
+        assert rec[:4] == (0, (1, 2, 3, 4), None, 20)
