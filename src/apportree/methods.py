@@ -44,19 +44,24 @@ on ``min(cap * w_c, v_c)``.  So a node is split in one pass over the caps
 its seats bring, in arrival order, O(v) per node and O(h) per level.
 Node ``i``'s caps are kept as one list of integers ``X`` over a
 denominator ``Q_i`` shared by the whole list, the product of the weight
-denominators on its root path (``Q_0 = 1``), so a seat at a two-child
-node costs one multiplication ``X * wnum[c]`` and integer comparisons.
-``Q_i`` grows with depth, so a node whose children's ``Q`` would pass
-2**60, or that has more than two children, hands its list on as
-``(numerator, denominator)`` pairs, and its subtree keeps that form,
-where clamping a cap to a count resets its denominator to 1.  The
-command line refuses an upper-compliant run over a fixed budget of
-``h * height`` seat-levels, and a quota run over one of child visits;
-the library sets no bound.  What a split reads of a node that does not
-depend on ``h`` (its sorted children, their weights' cross products,
-``D`` and ``Q_i``) is built once per instance, on its first allocation,
-and kept.  The walk reads none of it: it stays the trajectory API and
-the reference the cascade is tested against.
+denominators on its root path (``Q_0 = 1``), so a seat costs one
+multiplication ``X * wnum[c]`` and integer comparisons.  ``Q_i`` grows
+with depth, so a node whose children's ``Q`` would pass 2**60 hands its
+list on as ``(numerator, denominator)`` pairs, and its subtree keeps that
+form, where clamping a cap to a count resets its denominator to 1.  A
+node with one child or more than two does not rank its children seat by
+seat: the seats go down the children's Jefferson order, which one
+integer sort lays out and which repeats every ``D`` seats, and only a
+seat whose next child is at its cap, a few percent of them, looks for
+the eligible child with the least key.  The command line refuses an
+upper-compliant run over a fixed budget of ``h * height`` seat-levels,
+and a quota run over one of child visits; the library sets no bound.
+What a split reads of a node that does not depend on ``h`` (its sorted
+children, their weights' cross products, ``D`` and ``Q_i``) is built once
+per instance, on its first allocation, and kept, and so is one period of
+the Jefferson order, on the node's first upper-compliant split.  The
+walk reads none of it: it stays the trajectory API and the reference the
+cascade is tested against.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, count, repeat
 
 from .core import Allocation, Instance, _check_house, _fast_arrays
 
@@ -74,6 +79,11 @@ from .core import Allocation, Instance, _check_house, _fast_arrays
 # the subtree's caps go in (numerator, denominator) pairs, whose clamp to
 # a count resets the denominator to 1
 _Q_LIMIT = 1 << 60
+
+# a node with one child or more than two keeps one period of its
+# children's Jefferson order in the split plan while the period, D seats,
+# is at most this long; past it a split sorts windows of this many seats
+_ORDER_WINDOW = 1 << 10
 
 
 class MethodKind(Enum):
@@ -207,23 +217,40 @@ def _build_plan(inst: Instance) -> list[tuple]:
     """What every cascade reads of each node, whatever the house size.
 
     One record per node with children, in breadth-first order (so after
-    its parent's): ``(i, a, b, na, da, nb, db, pa, pb, uc)``.
+    its parent's).  A node with two children has the record
+    ``(i, a, b, na, da, nb, db, pa, pb, (q, qa, qb, ka, kb))``:
 
-    * Two children: ``a < b``, weights ``na / da`` and ``nb / db``, and
+    * ``a < b``, weights ``na / da`` and ``nb / db``, and
       ``pa = da * nb``, ``pb = db * na``, so that the keys ``s_a / w_a``
-      and ``s_b / w_b`` compare as ``s_a * pa`` and ``s_b * pb``.
-    * One child, or more than two: ``a`` is the children in id order,
-      ``b`` is ``None``, ``na`` is ``D``, the lcm of their weight
-      denominators, and the other numbers are 0.
+      and ``s_b / w_b`` compare as ``s_a * pa`` and ``s_b * pb``;
+    * ``q`` is the node's ``Q_i`` if its caps come as one list of
+      numerators, else 0: they come as pairs, and so do its whole
+      subtree's;
+    * ``qa = q * da`` and ``qb = q * db`` are the two children's ``Q`` if
+      the node hands its caps on as one list, both at most ``_Q_LIMIT``,
+      else 0;
+    * ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that
+      is, whether they keep the caps they pass on.
 
-    ``uc = (q, qa, qb, ka, kb)`` is for the upper-compliant split.  ``q``
-    is the node's ``Q_i`` if its caps come as one list of numerators, else
-    0: they come as pairs, and so do its whole subtree's.  ``qa = q * da``
-    and ``qb = q * db`` are the two children's ``Q`` if the node splits
-    its list as one, both at most ``_Q_LIMIT``, else 0.  So no stored
-    ``Q`` passes ``_Q_LIMIT``, and the plan stays O(n) words at any depth.
-    ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that is,
-    whether they keep the caps they pass on.
+    A node with one child, or more than two, has the record
+    ``(i, kids, None, D, wn, wd, 0, 0, 0, (q, qc, keep, unit, L, period))``:
+
+    * ``kids`` are the children in id order, ``D`` the lcm of their
+      weight denominators, ``wn`` and ``wd`` their weight numerators and
+      denominators;
+    * ``q`` is as above, and ``qc`` the children's ``Q``, ``q * wd[j]``,
+      if all are at most ``_Q_LIMIT``, else 0;
+    * ``keep`` tells, per child, whether it has children;
+    * ``unit`` holds the children's Jefferson units ``wd[j] * (L //
+      wn[j])``, ``L`` the lcm of the weight numerators, so that the key
+      ``(s + 1) / w_j`` is ``(s + 1) * unit[j]`` over ``L``;
+    * ``period`` is ``None`` if ``D`` is more than ``_ORDER_WINDOW``,
+      else a list that the node's first upper-compliant split fills with
+      one period of the children's Jefferson order (see
+      :func:`_jefferson_order`), so that the other methods never build it.
+
+    So no stored ``Q`` passes ``_Q_LIMIT``, and the plan stays O(n) words
+    at any depth.
     """
     order, _, _, _, wnum, wden, children = _fast_arrays(inst)
     # Q_i of the nodes whose caps come as one list, 0 for the others
@@ -238,8 +265,19 @@ def _build_plan(inst: Instance) -> list[tuple]:
         q = qs[i]
         if len(kids) != 2:
             kids = tuple(sorted(kids))
-            d = lcm(*[wden[c] for c in kids])
-            plan.append((i, kids, None, d, 0, 0, 0, 0, 0, (q, 0, 0, False, False)))
+            wn = tuple([wnum[c] for c in kids])
+            wd = tuple([wden[c] for c in kids])
+            d = lcm(*wd)
+            top = lcm(*wn)
+            unit = tuple([y * (top // x) for x, y in zip(wn, wd)])
+            keep = tuple([bool(children[c]) for c in kids])
+            qc = 0
+            if q and q * max(wd) <= _Q_LIMIT:
+                qc = tuple([q * y for y in wd])
+                for c, y in zip(kids, qc):
+                    qs[c] = y
+            period = [] if d <= _ORDER_WINDOW else None
+            plan.append((i, kids, None, d, wn, wd, 0, 0, 0, (q, qc, keep, unit, top, period)))
             continue
         a, b = sorted(kids)
         na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
@@ -297,11 +335,12 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     the node's seats bring, in arrival order.  The root's ``t``-th seat
     brings the cap ``t``.  A node's caps come either as one list of
     numerators over its ``Q_i`` (see the module docstring), which
-    :func:`_uc_split_two` splits at a two-child node while the children's
-    ``Q`` stay within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split`
-    splits; a list reaches it as pairs over ``repeat(Q_i)``.
+    :func:`_uc_split_two` splits at a two-child node and
+    :func:`_uc_split_wide` at any other while the children's ``Q`` stay
+    within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split` splits; a
+    list reaches it as pairs over ``repeat(Q_i)``.
     """
-    _, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    _, _, _, _, wnum, wden, _ = _fast_arrays(inst)
     plan = _split_plan(inst)
     seats = [0] * inst.n
     seats[0] = h
@@ -318,13 +357,18 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                 continue
             xs = caps[i]
             caps[i] = None
-            q, qa, _, _, _ = rec[9]
-            if qa:
-                _uc_split_two(seats, rec, xs, caps)
-            elif q:
-                _uc_split(seats, rec, xs, repeat(q), caps, wnum, wden, children)
+            uc = rec[9]
+            # uc[1] is the children's Q if the caps go on as one list,
+            # uc[0] the node's Q_i if they came as one; else each is 0
+            if uc[1]:
+                if rec[2] is None:
+                    _uc_split_wide(seats, rec, xs, caps)
+                else:
+                    _uc_split_two(seats, rec, xs, caps)
+            elif uc[0]:
+                _uc_split(seats, rec, xs, repeat(uc[0]), caps)
             else:
-                _uc_split(seats, rec, xs[0], xs[1], caps, wnum, wden, children)
+                _uc_split(seats, rec, xs[0], xs[1], caps)
         return seats
     if kind is MethodKind.ADAMS:
         for i, a, b, na, da, nb, db, pa, pb, _ in plan:
@@ -388,7 +432,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     return seats
 
 
-def _uc_split(seats, rec, qns, qds, caps, wnum, wden, children) -> None:
+def _uc_split(seats, rec, qns, qds, caps) -> None:
     """Split one node's seats under the upper-compliant method, caps in pairs.
 
     ``rec`` is the node's record of the split plan.  The node's ``k``-th
@@ -412,41 +456,47 @@ def _uc_split(seats, rec, qns, qds, caps, wnum, wden, children) -> None:
     with ``v`` the node's count after the seat, ranking first gives
     ``s_a < v * w_a``, so ``cap <= s_a / w_a < v``, and then
     ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
-    (v - cap) <= 0``.
+    (v - cap) <= 0``.  Other nodes rank as :func:`_uc_split_wide` does.
     """
-    _, a, b, na, da, nb, db, pa, pb, (_, _, _, ka, kb) = rec
-    if b is None:
-        kids = a
-        # key[j] = (s + 1) * unit[j] is child j's Jefferson key (s + 1) / w
-        # over the lcm of the weight numerators, all integers
-        lcm = math.lcm(*(wnum[c] for c in kids))
-        unit = [wden[c] * (lcm // wnum[c]) for c in kids]
-        key = unit[:]
+    if rec[2] is None:
+        _, kids, _, _, wn, wd, _, _, _, uc = rec
+        _, _, keep, unit, top, _ = uc
         held = [0] * len(kids)
-        keep = [([], []) if children[c] else None for c in kids]
+        kept = [([], []) if k else None for k in keep]
+        ones = (1,) * len(kids)
+        skip = [0] * len(kids)
+        skips = 0
+        nxt = _jefferson_order(rec, len(qns)).__next__
+        j = nxt()
         for qn, qd in zip(qns, qds):
-            k = min(key)
-            j = key.index(k)
-            # eligible: s < cap * w, that is s * unit < qn / qd * lcm
-            top = qn * lcm
-            if (k - unit[j]) * qd >= top:
-                # the first-ranked child is at its cap: the best one under it
-                j = min((k, m) for m, k in enumerate(key) if (k - unit[m]) * qd < top)[1]
-            key[j] += unit[j]
-            held[j] += 1
-            if keep[j]:
-                c = kids[j]
-                vc = held[j]
-                x = qn * wnum[c]
-                y = qd * wden[c]
+            m = j
+            x = qn * wn[j]
+            y = qd * wd[j]
+            if held[j] * y < x:
+                j = nxt()
+                if skips:
+                    while skip[j]:
+                        skip[j] -= 1
+                        skips -= 1
+                        j = nxt()
+            else:
+                m = _least_eligible(held, ones, unit, qn * top, qd)
+                x = qn * wn[m]
+                y = qd * wd[m]
+                skip[m] += 1
+                skips += 1
+            vc = held[m] + 1
+            held[m] = vc
+            if kept[m]:
                 if x >= vc * y:
                     x, y = vc, 1
-                keep[j][0].append(x)
-                keep[j][1].append(y)
-        for c, vc, kept in zip(kids, held, keep):
+                kept[m][0].append(x)
+                kept[m][1].append(y)
+        for c, vc, pair in zip(kids, held, kept):
             seats[c] = vc
-            caps[c] = kept
+            caps[c] = pair
         return
+    _, a, b, na, da, nb, db, pa, pb, (_, _, _, ka, kb) = rec
     an = ad = bn = bd = None
     if ka:
         nums, dens = caps[a] = ([], [])
@@ -551,6 +601,118 @@ def _uc_split_two(seats, rec, xs, caps) -> None:
                 add_a(x * na)
     seats[a] = ta // qa
     seats[b] = tb // qb
+
+
+def _uc_split_wide(seats, rec, xs, caps) -> None:
+    """Split the seats of a node with one child or more than two under the
+    upper-compliant method, caps in one list.
+
+    ``rec`` is the node's record of the split plan, and the node's
+    ``k``-th seat brought the cap ``xs[k] / Q_i``.  Children count in
+    units of their own ``Q`` and pass on ``min(x, t)`` as in
+    :func:`_uc_split_two`.  A seat goes to the child with the least key
+    ``(s + 1) / w`` among those under the cap, the tie to the lower id.
+    Without a cap that is the next child in Jefferson order, which
+    :func:`_jefferson_order` lays out up front, so the loop mostly just
+    reads the next child.  If that child is at its cap, which is rare, the
+    eligible child with the least key takes the seat instead, and its
+    entry further on in the order is skipped when the loop reaches it.
+    """
+    _, kids, _, _, wn, _, _, _, _, uc = rec
+    q, qc, keep, unit, top, _ = uc
+    t = [0] * len(kids)
+    adds = [None] * len(kids)
+    for j, c in enumerate(kids):
+        if keep[j]:
+            kept = caps[c] = []
+            adds[j] = kept.append
+    skip = [0] * len(kids)
+    skips = 0
+    nxt = _jefferson_order(rec, len(xs)).__next__
+    j = nxt()
+    for x in xs:
+        m = j
+        y = x * wn[j]
+        if t[j] < y:
+            j = nxt()
+            if skips:
+                while skip[j]:
+                    skip[j] -= 1
+                    skips -= 1
+                    j = nxt()
+        else:
+            m = _least_eligible(t, qc, unit, x * top, q)
+            y = x * wn[m]
+            skip[m] += 1
+            skips += 1
+        tm = t[m] + qc[m]
+        t[m] = tm
+        add = adds[m]
+        if add:
+            add(y if y < tm else tm)
+    for c, tc, qm in zip(kids, t, qc):
+        seats[c] = tc // qm
+
+
+def _jefferson_order(rec, v) -> Iterator[int]:
+    """The children of a node with ``b`` children in Jefferson order, one
+    per seat: the node's record of the split plan, ``v`` its seats.
+
+    Child ``j``'s ``k``-th seat has the key ``k * unit[j]`` over ``L``
+    (see :func:`_build_plan`); a split of ``v`` seats reads at most
+    ``v + 1`` entries.  The order is periodic: at the key ``D * L`` every
+    child ``j`` has exactly ``D * w_j`` seats, ``D`` in all, and from
+    there the pattern repeats with every key moved by ``D * L``.  So if
+    ``D`` is at most ``_ORDER_WINDOW``, one period is built on the node's
+    first split, kept in the plan, and repeated.  Otherwise the order
+    comes in windows of keys: the first holds every seat with a key up to
+    ``(v + b) * L`` (``v`` capped at ``_ORDER_WINDOW``), that is
+    ``floor((v + b) * w_j)`` seats of child ``j`` and more than ``v`` in
+    all, and each later one about ``_ORDER_WINDOW`` seats, so a large
+    split never sorts its whole house at once.
+    """
+    d = rec[3]
+    _, _, _, unit, top, period = rec[9]
+    if period is not None:
+        if not period:
+            period.append(_order_window(unit, 0, d * top))
+        return chain.from_iterable(repeat(period[0]))
+    # the windows (lo, hi] of keys, each lo the hi before it
+    first = (min(v, _ORDER_WINDOW) + len(unit)) * top
+    ends = count(first, _ORDER_WINDOW * top)
+    starts = chain([0], count(first, _ORDER_WINDOW * top))
+    return chain.from_iterable(map(_order_window, repeat(unit), starts, ends))
+
+
+def _order_window(unit, lo, hi) -> bytes | list[int]:
+    """The child indices of the seats with keys in ``(lo, hi]``, in
+    Jefferson order.  Each key is stored as ``key * b + j`` so that one
+    integer sort over ``b`` ranges puts equal keys in index order, the
+    walk's tie rule."""
+    b = len(unit)
+    keys = sorted(chain.from_iterable([
+        range((lo // u + 1) * u * b + j, hi // u * u * b + j + 1, u * b)
+        for j, u in enumerate(unit)
+    ]))
+    return (bytes if b <= 256 else list)(map(b.__rmod__, keys))
+
+
+def _least_eligible(t, qc, unit, top, den) -> int:
+    """The index of the child with the least key ``(s + 1) * unit`` among
+    those under the cap, ``s * unit * den < top``, the tie to the lower
+    index; child ``n`` holds ``s = t[n] // qc[n]`` seats.  Some child
+    always is under the cap (see the module docstring)."""
+    m = -1
+    least = 0
+    for n in range(len(unit)):
+        s = t[n] // qc[n]
+        u = unit[n]
+        if s * u * den < top:
+            k = (s + 1) * u
+            if m < 0 or k < least:
+                m = n
+                least = k
+    return m
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -625,6 +626,31 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "valid: 7 nodes"
+
+    def test_a_closed_pipe_exits_1_quietly(self, sym7_file):
+        # `allocate ... --trajectory | head -c 100`: the reader leaves while
+        # the 2 MB of output is still being written
+        argv = ["allocate", sym7_file, "--method", "jefferson", "--seats", "100000", "--trajectory"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apportree", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_a_closed_pipe_leaves_a_redirected_stdout_alone(self, sym7_file, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        closed = Closed()
+        monkeypatch.setattr(sys, "stdout", closed)
+        dups = []
+        monkeypatch.setattr(cli.os, "dup2", lambda *args: dups.append(args))
+        assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "3"]) == 1
+        assert sys.stdout is closed and dups == []
 
 
 class TestInputFiles:

@@ -375,7 +375,7 @@ class TestLevelCascade:
     def test_wide_nodes_match_the_walk(self, shares, method, h, flip):
         # Many children: the divisor methods give out up to b last seats
         # one at a time, quota walks the node seat by seat and UC-quota
-        # takes its generic, not its two-child, split.  Houses no bigger
+        # takes its wide, not its two-child, split.  Houses no bigger
         # than the node keep Adams children at zero, where weight breaks
         # ties.
         inst = flat_instance(shares)
@@ -406,7 +406,8 @@ class TestLevelCascade:
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_six_decimal_weights_on_thirty_children(self, flip):
-        # D = 10**6 for quota; UC-quota's generic split ranks the 30
+        # D = 10**6 for quota, and for UC-quota's wide split, which then
+        # sorts its Jefferson order window by window, ranking the 30
         # children over the lcm of their weight numerators.
         rng = SplitMix64(6)
         raw = [rng.randint(1, 30000) for _ in range(29)]
@@ -419,17 +420,103 @@ class TestLevelCascade:
                 walked, _ = _walk(inst, method, h)
                 assert run_method(inst, method, h).final.seats == tuple(walked)
 
-    def test_uc_quota_matches_the_walk_on_generated_trees(self):
+    @pytest.mark.parametrize("pair_caps", [False, True])
+    def test_uc_quota_matches_the_walk_on_generated_trees(self, monkeypatch, pair_caps):
         # The min with v_c in the caps a split passes on decides seats on
         # binary height 4 seed 571 at h=200 (a two-child split) and on
-        # 4-ary height 5 seed 910567 from h=944 (the generic split); the
-        # other 4-ary trees reach the generic split's cap test.
+        # 4-ary height 5 seed 910567 from h=944 (a wide split); the other
+        # 4-ary trees reach the wide split's cap test.  A limit of 0 sends
+        # every cap through the (numerator, denominator) split.
+        if pair_caps:
+            monkeypatch.setattr(methods, "_Q_LIMIT", 0)
         cases = [(TreeKind.PERFECT_BINARY, 4, 571, 10, 200), (TreeKind.FULL_4ARY, 5, 910567, 10, 1000)]
         cases += [(TreeKind.FULL_4ARY, 3, seed, 10, 200) for seed in range(40)]
         for kind, height, seed, max_weight, h in cases:
             inst = random_instance(TreeFamily(kind, height), seed, max_weight)
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    @given(
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([3, 10, 1000]),
+        st.integers(0, 500),
+        st.booleans(),
+    )
+    def test_uc_quota_wide_nodes_below_the_root(self, height, seed, max_weight, h, pair_caps):
+        # Every node with children has four, and below the root they get
+        # caps inherited from above, often below their own counts.  Weights
+        # up to 1000 give some nodes a Jefferson period D past
+        # _ORDER_WINDOW; a limit of 0 sends every cap through the
+        # (numerator, denominator) split.
+        inst = random_instance(TreeFamily(TreeKind.FULL_4ARY, height), seed, max_weight)
+        with pytest.MonkeyPatch.context() as patch:
+            if pair_caps:
+                patch.setattr(methods, "_Q_LIMIT", 0)
+            final = run_method(inst, MethodKind.UC_QUOTA, h).final
+        walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+        assert final.seats == tuple(walked)
+
+    def test_uc_quota_wide_nodes_below_a_heavy_spine(self):
+        # The spine's caps come as pairs from five levels down, so the
+        # four-child node at its tip, and the three-child node below that,
+        # split caps in (numerator, denominator) pairs.
+        inst = with_wide_nodes(heavy_spine(7), 13)
+        run_method(inst, MethodKind.UC_QUOTA, 0)
+        assert [rec[9][0] for rec in inst._plan if rec[2] is None] == [0, 0]
+        for h in (1, 2, 5, 37, 150, 1000, 3000):
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+            assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("pair_caps", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_one_child_nodes(self, monkeypatch, pair_caps, flip):
+        # An only child takes every seat and passes on min(cap, v); here
+        # only children sit above, between and below wide nodes.
+        if pair_caps:
+            monkeypatch.setattr(methods, "_Q_LIMIT", 0)
+        inst = Instance(
+            [None, 0, 1, 1, 1, 2, 5, 5, 5, 3, 9, 9, 10],
+            [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1),
+             Fraction(2, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1), Fraction(1, 4), Fraction(3, 4),
+             Fraction(1)],
+        )
+        if flip:
+            inst = reversed_children(inst)
+        for method in MethodKind:
+            for h in [*range(40), 500]:
+                walked, _ = _walk(inst, method, h)
+                assert run_method(inst, method, h).final.seats == tuple(walked)
+
+    def test_uc_quota_on_300_children(self):
+        # Past 256 children the Jefferson order holds child indices in a
+        # list, not bytes.
+        rng = SplitMix64(300)
+        raw = [rng.randint(1, 9) for _ in range(300)]
+        inst = flat_instance([Fraction(r, sum(raw)) for r in raw])
+        for h in (5, 299, 300, 1500):
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+            assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    def test_uc_quota_overrides_jefferson_at_a_wide_node(self, monkeypatch):
+        # Node 1 (weight 2/3) splits among nodes 3, 4 and 5 (1/2, 1/4,
+        # 1/4).  The second seat brings node 1 the cap 2 * 2/3 = 4/3.  All
+        # three children tie at key 4, and Jefferson's pick, node 3, holds
+        # 1 seat, not under its cap 4/3 * 1/2, so UC-quota gives the seat
+        # to node 4, the lower id of the two tied under the cap.
+        inst = Instance(
+            [None, 0, 0, 1, 1, 1],
+            [Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+        )
+        assert run_method(inst, MethodKind.JEFFERSON, 2).paths == ((0, 1, 3), (0, 1, 3))
+        assert run_method(inst, MethodKind.UC_QUOTA, 2).paths == ((0, 1, 3), (0, 1, 4))
+        overrides = []
+        least = methods._least_eligible
+        monkeypatch.setattr(methods, "_least_eligible", lambda *args: overrides.append(1) or least(*args))
+        for h in range(40):
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+            assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+        assert overrides
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_depth_1000_caterpillar(self, method):
@@ -589,6 +676,32 @@ def heavy_spine(levels: int) -> Instance:
     return Instance(parents, weights)
 
 
+def with_wide_nodes(inst: Instance, node: int) -> Instance:
+    """``inst`` with four children of weights 2/5, 3/10, 3/20 and 3/20
+    under ``node``, and three of weights 1/7, 2/7 and 4/7 under the
+    first of them."""
+    first = inst.n
+    parents = [*inst.parents, node, node, node, node, first, first, first]
+    weights = [*inst.weights, Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
+    weights += [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)]
+    return Instance(parents, weights)
+
+
+def wide_spine(levels: int) -> Instance:
+    """A spine of three-child nodes, weights 9998/10000, 1/10000 and
+    1/10000, the first continuing the spine, so each level multiplies
+    the caps denominator by 10**4."""
+    parents: list[int | None] = [None]
+    weights = [Fraction(1)]
+    tip = 0
+    for _ in range(levels):
+        first = len(parents)
+        parents += [tip, tip, tip]
+        weights += [Fraction(9998, 10000), Fraction(1, 10000), Fraction(1, 10000)]
+        tip = first
+    return Instance(parents, weights)
+
+
 class TestSplitPlan:
     """Each instance's per-node split data is built once, on its first
     cascade, and only there."""
@@ -612,25 +725,43 @@ class TestSplitPlan:
         run_method(inst, MethodKind.ADAMS, 7)
         assert inst._plan is not None
 
-    @pytest.mark.parametrize("inst", [heavy_spine(200), caterpillar(8, 1000)], ids=["spine", "caterpillar"])
+    @pytest.mark.parametrize(
+        "inst",
+        [heavy_spine(200), wide_spine(200), caterpillar(8, 1000)],
+        ids=["spine", "wide-spine", "caterpillar"],
+    )
     def test_no_stored_q_passes_the_limit(self, inst):
         run_method(inst, MethodKind.UC_QUOTA, 50)
         plan = inst._plan
         assert len(plan) == sum(1 for kids in inst.children if kids)
-        for _, _, _, _, _, _, _, _, _, (q, qa, qb, _, _) in plan:
-            assert 0 <= q <= methods._Q_LIMIT
-            assert 0 <= qa <= methods._Q_LIMIT and 0 <= qb <= methods._Q_LIMIT
-        # the spine's caps switch to pairs five levels down, and stay so
-        if inst.n == 401:
+        for rec in plan:
+            q, qc = rec[9][:2]
+            # a two-child record keeps qa and qb, a wider one all its children's Q
+            stored = [q, *(rec[9][1:3] if rec[2] is not None else qc or ())]
+            assert all(0 <= x <= methods._Q_LIMIT for x in stored)
+        # the spines' caps switch to pairs five levels down, and stay so
+        if inst.n in (401, 601):
             assert [rec[9][0] > 0 for rec in plan] == [True] * 5 + [False] * 195
 
     def test_records(self, flat5, nested5):
-        # two children in id order with their cross products, or the
-        # children and the lcm of their weight denominators
-        # and the caps denominators: Q_0 = 1, Q_1 = 9, and both children's
+        # two children in id order with their cross products and caps
+        # denominators: Q_0 = 1, Q_1 = 9, and both children's
         assert methods._split_plan(reversed_children(nested5)) == [
             (0, 1, 2, 8, 9, 1, 9, 9, 72, (1, 9, 9, True, False)),
             (1, 3, 4, 8, 9, 1, 9, 9, 72, (9, 81, 81, False, False)),
         ]
-        (rec,) = methods._split_plan(reversed_children(flat5))
-        assert rec[:4] == (0, (1, 2, 3, 4), None, 20)
+        # wider: the children, D, their weights, and for UC-quota their Q,
+        # keep flags, Jefferson units over L = lcm(2, 3, 3, 3) = 6 and a
+        # place for one period of Jefferson order, which the first UC-quota
+        # split fills: D = 20 seats, ties to the lower id
+        inst = reversed_children(flat5)
+        (rec,) = methods._split_plan(inst)
+        assert rec == (
+            0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), 0, 0, 0,
+            (1, (5, 10, 20, 20), (False,) * 4, (15, 20, 40, 40), 6, []),
+        )
+        run_method(inst, MethodKind.UC_QUOTA, 5)
+        period = bytes([0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3])
+        assert rec[9][5] == [period]
+        jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
+        assert bytes(path[1] - 1 for path in jefferson) == period * 2
