@@ -90,7 +90,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_plan")
+    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_plan", "_ucplan")
 
     def __init__(
         self,
@@ -126,6 +126,9 @@ class Instance:
         self._order: tuple[int, ...] | None = None
         # the methods' per-node split data, built on the first allocation
         self._plan: list[tuple] | None = None
+        # what only the upper-compliant method's splits read, built on its
+        # first allocation
+        self._ucplan: list[tuple] | None = None
 
     @property
     def n(self) -> int:

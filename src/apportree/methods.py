@@ -50,18 +50,19 @@ with depth, so a node whose children's ``Q`` would pass 2**60 hands its
 list on as ``(numerator, denominator)`` pairs, and its subtree keeps that
 form, where clamping a cap to a count resets its denominator to 1.  A
 node with one child or more than two does not rank its children seat by
-seat: the seats go down the children's Jefferson order, which one
-integer sort lays out and which repeats every ``D`` seats, and only a
-seat whose next child is at its cap, a few percent of them, looks for
-the eligible child with the least key.  The command line refuses an
-upper-compliant run over a fixed budget of ``h * height`` seat-levels,
-and a quota run over one of child visits; the library sets no bound.
-What a split reads of a node that does not depend on ``h`` (its sorted
-children, their weights' cross products, ``D`` and ``Q_i``) is built once
-per instance, on its first allocation, and kept, and so is one period of
-the Jefferson order, on the node's first upper-compliant split.  The
-walk reads none of it: it stays the trajectory API and the reference the
-cascade is tested against.
+seat: the seats go down the children's Jefferson order, which repeats
+every ``D`` seats and which integer sorts lay out, at most about a
+thousand seats of one period at a time, and only a seat whose next
+child is at its cap, a few percent of them, looks for the eligible
+child with the least key.  The command line refuses an upper-compliant
+run over a fixed budget of ``h * height`` seat-levels, and a quota run
+over one of child visits; the library sets no bound.  What a split
+reads of a node that does not depend on ``h`` (its sorted children,
+their weights' cross products and ``D``) is built once per instance, on
+its first allocation, and kept; what only the upper-compliant split
+reads (``Q_i``, and a wider node's Jefferson units) likewise, on the
+first upper-compliant allocation.  The walk reads none of it: it stays
+the trajectory API and the reference the cascade is tested against.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, cycle, repeat
 
 from .core import Allocation, Instance, _check_house, _fast_arrays
 
@@ -80,9 +81,8 @@ from .core import Allocation, Instance, _check_house, _fast_arrays
 # a count resets the denominator to 1
 _Q_LIMIT = 1 << 60
 
-# a node with one child or more than two keeps one period of its
-# children's Jefferson order in the split plan while the period, D seats,
-# is at most this long; past it a split sorts windows of this many seats
+# a split of a node with one child or more than two sorts one period of
+# its children's Jefferson order in windows of about this many seats
 _ORDER_WINDOW = 1 << 10
 
 
@@ -218,11 +218,47 @@ def _build_plan(inst: Instance) -> list[tuple]:
 
     One record per node with children, in breadth-first order (so after
     its parent's).  A node with two children has the record
-    ``(i, a, b, na, da, nb, db, pa, pb, (q, qa, qb, ka, kb))``:
+    ``(i, a, b, na, da, nb, db, pa, pb)``: ``a < b``, weights ``na / da``
+    and ``nb / db``, and ``pa = da * nb``, ``pb = db * na``, so that the
+    keys ``s_a / w_a`` and ``s_b / w_b`` compare as ``s_a * pa`` and
+    ``s_b * pb``.  A node with one child, or more than two, has the record
+    ``(i, kids, None, D, 0, 0, 0, 0, 0)``: its children in id order and
+    ``D``, the lcm of their weight denominators.  What only the
+    upper-compliant method reads is in :func:`_build_uc_plan`.
+    """
+    order, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    lcm = math.lcm
+    plan = []
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        if len(kids) != 2:
+            kids = tuple(sorted(kids))
+            plan.append((i, kids, None, lcm(*[wden[c] for c in kids]), 0, 0, 0, 0, 0))
+            continue
+        a, b = sorted(kids)
+        na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
+        plan.append((i, a, b, na, da, nb, db, da * nb, db * na))
+    return plan
 
-    * ``a < b``, weights ``na / da`` and ``nb / db``, and
-      ``pa = da * nb``, ``pb = db * na``, so that the keys ``s_a / w_a``
-      and ``s_b / w_b`` compare as ``s_a * pa`` and ``s_b * pb``;
+
+def _uc_plan(inst: Instance) -> list[tuple]:
+    """The instance's upper-compliant plan (see :func:`_build_uc_plan`),
+    built on the first upper-compliant allocation and kept."""
+    plan = inst._ucplan
+    if plan is None:
+        plan = inst._ucplan = _build_uc_plan(inst)
+    return plan
+
+
+def _build_uc_plan(inst: Instance) -> list[tuple]:
+    """What the upper-compliant cascade reads of each node besides its
+    record of the split plan: one record per split plan record, in the
+    same order, so the other methods never pay for it.
+
+    A node with two children ``a < b`` has ``(q, qa, qb, ka, kb)``:
+
     * ``q`` is the node's ``Q_i`` if its caps come as one list of
       numerators, else 0: they come as pairs, and so do its whole
       subtree's;
@@ -232,61 +268,47 @@ def _build_plan(inst: Instance) -> list[tuple]:
     * ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that
       is, whether they keep the caps they pass on.
 
-    A node with one child, or more than two, has the record
-    ``(i, kids, None, D, wn, wd, 0, 0, 0, (q, qc, keep, unit, L, period))``:
+    A node with one child, or more than two, has
+    ``(q, qc, wn, wd, keep, unit, L)``:
 
-    * ``kids`` are the children in id order, ``D`` the lcm of their
-      weight denominators, ``wn`` and ``wd`` their weight numerators and
-      denominators;
     * ``q`` is as above, and ``qc`` the children's ``Q``, ``q * wd[j]``,
       if all are at most ``_Q_LIMIT``, else 0;
-    * ``keep`` tells, per child, whether it has children;
+    * ``wn`` and ``wd`` are the children's weight numerators and
+      denominators, in the split plan's id order, and ``keep`` tells, per
+      child, whether it has children;
     * ``unit`` holds the children's Jefferson units ``wd[j] * (L //
       wn[j])``, ``L`` the lcm of the weight numerators, so that the key
-      ``(s + 1) / w_j`` is ``(s + 1) * unit[j]`` over ``L``;
-    * ``period`` is ``None`` if ``D`` is more than ``_ORDER_WINDOW``,
-      else a list that the node's first upper-compliant split fills with
-      one period of the children's Jefferson order (see
-      :func:`_jefferson_order`), so that the other methods never build it.
+      ``(s + 1) / w_j`` is ``(s + 1) * unit[j]`` over ``L``.
 
     So no stored ``Q`` passes ``_Q_LIMIT``, and the plan stays O(n) words
     at any depth.
     """
-    order, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    _, _, _, _, wnum, wden, children = _fast_arrays(inst)
     # Q_i of the nodes whose caps come as one list, 0 for the others
     qs = [0] * inst.n
     qs[0] = 1
     lcm = math.lcm
     plan = []
-    for i in order:
-        kids = children[i]
-        if not kids:
-            continue
+    for i, a, b, _, da, _, db, _, _ in _split_plan(inst):
         q = qs[i]
-        if len(kids) != 2:
-            kids = tuple(sorted(kids))
-            wn = tuple([wnum[c] for c in kids])
-            wd = tuple([wden[c] for c in kids])
-            d = lcm(*wd)
-            top = lcm(*wn)
-            unit = tuple([y * (top // x) for x, y in zip(wn, wd)])
-            keep = tuple([bool(children[c]) for c in kids])
-            qc = 0
-            if q and q * max(wd) <= _Q_LIMIT:
-                qc = tuple([q * y for y in wd])
-                for c, y in zip(kids, qc):
-                    qs[c] = y
-            period = [] if d <= _ORDER_WINDOW else None
-            plan.append((i, kids, None, d, wn, wd, 0, 0, 0, (q, qc, keep, unit, top, period)))
+        if b is not None:
+            qa = qb = 0
+            if q and q * max(da, db) <= _Q_LIMIT:
+                qa = qs[a] = q * da
+                qb = qs[b] = q * db
+            plan.append((q, qa, qb, bool(children[a]), bool(children[b])))
             continue
-        a, b = sorted(kids)
-        na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
-        qa = qb = 0
-        if q and q * max(da, db) <= _Q_LIMIT:
-            qa = qs[a] = q * da
-            qb = qs[b] = q * db
-        uc = (q, qa, qb, bool(children[a]), bool(children[b]))
-        plan.append((i, a, b, na, da, nb, db, da * nb, db * na, uc))
+        wn = tuple([wnum[c] for c in a])
+        wd = tuple([wden[c] for c in a])
+        qc = 0
+        if q and q * max(wd) <= _Q_LIMIT:
+            qc = tuple([q * y for y in wd])
+            for c, y in zip(a, qc):
+                qs[c] = y
+        top = lcm(*wn)
+        unit = tuple([y * (top // x) for x, y in zip(wn, wd)])
+        keep = tuple([bool(children[c]) for c in a])
+        plan.append((q, qc, wn, wd, keep, unit, top))
     return plan
 
 
@@ -295,7 +317,7 @@ def _wide_splits(inst: Instance) -> list[tuple[int, int, int]]:
     split plan: what the quota method's walk at ``i`` costs."""
     return [
         (i, len(kids), d)
-        for i, kids, b, d, _, _, _, _, _, _ in _split_plan(inst)
+        for i, kids, b, d, _, _, _, _, _ in _split_plan(inst)
         if b is None and len(kids) >= 3
     ]
 
@@ -306,9 +328,11 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     Each node, in breadth-first order, splits its seats among its children
     as the single-level method would, reading its record of the
     instance's split plan (:func:`_build_plan`, built on the first call
-    and kept on the instance).  The divisor methods jump-start
-    every child at a count its first seats provably reach before the
-    walk's ``v``-th seat, then give out the few left one by one:
+    and kept on the instance) and, for the upper-compliant method, of its
+    upper-compliant plan (:func:`_build_uc_plan`).  The divisor methods
+    jump-start every child at a count its first seats provably reach
+    before the walk's ``v``-th seat, then give out the few left one by
+    one:
 
     * Jefferson starts at ``floor(v * w)``: each of those seats has key
       ``k / w <= v``, and there are at most ``v`` such seats in all, so
@@ -337,8 +361,9 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     numerators over its ``Q_i`` (see the module docstring), which
     :func:`_uc_split_two` splits at a two-child node and
     :func:`_uc_split_wide` at any other while the children's ``Q`` stay
-    within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split` splits; a
-    list reaches it as pairs over ``repeat(Q_i)``.
+    within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split` and
+    :func:`_uc_split_wide_pairs` split; a list reaches them as pairs over
+    ``repeat(Q_i)``.
     """
     _, _, _, _, wnum, wden, _ = _fast_arrays(inst)
     plan = _split_plan(inst)
@@ -351,27 +376,28 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
         # are dropped once the node is split
         caps = [None] * inst.n
         caps[0] = range(1, h + 1)
-        for rec in plan:
+        for rec, uc in zip(plan, _uc_plan(inst)):
             i = rec[0]
             if not seats[i]:
                 continue
             xs = caps[i]
             caps[i] = None
-            uc = rec[9]
             # uc[1] is the children's Q if the caps go on as one list,
             # uc[0] the node's Q_i if they came as one; else each is 0
             if uc[1]:
                 if rec[2] is None:
-                    _uc_split_wide(seats, rec, xs, caps)
+                    _uc_split_wide(seats, rec, uc, xs, caps)
                 else:
-                    _uc_split_two(seats, rec, xs, caps)
-            elif uc[0]:
-                _uc_split(seats, rec, xs, repeat(uc[0]), caps)
+                    _uc_split_two(seats, rec, uc, xs, caps)
+                continue
+            qns, qds = (xs, repeat(uc[0])) if uc[0] else xs
+            if rec[2] is None:
+                _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps)
             else:
-                _uc_split(seats, rec, xs[0], xs[1], caps)
+                _uc_split(seats, rec, uc, qns, qds, caps)
         return seats
     if kind is MethodKind.ADAMS:
-        for i, a, b, na, da, nb, db, pa, pb, _ in plan:
+        for i, a, b, na, da, nb, db, pa, pb in plan:
             v = seats[i]
             if not v:
                 continue
@@ -402,7 +428,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             seats[b] = sb
         return seats
     is_quota = kind is MethodKind.QUOTA
-    for i, a, b, na, da, nb, db, pa, pb, _ in plan:
+    for i, a, b, na, da, nb, db, pa, pb in plan:
         v = seats[i]
         if not v:
             continue
@@ -432,11 +458,13 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     return seats
 
 
-def _uc_split(seats, rec, qns, qds, caps) -> None:
-    """Split one node's seats under the upper-compliant method, caps in pairs.
+def _uc_split(seats, rec, uc, qns, qds, caps) -> None:
+    """Split a two-child node's seats under the upper-compliant method,
+    caps in pairs.
 
-    ``rec`` is the node's record of the split plan.  The node's ``k``-th
-    seat brought the cap ``qns[k] / qds[k]``: pairs
+    ``rec`` and ``uc`` are the node's records of the split plan and the
+    upper-compliant plan.  The node's ``k``-th seat brought the cap
+    ``qns[k] / qds[k]``: pairs
     below a node whose children's ``Q`` would pass ``_Q_LIMIT``, or a
     list of numerators with ``qds`` repeating its ``Q_i``.  Which child a
     seat goes to depends only on that cap and the counts of the node's
@@ -448,7 +476,7 @@ def _uc_split(seats, rec, qns, qds, caps) -> None:
     Numerators and denominators go in two lists of ints, which the
     garbage collector does not track as it would a tuple per seat.
 
-    A two-child node keeps both counts in locals and ranks the children by
+    Both counts are kept in locals, and the children rank by
     ``(s + 1) * p`` against each other, ``p`` the sibling's weight
     numerator times the child's own weight denominator; the tie goes to
     the lower node id.  If the first-ranked child ``a`` is at its cap, the
@@ -456,47 +484,10 @@ def _uc_split(seats, rec, qns, qds, caps) -> None:
     with ``v`` the node's count after the seat, ranking first gives
     ``s_a < v * w_a``, so ``cap <= s_a / w_a < v``, and then
     ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
-    (v - cap) <= 0``.  Other nodes rank as :func:`_uc_split_wide` does.
+    (v - cap) <= 0``.
     """
-    if rec[2] is None:
-        _, kids, _, _, wn, wd, _, _, _, uc = rec
-        _, _, keep, unit, top, _ = uc
-        held = [0] * len(kids)
-        kept = [([], []) if k else None for k in keep]
-        ones = (1,) * len(kids)
-        skip = [0] * len(kids)
-        skips = 0
-        nxt = _jefferson_order(rec, len(qns)).__next__
-        j = nxt()
-        for qn, qd in zip(qns, qds):
-            m = j
-            x = qn * wn[j]
-            y = qd * wd[j]
-            if held[j] * y < x:
-                j = nxt()
-                if skips:
-                    while skip[j]:
-                        skip[j] -= 1
-                        skips -= 1
-                        j = nxt()
-            else:
-                m = _least_eligible(held, ones, unit, qn * top, qd)
-                x = qn * wn[m]
-                y = qd * wd[m]
-                skip[m] += 1
-                skips += 1
-            vc = held[m] + 1
-            held[m] = vc
-            if kept[m]:
-                if x >= vc * y:
-                    x, y = vc, 1
-                kept[m][0].append(x)
-                kept[m][1].append(y)
-        for c, vc, pair in zip(kids, held, kept):
-            seats[c] = vc
-            caps[c] = pair
-        return
-    _, a, b, na, da, nb, db, pa, pb, (_, _, _, ka, kb) = rec
+    _, a, b, na, da, nb, db, pa, pb = rec
+    _, _, _, ka, kb = uc
     an = ad = bn = bd = None
     if ka:
         nums, dens = caps[a] = ([], [])
@@ -549,12 +540,13 @@ def _uc_split(seats, rec, qns, qds, caps) -> None:
     seats[b] = sb
 
 
-def _uc_split_two(seats, rec, xs, caps) -> None:
+def _uc_split_two(seats, rec, uc, xs, caps) -> None:
     """Split a two-child node's seats under the upper-compliant method.
 
-    ``rec`` is the node's record of the split plan.  The node's ``k``-th
-    seat brought the cap ``xs[k] / Q_i``, ``Q_i`` the product of the
-    weight denominators on the node's root path.
+    ``rec`` and ``uc`` are the node's records of the split plan and the
+    upper-compliant plan.  The node's ``k``-th seat brought the cap
+    ``xs[k] / Q_i``, ``Q_i`` the product of the weight denominators on
+    the node's root path.
     A child ``c`` counts in units of its own ``Q_c = Q_i * wden[c]``: it
     holds ``t_c = s_c * Q_c``, kept by addition, is eligible while
     ``t_c < x`` with ``x = X * wnum[c]`` (that is ``s_c < cap * w_c``),
@@ -563,7 +555,8 @@ def _uc_split_two(seats, rec, xs, caps) -> None:
     shows that an overriding child passes on ``x`` unclamped.  Each
     non-leaf child gets its list in ``caps``.
     """
-    _, a, b, na, _, nb, _, pa, pb, (_, qa, qb, ka, kb) = rec
+    _, a, b, na, _, nb, _, pa, pb = rec
+    _, qa, qb, ka, kb = uc
     add_a = add_b = None
     if ka:
         keep = caps[a] = []
@@ -603,14 +596,14 @@ def _uc_split_two(seats, rec, xs, caps) -> None:
     seats[b] = tb // qb
 
 
-def _uc_split_wide(seats, rec, xs, caps) -> None:
+def _uc_split_wide(seats, rec, uc, xs, caps) -> None:
     """Split the seats of a node with one child or more than two under the
     upper-compliant method, caps in one list.
 
-    ``rec`` is the node's record of the split plan, and the node's
-    ``k``-th seat brought the cap ``xs[k] / Q_i``.  Children count in
-    units of their own ``Q`` and pass on ``min(x, t)`` as in
-    :func:`_uc_split_two`.  A seat goes to the child with the least key
+    ``rec`` and ``uc`` are the node's records of the split plan and the
+    upper-compliant plan, and the node's ``k``-th seat brought the cap
+    ``xs[k] / Q_i``.  Children count in units of their own ``Q`` and pass
+    on ``min(x, t)`` as in :func:`_uc_split_two`.  A seat goes to the child with the least key
     ``(s + 1) / w`` among those under the cap, the tie to the lower id.
     Without a cap that is the next child in Jefferson order, which
     :func:`_jefferson_order` lays out up front, so the loop mostly just
@@ -618,8 +611,8 @@ def _uc_split_wide(seats, rec, xs, caps) -> None:
     eligible child with the least key takes the seat instead, and its
     entry further on in the order is skipped when the loop reaches it.
     """
-    _, kids, _, _, wn, _, _, _, _, uc = rec
-    q, qc, keep, unit, top, _ = uc
+    kids = rec[1]
+    q, qc, wn, _, keep, unit, top = uc
     t = [0] * len(kids)
     adds = [None] * len(kids)
     for j, c in enumerate(kids):
@@ -628,7 +621,7 @@ def _uc_split_wide(seats, rec, xs, caps) -> None:
             adds[j] = kept.append
     skip = [0] * len(kids)
     skips = 0
-    nxt = _jefferson_order(rec, len(xs)).__next__
+    nxt = _jefferson_order(unit, top, rec[3], len(xs)).__next__
     j = nxt()
     for x in xs:
         m = j
@@ -654,34 +647,82 @@ def _uc_split_wide(seats, rec, xs, caps) -> None:
         seats[c] = tc // qm
 
 
-def _jefferson_order(rec, v) -> Iterator[int]:
-    """The children of a node with ``b`` children in Jefferson order, one
-    per seat: the node's record of the split plan, ``v`` its seats.
+def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
+    """Split the seats of a node with one child or more than two under the
+    upper-compliant method, caps in pairs.
 
-    Child ``j``'s ``k``-th seat has the key ``k * unit[j]`` over ``L``
-    (see :func:`_build_plan`); a split of ``v`` seats reads at most
-    ``v + 1`` entries.  The order is periodic: at the key ``D * L`` every
-    child ``j`` has exactly ``D * w_j`` seats, ``D`` in all, and from
-    there the pattern repeats with every key moved by ``D * L``.  So if
-    ``D`` is at most ``_ORDER_WINDOW``, one period is built on the node's
-    first split, kept in the plan, and repeated.  Otherwise the order
-    comes in windows of keys: the first holds every seat with a key up to
-    ``(v + b) * L`` (``v`` capped at ``_ORDER_WINDOW``), that is
-    ``floor((v + b) * w_j)`` seats of child ``j`` and more than ``v`` in
-    all, and each later one about ``_ORDER_WINDOW`` seats, so a large
-    split never sorts its whole house at once.
+    ``rec`` and ``uc`` are the node's records of the split plan and the
+    upper-compliant plan, and the caps come as in :func:`_uc_split`.  The
+    children rank as in :func:`_uc_split_wide`, and each non-leaf child
+    gets its caps in two lists, clamped as in :func:`_uc_split`.
     """
-    d = rec[3]
-    _, _, _, unit, top, period = rec[9]
-    if period is not None:
-        if not period:
-            period.append(_order_window(unit, 0, d * top))
-        return chain.from_iterable(repeat(period[0]))
-    # the windows (lo, hi] of keys, each lo the hi before it
-    first = (min(v, _ORDER_WINDOW) + len(unit)) * top
-    ends = count(first, _ORDER_WINDOW * top)
-    starts = chain([0], count(first, _ORDER_WINDOW * top))
-    return chain.from_iterable(map(_order_window, repeat(unit), starts, ends))
+    kids = rec[1]
+    _, _, wn, wd, keep, unit, top = uc
+    held = [0] * len(kids)
+    kept = [([], []) if k else None for k in keep]
+    ones = (1,) * len(kids)
+    skip = [0] * len(kids)
+    skips = 0
+    nxt = _jefferson_order(unit, top, rec[3], len(qns)).__next__
+    j = nxt()
+    for qn, qd in zip(qns, qds):
+        m = j
+        x = qn * wn[j]
+        y = qd * wd[j]
+        if held[j] * y < x:
+            j = nxt()
+            if skips:
+                while skip[j]:
+                    skip[j] -= 1
+                    skips -= 1
+                    j = nxt()
+        else:
+            m = _least_eligible(held, ones, unit, qn * top, qd)
+            x = qn * wn[m]
+            y = qd * wd[m]
+            skip[m] += 1
+            skips += 1
+        vc = held[m] + 1
+        held[m] = vc
+        if kept[m]:
+            if x >= vc * y:
+                x, y = vc, 1
+            kept[m][0].append(x)
+            kept[m][1].append(y)
+    for c, vc, pair in zip(kids, held, kept):
+        seats[c] = vc
+        caps[c] = pair
+
+
+def _jefferson_order(unit, top, d, v) -> Iterator[int]:
+    """The children of a node with ``b`` children in Jefferson order, one
+    per seat, for a split of ``v`` seats; ``D = d`` is the lcm of their
+    weight denominators.
+
+    Child ``j``'s ``k``-th seat has the key ``k * unit[j]`` over
+    ``L = top`` (see :func:`_build_uc_plan`); a split of ``v`` seats reads
+    at most ``v + 1`` entries and one more per override.  The order is
+    periodic: at the key ``D * L`` every child ``j`` has exactly
+    ``D * w_j`` seats, ``D`` in all, and from there the pattern repeats
+    with every key moved by ``D * L``.  So only the keys in
+    ``(0, D * L]`` are sorted, in windows, each sorted when the split
+    first reaches it and then repeated with the period: the first window
+    ends at ``(v + b) * L`` (``v`` capped at ``_ORDER_WINDOW``), or at
+    ``D * L`` if that comes first, and each later one holds about
+    ``_ORDER_WINDOW`` seats.  ``(v + b) * L`` holds
+    ``floor((v + b) * w_j)`` seats of child ``j``, more than ``v`` in
+    all and at most ``b`` more than ``ceil(v * w_j)``, the most seats the
+    upper-compliant method can give child ``j``, since a cap is never
+    above the node's own count.  So a split sorts at most about
+    ``min(v, D)`` keys at a time, and never its whole house at once.
+    """
+    period = d * top
+    step = _ORDER_WINDOW * top
+    first = min((min(v, _ORDER_WINDOW) + len(unit)) * top, period)
+    # the windows (lo, hi] of one period's keys, each lo the hi before it
+    inner = range(first, period, step)
+    windows = map(_order_window, repeat(unit), chain([0], inner), chain(inner, [period]))
+    return chain.from_iterable(cycle(windows))
 
 
 def _order_window(unit, lo, hi) -> bytes | list[int]:
@@ -701,7 +742,8 @@ def _least_eligible(t, qc, unit, top, den) -> int:
     """The index of the child with the least key ``(s + 1) * unit`` among
     those under the cap, ``s * unit * den < top``, the tie to the lower
     index; child ``n`` holds ``s = t[n] // qc[n]`` seats.  Some child
-    always is under the cap (see the module docstring)."""
+    always is under the cap (see the module docstring); if none is, the
+    counts are corrupt, and it raises :class:`RuntimeError`."""
     m = -1
     least = 0
     for n in range(len(unit)):
@@ -712,6 +754,8 @@ def _least_eligible(t, qc, unit, top, den) -> int:
             if m < 0 or k < least:
                 m = n
                 least = k
+    if m < 0:
+        raise RuntimeError("ucquota: no child under its cap")
     return m
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -442,15 +443,18 @@ class TestLevelCascade:
         st.sampled_from([3, 10, 1000]),
         st.integers(0, 500),
         st.booleans(),
+        st.sampled_from([1, 5, 1024]),
     )
-    def test_uc_quota_wide_nodes_below_the_root(self, height, seed, max_weight, h, pair_caps):
+    def test_uc_quota_wide_nodes_below_the_root(self, height, seed, max_weight, h, pair_caps, window):
         # Every node with children has four, and below the root they get
         # caps inherited from above, often below their own counts.  Weights
         # up to 1000 give some nodes a Jefferson period D past
         # _ORDER_WINDOW; a limit of 0 sends every cap through the
-        # (numerator, denominator) split.
+        # (numerator, denominator) split, and short windows put many
+        # window ends inside each split's Jefferson order.
         inst = random_instance(TreeFamily(TreeKind.FULL_4ARY, height), seed, max_weight)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(methods, "_ORDER_WINDOW", window)
             if pair_caps:
                 patch.setattr(methods, "_Q_LIMIT", 0)
             final = run_method(inst, MethodKind.UC_QUOTA, h).final
@@ -463,7 +467,7 @@ class TestLevelCascade:
         # split caps in (numerator, denominator) pairs.
         inst = with_wide_nodes(heavy_spine(7), 13)
         run_method(inst, MethodKind.UC_QUOTA, 0)
-        assert [rec[9][0] for rec in inst._plan if rec[2] is None] == [0, 0]
+        assert [uc[0] for rec, uc in zip(inst._plan, inst._ucplan) if rec[2] is None] == [0, 0]
         for h in (1, 2, 5, 37, 150, 1000, 3000):
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
@@ -708,13 +712,14 @@ class TestSplitPlan:
 
     def test_plan_is_built_once(self, deep7, monkeypatch):
         calls = []
-        original = methods._build_plan
-        monkeypatch.setattr(methods, "_build_plan", lambda inst: calls.append(1) or original(inst))
+        for name in ("_build_plan", "_build_uc_plan"):
+            original = getattr(methods, name)
+            monkeypatch.setattr(methods, name, lambda inst, f=original, name=name: calls.append(name) or f(inst))
         for method in MethodKind:
             for h in (0, 5, 9, 1000):
                 run_method(deep7, method, h)
         run_method(deep7, MethodKind.QUOTA, 12).allocation_at(7)
-        assert len(calls) == 1
+        assert calls == ["_build_plan", "_build_uc_plan"]
 
     def test_loading_and_auditing_build_no_plan(self, deep7):
         inst = instance_from_json(instance_to_json(deep7))
@@ -724,6 +729,7 @@ class TestSplitPlan:
         assert inst._plan is None
         run_method(inst, MethodKind.ADAMS, 7)
         assert inst._plan is not None
+        assert inst._ucplan is None
 
     @pytest.mark.parametrize(
         "inst",
@@ -732,36 +738,51 @@ class TestSplitPlan:
     )
     def test_no_stored_q_passes_the_limit(self, inst):
         run_method(inst, MethodKind.UC_QUOTA, 50)
-        plan = inst._plan
-        assert len(plan) == sum(1 for kids in inst.children if kids)
-        for rec in plan:
-            q, qc = rec[9][:2]
+        plan = inst._ucplan
+        assert len(plan) == len(inst._plan) == sum(1 for kids in inst.children if kids)
+        for rec, uc in zip(inst._plan, plan):
+            q, qc = uc[:2]
             # a two-child record keeps qa and qb, a wider one all its children's Q
-            stored = [q, *(rec[9][1:3] if rec[2] is not None else qc or ())]
+            stored = [q, *(uc[1:3] if rec[2] is not None else qc or ())]
             assert all(0 <= x <= methods._Q_LIMIT for x in stored)
         # the spines' caps switch to pairs five levels down, and stay so
         if inst.n in (401, 601):
-            assert [rec[9][0] > 0 for rec in plan] == [True] * 5 + [False] * 195
+            assert [uc[0] > 0 for uc in plan] == [True] * 5 + [False] * 195
 
-    def test_records(self, flat5, nested5):
-        # two children in id order with their cross products and caps
-        # denominators: Q_0 = 1, Q_1 = 9, and both children's
-        assert methods._split_plan(reversed_children(nested5)) == [
-            (0, 1, 2, 8, 9, 1, 9, 9, 72, (1, 9, 9, True, False)),
-            (1, 3, 4, 8, 9, 1, 9, 9, 72, (9, 81, 81, False, False)),
+    def test_records(self, monkeypatch, flat5, nested5):
+        # two children in id order with their cross products; UC-quota's
+        # caps denominators, Q_0 = 1, Q_1 = 9 and both children's, with
+        # the keep flags, are built on its first run, not for the others
+        inst = reversed_children(nested5)
+        assert methods._split_plan(inst) == [
+            (0, 1, 2, 8, 9, 1, 9, 9, 72),
+            (1, 3, 4, 8, 9, 1, 9, 9, 72),
         ]
-        # wider: the children, D, their weights, and for UC-quota their Q,
-        # keep flags, Jefferson units over L = lcm(2, 3, 3, 3) = 6 and a
-        # place for one period of Jefferson order, which the first UC-quota
-        # split fills: D = 20 seats, ties to the lower id
-        inst = reversed_children(flat5)
-        (rec,) = methods._split_plan(inst)
-        assert rec == (
-            0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), 0, 0, 0,
-            (1, (5, 10, 20, 20), (False,) * 4, (15, 20, 40, 40), 6, []),
-        )
+        for method in (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA):
+            run_method(inst, method, 5)
+        assert inst._ucplan is None
         run_method(inst, MethodKind.UC_QUOTA, 5)
+        assert inst._ucplan == [(1, 9, 9, True, False), (9, 81, 81, False, False)]
+        # wider: the children and D; for UC-quota their Q, weights, keep
+        # flags and Jefferson units over L = lcm(2, 3, 3, 3) = 6
+        inst = reversed_children(flat5)
+        assert methods._split_plan(inst) == [(0, (1, 2, 3, 4), None, 20, 0, 0, 0, 0, 0)]
+        assert methods._uc_plan(inst) == [
+            (1, (5, 10, 20, 20), (2, 3, 3, 3), (5, 10, 20, 20), (False,) * 4, (15, 20, 40, 40), 6),
+        ]
+        # the order repeats every D = 20 seats, ties to the lower id, with
+        # windows of any length and any multiple of D as the period
         period = bytes([0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3])
-        assert rec[9][5] == [period]
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
         assert bytes(path[1] - 1 for path in jefferson) == period * 2
+        for window in (1, 3, 20, 1024):
+            monkeypatch.setattr(methods, "_ORDER_WINDOW", window)
+            for d in (20, 60):
+                for v in (0, 1, 7, 40):
+                    order = methods._jefferson_order((15, 20, 40, 40), 6, d, v)
+                    assert bytes(islice(order, 200)) == period * 10
+
+    def test_no_child_under_the_cap_raises(self):
+        # three children, each holding 2 seats, under a cap of 1
+        with pytest.raises(RuntimeError, match="no child under its cap"):
+            methods._least_eligible([2, 2, 2], (1, 1, 1), (15, 20, 40), 6, 1)
