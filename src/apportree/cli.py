@@ -47,12 +47,12 @@ from .methods import MethodKind, _wide_splits, run_method
 SEED_ENV_VAR = "APPORTREE_SEED"
 
 # UC-quota hands every seat down every level, h * height seat-levels in
-# all.  10**7 of them take about 2.2-3.0 s and up to 230 MiB peak RSS on
-# binary trees (height 3 and 10), 0.7-3.4 s and under 70 MiB on 4-ary
-# ones, and 3.2 s and 18 MiB on one node of four leaves (raw wall clock,
-# one or two runs each on a shared 2-vCPU Xeon, Python 3.11), so a
-# larger run is refused before it starts.  The library itself sets no
-# bound.
+# all.  10**7 of them take about 1.9-2.6 s and up to 232 MiB peak RSS on
+# binary trees (height 3 and 10), 1.1-2.8 s and under 70 MiB on 4-ary
+# ones, and 4.0-4.7 s and 18 MiB on one node of four leaves (raw wall
+# clock of `allocate`, two runs each on a shared 2-vCPU Xeon, Python
+# 3.11), so a larger run is refused before it starts.  The library
+# itself sets no bound.
 _UC_QUOTA_BUDGET = 10**7
 
 # The quota method walks the last v mod D seats at a node with three or

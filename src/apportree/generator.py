@@ -64,11 +64,14 @@ class SplitMix64:
         """Uniform integer in [lo, hi], both ends inclusive.
 
         Uses rejection sampling on the top of the 64-bit range, so every
-        value is exactly equally likely (no modulo bias).
+        value is exactly equally likely (no modulo bias).  One draw covers
+        at most 2**64 values, so a wider range raises :class:`ValueError`.
         """
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > 1 << 64:
+            raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 values")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             x = self.next_u64()

@@ -49,14 +49,12 @@ multiplication ``X * wnum[c]`` and integer comparisons.  ``Q_i`` grows
 with depth, so a node whose children's ``Q`` would pass 2**60 hands its
 list on as ``(numerator, denominator)`` pairs, and its subtree keeps that
 form, where clamping a cap to a count resets its denominator to 1.  A
-node with one child or more than two does not rank its children seat by
-seat: the seats go down the children's Jefferson order, which repeats
-every ``D`` seats and which integer sorts lay out, at most about a
-thousand seats of one period at a time, and only a seat whose next
-child is at its cap, a few percent of them, looks for the eligible
-child with the least key.  The command line refuses an upper-compliant
-run over a fixed budget of ``h * height`` seat-levels, and a quota run
-over one of child visits; the library sets no bound.  What a split
+node with one child or more than two keeps its children's next Jefferson
+keys in a heap: a seat goes to the child on top, and only a seat whose
+top child is at its cap looks for the eligible child with the least key.
+The command line refuses an upper-compliant run over a fixed budget of
+``h * height`` seat-levels, and a quota run over one of child visits;
+the library sets no bound.  What a split
 reads of a node that does not depend on ``h`` (its sorted children,
 their weights' cross products and ``D``) is built once per instance, on
 its first allocation, and kept; what only the upper-compliant split
@@ -72,7 +70,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, cycle, repeat
+from heapq import heapify, heapreplace
+from itertools import repeat
 
 from .core import Allocation, Instance, _check_house, _fast_arrays
 
@@ -80,10 +79,6 @@ from .core import Allocation, Instance, _check_house, _fast_arrays
 # the subtree's caps go in (numerator, denominator) pairs, whose clamp to
 # a count resets the denominator to 1
 _Q_LIMIT = 1 << 60
-
-# a split of a node with one child or more than two sorts one period of
-# its children's Jefferson order in windows of about this many seats
-_ORDER_WINDOW = 1 << 10
 
 
 class MethodKind(Enum):
@@ -603,13 +598,13 @@ def _uc_split_wide(seats, rec, uc, xs, caps) -> None:
     ``rec`` and ``uc`` are the node's records of the split plan and the
     upper-compliant plan, and the node's ``k``-th seat brought the cap
     ``xs[k] / Q_i``.  Children count in units of their own ``Q`` and pass
-    on ``min(x, t)`` as in :func:`_uc_split_two`.  A seat goes to the child with the least key
-    ``(s + 1) / w`` among those under the cap, the tie to the lower id.
-    Without a cap that is the next child in Jefferson order, which
-    :func:`_jefferson_order` lays out up front, so the loop mostly just
-    reads the next child.  If that child is at its cap, which is rare, the
+    on ``min(x, t)`` as in :func:`_uc_split_two`.  A seat goes to the
+    child with the least key ``(s + 1) / w`` among those under the cap,
+    the tie to the lower id.  A heap holds each child's next key, as
+    :func:`_key_heap` lays it out, so without a cap the seat goes to the
+    child on top.  If that child is at its cap, which is rare, the
     eligible child with the least key takes the seat instead, and its
-    entry further on in the order is skipped when the loop reaches it.
+    entry in the heap moves on to its next key.
     """
     kids = rec[1]
     q, qc, wn, _, keep, unit, top = uc
@@ -619,32 +614,27 @@ def _uc_split_wide(seats, rec, uc, xs, caps) -> None:
         if keep[j]:
             kept = caps[c] = []
             adds[j] = kept.append
-    skip = [0] * len(kids)
-    skips = 0
-    nxt = _jefferson_order(unit, top, rec[3], len(xs)).__next__
-    j = nxt()
+    heap, step = _key_heap(unit)
+    b = len(kids)
     for x in xs:
-        m = j
+        key = heap[0]
+        j = key % b
         y = x * wn[j]
         if t[j] < y:
-            j = nxt()
-            if skips:
-                while skip[j]:
-                    skip[j] -= 1
-                    skips -= 1
-                    j = nxt()
+            heapreplace(heap, key + step[j])
         else:
-            m = _least_eligible(t, qc, unit, x * top, q)
-            y = x * wn[m]
-            skip[m] += 1
-            skips += 1
-        tm = t[m] + qc[m]
-        t[m] = tm
-        add = adds[m]
+            j = _least_eligible(t, qc, unit, x * top, q)
+            y = x * wn[j]
+            key = (t[j] // qc[j] + 1) * step[j] + j
+            heap[heap.index(key)] = key + step[j]
+            heapify(heap)
+        tj = t[j] + qc[j]
+        t[j] = tj
+        add = adds[j]
         if add:
-            add(y if y < tm else tm)
-    for c, tc, qm in zip(kids, t, qc):
-        seats[c] = tc // qm
+            add(y if y < tj else tj)
+    for c, tc, qj in zip(kids, t, qc):
+        seats[c] = tc // qj
 
 
 def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
@@ -661,81 +651,49 @@ def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
     held = [0] * len(kids)
     kept = [([], []) if k else None for k in keep]
     ones = (1,) * len(kids)
-    skip = [0] * len(kids)
-    skips = 0
-    nxt = _jefferson_order(unit, top, rec[3], len(qns)).__next__
-    j = nxt()
+    heap, step = _key_heap(unit)
+    b = len(kids)
     for qn, qd in zip(qns, qds):
-        m = j
+        key = heap[0]
+        j = key % b
         x = qn * wn[j]
         y = qd * wd[j]
         if held[j] * y < x:
-            j = nxt()
-            if skips:
-                while skip[j]:
-                    skip[j] -= 1
-                    skips -= 1
-                    j = nxt()
+            heapreplace(heap, key + step[j])
         else:
-            m = _least_eligible(held, ones, unit, qn * top, qd)
-            x = qn * wn[m]
-            y = qd * wd[m]
-            skip[m] += 1
-            skips += 1
-        vc = held[m] + 1
-        held[m] = vc
-        if kept[m]:
+            j = _least_eligible(held, ones, unit, qn * top, qd)
+            x = qn * wn[j]
+            y = qd * wd[j]
+            key = (held[j] + 1) * step[j] + j
+            heap[heap.index(key)] = key + step[j]
+            heapify(heap)
+        vc = held[j] + 1
+        held[j] = vc
+        if kept[j]:
             if x >= vc * y:
                 x, y = vc, 1
-            kept[m][0].append(x)
-            kept[m][1].append(y)
+            kept[j][0].append(x)
+            kept[j][1].append(y)
     for c, vc, pair in zip(kids, held, kept):
         seats[c] = vc
         caps[c] = pair
 
 
-def _jefferson_order(unit, top, d, v) -> Iterator[int]:
-    """The children of a node with ``b`` children in Jefferson order, one
-    per seat, for a split of ``v`` seats; ``D = d`` is the lcm of their
-    weight denominators.
+def _key_heap(unit) -> tuple[list[int], list[int]]:
+    """A heap of the first keys of a node's children, and each child's
+    step from one key to the next.
 
-    Child ``j``'s ``k``-th seat has the key ``k * unit[j]`` over
-    ``L = top`` (see :func:`_build_uc_plan`); a split of ``v`` seats reads
-    at most ``v + 1`` entries and one more per override.  The order is
-    periodic: at the key ``D * L`` every child ``j`` has exactly
-    ``D * w_j`` seats, ``D`` in all, and from there the pattern repeats
-    with every key moved by ``D * L``.  So only the keys in
-    ``(0, D * L]`` are sorted, in windows, each sorted when the split
-    first reaches it and then repeated with the period: the first window
-    ends at ``(v + b) * L`` (``v`` capped at ``_ORDER_WINDOW``), or at
-    ``D * L`` if that comes first, and each later one holds about
-    ``_ORDER_WINDOW`` seats.  ``(v + b) * L`` holds
-    ``floor((v + b) * w_j)`` seats of child ``j``, more than ``v`` in
-    all and at most ``b`` more than ``ceil(v * w_j)``, the most seats the
-    upper-compliant method can give child ``j``, since a cap is never
-    above the node's own count.  So a split sorts at most about
-    ``min(v, D)`` keys at a time, and never its whole house at once.
+    Child ``j`` holding ``s`` seats has the key ``(s + 1) * unit[j]``
+    (see :func:`_build_uc_plan`), stored as ``(s + 1) * unit[j] * b + j``
+    with ``b`` children: the ``+ j`` makes every entry unique and its
+    child ``entry % b``, and equal keys pop in index order, the walk's
+    tie rule.
     """
-    period = d * top
-    step = _ORDER_WINDOW * top
-    first = min((min(v, _ORDER_WINDOW) + len(unit)) * top, period)
-    # the windows (lo, hi] of one period's keys, each lo the hi before it
-    inner = range(first, period, step)
-    windows = map(_order_window, repeat(unit), chain([0], inner), chain(inner, [period]))
-    return chain.from_iterable(cycle(windows))
-
-
-def _order_window(unit, lo, hi) -> bytes | list[int]:
-    """The child indices of the seats with keys in ``(lo, hi]``, in
-    Jefferson order.  Each key is stored as ``key * b + j`` so that one
-    integer sort over ``b`` ranges puts equal keys in index order, the
-    walk's tie rule."""
     b = len(unit)
-    keys = sorted(chain.from_iterable([
-        range((lo // u + 1) * u * b + j, hi // u * u * b + j + 1, u * b)
-        for j, u in enumerate(unit)
-    ]))
-    return (bytes if b <= 256 else list)(map(b.__rmod__, keys))
+    step = [u * b for u in unit]
+    heap = [u + j for j, u in enumerate(step)]
+    heapify(heap)
+    return heap, step
 
 
 def _least_eligible(t, qc, unit, top, den) -> int:

@@ -461,6 +461,16 @@ class TestGenerate:
     def test_unsupported_height(self, capsys):
         assert main(["generate", "--family", "binary", "--height", "13", "--seed", "0"]) == 1
 
+    def test_max_weight_past_64_bits_exits_at_once(self):
+        # one draw covers at most 2**64 weights; a wider range used to loop
+        # forever, so this runs in a child process that a timeout can stop
+        result = subprocess.run(
+            [sys.executable, "-m", "apportree", *self.ARGS, "--seed", "1", "--max-weight", str(10**20)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: range [1, 100000000000000000000] holds more than 2**64 values\n"
+
 
 class TestExperiment:
     FLAGS = [
@@ -558,6 +568,17 @@ class TestExperiment:
         monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
         assert main(flags[:2] + ["binary"] + flags[3:]) == 0
         assert main(flags[:-1] + ["adams,jefferson"]) == 0
+
+    def test_max_weight_past_64_bits_exits_at_once(self, tmp_path):
+        # as for generate, in a child process that a timeout can stop
+        cfg = {"family": {"kind": "binary", "height": 1}, "house_sizes": [10], "max_weight": 10**20}
+        path = write(tmp_path, "cfg.json", json.dumps(cfg))
+        result = subprocess.run(
+            [sys.executable, "-m", "apportree", "experiment", "--config", path],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: range [1, 100000000000000000000] holds more than 2**64 values\n"
 
     def test_malformed_config(self, tmp_path, capsys):
         path = write(tmp_path, "cfg.json", "{]")

@@ -63,6 +63,26 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(0).randint(3, 2)
 
+    def test_randint_rejects_a_span_past_64_bits(self):
+        # one draw covers 2**64 values; a wider span used to reject every
+        # draw forever, so the draws are counted to fail instead of hang
+        class Counted(SplitMix64):
+            draws = 0
+
+            def next_u64(self):
+                self.draws += 1
+                assert self.draws < 100, "randint rejects every draw"
+                return super().next_u64()
+
+        with pytest.raises(ValueError, match="more than 2\\*\\*64 values"):
+            Counted(0).randint(1, 2**64 + 1)
+
+    def test_randint_span_of_exactly_64_bits_is_the_raw_draw(self):
+        rng = SplitMix64(0)
+        assert [rng.randint(1, 2**64) for _ in range(3)] == [
+            0xE220A8397B1DCDAF + 1, 0x6E789E6AA1B965F4 + 1, 0x6C45D188009454F + 1
+        ]
+
 
 class TestBuildTree:
     @pytest.mark.parametrize("height,n", [(1, 3), (2, 7), (3, 15), (4, 31), (5, 63), (6, 127)])

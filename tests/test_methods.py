@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -443,18 +442,14 @@ class TestLevelCascade:
         st.sampled_from([3, 10, 1000]),
         st.integers(0, 500),
         st.booleans(),
-        st.sampled_from([1, 5, 1024]),
     )
-    def test_uc_quota_wide_nodes_below_the_root(self, height, seed, max_weight, h, pair_caps, window):
+    def test_uc_quota_wide_nodes_below_the_root(self, height, seed, max_weight, h, pair_caps):
         # Every node with children has four, and below the root they get
         # caps inherited from above, often below their own counts.  Weights
-        # up to 1000 give some nodes a Jefferson period D past
-        # _ORDER_WINDOW; a limit of 0 sends every cap through the
-        # (numerator, denominator) split, and short windows put many
-        # window ends inside each split's Jefferson order.
+        # up to 1000 give the children's keys large units; a limit of 0
+        # sends every cap through the (numerator, denominator) split.
         inst = random_instance(TreeFamily(TreeKind.FULL_4ARY, height), seed, max_weight)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(methods, "_ORDER_WINDOW", window)
             if pair_caps:
                 patch.setattr(methods, "_Q_LIMIT", 0)
             final = run_method(inst, MethodKind.UC_QUOTA, h).final
@@ -493,8 +488,8 @@ class TestLevelCascade:
                 assert run_method(inst, method, h).final.seats == tuple(walked)
 
     def test_uc_quota_on_300_children(self):
-        # Past 256 children the Jefferson order holds child indices in a
-        # list, not bytes.
+        # A star far wider than the generated trees: 300 children rank in
+        # one heap of next keys, with entries ``key * 300 + j``.
         rng = SplitMix64(300)
         raw = [rng.randint(1, 9) for _ in range(300)]
         inst = flat_instance([Fraction(r, sum(raw)) for r in raw])
@@ -749,7 +744,7 @@ class TestSplitPlan:
         if inst.n in (401, 601):
             assert [uc[0] > 0 for uc in plan] == [True] * 5 + [False] * 195
 
-    def test_records(self, monkeypatch, flat5, nested5):
+    def test_records(self, flat5, nested5):
         # two children in id order with their cross products; UC-quota's
         # caps denominators, Q_0 = 1, Q_1 = 9 and both children's, with
         # the keep flags, are built on its first run, not for the others
@@ -770,17 +765,10 @@ class TestSplitPlan:
         assert methods._uc_plan(inst) == [
             (1, (5, 10, 20, 20), (2, 3, 3, 3), (5, 10, 20, 20), (False,) * 4, (15, 20, 40, 40), 6),
         ]
-        # the order repeats every D = 20 seats, ties to the lower id, with
-        # windows of any length and any multiple of D as the period
-        period = bytes([0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3])
+        # Jefferson's order repeats every D = 20 seats, ties to the lower id
+        period = [0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3]
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
-        assert bytes(path[1] - 1 for path in jefferson) == period * 2
-        for window in (1, 3, 20, 1024):
-            monkeypatch.setattr(methods, "_ORDER_WINDOW", window)
-            for d in (20, 60):
-                for v in (0, 1, 7, 40):
-                    order = methods._jefferson_order((15, 20, 40, 40), 6, d, v)
-                    assert bytes(islice(order, 200)) == period * 10
+        assert [path[1] - 1 for path in jefferson] == period * 2
 
     def test_no_child_under_the_cap_raises(self):
         # three children, each holding 2 seats, under a cap of 1
