@@ -18,6 +18,7 @@ from .core import (
     QuotaMode,
     _audit,
     _fast_arrays,
+    _quotas,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -208,15 +209,20 @@ def _cmd_allocate(args) -> int:
 def _cmd_check(args) -> int:
     inst = _load(args.instance, instance_from_json)
     alloc = _load(args.allocation, allocation_from_json)
-    flow, quotas = _audit(inst, alloc, QuotaMode(args.mode))
+    flow = _audit(inst, alloc)
     seats = alloc.seats
     for i in flow:
         if i == 0 and seats[0] != alloc.h:
             print(f"node 0: root has {seats[0]} seats for house size {alloc.h}")
         else:
             print(f"node {i}: seats do not equal the sum over its children")
+    # _quotas yields the nodes below the root, whose bounds are its own
+    # seats, top down; the few out of bounds go back into node order
+    quotas = _quotas(inst, seats, QuotaMode(args.mode))
+    bad = sorted(q for q in quotas if not q[1] <= seats[q[0]] <= q[2])
     low = up = 0
-    for (i, lower, upper, binding_lower, binding_upper), v in zip(quotas, seats):
+    for i, lower, upper, binding_lower, binding_upper in bad:
+        v = seats[i]
         if v < lower:
             low += 1
             print(f"node {i}: {v} seats below lower quota {lower} (binding ancestor {binding_lower})")
@@ -302,18 +308,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="apportree",
-        description="Seat apportionment over entitlement trees.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check an instance file's structural invariants")
+def _instance_argument(p) -> None:
     p.add_argument("instance")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("allocate", help="allocate seats with one of the methods")
+
+def _allocate_arguments(p) -> None:
     p.add_argument("instance")
     p.add_argument(
         "--method",
@@ -322,27 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seats", type=int, required=True, metavar="H")
     p.add_argument("--trajectory", action="store_true", help="emit every intermediate allocation")
-    p.set_defaults(func=_cmd_allocate)
 
-    p = sub.add_parser("check", help="audit an allocation against an instance")
+
+def _check_arguments(p) -> None:
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--mode", choices=["all", "root"], default="all")
     p.add_argument("--strict", action="store_true", help="exit 1 if any violation is found")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("reduce", help="rewrite an instance as a full binary tree")
-    p.add_argument("instance")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("generate", help="generate a seeded random instance")
+def _generate_arguments(p) -> None:
     p.add_argument("--family", required=True, choices=["binary", "4ary"])
     p.add_argument("--height", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=int, default=None, metavar="S")
     p.add_argument("--max-weight", type=int, default=10)
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("experiment", help="run a metrics experiment over generated instances")
+
+def _experiment_arguments(p) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", choices=["csv", "md"], default="csv")
     p.add_argument("--workers", type=int, default=1)
@@ -353,22 +348,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--house-sizes", default="100,500")
     p.add_argument("--methods", default=None, help="comma-separated method names")
     p.add_argument("--max-weight", type=int, default=10)
-    p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("oracle", help="enumerate every both-quotas allocation (small instances)")
+
+def _oracle_arguments(p) -> None:
     p.add_argument("instance")
     p.add_argument("--seats", type=int, required=True, metavar="H")
     p.add_argument("--max-nodes", type=int, default=15)
     p.add_argument("--max-house", type=int, default=10)
-    p.set_defaults(func=_cmd_oracle)
 
+
+# name: (help line, handler, arguments), in the order help lists them
+_COMMANDS = {
+    "validate": ("check an instance file's structural invariants", _cmd_validate, _instance_argument),
+    "allocate": ("allocate seats with one of the methods", _cmd_allocate, _allocate_arguments),
+    "check": ("audit an allocation against an instance", _cmd_check, _check_arguments),
+    "reduce": ("rewrite an instance as a full binary tree", _cmd_reduce, _instance_argument),
+    "generate": ("generate a seeded random instance", _cmd_generate, _generate_arguments),
+    "experiment": ("run a metrics experiment over generated instances", _cmd_experiment, _experiment_arguments),
+    "oracle": ("enumerate every both-quotas allocation (small instances)", _cmd_oracle, _oracle_arguments),
+}
+
+
+def _build(parser_class, names) -> argparse.ArgumentParser:
+    parser = parser_class(
+        prog="apportree",
+        description="Seat apportionment over entitlement trees.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_line, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.
+
+    :func:`main` first parses with a parser of only the command its first
+    argument names, which is cheaper to build, and turns to this one for
+    help, for a missing or unknown command and for every usage error, so
+    what it prints is what this parser prints.
+    """
+    return _build(argparse.ArgumentParser, _COMMANDS)
+
+
+class _AskFullParser(Exception):
+    """A one-command parser met help or a usage error."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that prints nothing: help and usage errors raise
+    :class:`_AskFullParser`, since its usage line would list one command."""
+
+    def error(self, message):
+        raise _AskFullParser
+
+    def print_help(self, file=None):
+        raise _AskFullParser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build(_OneCommandParser, argv[:1]).parse_args(argv)
+        except _AskFullParser:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

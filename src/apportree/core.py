@@ -458,13 +458,15 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
             yield c, (num * hn) // (den * hd), -((-(num * ln)) // (den * ld)), ha, la
 
 
-def _audit(inst: Instance, alloc: Allocation, mode: QuotaMode) -> tuple[list[int], list[tuple]]:
-    """The pass behind :func:`check_allocation` and CLI ``check``.
+def _audit(inst: Instance, alloc: Allocation) -> list[int]:
+    """The seat checks and flow pass behind :func:`check_allocation` and
+    CLI ``check``.
 
-    Checks the seat counts, then returns ``(flow, quotas)``: the flow
-    breaks in ascending node order (the root first if its seats are not
-    ``h``), and each node's :func:`_quotas` tuple by node id, the root's
-    collapsed to its own seat count.
+    Raises :class:`ValueError` if ``alloc`` has the wrong length or a seat
+    count that is not a non-negative integer, validates the instance, and
+    returns the flow breaks in ascending node order (the root first if its
+    seats are not ``h``).  The quota bounds are left to the caller, which
+    reads them from :func:`_quotas`.
     """
     n = inst.n
     seats = alloc.seats
@@ -482,11 +484,7 @@ def _audit(inst: Instance, alloc: Allocation, mode: QuotaMode) -> tuple[list[int
     flow = [i for i, kids in enumerate(children) if kids and seats[i] != sum(map(at, kids))]
     if seats[0] != alloc.h and (not flow or flow[0] != 0):
         flow.insert(0, 0)
-
-    quotas = [(0, seats[0], seats[0], 0, 0)] * n
-    for q in _quotas(inst, seats, mode):
-        quotas[q[0]] = q
-    return flow, quotas
+    return flow
 
 
 def check_allocation(
@@ -499,8 +497,11 @@ def check_allocation(
     allocations can still be inspected.  ``bounds[i]`` holds node ``i``'s
     bounds; the root's collapse to its own seat count.
     """
-    flow, quotas = _audit(inst, alloc, mode)
+    flow = _audit(inst, alloc)
     seats = alloc.seats
+    quotas = [(0, seats[0], seats[0], 0, 0)] * inst.n
+    for q in _quotas(inst, seats, mode):
+        quotas[q[0]] = q
     low_flags = tuple(v < q[1] for v, q in zip(seats, quotas))
     up_flags = tuple(v > q[2] for v, q in zip(seats, quotas))
     return QuotaReport(

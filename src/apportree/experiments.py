@@ -33,9 +33,9 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .core import QuotaMode, _fast_arrays, count_violations
 from .generator import TreeFamily, TreeKind, build_tree, assign_entitlements
@@ -159,9 +159,10 @@ def _evaluate_batch(args) -> list[InstanceMetrics]:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     """Evaluate the whole config and aggregate exactly.
 
-    ``workers`` > 1 spreads instances over a process pool, at most one
-    process per instance; because the accumulator only adds exact,
-    per-instance values, the result is identical to the serial run.
+    ``workers`` > 1 spreads instances over a process pool of at most
+    ``workers`` processes, and no more than there are instances or CPUs;
+    because the accumulator only adds exact, per-instance values, the
+    result is identical to the serial run.
     Seeds are ``base_seed + index``, so a config names its instances
     independently of worker scheduling.
     """
@@ -176,8 +177,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
          config.methods, config.house_sizes, config.mode)
         for k in range(config.instance_count)
     ]
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from multiprocessing import Pool  # only here: it is slow to import
+
         with Pool(workers) as pool:
             batches = pool.map(_evaluate_batch, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
     else:

@@ -357,6 +357,8 @@ CHECK_CASES = {
     "flat-lower-and-upper": (make_flat5, Allocation(20, (20, 5, 9, 3, 3))),
     # two seats moved from node 6 to its sibling 5 in a compliant allocation
     "both-quotas-shifted": (make_deep7, Allocation(40, (40, 36, 4, 32, 4, 30, 2))),
+    # in all-ancestors mode node 5's bounds cross: lower 2, upper 0
+    "below-and-above-at-once": (make_deep7, Allocation(3, (3, 0, 0, 0, 0, 1, 0))),
 }
 
 
@@ -383,6 +385,7 @@ class TestCheckOutput:
         assert any(r.flow_violations and r.flow_violations[0] != 0 for r in reports)
         assert any(0 in r.flow_violations for r in reports)
         assert any(r.ok for r in reports)
+        assert any(lo and up for r in reports for lo, up in zip(r.lower_violated, r.upper_violated))
 
     def test_builds_no_quota_bounds(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "inst.json", instance_to_json(make_sym7()))
@@ -615,6 +618,33 @@ class TestOracle:
 
 
 class TestTopLevel:
+    # Each argv ends in help or a usage error, or (the abbreviation) runs.
+    CORPUS = {
+        "none": [],
+        "help": ["-h"],
+        "unknown-command": ["frobnicate"],
+        **{f"{name}-help": [name, "-h"] for name in cli._COMMANDS},
+        "missing-argument": ["allocate", "{inst}", "--method", "adams"],
+        "bad-choice": ["allocate", "{inst}", "--method", "webster", "--seats", "3"],
+        "abbreviated-option": ["allocate", "{inst}", "--meth", "adams", "--seats", "3"],
+        "ambiguous-option": ["experiment", "--m", "3"],
+        "extra-positional": ["validate", "a", "b"],
+        "unknown-option": ["allocate", "t.json", "--method", "adams", "--seats", "3", "--bogus"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORPUS))
+    def test_prints_what_the_full_parser_prints(self, case, sym7_file, capsys):
+        argv = [a.format(inst=sym7_file) for a in self.CORPUS[case]]
+        code = main(argv)
+        printed = capsys.readouterr()
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            expected = exc.code
+        else:
+            expected = args.func(args)
+        assert (code, printed) == (expected, capsys.readouterr())
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -243,10 +247,11 @@ class TestDeterminismAndParallel:
 
     @pytest.mark.parametrize(
         "workers, count, pools",
-        [(8, 2, [2]), (10**6, 3, [3]), (2, 5, [2]), (8, 1, [])],
+        [(8, 2, [2]), (10**6, 3, [3]), (2, 5, [2]), (8, 1, []), (10**6, 50, [4])],
     )
     def test_pool_has_at_most_one_process_per_instance(self, monkeypatch, workers, count, pools):
-        # A stand-in pool records its size and runs the tasks in this process.
+        # A stand-in pool records its size and runs the tasks in this
+        # process, on a host of four CPUs.
         made = []
 
         class RecordingPool:
@@ -262,11 +267,17 @@ class TestDeterminismAndParallel:
             def map(self, fn, tasks, chunksize=1):
                 return list(map(fn, tasks))
 
-        monkeypatch.setattr(experiments, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg = ExperimentConfig(BINARY3, instance_count=count, base_seed=3, house_sizes=(20,))
         table = emit_table(run_experiment(cfg, workers=workers))
         assert made == pools
         assert table == emit_table(run_experiment(cfg))
+
+    def test_importing_the_package_leaves_multiprocessing_out(self):
+        code = 'import sys, apportree, apportree.cli; print("multiprocessing" in sys.modules)'
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestConfigFromJson:

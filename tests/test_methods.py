@@ -14,7 +14,6 @@ from apportree import (
     InvalidInstanceError,
     MethodKind,
     NoEligibleChild,
-    QuotaMode,
     SplitMix64,
     TreeFamily,
     TreeKind,
@@ -407,8 +406,8 @@ class TestLevelCascade:
     @pytest.mark.parametrize("flip", [False, True])
     def test_six_decimal_weights_on_thirty_children(self, flip):
         # D = 10**6 for quota, and for UC-quota's wide split, which then
-        # sorts its Jefferson order window by window, ranking the 30
-        # children over the lcm of their weight numerators.
+        # keeps the 30 children's next Jefferson keys in a heap, ranked
+        # over the lcm of their weight numerators.
         rng = SplitMix64(6)
         raw = [rng.randint(1, 30000) for _ in range(29)]
         raw.append(10**6 - sum(raw))
@@ -719,7 +718,7 @@ class TestSplitPlan:
     def test_loading_and_auditing_build_no_plan(self, deep7):
         inst = instance_from_json(instance_to_json(deep7))
         alloc = allocate_both_quotas(inst, 7)
-        core._audit(inst, alloc, QuotaMode.ALL_ANCESTORS)
+        core._audit(inst, alloc)
         check_allocation(inst, alloc)
         assert inst._plan is None
         run_method(inst, MethodKind.ADAMS, 7)
