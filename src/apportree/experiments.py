@@ -16,15 +16,15 @@ compliant method never violate upper quota; Jefferson and the quota
 method never violate lower quota) are asserted to produce exactly zero
 there; a nonzero count is an implementation bug and raises immediately.
 
-Aggregation is exact: integer violation counts and Fraction deviation
-sums, divided only when a table is rendered.  Within an instance the
-deviations stay integers: with ``rnum / rden`` a node's share, it is
-``|s * rden - rnum * h| / rden`` seats off, so over ``L``, the lcm of the
-``rden``, the sum is one integer numerator, and the maximum is found by
-cross-multiplication.  Each instance builds just two Fractions, its sum
-and its maximum.  Sums are keyed by instance index and commutative, so a
-parallel run over a worker pool produces byte-identical tables to a
-serial run of the same config.
+Aggregation is exact and stays in integers until a row is complete.
+With ``rnum / rden`` a node's share, it is ``|s * rden - rnum * h| / rden``
+seats off, so over ``L``, the lcm of the instance's ``rden``, a cell's
+deviation sum and maximum are two integer numerators.  A row adds its
+cells' violation counts and puts their numerators over one common
+denominator, and builds its two Fractions once, from those sums.  Sums
+are keyed by instance index and commutative, so a parallel run over a
+worker pool produces byte-identical tables to a serial run of the same
+config.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import QuotaMode, _fast_arrays, count_violations
-from .generator import TreeFamily, TreeKind, build_tree, assign_entitlements
+from .core import QuotaMode, _check_house, _fast_arrays, count_violations
+from .generator import TreeFamily, TreeKind, _family_tree, assign_entitlements
 from .methods import MethodKind, run_method
 
 ALL_METHODS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
@@ -63,12 +63,15 @@ class ExperimentConfig:
     max_weight: int = 10
 
     def __post_init__(self):
-        if self.instance_count < 1:
-            raise ValueError("instance_count must be at least 1")
-        if any(h < 1 for h in self.house_sizes):
-            raise ValueError("house sizes must be at least 1")
+        count = self.instance_count
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise ValueError(f"instance_count must be an integer of at least 1, got {count!r}")
         object.__setattr__(self, "house_sizes", tuple(self.house_sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for h in self.house_sizes:
+            _check_house(h)
+        if 0 in self.house_sizes:
+            raise ValueError("house sizes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -83,21 +86,27 @@ class InstanceMetrics:
 
 
 def evaluate_instance(inst, method: MethodKind, h: int, mode=QuotaMode.ALL_ANCESTORS) -> InstanceMetrics:
-    """Run one method on one instance and measure it exactly."""
-    traj = run_method(inst, method, h)
-    seats = traj.final.seats
-    low, up = count_violations(inst, seats, mode)
+    """Run one method on one instance and measure it exactly: the one cell
+    of :func:`_cells`, its integer deviations made into Fractions here."""
+    low, up, dev_num, dev_den, max_num, max_den = _cells(inst, (method,), (h,), mode)[0]
+    return InstanceMetrics(inst.n, low, up, Fraction(dev_num, dev_den), Fraction(max_num, max_den))
+
+
+def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
+    """Every (method, house size) cell of one instance, method-major, as
+    ``(lower, upper, dev_num, dev_den, max_num, max_den)``: violation
+    counts, then the deviations' sum and maximum over the lcm of ``rden``."""
     _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
     common = math.lcm(*rden)
-    # node i deviates by |s * rden - rnum * h| / rden seats
-    dev_sum = 0
-    max_num, max_den = 0, 1
-    for s, num, den in zip(seats, rnum, rden):
-        dev = abs(s * den - num * h)
-        dev_sum += dev * (common // den)
-        if dev * max_den > max_num * den:
-            max_num, max_den = dev, den
-    return InstanceMetrics(inst.n, low, up, Fraction(dev_sum, common), Fraction(max_num, max_den))
+    scale = [common // den for den in rden]
+    cells = []
+    for method in methods:
+        for h in house_sizes:
+            seats = run_method(inst, method, h).final.seats
+            # node i deviates by |s * rden - rnum * h| / rden seats
+            devs = [abs(s * den - num * h) * k for s, num, den, k in zip(seats, rnum, rden, scale)]
+            cells.append((*count_violations(inst, seats, mode), sum(devs), common, max(devs), common))
+    return cells
 
 
 @dataclass
@@ -117,13 +126,6 @@ class TableRow:
     upper_violation_total: int = 0
     deviation_sum: Fraction = field(default_factory=Fraction)
     deviation_max_sum: Fraction = field(default_factory=Fraction)
-
-    def add(self, m: InstanceMetrics) -> None:
-        self.instance_count += 1
-        self.lower_violation_total += m.lower_violations
-        self.upper_violation_total += m.upper_violations
-        self.deviation_sum += m.deviation_sum
-        self.deviation_max_sum += m.deviation_max
 
     @property
     def lq_violation_rate_pct(self) -> Fraction:
@@ -148,30 +150,35 @@ class MetricsTable:
     rows: tuple[TableRow, ...]
 
 
-def _evaluate_batch(args) -> list[InstanceMetrics]:
-    """Worker task: the metrics of one generated instance for every
+def _evaluate_batch(args) -> list[tuple[int, ...]]:
+    """Worker task: the cells of one generated instance for every
     (method, house size), method-major like the table's rows."""
     family, seed, max_weight, methods, house_sizes, mode = args
-    inst = assign_entitlements(build_tree(family), seed, max_weight)
-    return [evaluate_instance(inst, method, h, mode) for method in methods for h in house_sizes]
+    return _cells(assign_entitlements(_family_tree(family), seed, max_weight), methods, house_sizes, mode)
+
+
+def _add_cell(total: list[int], cell: tuple[int, ...]) -> None:
+    """Add one cell to a row's running sums, in the cell's own layout; each
+    deviation sum stays over the lcm of the denominators added so far."""
+    total[0] += cell[0]
+    total[1] += cell[1]
+    for i in (2, 4):
+        common = math.lcm(total[i + 1], cell[i + 1])
+        total[i:i + 2] = total[i] * (common // total[i + 1]) + cell[i] * (common // cell[i + 1]), common
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     """Evaluate the whole config and aggregate exactly.
 
     ``workers`` > 1 spreads instances over a process pool of at most
-    ``workers`` processes, and no more than there are instances or CPUs;
-    because the accumulator only adds exact, per-instance values, the
-    result is identical to the serial run.
-    Seeds are ``base_seed + index``, so a config names its instances
-    independently of worker scheduling.
+    ``workers`` processes, and no more than there are instances or CPUs.
+    Cells come back as ints and each row sums them exactly as they come,
+    building its two deviation Fractions once at the end, so the result
+    is identical to the serial run.  The family's tree shape is built
+    once per process.  Seeds are ``base_seed + index``, so a config names
+    its instances independently of worker scheduling.
     """
-    n = build_tree(config.family).n
-    rows = tuple(
-        TableRow(method, config.family, n, h)
-        for method in config.methods
-        for h in config.house_sizes
-    )
+    n = _family_tree(config.family).n
     tasks = [
         (config.family, (config.base_seed + k) & ((1 << 64) - 1), config.max_weight,
          config.methods, config.house_sizes, config.mode)
@@ -185,24 +192,25 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
             batches = pool.map(_evaluate_batch, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
     else:
         batches = map(_evaluate_batch, tasks)
+    keys = [(method, h) for method in config.methods for h in config.house_sizes]
+    sums = [[0, 0, 0, 1, 0, 1] for _ in keys]
     for batch in batches:
-        for row, m in zip(rows, batch):
-            row.add(m)
+        for total, cell in zip(sums, batch):
+            _add_cell(total, cell)
 
-    for row in rows:
-        no_lower, no_upper = _GUARANTEES[row.method]
-        if no_lower and row.lower_violation_total:
-            raise RuntimeError(
-                f"{row.method.value} produced {row.lower_violation_total} lower-quota "
-                f"violations; it is guaranteed never to"
-            )
-        if no_upper and row.upper_violation_total:
-            raise RuntimeError(
-                f"{row.method.value} produced {row.upper_violation_total} upper-quota "
-                f"violations; it is guaranteed never to"
-            )
+    for (method, h), (low, up, *_) in zip(keys, sums):
+        no_lower, no_upper = _GUARANTEES[method]
+        for guaranteed, count, side in ((no_lower, low, "lower"), (no_upper, up, "upper")):
+            if guaranteed and count:
+                raise RuntimeError(
+                    f"{method.value} produced {count} {side}-quota violations; it is guaranteed never to"
+                )
 
-    return MetricsTable(config, rows)
+    return MetricsTable(config, tuple(
+        TableRow(method, config.family, n, h, config.instance_count, low, up,
+                 Fraction(dev_num, dev_den), Fraction(max_num, max_den))
+        for (method, h), (low, up, dev_num, dev_den, max_num, max_den) in zip(keys, sums)
+    ))
 
 
 def format_fixed(value: Fraction, places: int = 4) -> str:

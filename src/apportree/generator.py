@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .core import Instance
 
@@ -140,6 +141,12 @@ def build_tree(family: TreeFamily) -> TreeSkeleton:
     for i in range(1, n):
         kids[parents[i]].append(i)  # type: ignore[index]
     return TreeSkeleton(family, tuple(parents), tuple(tuple(k) for k in kids))
+
+
+@cache
+def _family_tree(family: TreeFamily) -> TreeSkeleton:
+    """:func:`build_tree`, built once per family and process (24 families are valid)."""
+    return build_tree(family)
 
 
 def assign_entitlements(skeleton: TreeSkeleton, seed: Seed, max_weight: int = 10) -> Instance:

@@ -22,7 +22,9 @@ library once used, as references for the linear versions: validation
 that walks every node up to the root, shares as running Fraction
 products, and the binary rewrite that rescales the remaining siblings
 at every level of a comb.  The experiment harness's per-node Fraction
-deviations are kept as the reference for its integer sums, and the
+deviations are kept as the reference for its integer sums, rows summed
+from ``evaluate_instance``'s Fractions instance by instance as the
+reference for rows summed over one common denominator, and the
 both-quotas construction as first written, on the binary rewrite, as the
 reference for the pass that simulates the rewrite on the original tree;
 ``pull_back`` and ``push_forward`` carry allocations between a tree and
@@ -43,6 +45,9 @@ from apportree import (
     MethodKind,
     NoEligibleChild,
     QuotaMode,
+    assign_entitlements,
+    build_tree,
+    evaluate_instance,
     relative_entitlements,
     to_full_binary,
 )
@@ -361,6 +366,28 @@ def deviations_by_fractions(inst: Instance, seats, h: int) -> tuple[Fraction, Fr
         if dev > dev_max:
             dev_max = dev
     return dev_sum, dev_max
+
+
+def rows_by_summed_metrics(config) -> list[tuple[int, int, Fraction, Fraction, int]]:
+    """Each row of ``config`` as ``(lower total, upper total, deviation sum,
+    deviation max sum, instance count)``, method-major, adding one
+    ``evaluate_instance`` Fraction at a time."""
+    keys = [(method, h) for method in config.methods for h in config.house_sizes]
+    rows = {key: (0, 0, Fraction(0), Fraction(0), 0) for key in keys}
+    for k in range(config.instance_count):
+        seed = (config.base_seed + k) % 2**64
+        inst = assign_entitlements(build_tree(config.family), seed, config.max_weight)
+        for method, h in keys:
+            m = evaluate_instance(inst, method, h, config.mode)
+            low, up, dev, dev_max, count = rows[method, h]
+            rows[method, h] = (
+                low + m.lower_violations,
+                up + m.upper_violations,
+                dev + m.deviation_sum,
+                dev_max + m.deviation_max,
+                count + 1,
+            )
+    return [rows[key] for key in keys]
 
 
 def both_quotas_by_reduction(

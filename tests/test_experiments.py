@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import apportree.experiments as experiments
+import apportree.generator as generator
 from apportree import (
     ALL_METHODS,
     ExperimentConfig,
@@ -34,7 +35,7 @@ from apportree import (
 )
 
 from conftest import irregular_instances
-from oracles import deviations_by_fractions
+from oracles import deviations_by_fractions, rows_by_summed_metrics
 
 BINARY3 = TreeFamily(TreeKind.PERFECT_BINARY, 3)
 FOURARY3 = TreeFamily(TreeKind.FULL_4ARY, 3)
@@ -153,6 +154,82 @@ class TestRunExperiment:
             ExperimentConfig(BINARY3, instance_count=0)
         with pytest.raises(ValueError):
             ExperimentConfig(BINARY3, house_sizes=(0,))
+        # plain ints of at least 1, checked when the config is built
+        for bad in (True, 2.0, "3", -1):
+            with pytest.raises(ValueError):
+                ExperimentConfig(BINARY3, instance_count=bad)
+        for bad in (("3",), (True,), (2.5,), (10, -1), (10, 0)):
+            with pytest.raises(ValueError):
+                ExperimentConfig(BINARY3, house_sizes=bad)
+
+
+class TestRowsAreSumsOfCells:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_weight", [3, 10, 50])
+    @pytest.mark.parametrize("family", [BINARY3, FOURARY3], ids=["binary", "4ary"])
+    def test_rows_match_summed_evaluate_instance(self, family, max_weight, workers):
+        cfg = ExperimentConfig(
+            family, instance_count=20, base_seed=max_weight, house_sizes=(37, 200), max_weight=max_weight
+        )
+        # the instances' deviations come over different denominators
+        dens = {
+            evaluate_instance(assign_entitlements(build_tree(family), cfg.base_seed + k, max_weight),
+                              MethodKind.ADAMS, 37).deviation_sum.denominator
+            for k in range(cfg.instance_count)
+        }
+        assert len(dens) > 1
+        table = run_experiment(cfg, workers=workers)
+        expected = rows_by_summed_metrics(cfg)
+        assert len(table.rows) == len(expected) == 8
+        for row, (low, up, dev, dev_max, count) in zip(table.rows, expected):
+            assert row.lower_violation_total == low
+            assert row.upper_violation_total == up
+            assert row.deviation_sum == dev
+            assert row.deviation_max_sum == dev_max
+            assert row.instance_count == count == 20
+            assert type(row.deviation_sum) is type(row.deviation_max_sum) is Fraction
+
+    @pytest.mark.parametrize(
+        "method, counts, side",
+        [(MethodKind.JEFFERSON, (2, 0), "lower"), (MethodKind.ADAMS, (0, 1), "upper")],
+    )
+    def test_a_broken_guarantee_raises(self, monkeypatch, method, counts, side):
+        monkeypatch.setattr(experiments, "count_violations", lambda inst, seats, mode: counts)
+        cfg = ExperimentConfig(BINARY3, instance_count=3, house_sizes=(10,), methods=(method,))
+        total = 3 * counts[side == "upper"]
+        with pytest.raises(RuntimeError, match=f"{method.value} produced {total} {side}-quota violations"):
+            run_experiment(cfg)
+
+    def test_worker_batch_holds_only_ints(self):
+        task = (FOURARY3, 5, 10, ALL_METHODS, (100, 500), QuotaMode.ALL_ANCESTORS)
+        batch = experiments._evaluate_batch(task)
+        assert len(batch) == 8
+        assert all(type(cell) is tuple and len(cell) == 6 for cell in batch)
+        assert all(type(v) is int for cell in batch for v in cell)
+
+    def test_serial_run_builds_each_family_tree_once(self, monkeypatch):
+        calls = []
+        real = generator.build_tree
+
+        def spy(family):
+            calls.append(family)
+            return real(family)
+
+        # every binding of build_tree in the package, wherever it was imported
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "apportree":
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, spy)
+        generator._family_tree.cache_clear()
+        try:
+            run_experiment(ExperimentConfig(BINARY3, instance_count=12, house_sizes=(20,)))
+            assert calls == [BINARY3]
+            run_experiment(ExperimentConfig(FOURARY3, instance_count=7, house_sizes=(20, 40)))
+            run_experiment(ExperimentConfig(BINARY3, instance_count=3, base_seed=50))
+            assert calls == [BINARY3, FOURARY3]
+        finally:
+            generator._family_tree.cache_clear()
 
 
 class TestFormatFixed:
