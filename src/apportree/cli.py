@@ -43,23 +43,26 @@ from .generator import (
     build_tree,
     random_instance,
 )
-from .methods import MethodKind, _wide_splits, run_method
+from .methods import MethodKind, _split_plan, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
 # UC-quota hands every seat down every level, h * height seat-levels in
 # all.  10**7 of them take about 1.9-2.6 s and up to 232 MiB peak RSS on
 # binary trees (height 3 and 10), 1.1-2.8 s and under 70 MiB on 4-ary
-# ones, and 4.0-4.7 s and 18 MiB on one node of four leaves (raw wall
-# clock of `allocate`, two runs each on a shared 2-vCPU Xeon, Python
-# 3.11), so a larger run is refused before it starts.  The library
-# itself sets no bound.
+# ones, 3.1-3.4 s and 16 MiB on one node of four leaves, and 7.7-12.2 s
+# and 16 MiB on one node of 30 leaves of uneven six-decimal weight,
+# where a seat parks a child four times in ten (raw wall clock of
+# `allocate`, two runs each on a shared 2-vCPU Xeon, Python 3.11), so a
+# larger run is refused before it starts.  The library itself sets no
+# bound.
 _UC_QUOTA_BUDGET = 10**7
 
-# The quota method walks the last v mod D seats at a node with three or
-# more children, each over its b children (see _quota_work).  2 * 10**6
-# such child visits take about 0.5 s on one node of 30 children and
-# 0.9 s on one of 3, six-decimal weights, 17 MiB peak RSS, so a larger
+# The quota method hands out the last v mod D seats of a node with three
+# or more children one by one, each a heap step (see _quota_work).
+# 2 * 10**6 such seats take about 0.6-1.0 s on one node of 3 or of 30
+# near-equal children and 1.9-2.3 s on one of 30 uneven ones,
+# seven-decimal weights, 16 MiB peak RSS (raw, as above), so a larger
 # run is refused before it starts.  The library itself sets no bound.
 _QUOTA_BUDGET = 2 * 10**6
 
@@ -101,39 +104,40 @@ def _check_uc_quota_work(h: int, height: int) -> None:
 
 
 def _quota_work(h: int, splits) -> int:
-    """An upper bound on the child visits of the quota method's walks.
+    """An upper bound on the seats the quota method hands out one by one.
 
-    ``splits`` gives ``(depth, b, D)`` for each node with three or more
+    ``splits`` gives ``(depth, D)`` for each node with three or more
     children, ``D`` (a bound on) the lcm of their weight denominators.
-    Such a node walks its last ``v mod D < D`` seats, each over its ``b``
-    children, and the nodes at one depth hold at most ``h`` seats in all,
-    so a depth costs at most the smaller of the sum of ``b * (D - 1)`` and
-    ``h`` times its largest ``b``.  Two-child nodes cost no walk.
+    Such a node hands out its last ``v mod D < D`` seats one by one, each
+    a heap step, and the nodes at one depth hold at most ``h`` seats in
+    all, so a depth costs at most the smaller of the sum of ``D - 1`` and
+    ``h``.  Two-child nodes hand out none.
     """
-    levels: dict[int, tuple[int, int]] = {}
-    for depth, b, d in splits:
-        total, widest = levels.get(depth, (0, 0))
-        levels[depth] = (total + b * (d - 1), max(widest, b))
-    return sum(min(total, h * widest) for total, widest in levels.values())
+    levels: dict[int, int] = {}
+    for depth, d in splits:
+        levels[depth] = levels.get(depth, 0) + d - 1
+    return sum(min(total, h) for total in levels.values())
 
 
 def _check_quota_work(h: int, splits) -> None:
     work = _quota_work(h, splits)
     if work > _QUOTA_BUDGET:
         raise ValueError(
-            f"quota at h={h} may walk {work} child visits at nodes with three "
-            f"or more children, over the budget of {_QUOTA_BUDGET}"
+            f"quota at h={h} may hand out {work} seats one by one at nodes with "
+            f"three or more children, over the budget of {_QUOTA_BUDGET}"
         )
 
 
-def _instance_splits(inst) -> list[tuple[int, int, int]]:
-    """``(depth, b, D)`` of each node with three or more children."""
+def _instance_splits(inst) -> list[tuple[int, int]]:
+    """``(depth, D)`` of each node with three or more children, from the
+    split plan."""
     depth = _depths(inst)
-    return [(depth[i], b, d) for i, b, d in _wide_splits(inst)]
+    plan = _split_plan(inst)
+    return [(depth[i], d) for i, kids, b, d, *_ in plan if b is None and len(kids) >= 3]
 
 
-def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
-    """``(depth, b, D)`` bounds for every tree ``config`` generates.
+def _family_splits(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """``(depth, D)`` bounds for every tree ``config`` generates.
 
     A generated sibling group's weights are integer draws in
     ``[1, max_weight]`` over their sum, so ``D`` divides that sum, which
@@ -144,7 +148,7 @@ def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
     for i in range(1, skeleton.n):
         depth[i] = depth[skeleton.parents[i]] + 1
     return [
-        (depth[i], len(kids), len(kids) * config.max_weight)
+        (depth[i], len(kids) * config.max_weight)
         for i, kids in enumerate(skeleton.children)
         if len(kids) >= 3
     ]

@@ -63,9 +63,11 @@ class ExperimentConfig:
     max_weight: int = 10
 
     def __post_init__(self):
-        count = self.instance_count
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ValueError(f"instance_count must be an integer of at least 1, got {count!r}")
+        for name, least in (("instance_count", 1), ("base_seed", None), ("max_weight", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or least and value < least:
+                bound = " of at least 1" if least else ""
+                raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
         object.__setattr__(self, "house_sizes", tuple(self.house_sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
         for h in self.house_sizes:

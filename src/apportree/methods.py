@@ -34,13 +34,10 @@ None of the four methods needs to be walked to learn its final counts:
 per node.  The rankings and caps of Adams, Jefferson and the quota method
 read only parent-relative weights and the parent's own count, so the
 seats a node passes to its children depend only on how many seats reached
-it.  Adams and Jefferson split a node with ``b`` children in O(b) steps;
-the quota method repeats its split every ``D`` seats, ``D`` the lcm of
-the children's weight denominators, and walks at most ``D - 1`` of them,
-in O(b * D).  The upper-compliant cap depends on the path only through
-the cap a seat brings to a node: which child takes the seat depends on
-that cap and the counts of the node's own children, and the child passes
-on ``min(cap * w_c, v_c)``.  So a node is split in one pass over the caps
+it.  The upper-compliant cap depends on the path only through the cap a
+seat brings to a node: which child takes the seat depends on that cap and
+the counts of the node's own children, and the child passes on
+``min(cap * w_c, v_c)``.  So a node is split in one pass over the caps
 its seats bring, in arrival order, O(v) per node and O(h) per level.
 Node ``i``'s caps are kept as one list of integers ``X`` over a
 denominator ``Q_i`` shared by the whole list, the product of the weight
@@ -48,19 +45,22 @@ denominators on its root path (``Q_0 = 1``), so a seat costs one
 multiplication ``X * wnum[c]`` and integer comparisons.  ``Q_i`` grows
 with depth, so a node whose children's ``Q`` would pass 2**60 hands its
 list on as ``(numerator, denominator)`` pairs, and its subtree keeps that
-form, where clamping a cap to a count resets its denominator to 1.  A
-node with one child or more than two keeps its children's next Jefferson
-keys in a heap: a seat goes to the child on top, and only a seat whose
-top child is at its cap looks for the eligible child with the least key.
-The command line refuses an upper-compliant run over a fixed budget of
-``h * height`` seat-levels, and a quota run over one of child visits;
-the library sets no bound.  What a split
-reads of a node that does not depend on ``h`` (its sorted children,
-their weights' cross products and ``D``) is built once per instance, on
-its first allocation, and kept; what only the upper-compliant split
-reads (``Q_i``, and a wider node's Jefferson units) likewise, on the
-first upper-compliant allocation.  The walk reads none of it: it stays
-the trajectory API and the reference the cascade is tested against.
+form, where clamping a cap to a count resets its denominator to 1.
+
+A node with two children is split in locals.  Every other node is split
+by one heap of its children's next keys under all four methods (see
+:func:`_split_wide`), in O(log b) per seat with ``b`` children: Adams
+and Jefferson hand out fewer than ``b`` seats that way, the quota method
+fewer than ``D``, the lcm of the children's weight denominators.  The
+command line refuses an upper-compliant run over a fixed budget of
+``h * height`` seat-levels, and a quota run over one of seats handed out
+one by one; the library sets no bound.  What a split reads of a node
+that does not depend on ``h`` (its sorted children, their weights, cross
+products or key steps, and ``D``) is built once per instance, on its
+first allocation, and kept; what only the upper-compliant split reads
+(``Q_i``) likewise, on the first upper-compliant allocation.  The walk
+reads none of it: it stays the trajectory API and the reference the
+cascade is tested against.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from heapq import heapify, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
+from operator import add, mul
 
 from .core import Allocation, Instance, _check_house, _fast_arrays
 
@@ -217,9 +218,18 @@ def _build_plan(inst: Instance) -> list[tuple]:
     and ``nb / db``, and ``pa = da * nb``, ``pb = db * na``, so that the
     keys ``s_a / w_a`` and ``s_b / w_b`` compare as ``s_a * pa`` and
     ``s_b * pb``.  A node with one child, or more than two, has the record
-    ``(i, kids, None, D, 0, 0, 0, 0, 0)``: its children in id order and
-    ``D``, the lcm of their weight denominators.  What only the
-    upper-compliant method reads is in :func:`_build_uc_plan`.
+    ``(i, kids, None, D, wn, wd, step, L, first)``:
+
+    * ``kids`` are its children in id order, and ``wn`` and ``wd`` their
+      weight numerators and denominators, in the same order;
+    * ``D`` is the lcm of the ``wd``, and ``L`` the lcm of the ``wn``;
+    * ``step[j] = wd[j] * (L // wn[j]) * b``, with ``b`` children, so
+      that a key ``s / w_j`` is ``s * step[j]`` over ``L * b``;
+    * ``first[j] = step[j] + j`` is child ``j``'s heap entry for the key
+      ``1 / w_j`` (see :func:`_split_wide`).
+
+    What only the upper-compliant method reads is in
+    :func:`_build_uc_plan`.
     """
     order, _, _, _, wnum, wden, children = _fast_arrays(inst)
     lcm = math.lcm
@@ -230,7 +240,13 @@ def _build_plan(inst: Instance) -> list[tuple]:
             continue
         if len(kids) != 2:
             kids = tuple(sorted(kids))
-            plan.append((i, kids, None, lcm(*[wden[c] for c in kids]), 0, 0, 0, 0, 0))
+            wn = tuple([wnum[c] for c in kids])
+            wd = tuple([wden[c] for c in kids])
+            top = lcm(*wn)
+            b = len(kids)
+            step = tuple([y * (top // x) * b for x, y in zip(wn, wd)])
+            first = tuple([u + j for j, u in enumerate(step)])
+            plan.append((i, kids, None, lcm(*wd), wn, wd, step, top, first))
             continue
         a, b = sorted(kids)
         na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
@@ -263,58 +279,38 @@ def _build_uc_plan(inst: Instance) -> list[tuple]:
     * ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that
       is, whether they keep the caps they pass on.
 
-    A node with one child, or more than two, has
-    ``(q, qc, wn, wd, keep, unit, L)``:
-
-    * ``q`` is as above, and ``qc`` the children's ``Q``, ``q * wd[j]``,
-      if all are at most ``_Q_LIMIT``, else 0;
-    * ``wn`` and ``wd`` are the children's weight numerators and
-      denominators, in the split plan's id order, and ``keep`` tells, per
-      child, whether it has children;
-    * ``unit`` holds the children's Jefferson units ``wd[j] * (L //
-      wn[j])``, ``L`` the lcm of the weight numerators, so that the key
-      ``(s + 1) / w_j`` is ``(s + 1) * unit[j]`` over ``L``.
+    A node with one child, or more than two, has ``(q, qc, keep)``: ``q``
+    as above, ``qc`` the children's ``Q``, ``q * wd[j]``, if all are at
+    most ``_Q_LIMIT``, else 0, and ``keep`` tells, per child in the split
+    plan's id order, whether it has children.
 
     So no stored ``Q`` passes ``_Q_LIMIT``, and the plan stays O(n) words
     at any depth.
     """
-    _, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    _, _, _, _, _, _, children = _fast_arrays(inst)
     # Q_i of the nodes whose caps come as one list, 0 for the others
     qs = [0] * inst.n
     qs[0] = 1
-    lcm = math.lcm
     plan = []
-    for i, a, b, _, da, _, db, _, _ in _split_plan(inst):
+    for rec in _split_plan(inst):
+        i, a, b = rec[:3]
         q = qs[i]
         if b is not None:
+            da, db = rec[4], rec[6]
             qa = qb = 0
             if q and q * max(da, db) <= _Q_LIMIT:
                 qa = qs[a] = q * da
                 qb = qs[b] = q * db
             plan.append((q, qa, qb, bool(children[a]), bool(children[b])))
             continue
-        wn = tuple([wnum[c] for c in a])
-        wd = tuple([wden[c] for c in a])
+        wd = rec[5]
         qc = 0
         if q and q * max(wd) <= _Q_LIMIT:
             qc = tuple([q * y for y in wd])
             for c, y in zip(a, qc):
                 qs[c] = y
-        top = lcm(*wn)
-        unit = tuple([y * (top // x) for x, y in zip(wn, wd)])
-        keep = tuple([bool(children[c]) for c in a])
-        plan.append((q, qc, wn, wd, keep, unit, top))
+        plan.append((q, qc, tuple([bool(children[c]) for c in a])))
     return plan
-
-
-def _wide_splits(inst: Instance) -> list[tuple[int, int, int]]:
-    """``(i, b, D)`` of each node ``i`` with ``b >= 3`` children, from the
-    split plan: what the quota method's walk at ``i`` costs."""
-    return [
-        (i, len(kids), d)
-        for i, kids, b, d, _, _, _, _, _ in _split_plan(inst)
-        if b is None and len(kids) >= 3
-    ]
 
 
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
@@ -334,33 +330,34 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       they all rank among the ``v`` best.  At most ``b - 1`` remain.
     * Adams starts at ``ceil((v - b) * w)``: each of those seats has key
       ``(k - 1) / w < v - b``, and fewer than ``v`` seats have such keys.
-      At most ``b`` remain.
+      At most ``b`` remain, and at ``v > b`` every start is at least 1.
+      At ``v <= b`` the first ``v`` children by larger weight, then lower
+      id, take one seat each: Adams' tie among children at zero seats.
+    * The quota method's split is periodic: with ``D`` the lcm of the
+      children's weight denominators, every quota ``k * w`` is whole at
+      ``k`` a multiple of ``D``, and the quota method, meeting both quotas
+      at one level (Balinski & Young 1975), gives each child exactly that
+      many.  From there every key ``(s + 1) / w`` and every cap ``t * w``
+      moves by the same ``k``, so it starts every child at ``k * w`` for
+      ``k = v - v mod D`` and gives out the last ``v mod D < D`` seats
+      under the caps ``k + 1, ..., v``.  A two-child node needs no cap:
+      Jefferson's lower quota for the one sibling keeps the chosen child
+      under it.
 
-    A two-child node is split in locals: both counts and the at most two
-    seats left, with Adams' zero-seat tie to the larger weight, then the
-    lower id.  The quota method splits two-child nodes as Jefferson does
-    (Jefferson's lower quota for the one sibling keeps the chosen child
-    under its cap).
-    A wider node's split is periodic: with ``D`` the lcm of the children's
-    weight denominators, every quota ``k * w`` is whole at ``k`` a multiple
-    of ``D``, and the quota method, meeting both quotas at one level
-    (Balinski & Young 1975), gives each child exactly that many.  From
-    there every key ``(s + 1) / w`` and every cap ``t * w`` moves by the
-    same ``k``, so the node starts every child at ``k * w`` for
-    ``k = v - v mod D`` and walks only the last ``v mod D < D`` seats, on
-    that node alone: O(b * D) per node, not O(b * v).
+    A two-child node is split in locals, with Adams' zero-seat tie to the
+    larger weight, then the lower id; any other node by
+    :func:`_split_wide`.
 
     The upper-compliant method splits a node in one pass over the caps
     the node's seats bring, in arrival order.  The root's ``t``-th seat
     brings the cap ``t``.  A node's caps come either as one list of
     numerators over its ``Q_i`` (see the module docstring), which
     :func:`_uc_split_two` splits at a two-child node and
-    :func:`_uc_split_wide` at any other while the children's ``Q`` stay
+    :func:`_split_wide` at any other while the children's ``Q`` stay
     within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split` and
     :func:`_uc_split_wide_pairs` split; a list reaches them as pairs over
     ``repeat(Q_i)``.
     """
-    _, _, _, _, wnum, wden, _ = _fast_arrays(inst)
     plan = _split_plan(inst)
     seats = [0] * inst.n
     seats[0] = h
@@ -381,7 +378,13 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             # uc[0] the node's Q_i if they came as one; else each is 0
             if uc[1]:
                 if rec[2] is None:
-                    _uc_split_wide(seats, rec, uc, xs, caps)
+                    keep = uc[2]
+                    adds = [0] * len(keep)
+                    for j, c in enumerate(rec[1]):
+                        if keep[j]:
+                            kept = caps[c] = []
+                            adds[j] = kept.append
+                    _split_wide(seats, rec, repeat(0), 1, xs, uc[0], uc[1], adds)
                 else:
                     _uc_split_two(seats, rec, uc, xs, caps)
                 continue
@@ -392,18 +395,22 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                 _uc_split(seats, rec, uc, qns, qds, caps)
         return seats
     if kind is MethodKind.ADAMS:
-        for i, a, b, na, da, nb, db, pa, pb in plan:
+        for rec in plan:
+            i, a, b, na, da, nb, db, pa, pb = rec
             v = seats[i]
             if not v:
                 continue
             if b is None:
-                kids = a
-                m = v - len(kids)
-                if m > 0:
-                    for c in kids:
-                        seats[c] = -(-m * wnum[c] // wden[c])
-                for _ in range(v - sum(seats[c] for c in kids)):
-                    seats[_best_child(seats, kids, wnum, wden, 0)] += 1
+                # a wide record: na = D, da = wn, nb = wd, db = step
+                m = v - len(a)
+                if m <= 0:
+                    # the larger weight has the smaller step; sorted is stable
+                    for j in sorted(range(len(a)), key=db.__getitem__)[:v]:
+                        seats[a[j]] = 1
+                    continue
+                start = [-(-m * x // y) for x, y in zip(da, nb)]
+                off = (0,) * len(a)
+                _split_wide(seats, rec, start, 0, repeat(1, v - sum(start)), 1, off, off)
                 continue
             m = v - 2
             sa = sb = 0
@@ -423,7 +430,8 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             seats[b] = sb
         return seats
     is_quota = kind is MethodKind.QUOTA
-    for i, a, b, na, da, nb, db, pa, pb in plan:
+    for rec in plan:
+        i, a, b, na, da, nb, db, pa, pb = rec
         v = seats[i]
         if not v:
             continue
@@ -436,21 +444,80 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             seats[a] = sa
             seats[b] = v - sa
             continue
-        kids = a
+        # a wide record: na = D, da = wn, nb = wd
+        off = (0,) * len(a)
         if is_quota:
             # at k = v - v mod D seats every child holds exactly k * w
             k = v - v % na
-            for c in kids:
-                seats[c] = k // wden[c] * wnum[c]
-            # the children hold t - 1 < t seats in all, so one is under its cap
-            for t in range(k + 1, v + 1):
-                seats[_best_child(seats, kids, wnum, wden, 1, t)] += 1
+            start = [k // y * x for x, y in zip(da, nb)]
+            _split_wide(seats, rec, start, 1, range(k + 1, v + 1), 1, nb, off)
             continue
-        for c in kids:
-            seats[c] = v * wnum[c] // wden[c]
-        for _ in range(v - sum(seats[c] for c in kids)):
-            seats[_best_child(seats, kids, wnum, wden, 1)] += 1
+        start = [v * x // y for x, y in zip(da, nb)]
+        _split_wide(seats, rec, start, 1, repeat(1, v - sum(start)), 1, off, off)
     return seats
+
+
+def _split_wide(seats, rec, start, bump, caps, q, qc, adds) -> None:
+    """Split the seats of a node with one child or more than two, caps in
+    one list: the wide split of all four methods.
+
+    ``rec`` is the node's split plan record.  Child ``j``, in its id
+    order, starts at ``start[j]`` seats, and each further seat brings a
+    cap ``x / q``, ``x`` from ``caps`` in arrival order.  The seat goes to
+    the child with the least key ``(s + bump) / w`` among those holding
+    fewer than ``x / q * w`` seats, the tie to the lower id.  Child ``j``
+    holds ``t_j = s_j * qc[j]``, kept by addition, with ``qc[j]`` its
+    ``q * wd[j]``, or 0 for no cap, and is under the cap while
+    ``t_j < x * wn[j]``.  If ``adds[j]`` is not false, the child passes
+    on ``min(x * wn[j], t_j)`` through it after each seat it takes.
+
+    A heap holds each child's next key as ``(s + bump) * step[j] + j``:
+    the ``+ j`` makes every entry unique and its child ``entry % b``, and
+    equal keys pop in id order, the walk's tie rule.  The caps a node's
+    seats bring never decrease: the root's ``t``-th seat brings ``t``, the
+    quota cap is the node's own count, and a child passes on
+    ``min(cap * w_c, v_c)``, whose terms both rise with its seats (an
+    overriding child's ``cap * w_c`` is that min, see :func:`_uc_split`).
+    So a child found on top at its cap is parked in a second heap, under
+    ``s * step[j] + j``, until ``s * step[j] // b * q < x * L``; each park
+    follows a seat the child took, so a seat costs O(log b) amortized.
+    The counts are read back from both heaps.  Some child is always under
+    the cap (see the module docstring); if none is, the counts are
+    corrupt, and it raises :class:`RuntimeError`.
+    """
+    kids, wn, step, top = rec[1], rec[4], rec[6], rec[7]
+    b = len(kids)
+    # s * step[j] + bump * step[j] + j: rec[8] holds step[j] + j for bump 1
+    heap = list(map(add, map(mul, start, step), rec[8] if bump else range(b)))
+    heapify(heap)
+    t = list(map(mul, start, qc))
+    parked = []
+    for x in caps:
+        while parked and parked[0] // b * q < x * top:
+            e = heappop(parked)
+            heappush(heap, e + bump * step[e % b])
+        e = heap[0]
+        j = e % b
+        y = x * wn[j]
+        while t[j] >= y:
+            heappush(parked, heappop(heap) - bump * step[j])
+            if not heap:
+                raise RuntimeError("no child under its cap")
+            e = heap[0]
+            j = e % b
+            y = x * wn[j]
+        heapreplace(heap, e + step[j])
+        tj = t[j] + qc[j]
+        t[j] = tj
+        out = adds[j]
+        if out:
+            out(y if y < tj else tj)
+    for e in heap:
+        j = e % b
+        seats[kids[j]] = e // step[j] - bump
+    for e in parked:
+        j = e % b
+        seats[kids[j]] = e // step[j]
 
 
 def _uc_split(seats, rec, uc, qns, qds, caps) -> None:
@@ -591,82 +658,40 @@ def _uc_split_two(seats, rec, uc, xs, caps) -> None:
     seats[b] = tb // qb
 
 
-def _uc_split_wide(seats, rec, uc, xs, caps) -> None:
-    """Split the seats of a node with one child or more than two under the
-    upper-compliant method, caps in one list.
-
-    ``rec`` and ``uc`` are the node's records of the split plan and the
-    upper-compliant plan, and the node's ``k``-th seat brought the cap
-    ``xs[k] / Q_i``.  Children count in units of their own ``Q`` and pass
-    on ``min(x, t)`` as in :func:`_uc_split_two`.  A seat goes to the
-    child with the least key ``(s + 1) / w`` among those under the cap,
-    the tie to the lower id.  A heap holds each child's next key, as
-    :func:`_key_heap` lays it out, so without a cap the seat goes to the
-    child on top.  If that child is at its cap, which is rare, the
-    eligible child with the least key takes the seat instead, and its
-    entry in the heap moves on to its next key.
-    """
-    kids = rec[1]
-    q, qc, wn, _, keep, unit, top = uc
-    t = [0] * len(kids)
-    adds = [None] * len(kids)
-    for j, c in enumerate(kids):
-        if keep[j]:
-            kept = caps[c] = []
-            adds[j] = kept.append
-    heap, step = _key_heap(unit)
-    b = len(kids)
-    for x in xs:
-        key = heap[0]
-        j = key % b
-        y = x * wn[j]
-        if t[j] < y:
-            heapreplace(heap, key + step[j])
-        else:
-            j = _least_eligible(t, qc, unit, x * top, q)
-            y = x * wn[j]
-            key = (t[j] // qc[j] + 1) * step[j] + j
-            heap[heap.index(key)] = key + step[j]
-            heapify(heap)
-        tj = t[j] + qc[j]
-        t[j] = tj
-        add = adds[j]
-        if add:
-            add(y if y < tj else tj)
-    for c, tc, qj in zip(kids, t, qc):
-        seats[c] = tc // qj
-
-
 def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
     """Split the seats of a node with one child or more than two under the
     upper-compliant method, caps in pairs.
 
     ``rec`` and ``uc`` are the node's records of the split plan and the
     upper-compliant plan, and the caps come as in :func:`_uc_split`.  The
-    children rank as in :func:`_uc_split_wide`, and each non-leaf child
-    gets its caps in two lists, clamped as in :func:`_uc_split`.
+    children rank and park as in :func:`_split_wide`, with a cap's
+    denominator in place of ``q``, and each non-leaf child gets its caps
+    in two lists, clamped as in :func:`_uc_split`.
     """
-    kids = rec[1]
-    _, _, wn, wd, keep, unit, top = uc
-    held = [0] * len(kids)
-    kept = [([], []) if k else None for k in keep]
-    ones = (1,) * len(kids)
-    heap, step = _key_heap(unit)
+    kids, wn, wd, step, top = rec[1], rec[4], rec[5], rec[6], rec[7]
     b = len(kids)
+    held = [0] * b
+    kept = [([], []) if k else None for k in uc[2]]
+    heap = list(rec[8])
+    heapify(heap)
+    parked = []
     for qn, qd in zip(qns, qds):
-        key = heap[0]
-        j = key % b
+        while parked and parked[0] // b * qd < qn * top:
+            e = heappop(parked)
+            heappush(heap, e + step[e % b])
+        e = heap[0]
+        j = e % b
         x = qn * wn[j]
         y = qd * wd[j]
-        if held[j] * y < x:
-            heapreplace(heap, key + step[j])
-        else:
-            j = _least_eligible(held, ones, unit, qn * top, qd)
+        while held[j] * y >= x:
+            heappush(parked, heappop(heap) - step[j])
+            if not heap:
+                raise RuntimeError("no child under its cap")
+            e = heap[0]
+            j = e % b
             x = qn * wn[j]
             y = qd * wd[j]
-            key = (held[j] + 1) * step[j] + j
-            heap[heap.index(key)] = key + step[j]
-            heapify(heap)
+        heapreplace(heap, e + step[j])
         vc = held[j] + 1
         held[j] = vc
         if kept[j]:
@@ -677,44 +702,6 @@ def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
     for c, vc, pair in zip(kids, held, kept):
         seats[c] = vc
         caps[c] = pair
-
-
-def _key_heap(unit) -> tuple[list[int], list[int]]:
-    """A heap of the first keys of a node's children, and each child's
-    step from one key to the next.
-
-    Child ``j`` holding ``s`` seats has the key ``(s + 1) * unit[j]``
-    (see :func:`_build_uc_plan`), stored as ``(s + 1) * unit[j] * b + j``
-    with ``b`` children: the ``+ j`` makes every entry unique and its
-    child ``entry % b``, and equal keys pop in index order, the walk's
-    tie rule.
-    """
-    b = len(unit)
-    step = [u * b for u in unit]
-    heap = [u + j for j, u in enumerate(step)]
-    heapify(heap)
-    return heap, step
-
-
-def _least_eligible(t, qc, unit, top, den) -> int:
-    """The index of the child with the least key ``(s + 1) * unit`` among
-    those under the cap, ``s * unit * den < top``, the tie to the lower
-    index; child ``n`` holds ``s = t[n] // qc[n]`` seats.  Some child
-    always is under the cap (see the module docstring); if none is, the
-    counts are corrupt, and it raises :class:`RuntimeError`."""
-    m = -1
-    least = 0
-    for n in range(len(unit)):
-        s = t[n] // qc[n]
-        u = unit[n]
-        if s * u * den < top:
-            k = (s + 1) * u
-            if m < 0 or k < least:
-                m = n
-                least = k
-    if m < 0:
-        raise RuntimeError("ucquota: no child under its cap")
-    return m
 
 
 @dataclass(frozen=True)

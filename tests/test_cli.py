@@ -150,30 +150,32 @@ class TestAllocate:
         assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "11"]) == 0
 
     def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
-        # one node of 30 children with six-decimal weights: D = 10**6
-        raw = [33333] * 29 + [10**6 - 29 * 33333]
-        inst = flat_instance([Fraction(r, 10**6) for r in raw])
+        # one node of 30 children with seven-decimal weights: D = 10**7,
+        # so up to 3 * 10**6 of the house's seats are handed out one by one
+        raw = [333333] * 29 + [10**7 - 29 * 333333]
+        inst = flat_instance([Fraction(r, 10**7) for r in raw])
         path = write(tmp_path, "wide.json", instance_to_json(inst))
         start = perf_counter()
-        assert main(["allocate", path, "--method", "quota", "--seats", "100000"]) == 1
+        assert main(["allocate", path, "--method", "quota", "--seats", "3000000"]) == 1
         assert perf_counter() - start < 5
         assert capsys.readouterr() == (
             "",
-            "error: quota at h=100000 may walk 3000000 child visits at nodes with "
-            "three or more children, over the budget of 2000000\n",
+            "error: quota at h=3000000 may hand out 3000000 seats one by one at nodes "
+            "with three or more children, over the budget of 2000000\n",
         )
-        # the same house is O(b) work for the divisor methods
-        assert main(["allocate", path, "--method", "jefferson", "--seats", "100000"]) == 0
+        # the same house hands out fewer than b seats one by one for the
+        # divisor methods
+        assert main(["allocate", path, "--method", "jefferson", "--seats", "3000000"]) == 0
 
     def test_quota_budget_is_the_smaller_bound(self, flat5_file, capsys, monkeypatch):
-        # flat5's four children have D = 20: at most 4 * 19 = 76 visits,
-        # and at most 4 * h of them at a house of h
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 75)
+        # flat5's four children have D = 20: at most 19 seats one by one,
+        # and at most h of them at a house of h
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 18)
         argv = ["allocate", flat5_file, "--method", "quota", "--seats"]
         assert main(argv + ["18"]) == 0
         assert main(argv + ["19"]) == 1
-        assert capsys.readouterr().err.startswith("error: quota at h=19 may walk 76 child visits")
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 76)
+        assert capsys.readouterr().err.startswith("error: quota at h=19 may hand out 19 seats one by one")
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 19)
         assert main(argv + ["1000000000"]) == 0
         # the other methods' work does not depend on D
         monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
@@ -181,17 +183,16 @@ class TestAllocate:
 
     def test_quota_budget_sums_the_depths(self, tmp_path, capsys, monkeypatch):
         # a root of three children (D = 3) over two of flat5's shape (D = 20)
-        # at depth 1: min(3 * 2, 3 * h) + min(2 * 4 * 19, 4 * h), the
-        # two-child node free
+        # at depth 1: min(2, h) + min(2 * 19, h), the two-child node free
         parents = [None, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
         group = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
         third = Fraction(1, 3)
         inst = Instance(parents, [Fraction(1), third, third, third] + group + group + [Fraction(1, 2)] * 2)
         path = write(tmp_path, "levels.json", instance_to_json(inst))
         argv = ["allocate", path, "--method", "quota", "--seats"]
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 158)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 40)
         assert main(argv + ["1000"]) == 0
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 157)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 39)
         assert main(argv + ["1000"]) == 1
         assert main(argv + ["37"]) == 0
         assert main(argv + ["38"]) == 1
@@ -536,7 +537,8 @@ class TestExperiment:
         assert main(self.FLAGS[:7] + ["--house-sizes", "1,10"] + self.FLAGS[9:]) == 0
 
     def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
-        # 4-ary height 3, weights up to 10**6: each depth may walk 4 * h visits
+        # 4-ary height 3, weights up to 10**6: each depth may hand out h
+        # seats one by one
         cfg = {
             "family": {"kind": "4ary", "height": 3}, "house_sizes": [10, 1000000],
             "methods": ["adams", "quota"], "max_weight": 1000000,
@@ -547,25 +549,25 @@ class TestExperiment:
         assert perf_counter() - start < 5
         assert capsys.readouterr() == (
             "",
-            "error: quota at h=1000000 may walk 12000000 child visits at nodes with "
-            "three or more children, over the budget of 2000000\n",
+            "error: quota at h=1000000 may hand out 3000000 seats one by one at nodes "
+            "with three or more children, over the budget of 2000000\n",
         )
 
     def test_quota_budget_bounds_d_by_the_largest_draw(self, capsys, monkeypatch):
         # 4-ary height 2 has one 4-child node at depth 0 and two at depth 1;
-        # with draws up to 10, D <= 40: min(4 * 39, 4 * h) + min(8 * 39, 4 * h)
+        # with draws up to 10, D <= 40: min(39, h) + min(2 * 39, h)
         flags = [
             "experiment", "--family", "4ary", "--height", "2", "--count", "2",
             "--house-sizes", "1,10", "--methods", "quota",
         ]
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 79)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 19)
         assert main(flags) == 1
-        assert capsys.readouterr().err.startswith("error: quota at h=10 may walk 80 child visits")
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 80)
+        assert capsys.readouterr().err.startswith("error: quota at h=10 may hand out 20 seats one by one")
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 20)
         assert main(flags) == 0
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 467)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 116)
         assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 1
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 468)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 117)
         assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 0
         # binary families and the other methods cost nothing
         monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
@@ -903,16 +905,38 @@ class TestHostileSizes:
         nodes = [{"id": i, "parent": i - 1 if i else None, "weight": "1"} for i in range(10**5)]
         self.allocate_and_check(tmp_path, capsys, nodes, 1000)
 
-    def test_star_of_10000_leaves(self, tmp_path, capsys):
-        b = 10**4
+    @staticmethod
+    def star(b: int) -> tuple[list[int], list[dict]]:
+        """The raw weights of a star of ``b`` leaves, and its nodes."""
         raw = [1 + k * 7919 % 1000 for k in range(b)]
         total = sum(raw)
         nodes = [{"id": 0, "parent": None, "weight": "1"}] + [
             {"id": k + 1, "parent": 0, "weight": str(Fraction(r, total))} for k, r in enumerate(raw)
         ]
-        path = self.allocate_and_check(tmp_path, capsys, nodes, 12345)
+        return raw, nodes
+
+    def test_star_of_10000_leaves(self, tmp_path, capsys):
+        b = 10**4
+        path = self.allocate_and_check(tmp_path, capsys, self.star(b)[1], 12345)
         assert main(["reduce", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["nodes"]) == 2 * b - 1
         assert out["node_map"] == list(range(b + 1))
         assert out["introduced"] == list(range(b + 1, 2 * b - 1))
+
+    @pytest.mark.parametrize("method", ["adams", "jefferson"])
+    def test_star_of_100000_leaves(self, tmp_path, capsys, method):
+        # up to b seats are handed out one by one at the root, each a heap
+        # step, not a scan of all b children
+        raw, nodes = self.star(10**5)
+        path = write(tmp_path, "star.json", json.dumps({"nodes": nodes}))
+        h = 10**6 + 3
+        assert main(["allocate", path, "--method", method, "--seats", str(h)]) == 0
+        seats = json.loads(capsys.readouterr().out)["seats"]
+        assert seats[0] == sum(seats[1:]) == h
+        # Adams meets upper quota and Jefferson lower quota
+        total = sum(raw)
+        if method == "adams":
+            assert all(s <= -(-h * r // total) for s, r in zip(seats[1:], raw))
+        else:
+            assert all(s >= h * r // total for s, r in zip(seats[1:], raw))

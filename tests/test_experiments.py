@@ -161,6 +161,14 @@ class TestRunExperiment:
         for bad in (("3",), (True,), (2.5,), (10, -1), (10, 0)):
             with pytest.raises(ValueError):
                 ExperimentConfig(BINARY3, house_sizes=bad)
+        # the generator's arguments too, so no bad value reaches a worker
+        for bad in (2.5, True, "3", 0, -2):
+            with pytest.raises(ValueError, match="max_weight must be an integer of at least 1"):
+                ExperimentConfig(BINARY3, max_weight=bad)
+        for bad in (1.5, True, "3"):
+            with pytest.raises(ValueError, match="base_seed must be an integer, got"):
+                ExperimentConfig(BINARY3, base_seed=bad)
+        assert ExperimentConfig(BINARY3, base_seed=-1, max_weight=1).base_seed == -1
 
 
 class TestRowsAreSumsOfCells:

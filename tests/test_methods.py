@@ -405,9 +405,9 @@ class TestLevelCascade:
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_six_decimal_weights_on_thirty_children(self, flip):
-        # D = 10**6 for quota, and for UC-quota's wide split, which then
-        # keeps the 30 children's next Jefferson keys in a heap, ranked
-        # over the lcm of their weight numerators.
+        # D = 10**6 for quota.  Every method keeps the 30 children's next
+        # keys in one heap, ranked over the lcm of their weight
+        # numerators, and quota and UC-quota park children at their cap.
         rng = SplitMix64(6)
         raw = [rng.randint(1, 30000) for _ in range(29)]
         raw.append(10**6 - sum(raw))
@@ -508,13 +508,14 @@ class TestLevelCascade:
         )
         assert run_method(inst, MethodKind.JEFFERSON, 2).paths == ((0, 1, 3), (0, 1, 3))
         assert run_method(inst, MethodKind.UC_QUOTA, 2).paths == ((0, 1, 3), (0, 1, 4))
-        overrides = []
-        least = methods._least_eligible
-        monkeypatch.setattr(methods, "_least_eligible", lambda *args: overrides.append(1) or least(*args))
+        # a child found on top at its cap is parked, the only heappush
+        parks = []
+        push = methods.heappush
+        monkeypatch.setattr(methods, "heappush", lambda heap, e: parks.append(e) or push(heap, e))
         for h in range(40):
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
-        assert overrides
+        assert parks
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_depth_1000_caterpillar(self, method):
@@ -757,19 +758,23 @@ class TestSplitPlan:
         assert inst._ucplan is None
         run_method(inst, MethodKind.UC_QUOTA, 5)
         assert inst._ucplan == [(1, 9, 9, True, False), (9, 81, 81, False, False)]
-        # wider: the children and D; for UC-quota their Q, weights, keep
-        # flags and Jefferson units over L = lcm(2, 3, 3, 3) = 6
+        # wider: the children, D, their weights, their key steps over
+        # L = lcm(2, 3, 3, 3) = 6, times b = 4, and their first heap
+        # entries; for UC-quota their Q and keep flags
         inst = reversed_children(flat5)
-        assert methods._split_plan(inst) == [(0, (1, 2, 3, 4), None, 20, 0, 0, 0, 0, 0)]
-        assert methods._uc_plan(inst) == [
-            (1, (5, 10, 20, 20), (2, 3, 3, 3), (5, 10, 20, 20), (False,) * 4, (15, 20, 40, 40), 6),
+        assert methods._split_plan(inst) == [
+            (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), (60, 80, 160, 160), 6, (60, 81, 162, 163)),
         ]
+        assert methods._uc_plan(inst) == [(1, (5, 10, 20, 20), (False,) * 4)]
         # Jefferson's order repeats every D = 20 seats, ties to the lower id
         period = [0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3]
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
         assert [path[1] - 1 for path in jefferson] == period * 2
 
-    def test_no_child_under_the_cap_raises(self):
-        # three children, each holding 2 seats, under a cap of 1
+    def test_no_child_under_the_cap_raises(self, flat5):
+        # four children holding 2, 3, 4 and 4 seats, each at least its
+        # quota at the cap 10 (over q = 1), so all are parked
+        rec = methods._split_plan(flat5)[0]
+        seats = [0] * flat5.n
         with pytest.raises(RuntimeError, match="no child under its cap"):
-            methods._least_eligible([2, 2, 2], (1, 1, 1), (15, 20, 40), 6, 1)
+            methods._split_wide(seats, rec, [4, 3, 2, 2], 1, [10], 1, rec[5], (0,) * 4)
