@@ -43,7 +43,7 @@ from .generator import (
     build_tree,
     random_instance,
 )
-from .methods import MethodKind, _split_plan, run_method
+from .methods import MethodKind, _wide_splits, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
@@ -58,13 +58,15 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 # bound.
 _UC_QUOTA_BUDGET = 10**7
 
-# The quota method hands out the last v mod D seats of a node with three
-# or more children one by one, each a heap step (see _quota_work).
-# 2 * 10**6 such seats take about 0.6-1.0 s on one node of 3 or of 30
-# near-equal children and 1.9-2.3 s on one of 30 uneven ones,
-# seven-decimal weights, 16 MiB peak RSS (raw, as above), so a larger
-# run is refused before it starts.  The library itself sets no bound.
-_QUOTA_BUDGET = 2 * 10**6
+# The quota method hands out the last v mod D seats of a node with b >= 3
+# children one by one, each about bit_length(b) steps down a heap of the
+# children (see _quota_work).  6 * 10**6 such heap steps take about
+# 1.6-2.7 s on one node of 3 to 10**4 children of uneven seven-decimal
+# weight and 0.7 s on one of 30 near-equal ones, 16-22 MiB peak RSS
+# (raw, two runs each; on the same host the four-leaf UC-quota run above
+# then took 4.2-5.4 s), so a larger run is refused before it starts.
+# The library itself sets no bound.
+_QUOTA_BUDGET = 6 * 10**6
 
 # --trajectory holds and prints all h + 1 allocations of n counts each.
 # On a 7-node tree 2 * 10**6 counts (h = 285713) take about 1.4 s and
@@ -104,40 +106,41 @@ def _check_uc_quota_work(h: int, height: int) -> None:
 
 
 def _quota_work(h: int, splits) -> int:
-    """An upper bound on the seats the quota method hands out one by one.
+    """An upper bound on the heap steps of the quota method's splits.
 
-    ``splits`` gives ``(depth, D)`` for each node with three or more
+    ``splits`` gives ``(depth, b, D)`` for each node with ``b >= 3``
     children, ``D`` (a bound on) the lcm of their weight denominators.
     Such a node hands out its last ``v mod D < D`` seats one by one, each
-    a heap step, and the nodes at one depth hold at most ``h`` seats in
-    all, so a depth costs at most the smaller of the sum of ``D - 1`` and
-    ``h``.  Two-child nodes hand out none.
+    ``k = bit_length(b)`` heap steps, and the nodes at one depth hold at
+    most ``h`` seats in all, so a depth costs at most the smaller of the
+    sum of ``k * (D - 1)`` and ``h`` times its largest ``k``.  Two-child
+    nodes hand out none.
     """
-    levels: dict[int, int] = {}
-    for depth, d in splits:
-        levels[depth] = levels.get(depth, 0) + d - 1
-    return sum(min(total, h) for total in levels.values())
+    levels: dict[int, tuple[int, int]] = {}
+    for depth, b, d in splits:
+        total, deepest = levels.get(depth, (0, 0))
+        k = b.bit_length()
+        levels[depth] = (total + k * (d - 1), max(deepest, k))
+    return sum(min(total, h * deepest) for total, deepest in levels.values())
 
 
 def _check_quota_work(h: int, splits) -> None:
     work = _quota_work(h, splits)
     if work > _QUOTA_BUDGET:
         raise ValueError(
-            f"quota at h={h} may hand out {work} seats one by one at nodes with "
-            f"three or more children, over the budget of {_QUOTA_BUDGET}"
+            f"quota at h={h} may take {work} heap steps at nodes with three or "
+            f"more children, over the budget of {_QUOTA_BUDGET}"
         )
 
 
-def _instance_splits(inst) -> list[tuple[int, int]]:
-    """``(depth, D)`` of each node with three or more children, from the
-    split plan."""
+def _instance_splits(inst) -> list[tuple[int, int, int]]:
+    """``(depth, b, D)`` of each node with ``b >= 3`` children."""
     depth = _depths(inst)
-    plan = _split_plan(inst)
-    return [(depth[i], d) for i, kids, b, d, *_ in plan if b is None and len(kids) >= 3]
+    return [(depth[i], b, d) for i, b, d in _wide_splits(inst)]
 
 
-def _family_splits(config: ExperimentConfig) -> list[tuple[int, int]]:
-    """``(depth, D)`` bounds for every tree ``config`` generates.
+def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """``(depth, b, D)`` bounds for every tree ``config`` generates.
 
     A generated sibling group's weights are integer draws in
     ``[1, max_weight]`` over their sum, so ``D`` divides that sum, which
@@ -148,7 +151,7 @@ def _family_splits(config: ExperimentConfig) -> list[tuple[int, int]]:
     for i in range(1, skeleton.n):
         depth[i] = depth[skeleton.parents[i]] + 1
     return [
-        (depth[i], len(kids) * config.max_weight)
+        (depth[i], len(kids), len(kids) * config.max_weight)
         for i, kids in enumerate(skeleton.children)
         if len(kids) >= 3
     ]

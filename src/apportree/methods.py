@@ -53,10 +53,10 @@ by one heap of its children's next keys under all four methods (see
 and Jefferson hand out fewer than ``b`` seats that way, the quota method
 fewer than ``D``, the lcm of the children's weight denominators.  The
 command line refuses an upper-compliant run over a fixed budget of
-``h * height`` seat-levels, and a quota run over one of seats handed out
-one by one; the library sets no bound.  What a split reads of a node
-that does not depend on ``h`` (its sorted children, their weights, cross
-products or key steps, and ``D``) is built once per instance, on its
+``h * height`` seat-levels, and a quota run over one of heap steps; the
+library sets no bound.  What a split reads of a node that does not
+depend on ``h`` (its sorted children, their weights, cross products or
+key units and steps, and ``D``) is built once per instance, on its
 first allocation, and kept; what only the upper-compliant split reads
 (``Q_i``) likewise, on the first upper-compliant allocation.  The walk
 reads none of it: it stays the trajectory API and the reference the
@@ -80,6 +80,12 @@ from .core import Allocation, Instance, _check_house, _fast_arrays
 # the subtree's caps go in (numerator, denominator) pairs, whose clamp to
 # a count resets the denominator to 1
 _Q_LIMIT = 1 << 60
+
+# the most bits a wide node's distinct weight numerators may take in all
+# for its keys to go as exact integer steps over their lcm; past it they
+# go in fixed point, so no key takes more than about 1024 bits however
+# many children a node has
+_STEP_BITS = 1024
 
 
 class MethodKind(Enum):
@@ -218,15 +224,23 @@ def _build_plan(inst: Instance) -> list[tuple]:
     and ``nb / db``, and ``pa = da * nb``, ``pb = db * na``, so that the
     keys ``s_a / w_a`` and ``s_b / w_b`` compare as ``s_a * pa`` and
     ``s_b * pb``.  A node with one child, or more than two, has the record
-    ``(i, kids, None, D, wn, wd, step, L, first)``:
+    ``(i, kids, None, D, wn, wd, unit, steps, first)``:
 
     * ``kids`` are its children in id order, and ``wn`` and ``wd`` their
       weight numerators and denominators, in the same order;
-    * ``D`` is the lcm of the ``wd``, and ``L`` the lcm of the ``wn``;
-    * ``step[j] = wd[j] * (L // wn[j]) * b``, with ``b`` children, so
-      that a key ``s / w_j`` is ``s * step[j]`` over ``L * b``;
-    * ``first[j] = step[j] + j`` is child ``j``'s heap entry for the key
-      ``1 / w_j`` (see :func:`_split_wide`).
+    * ``D`` is the lcm of the ``wd``;
+    * if the distinct ``wn`` take at most ``_STEP_BITS`` bits in all,
+      ``unit`` is None, and with ``L`` the lcm of the ``wn`` and ``b``
+      children, ``steps[j] = wd[j] * (L // wn[j]) * b``, so that a key
+      ``s / w_j`` is ``s * steps[j]`` over ``L * b``, and ``first[j] =
+      steps[j] + j``;
+    * otherwise ``steps`` and ``first`` are None, and ``unit[j] = wd[j]
+      << P``, with ``2**P`` above the product of any two ``wn``, so that
+      ``s * unit[j] // wn[j]`` is the key ``s / w_j`` times ``2**P``,
+      rounded down.  Two different keys differ by at least ``1 / (wn[j]
+      * wn[k]) > 2**-P``, so the rounded keys still rank the children
+      exactly, ties included, in O(log) bits each however many distinct
+      ``wn`` there are, but a seat must recompute its key.
 
     What only the upper-compliant method reads is in
     :func:`_build_uc_plan`.
@@ -242,11 +256,16 @@ def _build_plan(inst: Instance) -> list[tuple]:
             kids = tuple(sorted(kids))
             wn = tuple([wnum[c] for c in kids])
             wd = tuple([wden[c] for c in kids])
-            top = lcm(*wn)
-            b = len(kids)
-            step = tuple([y * (top // x) * b for x, y in zip(wn, wd)])
-            first = tuple([u + j for j, u in enumerate(step)])
-            plan.append((i, kids, None, lcm(*wd), wn, wd, step, top, first))
+            unit = steps = first = None
+            if sum(map(int.bit_length, set(wn))) <= _STEP_BITS:
+                top = lcm(*wn)
+                b = len(kids)
+                steps = tuple([y * (top // x) * b for x, y in zip(wn, wd)])
+                first = tuple([u + j for j, u in enumerate(steps)])
+            else:
+                p = 2 * max(wn).bit_length()
+                unit = tuple([y << p for y in wd])
+            plan.append((i, kids, None, lcm(*wd), wn, wd, unit, steps, first))
             continue
         a, b = sorted(kids)
         na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
@@ -293,24 +312,29 @@ def _build_uc_plan(inst: Instance) -> list[tuple]:
     qs[0] = 1
     plan = []
     for rec in _split_plan(inst):
-        i, a, b = rec[:3]
-        q = qs[i]
-        if b is not None:
-            da, db = rec[4], rec[6]
-            qa = qb = 0
-            if q and q * max(da, db) <= _Q_LIMIT:
-                qa = qs[a] = q * da
-                qb = qs[b] = q * db
-            plan.append((q, qa, qb, bool(children[a]), bool(children[b])))
+        q = qs[rec[0]]
+        if rec[2] is None:
+            _, kids, _, _, _, wd, _, _, _ = rec
+            qc = 0
+            if q and q * max(wd) <= _Q_LIMIT:
+                qc = tuple([q * y for y in wd])
+                for c, y in zip(kids, qc):
+                    qs[c] = y
+            plan.append((q, qc, tuple([bool(children[c]) for c in kids])))
             continue
-        wd = rec[5]
-        qc = 0
-        if q and q * max(wd) <= _Q_LIMIT:
-            qc = tuple([q * y for y in wd])
-            for c, y in zip(a, qc):
-                qs[c] = y
-        plan.append((q, qc, tuple([bool(children[c]) for c in a])))
+        _, a, b, _, da, _, db, _, _ = rec
+        qa = qb = 0
+        if q and q * max(da, db) <= _Q_LIMIT:
+            qa = qs[a] = q * da
+            qb = qs[b] = q * db
+        plan.append((q, qa, qb, bool(children[a]), bool(children[b])))
     return plan
+
+
+def _wide_splits(inst: Instance) -> list[tuple[int, int, int]]:
+    """``(i, b, D)`` of each node ``i`` with ``b >= 3`` children, from the
+    split plan: what the quota method's split of ``i`` costs."""
+    return [(i, len(kids), d) for i, kids, b, d, *_ in _split_plan(inst) if b is None and len(kids) >= 3]
 
 
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
@@ -384,7 +408,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                         if keep[j]:
                             kept = caps[c] = []
                             adds[j] = kept.append
-                    _split_wide(seats, rec, repeat(0), 1, xs, uc[0], uc[1], adds)
+                    _split_wide(seats, rec, [0] * len(keep), 1, xs, uc[1], adds)
                 else:
                     _uc_split_two(seats, rec, uc, xs, caps)
                 continue
@@ -394,24 +418,41 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             else:
                 _uc_split(seats, rec, uc, qns, qds, caps)
         return seats
-    if kind is MethodKind.ADAMS:
-        for rec in plan:
-            i, a, b, na, da, nb, db, pa, pb = rec
-            v = seats[i]
+    adams = kind is MethodKind.ADAMS
+    is_quota = kind is MethodKind.QUOTA
+    for rec in plan:
+        if rec[2] is None:
+            v = seats[rec[0]]
             if not v:
                 continue
-            if b is None:
-                # a wide record: na = D, da = wn, nb = wd, db = step
-                m = v - len(a)
-                if m <= 0:
-                    # the larger weight has the smaller step; sorted is stable
-                    for j in sorted(range(len(a)), key=db.__getitem__)[:v]:
-                        seats[a[j]] = 1
-                    continue
-                start = [-(-m * x // y) for x, y in zip(da, nb)]
-                off = (0,) * len(a)
-                _split_wide(seats, rec, start, 0, repeat(1, v - sum(start)), 1, off, off)
+            _, kids, _, d, wn, wd, unit, steps, _ = rec
+            off = (0,) * len(kids)
+            m = v - len(kids)
+            if is_quota:
+                # at k = v - v mod D seats every child holds exactly k * w
+                k = v - v % d
+                start = [k // y * x for x, y in zip(wn, wd)]
+                _split_wide(seats, rec, start, 1, range(k + 1, v + 1), wd, off)
                 continue
+            if not adams:
+                start = [v * x // y for x, y in zip(wn, wd)]
+            elif m > 0:
+                start = [-(-m * x // y) for x, y in zip(wn, wd)]
+            else:
+                # the larger weight has the smaller key 1 / w, exact as a
+                # step or in fixed point; sorted is stable, so ties keep
+                # id order
+                key = steps.__getitem__ if steps else lambda j: unit[j] // wn[j]
+                for j in sorted(range(len(kids)), key=key)[:v]:
+                    seats[kids[j]] = 1
+                continue
+            _split_wide(seats, rec, start, 0 if adams else 1, repeat(1, v - sum(start)), off, off)
+            continue
+        i, a, b, na, da, nb, db, pa, pb = rec
+        v = seats[i]
+        if not v:
+            continue
+        if adams:
             m = v - 2
             sa = sb = 0
             if m > 0:
@@ -428,96 +469,85 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                     sb += 1
             seats[a] = sa
             seats[b] = sb
-        return seats
-    is_quota = kind is MethodKind.QUOTA
-    for rec in plan:
-        i, a, b, na, da, nb, db, pa, pb = rec
-        v = seats[i]
-        if not v:
             continue
-        if b is not None:
-            sa = v * na // da
-            sb = v * nb // db
-            # at most one seat is left: keys (s + 1) / w, the tie to a
-            if sa + sb < v and (sa + 1) * pa <= (sb + 1) * pb:
-                sa += 1
-            seats[a] = sa
-            seats[b] = v - sa
-            continue
-        # a wide record: na = D, da = wn, nb = wd
-        off = (0,) * len(a)
-        if is_quota:
-            # at k = v - v mod D seats every child holds exactly k * w
-            k = v - v % na
-            start = [k // y * x for x, y in zip(da, nb)]
-            _split_wide(seats, rec, start, 1, range(k + 1, v + 1), 1, nb, off)
-            continue
-        start = [v * x // y for x, y in zip(da, nb)]
-        _split_wide(seats, rec, start, 1, repeat(1, v - sum(start)), 1, off, off)
+        sa = v * na // da
+        sb = v * nb // db
+        # at most one seat is left: keys (s + 1) / w, the tie to a
+        if sa + sb < v and (sa + 1) * pa <= (sb + 1) * pb:
+            sa += 1
+        seats[a] = sa
+        seats[b] = v - sa
     return seats
 
 
-def _split_wide(seats, rec, start, bump, caps, q, qc, adds) -> None:
+def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
     """Split the seats of a node with one child or more than two, caps in
     one list: the wide split of all four methods.
 
     ``rec`` is the node's split plan record.  Child ``j``, in its id
-    order, starts at ``start[j]`` seats, and each further seat brings a
-    cap ``x / q``, ``x`` from ``caps`` in arrival order.  The seat goes to
-    the child with the least key ``(s + bump) / w`` among those holding
-    fewer than ``x / q * w`` seats, the tie to the lower id.  Child ``j``
-    holds ``t_j = s_j * qc[j]``, kept by addition, with ``qc[j]`` its
-    ``q * wd[j]``, or 0 for no cap, and is under the cap while
-    ``t_j < x * wn[j]``.  If ``adds[j]`` is not false, the child passes
-    on ``min(x * wn[j], t_j)`` through it after each seat it takes.
+    order, starts at ``held[j]`` seats (a list the split counts on), and
+    each further seat brings a cap ``x / q``, ``x`` from ``caps`` in
+    arrival order.  The seat goes to the child with the least key ``(s +
+    bump) / w`` among those holding fewer than ``x / q * w`` seats, the
+    tie to the lower id.  Child ``j`` is under the cap while ``s_j *
+    qc[j] < x * wn[j]``, with ``qc[j]`` its ``q * wd[j]``, or 0 for no
+    cap.  If ``adds[j]`` is not false, the child passes on ``min(x *
+    wn[j], s_j * qc[j])`` through it after each seat it takes.
 
-    A heap holds each child's next key as ``(s + bump) * step[j] + j``:
-    the ``+ j`` makes every entry unique and its child ``entry % b``, and
-    equal keys pop in id order, the walk's tie rule.  The caps a node's
-    seats bring never decrease: the root's ``t``-th seat brings ``t``, the
-    quota cap is the node's own count, and a child passes on
-    ``min(cap * w_c, v_c)``, whose terms both rise with its seats (an
-    overriding child's ``cap * w_c`` is that min, see :func:`_uc_split`).
-    So a child found on top at its cap is parked in a second heap, under
-    ``s * step[j] + j``, until ``s * step[j] // b * q < x * L``; each park
-    follows a seat the child took, so a seat costs O(log b) amortized.
-    The counts are read back from both heaps.  Some child is always under
-    the cap (see the module docstring); if none is, the counts are
-    corrupt, and it raises :class:`RuntimeError`.
+    A heap holds each child's next key ``(s + bump) / w_j`` as an int,
+    ``key * b + j`` (see :func:`_build_plan` for the key's scale): the
+    ``+ j`` makes every entry unique and its child ``entry % b``, and
+    equal keys pop in id order, the walk's tie rule.  A seat moves its
+    child's entry on by the key step, or, where the node has none,
+    recomputes it.  The caps a node's seats bring never decrease: the
+    root's ``t``-th seat brings ``t``, the quota cap is the node's own
+    count, and a child passes on ``min(cap * w_c, v_c)``, whose terms both
+    rise with its seats (an overriding child's ``cap * w_c`` is that min,
+    see :func:`_uc_split`).  So a child found on top at its cap is parked
+    in a second heap, under its key ``s / w_j``, until a cap passes it;
+    each park follows a seat the child took, so a seat costs O(log b)
+    amortized.  Some child is always under the cap (see the module
+    docstring); if none is, the counts are corrupt, and it raises
+    :class:`RuntimeError`.
     """
-    kids, wn, step, top = rec[1], rec[4], rec[6], rec[7]
+    _, kids, _, _, wn, _, unit, steps, first = rec
     b = len(kids)
-    # s * step[j] + bump * step[j] + j: rec[8] holds step[j] + j for bump 1
-    heap = list(map(add, map(mul, start, step), rec[8] if bump else range(b)))
+    if steps:
+        # (s + bump) * steps[j] + j, where first[j] is steps[j] + j
+        heap = list(map(add, map(mul, held, steps), first if bump else range(b)))
+    else:
+        heap = [(s + bump) * u // n * b + j for j, (s, u, n) in enumerate(zip(held, unit, wn))]
     heapify(heap)
-    t = list(map(mul, start, qc))
     parked = []
     for x in caps:
-        while parked and parked[0] // b * q < x * top:
-            e = heappop(parked)
-            heappush(heap, e + bump * step[e % b])
+        while parked:
+            e = parked[0]
+            j = e % b
+            s = held[j]
+            if s * qc[j] >= x * wn[j]:
+                break
+            heappop(parked)
+            heappush(heap, e + bump * steps[j] if steps else (s + bump) * unit[j] // wn[j] * b + j)
         e = heap[0]
         j = e % b
         y = x * wn[j]
-        while t[j] >= y:
-            heappush(parked, heappop(heap) - bump * step[j])
+        while held[j] * qc[j] >= y:
+            heappop(heap)
+            heappush(parked, e - bump * steps[j] if steps else held[j] * unit[j] // wn[j] * b + j)
             if not heap:
                 raise RuntimeError("no child under its cap")
             e = heap[0]
             j = e % b
             y = x * wn[j]
-        heapreplace(heap, e + step[j])
-        tj = t[j] + qc[j]
-        t[j] = tj
+        s = held[j] + 1
+        held[j] = s
+        heapreplace(heap, e + steps[j] if steps else (s + bump) * unit[j] // wn[j] * b + j)
         out = adds[j]
         if out:
-            out(y if y < tj else tj)
-    for e in heap:
-        j = e % b
-        seats[kids[j]] = e // step[j] - bump
-    for e in parked:
-        j = e % b
-        seats[kids[j]] = e // step[j]
+            s *= qc[j]
+            out(y if y < s else s)
+    for c, s in zip(kids, held):
+        seats[c] = s
 
 
 def _uc_split(seats, rec, uc, qns, qds, caps) -> None:
@@ -668,31 +698,36 @@ def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
     denominator in place of ``q``, and each non-leaf child gets its caps
     in two lists, clamped as in :func:`_uc_split`.
     """
-    kids, wn, wd, step, top = rec[1], rec[4], rec[5], rec[6], rec[7]
+    _, kids, _, _, wn, wd, unit, steps, first = rec
     b = len(kids)
+    heap = list(first) if steps else [u // n * b + j for j, (u, n) in enumerate(zip(unit, wn))]
     held = [0] * b
     kept = [([], []) if k else None for k in uc[2]]
-    heap = list(rec[8])
     heapify(heap)
     parked = []
     for qn, qd in zip(qns, qds):
-        while parked and parked[0] // b * qd < qn * top:
-            e = heappop(parked)
-            heappush(heap, e + step[e % b])
+        while parked:
+            e = parked[0]
+            j = e % b
+            if held[j] * qd * wd[j] >= qn * wn[j]:
+                break
+            heappop(parked)
+            heappush(heap, e + steps[j] if steps else (held[j] + 1) * unit[j] // wn[j] * b + j)
         e = heap[0]
         j = e % b
         x = qn * wn[j]
         y = qd * wd[j]
         while held[j] * y >= x:
-            heappush(parked, heappop(heap) - step[j])
+            heappop(heap)
+            heappush(parked, e - steps[j] if steps else held[j] * unit[j] // wn[j] * b + j)
             if not heap:
                 raise RuntimeError("no child under its cap")
             e = heap[0]
             j = e % b
             x = qn * wn[j]
             y = qd * wd[j]
-        heapreplace(heap, e + step[j])
         vc = held[j] + 1
+        heapreplace(heap, e + steps[j] if steps else (vc + 1) * unit[j] // wn[j] * b + j)
         held[j] = vc
         if kept[j]:
             if x >= vc * y:

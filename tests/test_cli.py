@@ -151,7 +151,8 @@ class TestAllocate:
 
     def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
         # one node of 30 children with seven-decimal weights: D = 10**7,
-        # so up to 3 * 10**6 of the house's seats are handed out one by one
+        # so up to 3 * 10**6 of the house's seats are handed out one by
+        # one, each 5 steps down a heap of 30
         raw = [333333] * 29 + [10**7 - 29 * 333333]
         inst = flat_instance([Fraction(r, 10**7) for r in raw])
         path = write(tmp_path, "wide.json", instance_to_json(inst))
@@ -160,8 +161,8 @@ class TestAllocate:
         assert perf_counter() - start < 5
         assert capsys.readouterr() == (
             "",
-            "error: quota at h=3000000 may hand out 3000000 seats one by one at nodes "
-            "with three or more children, over the budget of 2000000\n",
+            "error: quota at h=3000000 may take 15000000 heap steps at nodes with "
+            "three or more children, over the budget of 6000000\n",
         )
         # the same house hands out fewer than b seats one by one for the
         # divisor methods
@@ -169,30 +170,31 @@ class TestAllocate:
 
     def test_quota_budget_is_the_smaller_bound(self, flat5_file, capsys, monkeypatch):
         # flat5's four children have D = 20: at most 19 seats one by one,
-        # and at most h of them at a house of h
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 18)
+        # and at most h of them at a house of h, each 3 heap steps
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 56)
         argv = ["allocate", flat5_file, "--method", "quota", "--seats"]
         assert main(argv + ["18"]) == 0
         assert main(argv + ["19"]) == 1
-        assert capsys.readouterr().err.startswith("error: quota at h=19 may hand out 19 seats one by one")
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 19)
+        assert capsys.readouterr().err.startswith("error: quota at h=19 may take 57 heap steps")
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 57)
         assert main(argv + ["1000000000"]) == 0
         # the other methods' work does not depend on D
         monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
         assert main(["allocate", flat5_file, "--method", "jefferson", "--seats", "19"]) == 0
 
     def test_quota_budget_sums_the_depths(self, tmp_path, capsys, monkeypatch):
-        # a root of three children (D = 3) over two of flat5's shape (D = 20)
-        # at depth 1: min(2, h) + min(2 * 19, h), the two-child node free
+        # a root of three children (D = 3, 2 heap steps a seat) over two of
+        # flat5's shape (D = 20, 3 heap steps a seat) at depth 1:
+        # min(2 * 2, 2 * h) + min(3 * 2 * 19, 3 * h), the two-child node free
         parents = [None, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
         group = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
         third = Fraction(1, 3)
         inst = Instance(parents, [Fraction(1), third, third, third] + group + group + [Fraction(1, 2)] * 2)
         path = write(tmp_path, "levels.json", instance_to_json(inst))
         argv = ["allocate", path, "--method", "quota", "--seats"]
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 40)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 118)
         assert main(argv + ["1000"]) == 0
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 39)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 117)
         assert main(argv + ["1000"]) == 1
         assert main(argv + ["37"]) == 0
         assert main(argv + ["38"]) == 1
@@ -538,7 +540,7 @@ class TestExperiment:
 
     def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
         # 4-ary height 3, weights up to 10**6: each depth may hand out h
-        # seats one by one
+        # seats one by one, each 3 heap steps
         cfg = {
             "family": {"kind": "4ary", "height": 3}, "house_sizes": [10, 1000000],
             "methods": ["adams", "quota"], "max_weight": 1000000,
@@ -549,25 +551,26 @@ class TestExperiment:
         assert perf_counter() - start < 5
         assert capsys.readouterr() == (
             "",
-            "error: quota at h=1000000 may hand out 3000000 seats one by one at nodes "
-            "with three or more children, over the budget of 2000000\n",
+            "error: quota at h=1000000 may take 9000000 heap steps at nodes with "
+            "three or more children, over the budget of 6000000\n",
         )
 
     def test_quota_budget_bounds_d_by_the_largest_draw(self, capsys, monkeypatch):
         # 4-ary height 2 has one 4-child node at depth 0 and two at depth 1;
-        # with draws up to 10, D <= 40: min(39, h) + min(2 * 39, h)
+        # with draws up to 10, D <= 40, and a seat takes 3 heap steps:
+        # min(3 * 39, 3 * h) + min(3 * 2 * 39, 3 * h)
         flags = [
             "experiment", "--family", "4ary", "--height", "2", "--count", "2",
             "--house-sizes", "1,10", "--methods", "quota",
         ]
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 19)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 59)
         assert main(flags) == 1
-        assert capsys.readouterr().err.startswith("error: quota at h=10 may hand out 20 seats one by one")
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 20)
+        assert capsys.readouterr().err.startswith("error: quota at h=10 may take 60 heap steps")
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 60)
         assert main(flags) == 0
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 116)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 350)
         assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 1
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 117)
+        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 351)
         assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 0
         # binary families and the other methods cost nothing
         monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)

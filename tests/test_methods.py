@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -370,18 +372,23 @@ class TestLevelCascade:
         st.sampled_from(CASCADE_KINDS),
         st.one_of(st.integers(0, 30), st.integers(0, 400)),
         st.booleans(),
+        st.booleans(),
     )
-    def test_wide_nodes_match_the_walk(self, shares, method, h, flip):
+    def test_wide_nodes_match_the_walk(self, shares, method, h, flip, fixed_keys):
         # Many children: the divisor methods give out up to b last seats
         # one at a time, quota walks the node seat by seat and UC-quota
         # takes its wide, not its two-child, split.  Houses no bigger
         # than the node keep Adams children at zero, where weight breaks
-        # ties.
+        # ties.  A _STEP_BITS of 0 puts every key in fixed point.
         inst = flat_instance(shares)
         if flip:
             inst = reversed_children(inst)
+        with pytest.MonkeyPatch.context() as patch:
+            if fixed_keys:
+                patch.setattr(methods, "_STEP_BITS", 0)
+            final = run_method(inst, method, h).final
         walked, _ = _walk(inst, method, h)
-        assert run_method(inst, method, h).final.seats == tuple(walked)
+        assert final.seats == tuple(walked)
 
     @given(share_lists(max_parties=8, max_weight=6), st.booleans(), st.data())
     def test_quota_splits_repeat_every_period(self, shares, flip, data):
@@ -403,11 +410,15 @@ class TestLevelCascade:
             walked, _ = _walk(inst, MethodKind.QUOTA, h)
             assert run_method(inst, MethodKind.QUOTA, h).final.seats == tuple(walked)
 
+    @pytest.mark.parametrize("fixed_keys", [False, True])
     @pytest.mark.parametrize("flip", [False, True])
-    def test_six_decimal_weights_on_thirty_children(self, flip):
+    def test_six_decimal_weights_on_thirty_children(self, monkeypatch, flip, fixed_keys):
         # D = 10**6 for quota.  Every method keeps the 30 children's next
         # keys in one heap, ranked over the lcm of their weight
-        # numerators, and quota and UC-quota park children at their cap.
+        # numerators or in fixed point, and quota and UC-quota park
+        # children at their cap.
+        if fixed_keys:
+            monkeypatch.setattr(methods, "_STEP_BITS", 0)
         rng = SplitMix64(6)
         raw = [rng.randint(1, 30000) for _ in range(29)]
         raw.append(10**6 - sum(raw))
@@ -455,10 +466,13 @@ class TestLevelCascade:
         walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
         assert final.seats == tuple(walked)
 
-    def test_uc_quota_wide_nodes_below_a_heavy_spine(self):
+    @pytest.mark.parametrize("fixed_keys", [False, True])
+    def test_uc_quota_wide_nodes_below_a_heavy_spine(self, monkeypatch, fixed_keys):
         # The spine's caps come as pairs from five levels down, so the
         # four-child node at its tip, and the three-child node below that,
         # split caps in (numerator, denominator) pairs.
+        if fixed_keys:
+            monkeypatch.setattr(methods, "_STEP_BITS", 0)
         inst = with_wide_nodes(heavy_spine(7), 13)
         run_method(inst, MethodKind.UC_QUOTA, 0)
         assert [uc[0] for rec, uc in zip(inst._plan, inst._ucplan) if rec[2] is None] == [0, 0]
@@ -466,13 +480,16 @@ class TestLevelCascade:
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
 
+    @pytest.mark.parametrize("fixed_keys", [False, True])
     @pytest.mark.parametrize("pair_caps", [False, True])
     @pytest.mark.parametrize("flip", [False, True])
-    def test_one_child_nodes(self, monkeypatch, pair_caps, flip):
+    def test_one_child_nodes(self, monkeypatch, pair_caps, flip, fixed_keys):
         # An only child takes every seat and passes on min(cap, v); here
         # only children sit above, between and below wide nodes.
         if pair_caps:
             monkeypatch.setattr(methods, "_Q_LIMIT", 0)
+        if fixed_keys:
+            monkeypatch.setattr(methods, "_STEP_BITS", 0)
         inst = Instance(
             [None, 0, 1, 1, 1, 2, 5, 5, 5, 3, 9, 9, 10],
             [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1),
@@ -486,15 +503,31 @@ class TestLevelCascade:
                 walked, _ = _walk(inst, method, h)
                 assert run_method(inst, method, h).final.seats == tuple(walked)
 
-    def test_uc_quota_on_300_children(self):
+    @pytest.mark.parametrize("fixed_keys", [False, True])
+    def test_uc_quota_on_300_children(self, monkeypatch, fixed_keys):
         # A star far wider than the generated trees: 300 children rank in
         # one heap of next keys, with entries ``key * 300 + j``.
+        if fixed_keys:
+            monkeypatch.setattr(methods, "_STEP_BITS", 0)
         rng = SplitMix64(300)
         raw = [rng.randint(1, 9) for _ in range(300)]
         inst = flat_instance([Fraction(r, sum(raw)) for r in raw])
         for h in (5, 299, 300, 1500):
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_300_distinct_prime_weights(self, flip):
+        # 300 distinct prime numerators take far more than _STEP_BITS
+        # bits, so the keys go in fixed point without any patch.
+        inst = flat_instance([Fraction(p, sum(PRIMES[:300])) for p in PRIMES[:300]])
+        if flip:
+            inst = reversed_children(inst)
+        for method in MethodKind:
+            for h in (7, 299, 300, 301, 900):
+                walked, _ = _walk(inst, method, h)
+                assert run_method(inst, method, h).final.seats == tuple(walked)
+        assert inst._plan[0][7] is None
 
     def test_uc_quota_overrides_jefferson_at_a_wide_node(self, monkeypatch):
         # Node 1 (weight 2/3) splits among nodes 3, 4 and 5 (1/2, 1/4,
@@ -508,7 +541,8 @@ class TestLevelCascade:
         )
         assert run_method(inst, MethodKind.JEFFERSON, 2).paths == ((0, 1, 3), (0, 1, 3))
         assert run_method(inst, MethodKind.UC_QUOTA, 2).paths == ((0, 1, 3), (0, 1, 4))
-        # a child found on top at its cap is parked, the only heappush
+        # a child found on top at its cap is parked with a heappush; the
+        # only other heappush brings a parked child back, after a park
         parks = []
         push = methods.heappush
         monkeypatch.setattr(methods, "heappush", lambda heap, e: parks.append(e) or push(heap, e))
@@ -701,6 +735,22 @@ def wide_spine(levels: int) -> Instance:
     return Instance(parents, weights)
 
 
+def first_primes(count: int) -> list[int]:
+    """The first ``count`` primes, by a sieve."""
+    n = 2 * count * max(1, count.bit_length())
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for k in range(2, math.isqrt(n) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(range(k * k, n, k)))
+    primes = [k for k in range(n) if sieve[k]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+PRIMES = first_primes(10**4)
+
+
 class TestSplitPlan:
     """Each instance's per-node split data is built once, on its first
     cascade, and only there."""
@@ -758,12 +808,12 @@ class TestSplitPlan:
         assert inst._ucplan is None
         run_method(inst, MethodKind.UC_QUOTA, 5)
         assert inst._ucplan == [(1, 9, 9, True, False), (9, 81, 81, False, False)]
-        # wider: the children, D, their weights, their key steps over
-        # L = lcm(2, 3, 3, 3) = 6, times b = 4, and their first heap
-        # entries; for UC-quota their Q and keep flags
+        # wider: the children, D, their weights, no fixed-point units, their
+        # key steps over L = lcm(2, 3, 3, 3) = 6, times b = 4, and their
+        # first heap entries; for UC-quota their Q and keep flags
         inst = reversed_children(flat5)
         assert methods._split_plan(inst) == [
-            (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), (60, 80, 160, 160), 6, (60, 81, 162, 163)),
+            (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), None, (60, 80, 160, 160), (60, 81, 162, 163)),
         ]
         assert methods._uc_plan(inst) == [(1, (5, 10, 20, 20), (False,) * 4)]
         # Jefferson's order repeats every D = 20 seats, ties to the lower id
@@ -771,10 +821,63 @@ class TestSplitPlan:
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
         assert [path[1] - 1 for path in jefferson] == period * 2
 
+    def test_fixed_point_records(self, flat5, monkeypatch):
+        # past _STEP_BITS (the distinct numerators 2 and 3 take 4
+        # bits) the units are wd << 4, as 2**4 > 3 * 3, and there are no
+        # key steps
+        monkeypatch.setattr(methods, "_STEP_BITS", 3)
+        assert methods._split_plan(reversed_children(flat5)) == [
+            (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), (80, 160, 320, 320), None, None),
+        ]
+
+    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 10**3))
+    def test_fixed_point_keys_split_near_ties(self, a, b, k):
+        # Weights a / (2a + 1) and b / (2b + 1), and counts with
+        # s_a * (2a + 1) * b - s_b * (2b + 1) * a = 1: the key s_a / w_a
+        # passes s_b / w_b by only 1 / (a * b), the least two different
+        # keys can differ, so Adams gives child 1 the first seat despite
+        # its higher id, and child 0 the second.
+        x, y = (2 * a + 1) * b, (2 * b + 1) * a
+        assume(math.gcd(x, y) == 1)
+        wa, wb = Fraction(a, 2 * a + 1), Fraction(b, 2 * b + 1)
+        inst = flat_instance([wa, wb, 1 - wa - wb])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(methods, "_STEP_BITS", 0)
+            rec = methods._split_plan(inst)[0]
+        s_a = pow(x, -1, y) + k * y
+        s_b = (s_a * x - 1) // y
+        off = (0, 0, 0)
+        for extra, expected in ((1, [s_a, s_b + 1]), (2, [s_a + 1, s_b + 1])):
+            seats = [0] * 4
+            methods._split_wide(seats, rec, [s_a, s_b, 10**30], 0, [1] * extra, off, off)
+            assert seats[1:3] == expected
+
+    def test_many_distinct_numerators_keep_the_split_small(self):
+        # 10**4 leaves weighted by the first 10**4 primes: the lcm of the
+        # weight numerators has some 10**5 bits, so exact key steps would
+        # take hundreds of MiB.  In fixed point every method's split, at
+        # small houses too, stays within a few MiB and well under a second.
+        b = 10**4
+        total = sum(PRIMES)
+        inst = flat_instance([Fraction(p, total) for p in PRIMES])
+        start = perf_counter()
+        tracemalloc.start()
+        try:
+            for method in MethodKind:
+                for h in (1, 100, b + 7):
+                    seats = run_method(inst, method, h).final.seats
+                    assert seats[0] == sum(seats[1:]) == h
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert perf_counter() - start < 60
+        assert inst._plan[0][7] is None
+
     def test_no_child_under_the_cap_raises(self, flat5):
         # four children holding 2, 3, 4 and 4 seats, each at least its
         # quota at the cap 10 (over q = 1), so all are parked
         rec = methods._split_plan(flat5)[0]
         seats = [0] * flat5.n
         with pytest.raises(RuntimeError, match="no child under its cap"):
-            methods._split_wide(seats, rec, [4, 3, 2, 2], 1, [10], 1, rec[5], (0,) * 4)
+            methods._split_wide(seats, rec, [4, 3, 2, 2], 1, [10], rec[5], (0,) * 4)
