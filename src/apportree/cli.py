@@ -17,7 +17,6 @@ from .core import (
     InvalidInstanceError,
     QuotaMode,
     _audit,
-    _fast_arrays,
     _quotas,
     allocation_from_json,
     allocation_to_json,
@@ -43,30 +42,22 @@ from .generator import (
     build_tree,
     random_instance,
 )
-from .methods import MethodKind, _wide_splits, run_method
+from .methods import MethodKind, _splits, _work, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
-# UC-quota hands every seat down every level, h * height seat-levels in
-# all.  10**7 of them take about 1.9-2.6 s and up to 232 MiB peak RSS on
-# binary trees (height 3 and 10), 1.1-2.8 s and under 70 MiB on 4-ary
-# ones, 3.1-3.4 s and 16 MiB on one node of four leaves, and 7.7-12.2 s
-# and 16 MiB on one node of 30 leaves of uneven six-decimal weight,
-# where a seat parks a child four times in ten (raw wall clock of
-# `allocate`, two runs each on a shared 2-vCPU Xeon, Python 3.11), so a
-# larger run is refused before it starts.  The library itself sets no
-# bound.
-_UC_QUOTA_BUDGET = 10**7
-
-# The quota method hands out the last v mod D seats of a node with b >= 3
-# children one by one, each about bit_length(b) steps down a heap of the
-# children (see _quota_work).  6 * 10**6 such heap steps take about
-# 1.6-2.7 s on one node of 3 to 10**4 children of uneven seven-decimal
-# weight and 0.7 s on one of 30 near-equal ones, 16-22 MiB peak RSS
-# (raw, two runs each; on the same host the four-leaf UC-quota run above
-# then took 4.2-5.4 s), so a larger run is refused before it starts.
-# The library itself sets no bound.
-_QUOTA_BUDGET = 6 * 10**6
+# methods._work bounds the steps any method takes, a step being about
+# one seat of a two-child split.  At 8 * 10**6 steps `allocate` took (raw
+# wall clock, two runs each, shared 2-vCPU Xeon, Python 3.11, at most
+# 75 MiB peak RSS): ucquota on binary height 10 2.1-2.2 s, on 4-ary
+# height 10 0.5 s, on one node of 4 leaves 2.2 s, of 30 of uneven
+# six-decimal weight 3.4-3.5 s (a seat parks a child four times in ten),
+# of 30 of seven-decimal weight 1.4-1.7 s, of 10**4 2.0 s, and on
+# heavy_spine(1000) 2.5-2.7 s; quota on the 30 seven-decimal leaves
+# 1.7-2.2 s and on the 10**4 1.5-1.6 s, and never refused on the others
+# (the 30 six-decimal leaves at their worst, h = D - 1: 1.3-1.4 s).  So a
+# larger run is refused before it starts; the library sets no bound.
+_WORK_BUDGET = 8 * 10**6
 
 # --trajectory holds and prints all h + 1 allocations of n counts each.
 # On a 7-node tree 2 * 10**6 counts (h = 285713) take about 1.4 s and
@@ -97,46 +88,12 @@ def _load(path: str, parse):
         ) from exc
 
 
-def _check_uc_quota_work(h: int, height: int) -> None:
-    if h * height > _UC_QUOTA_BUDGET:
+def _check_work(kind: MethodKind, h: int, splits) -> None:
+    work = _work(kind, h, splits)
+    if work > _WORK_BUDGET:
         raise ValueError(
-            f"ucquota at h={h} on a tree of height {height} needs {h * height} "
-            f"seat-levels of work, over the budget of {_UC_QUOTA_BUDGET}"
+            f"{kind.value} at h={h} may take {work} steps, over the budget of {_WORK_BUDGET}"
         )
-
-
-def _quota_work(h: int, splits) -> int:
-    """An upper bound on the heap steps of the quota method's splits.
-
-    ``splits`` gives ``(depth, b, D)`` for each node with ``b >= 3``
-    children, ``D`` (a bound on) the lcm of their weight denominators.
-    Such a node hands out its last ``v mod D < D`` seats one by one, each
-    ``k = bit_length(b)`` heap steps, and the nodes at one depth hold at
-    most ``h`` seats in all, so a depth costs at most the smaller of the
-    sum of ``k * (D - 1)`` and ``h`` times its largest ``k``.  Two-child
-    nodes hand out none.
-    """
-    levels: dict[int, tuple[int, int]] = {}
-    for depth, b, d in splits:
-        total, deepest = levels.get(depth, (0, 0))
-        k = b.bit_length()
-        levels[depth] = (total + k * (d - 1), max(deepest, k))
-    return sum(min(total, h * deepest) for total, deepest in levels.values())
-
-
-def _check_quota_work(h: int, splits) -> None:
-    work = _quota_work(h, splits)
-    if work > _QUOTA_BUDGET:
-        raise ValueError(
-            f"quota at h={h} may take {work} heap steps at nodes with three or "
-            f"more children, over the budget of {_QUOTA_BUDGET}"
-        )
-
-
-def _instance_splits(inst) -> list[tuple[int, int, int]]:
-    """``(depth, b, D)`` of each node with ``b >= 3`` children."""
-    depth = _depths(inst)
-    return [(depth[i], b, d) for i, b, d in _wide_splits(inst)]
 
 
 def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
@@ -153,28 +110,8 @@ def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
     return [
         (depth[i], len(kids), len(kids) * config.max_weight)
         for i, kids in enumerate(skeleton.children)
-        if len(kids) >= 3
+        if kids
     ]
-
-
-def _check_trajectory_work(h: int, n: int) -> None:
-    if (h + 1) * n > _TRAJECTORY_BUDGET:
-        raise ValueError(
-            f"--trajectory at h={h} on a tree of {n} nodes prints {(h + 1) * n} "
-            f"seat counts, over the budget of {_TRAJECTORY_BUDGET}"
-        )
-
-
-def _depths(inst) -> list[int]:
-    order, parents, _, _, _, _, _ = _fast_arrays(inst)
-    depth = [0] * inst.n
-    for i in order[1:]:
-        depth[i] = depth[parents[i]] + 1
-    return depth
-
-
-def _height(inst) -> int:
-    return max(_depths(inst))
 
 
 def _cmd_validate(args) -> int:
@@ -198,13 +135,14 @@ def _cmd_allocate(args) -> int:
         alloc = allocate_both_quotas(inst, h)
         print(allocation_to_json(alloc))
         return 0
-    if args.method == "ucquota":
-        _check_uc_quota_work(h, _height(inst))
-    if args.method == "quota":
-        _check_quota_work(h, _instance_splits(inst))
-    if args.trajectory:
-        _check_trajectory_work(h, inst.n)
-    traj = run_method(inst, MethodKind(args.method), h)
+    kind = MethodKind(args.method)
+    _check_work(kind, h, _splits(inst))
+    if args.trajectory and (h + 1) * inst.n > _TRAJECTORY_BUDGET:
+        raise ValueError(
+            f"--trajectory at h={h} on a tree of {inst.n} nodes prints {(h + 1) * inst.n} "
+            f"seat counts, over the budget of {_TRAJECTORY_BUDGET}"
+        )
+    traj = run_method(inst, kind, h)
     if args.trajectory:
         steps = [list(a.seats) for a in traj.allocations()]
         print(json.dumps({"h": h, "seats": list(traj.final.seats), "trajectory": steps}))
@@ -289,10 +227,9 @@ def _cmd_experiment(args) -> int:
             methods=tuple(MethodKind(m) for m in args.methods.split(",")) if args.methods else ALL_METHODS,
             max_weight=args.max_weight,
         )
-    if MethodKind.UC_QUOTA in config.methods:
-        _check_uc_quota_work(max(config.house_sizes, default=0), config.family.height)
-    if MethodKind.QUOTA in config.methods:
-        _check_quota_work(max(config.house_sizes, default=0), _family_splits(config))
+    splits = _family_splits(config)
+    for kind in config.methods:
+        _check_work(kind, max(config.house_sizes, default=0), splits)
     table = run_experiment(config, workers=args.workers)
     sys.stdout.write(emit_table(table, args.out))
     return 0

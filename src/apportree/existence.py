@@ -26,8 +26,8 @@ holder's seats and share folded into the ancestor ratios as it goes.  Two
 children make a single pair, and an only child takes its parent's seats
 unchanged, as splicing it out would.  The rewrite itself remains for
 inspection: :func:`to_full_binary` (CLI ``reduce``) builds it, and
-:func:`trace_both_quotas` records each pair's interval from that same pass,
-keyed by the rewrite's node ids; it replays nothing.
+:func:`trace_both_quotas` runs that same pass on the rewrite and records
+each pair's interval, keyed by the rewrite's node ids; it replays nothing.
 
 :class:`EmptyInterval` exists as a guard rail: it is raised if the interval
 were ever empty, which the accompanying tests drive hard to show it is not.
@@ -256,23 +256,19 @@ def trace_both_quotas(
     and the feasible interval of each of its pairs.
 
     The intervals are those of the pass that allocates, nothing replayed:
+    it runs on :func:`to_full_binary`'s tree itself, so
     ``FeasibleInterval.node`` is the pair's first child as a node id of
-    :func:`to_full_binary`'s tree, and the intervals come in that tree's
-    breadth-first order.
+    that tree, and the intervals come in its breadth-first order.  The
+    original nodes' seats are read back through ``node_map``.
     """
     _check_house(h)
     reduction = to_full_binary(inst)
-    node_map = reduction.node_map
-    rank = {node: k for k, node in enumerate(reduction.reduced.bfs_order())}
-    seats = [0] * inst.n
-    intervals = sorted(
-        (
-            FeasibleInterval(node_map[x], low, high, Fraction(scaled * v, rest))
-            for x, v, low, high, scaled, rest in _pairs(inst, h, seats)
-        ),
-        key=lambda iv: rank[iv.node],
+    seats = [0] * reduction.reduced.n
+    intervals = tuple(
+        FeasibleInterval(x, low, high, Fraction(scaled * v, rest))
+        for x, v, low, high, scaled, rest in _pairs(reduction.reduced, h, seats)
     )
-    return Allocation(h, tuple(seats)), reduction, tuple(intervals)
+    return Allocation(h, tuple([seats[j] for j in reduction.node_map])), reduction, intervals
 
 
 def brute_force_both_quotas(

@@ -50,11 +50,11 @@ form, where clamping a cap to a count resets its denominator to 1.
 A node with two children is split in locals.  Every other node is split
 by one heap of its children's next keys under all four methods (see
 :func:`_split_wide`), in O(log b) per seat with ``b`` children: Adams
-and Jefferson hand out fewer than ``b`` seats that way, the quota method
-fewer than ``D``, the lcm of the children's weight denominators.  The
-command line refuses an upper-compliant run over a fixed budget of
-``h * height`` seat-levels, and a quota run over one of heap steps; the
-library sets no bound.  What a split reads of a node that does not
+and Jefferson hand out at most ``b`` seats that way, the quota method
+fewer than ``D``, the lcm of the children's weight denominators.
+:func:`_work` bounds the steps of all four methods from each split's
+cost, and the command line refuses a run over a fixed budget of them;
+the library sets no bound.  What a split reads of a node that does not
 depend on ``h`` (its sorted children, their weights, cross products or
 key units and steps, and ``D``) is built once per instance, on its
 first allocation, and kept; what only the upper-compliant split reads
@@ -331,10 +331,37 @@ def _build_uc_plan(inst: Instance) -> list[tuple]:
     return plan
 
 
-def _wide_splits(inst: Instance) -> list[tuple[int, int, int]]:
-    """``(i, b, D)`` of each node ``i`` with ``b >= 3`` children, from the
-    split plan: what the quota method's split of ``i`` costs."""
-    return [(i, len(kids), d) for i, kids, b, d, *_ in _split_plan(inst) if b is None and len(kids) >= 3]
+def _splits(inst: Instance) -> list[tuple[int, int, int]]:
+    """``(depth, b, D)`` of every node with ``b`` children, ``D`` the lcm
+    of their weight denominators: what :func:`_work` reads of a tree."""
+    order, parents, _, _, _, wden, children = _fast_arrays(inst)
+    depth = [0] * inst.n
+    for i in order[1:]:
+        depth[i] = depth[parents[i]] + 1
+    return [(depth[i], len(kids), math.lcm(*[wden[c] for c in kids])) for i in order if (kids := children[i])]
+
+
+def _work(kind: MethodKind, h: int, splits) -> int:
+    """A bound on the steps :func:`_cascade` takes to split ``h`` seats.
+
+    ``splits`` is :func:`_splits`' list.  At each node ``m`` seats are
+    handed out one at a time, each at a cost stated where :func:`_cascade`
+    and :func:`_split_wide` describe the split.  The nodes at one depth
+    hold at most ``h`` seats in all, so a depth costs at most the smaller
+    of the sum of ``m`` times the cost and ``h`` times the largest cost.
+    """
+    levels: dict[int, tuple[int, int]] = {}
+    for depth, b, d in splits:
+        if kind is MethodKind.UC_QUOTA:
+            m = h
+        elif b == 2:
+            continue
+        else:
+            m = d - 1 if kind is MethodKind.QUOTA else b
+        cost = 1 if b == 2 else (b.bit_length() + 4) // 3
+        total, top = levels.get(depth, (0, 0))
+        levels[depth] = (total + cost * m, max(top, cost))
+    return sum(min(total, h * top) for total, top in levels.values())
 
 
 def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
@@ -370,7 +397,9 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
 
     A two-child node is split in locals, with Adams' zero-seat tie to the
     larger weight, then the lower id; any other node by
-    :func:`_split_wide`.
+    :func:`_split_wide`.  In locals :func:`_work` counts one step for each
+    of the upper-compliant method's seats, which it hands out one at a
+    time, and none for the other methods, which hand out at most two.
 
     The upper-compliant method splits a node in one pass over the caps
     the node's seats bring, in arrival order.  The root's ``t``-th seat
@@ -506,9 +535,11 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
     see :func:`_uc_split`).  So a child found on top at its cap is parked
     in a second heap, under its key ``s / w_j``, until a cap passes it;
     each park follows a seat the child took, so a seat costs O(log b)
-    amortized.  Some child is always under the cap (see the module
-    docstring); if none is, the counts are corrupt, and it raises
-    :class:`RuntimeError`.
+    amortized, ``(bit_length(b) + 4) // 3`` steps of :func:`_work`: at
+    the command line's budget edge such a seat took about 2, 2 and 5.6
+    times a two-child one at ``b`` = 4, 30 and 10**4.  Some child is
+    always under the cap (see the module docstring); if none is, the
+    counts are corrupt, and it raises :class:`RuntimeError`.
     """
     _, kids, _, _, wn, _, unit, steps, first = rec
     b = len(kids)

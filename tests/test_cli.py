@@ -15,6 +15,7 @@ from apportree import (
     Allocation,
     Instance,
     QuotaMode,
+    SplitMix64,
     allocation_to_json,
     brute_force_both_quotas,
     check_allocation,
@@ -136,23 +137,42 @@ class TestAllocate:
         start = perf_counter()
         assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "1000000000"]) == 1
         assert perf_counter() - start < 5
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ucquota at h=1000000000 on a tree of height 2")
-        assert captured.err.count("\n") == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: ucquota at h=1000000000 may take 2000000000 steps, over the budget of 8000000\n",
+        )
 
-    def test_uc_quota_budget_is_h_times_height(self, sym7_file, capsys, monkeypatch):
-        # sym7 has height 2: ten seats are 20 seat-levels, eleven are 22
-        monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 20)
+    def test_uc_quota_budget_is_h_times_height(self, sym7_file, flat5_file, capsys, monkeypatch):
+        # sym7 is binary of height 2, a step a seat at each level: ten
+        # seats are 20 steps, eleven are 22
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 20)
         assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "10"]) == 0
         assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "11"]) == 1
+        # flat5's root splits on a heap of four, two steps a seat
+        assert main(["allocate", flat5_file, "--method", "ucquota", "--seats", "10"]) == 0
+        assert main(["allocate", flat5_file, "--method", "ucquota", "--seats", "11"]) == 1
         # the other methods' work does not grow with h
         assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "11"]) == 0
+
+    def test_uc_quota_on_thirty_six_decimal_children_exits_at_once(self, tmp_path, capsys):
+        # three steps a seat on a heap of 30, where a seat parks a child
+        # four times in ten: the run would take about 8-12 s
+        rng = SplitMix64(6)
+        raw = [rng.randint(1, 30000) for _ in range(29)]
+        raw.append(10**6 - sum(raw))
+        path = write(tmp_path, "w.json", instance_to_json(flat_instance([Fraction(r, 10**6) for r in raw])))
+        start = perf_counter()
+        assert main(["allocate", path, "--method", "ucquota", "--seats", "10000000"]) == 1
+        assert perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "",
+            "error: ucquota at h=10000000 may take 30000000 steps, over the budget of 8000000\n",
+        )
 
     def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
         # one node of 30 children with seven-decimal weights: D = 10**7,
         # so up to 3 * 10**6 of the house's seats are handed out one by
-        # one, each 5 steps down a heap of 30
+        # one, each 3 steps on a heap of 30
         raw = [333333] * 29 + [10**7 - 29 * 333333]
         inst = flat_instance([Fraction(r, 10**7) for r in raw])
         path = write(tmp_path, "wide.json", instance_to_json(inst))
@@ -161,45 +181,56 @@ class TestAllocate:
         assert perf_counter() - start < 5
         assert capsys.readouterr() == (
             "",
-            "error: quota at h=3000000 may take 15000000 heap steps at nodes with "
-            "three or more children, over the budget of 6000000\n",
+            "error: quota at h=3000000 may take 9000000 steps, over the budget of 8000000\n",
         )
-        # the same house hands out fewer than b seats one by one for the
+        # the same house hands out at most b seats one by one for the
         # divisor methods
         assert main(["allocate", path, "--method", "jefferson", "--seats", "3000000"]) == 0
 
     def test_quota_budget_is_the_smaller_bound(self, flat5_file, capsys, monkeypatch):
         # flat5's four children have D = 20: at most 19 seats one by one,
-        # and at most h of them at a house of h, each 3 heap steps
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 56)
+        # and at most h of them at a house of h, each 2 steps on the heap
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 37)
         argv = ["allocate", flat5_file, "--method", "quota", "--seats"]
         assert main(argv + ["18"]) == 0
         assert main(argv + ["19"]) == 1
-        assert capsys.readouterr().err.startswith("error: quota at h=19 may take 57 heap steps")
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 57)
+        assert capsys.readouterr().err.startswith("error: quota at h=19 may take 38 steps")
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 38)
         assert main(argv + ["1000000000"]) == 0
-        # the other methods' work does not depend on D
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
-        assert main(["allocate", flat5_file, "--method", "jefferson", "--seats", "19"]) == 0
+        # Adams and Jefferson hand out at most b = 4 seats one by one
+        for method in ("adams", "jefferson"):
+            argv = ["allocate", flat5_file, "--method", method, "--seats"]
+            monkeypatch.setattr(cli, "_WORK_BUDGET", 7)
+            assert main(argv + ["3"]) == 0
+            assert main(argv + ["4"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {method} at h=4 may take 8 steps")
+            monkeypatch.setattr(cli, "_WORK_BUDGET", 8)
+            assert main(argv + ["1000000000"]) == 0
 
     def test_quota_budget_sums_the_depths(self, tmp_path, capsys, monkeypatch):
-        # a root of three children (D = 3, 2 heap steps a seat) over two of
-        # flat5's shape (D = 20, 3 heap steps a seat) at depth 1:
-        # min(2 * 2, 2 * h) + min(3 * 2 * 19, 3 * h), the two-child node free
+        # a root of three children (D = 3) over two of flat5's shape
+        # (D = 20) and a two-child node at depth 1, two steps a seat on
+        # each heap: min(2 * 2, 2 * h) + min(2 * 19 * 2, 2 * h), the
+        # two-child node free
         parents = [None, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
         group = [Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20)]
         third = Fraction(1, 3)
         inst = Instance(parents, [Fraction(1), third, third, third] + group + group + [Fraction(1, 2)] * 2)
         path = write(tmp_path, "levels.json", instance_to_json(inst))
         argv = ["allocate", path, "--method", "quota", "--seats"]
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 118)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 80)
         assert main(argv + ["1000"]) == 0
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 117)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 79)
         assert main(argv + ["1000"]) == 1
         assert main(argv + ["37"]) == 0
         assert main(argv + ["38"]) == 1
-        # a binary tree costs nothing at any house
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
+        # UC-quota pays each depth's largest cost on every seat: 2h + 2h
+        argv = ["allocate", path, "--method", "ucquota", "--seats"]
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 80)
+        assert main(argv + ["20"]) == 0
+        assert main(argv + ["21"]) == 1
+        # a binary tree costs the quota method nothing at any house
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 0)
         sym7 = write(tmp_path, "sym7.json", instance_to_json(make_sym7()))
         assert main(["allocate", sym7, "--method", "quota", "--seats", "1000000000"]) == 0
 
@@ -525,24 +556,24 @@ class TestExperiment:
         start = perf_counter()
         assert main(["experiment", "--config", path]) == 1
         assert perf_counter() - start < 5
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ucquota at h=1000000000 on a tree of height 3")
-        assert captured.err.count("\n") == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: ucquota at h=1000000000 may take 3000000000 steps, over the budget of 8000000\n",
+        )
 
     def test_uc_quota_budget_reads_the_largest_house(self, capsys, monkeypatch):
-        # binary height 3: a largest house of 10 is 30 seat-levels
-        monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 29)
+        # binary height 3: a largest house of 10 is 30 steps
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 29)
         assert main(self.FLAGS) == 1
         assert main(self.FLAGS[:-1] + ["adams"]) == 0
-        monkeypatch.setattr(cli, "_UC_QUOTA_BUDGET", 30)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 30)
         assert main(self.FLAGS[:7] + ["--house-sizes", "1,10"] + self.FLAGS[9:]) == 0
 
     def test_quota_over_budget_exits_at_once(self, tmp_path, capsys):
-        # 4-ary height 3, weights up to 10**6: each depth may hand out h
-        # seats one by one, each 3 heap steps
+        # 4-ary height 5, weights up to 10**6: each of the five depths may
+        # hand out h seats one by one, each 2 steps on a heap of four
         cfg = {
-            "family": {"kind": "4ary", "height": 3}, "house_sizes": [10, 1000000],
+            "family": {"kind": "4ary", "height": 5}, "house_sizes": [10, 1000000],
             "methods": ["adams", "quota"], "max_weight": 1000000,
         }
         path = write(tmp_path, "cfg.json", json.dumps(cfg))
@@ -551,31 +582,35 @@ class TestExperiment:
         assert perf_counter() - start < 5
         assert capsys.readouterr() == (
             "",
-            "error: quota at h=1000000 may take 9000000 heap steps at nodes with "
-            "three or more children, over the budget of 6000000\n",
+            "error: quota at h=1000000 may take 10000000 steps, over the budget of 8000000\n",
         )
 
     def test_quota_budget_bounds_d_by_the_largest_draw(self, capsys, monkeypatch):
         # 4-ary height 2 has one 4-child node at depth 0 and two at depth 1;
-        # with draws up to 10, D <= 40, and a seat takes 3 heap steps:
-        # min(3 * 39, 3 * h) + min(3 * 2 * 39, 3 * h)
+        # with draws up to 10, D <= 40, and a seat takes 2 steps:
+        # min(2 * 39, 2 * h) + min(2 * 2 * 39, 2 * h)
         flags = [
             "experiment", "--family", "4ary", "--height", "2", "--count", "2",
             "--house-sizes", "1,10", "--methods", "quota",
         ]
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 59)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 39)
         assert main(flags) == 1
-        assert capsys.readouterr().err.startswith("error: quota at h=10 may take 60 heap steps")
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 60)
+        assert capsys.readouterr().err.startswith("error: quota at h=10 may take 40 steps")
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 40)
         assert main(flags) == 0
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 350)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 233)
         assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 1
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 351)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 234)
         assert main(flags[:7] + ["--house-sizes", "1000"] + flags[9:]) == 0
-        # binary families and the other methods cost nothing
-        monkeypatch.setattr(cli, "_QUOTA_BUDGET", 0)
-        assert main(flags[:2] + ["binary"] + flags[3:]) == 0
+        # Adams and Jefferson hand out at most b = 4 seats one by one at
+        # each of the three nodes, 2 * 4 + 2 * 2 * 4 steps
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 23)
+        assert main(flags[:-1] + ["adams,jefferson"]) == 1
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 24)
         assert main(flags[:-1] + ["adams,jefferson"]) == 0
+        # binary families cost the quota method nothing
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 0)
+        assert main(flags[:2] + ["binary"] + flags[3:]) == 0
 
     def test_max_weight_past_64_bits_exits_at_once(self, tmp_path):
         # as for generate, in a child process that a timeout can stop

@@ -85,11 +85,13 @@ class TestToFullBinary:
     def test_loaded_instance_is_validated_once(self, deep7, monkeypatch):
         calls = []
         original = core.validate_instance
-        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(1) or original(inst))
+        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(inst) or original(inst))
         inst = instance_from_json(instance_to_json(deep7))
-        trace_both_quotas(inst, 5)
+        _, red, _ = trace_both_quotas(inst, 5)
         allocate_both_quotas(inst, 7)
-        assert len(calls) == 1
+        # the trace's pass runs on the rewrite, validated once in its turn
+        assert len(calls) == 2
+        assert calls[0] is inst and calls[1] is red.reduced
 
     @given(st.one_of(irregular_instances(max_nodes=40), share_lists(30, 1000).map(flat_instance)))
     def test_matches_rescaling_reference(self, inst):

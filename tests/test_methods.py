@@ -31,7 +31,6 @@ from apportree import (
 
 import apportree.core as core
 import apportree.methods as methods
-from apportree.cli import _height
 from apportree.methods import _walk
 
 from conftest import caterpillar, flat_instance, irregular_instances, reversed_children, share_lists
@@ -155,6 +154,15 @@ class TestTrajectoryShape:
             a = run_method(deep7, method, 11)
             b = run_method(deep7, method, 11)
             assert a.final == b.final and a.paths == b.paths
+
+
+def height(inst: Instance) -> int:
+    """Edges on the longest root-to-leaf path of a tree whose parents have
+    lower ids than their children, as :func:`irregular_instances` draws."""
+    depth = [0] * inst.n
+    for i in range(1, inst.n):
+        depth[i] = depth[inst.parents[i]] + 1
+    return max(depth)
 
 
 def assert_path_is_root_to_leaf(inst: Instance, path: tuple[int, ...]) -> None:
@@ -596,7 +604,7 @@ class TestLevelCascade:
         assert run_method(inst, MethodKind.UC_QUOTA, 2).final.seats == tuple(walked)
 
     @given(
-        irregular_instances(max_nodes=20, max_weight=10**6).filter(lambda inst: _height(inst) >= 5),
+        irregular_instances(max_nodes=20, max_weight=10**6).filter(lambda inst: height(inst) >= 5),
         st.integers(0, 300),
         st.booleans(),
     )
