@@ -47,16 +47,18 @@ from .methods import MethodKind, _splits, _work, run_method
 SEED_ENV_VAR = "APPORTREE_SEED"
 
 # methods._work bounds the steps any method takes, a step being about
-# one seat of a two-child split.  At 8 * 10**6 steps `allocate` took (raw
-# wall clock, two runs each, shared 2-vCPU Xeon, Python 3.11, at most
-# 75 MiB peak RSS): ucquota on binary height 10 2.1-2.2 s, on 4-ary
-# height 10 0.5 s, on one node of 4 leaves 2.2 s, of 30 of uneven
-# six-decimal weight 3.4-3.5 s (a seat parks a child four times in ten),
-# of 30 of seven-decimal weight 1.4-1.7 s, of 10**4 2.0 s, and on
-# heavy_spine(1000) 2.5-2.7 s; quota on the 30 seven-decimal leaves
-# 1.7-2.2 s and on the 10**4 1.5-1.6 s, and never refused on the others
-# (the 30 six-decimal leaves at their worst, h = D - 1: 1.3-1.4 s).  So a
-# larger run is refused before it starts; the library sets no bound.
+# one seat of a two-child split; it counts every ucquota seat, though
+# ucquota hands out at most one period and D more at a node.  At 8 * 10**6
+# steps `allocate` took (raw wall clock, two runs each, shared 2-vCPU
+# Xeon, Python 3.11, at most 42 MiB peak RSS): ucquota on binary height
+# 10 0.4 s, on 4-ary height 10 0.2 s, on one node of 4 leaves 0.2 s, of
+# 30 of uneven six-decimal weight 0.7 s (0.9 s at h = 2 * 10**6 - 1), of
+# 30 of seven-decimal weight 1.0-1.3 s, of 10**4 prime weights 2.5-2.6 s,
+# and on heavy_spine(1000) 1.6-1.9 s; quota on the 30 seven-decimal
+# leaves 1.2-1.5 s and on the 10**4 primes 2.5-2.6 s, and never refused
+# on the others (the 30 six-decimal leaves at their worst, h = D - 1:
+# 1.1 s).  So a larger run is refused before it starts; the library sets
+# no bound.
 _WORK_BUDGET = 8 * 10**6
 
 # --trajectory holds and prints all h + 1 allocations of n counts each.

@@ -38,14 +38,17 @@ it.  The upper-compliant cap depends on the path only through the cap a
 seat brings to a node: which child takes the seat depends on that cap and
 the counts of the node's own children, and the child passes on
 ``min(cap * w_c, v_c)``.  So a node is split in one pass over the caps
-its seats bring, in arrival order, O(v) per node and O(h) per level.
-Node ``i``'s caps are kept as one list of integers ``X`` over a
-denominator ``Q_i`` shared by the whole list, the product of the weight
-denominators on its root path (``Q_0 = 1``), so a seat costs one
-multiplication ``X * wnum[c]`` and integer comparisons.  ``Q_i`` grows
-with depth, so a node whose children's ``Q`` would pass 2**60 hands its
-list on as ``(numerator, denominator)`` pairs, and its subtree keeps that
-form, where clamping a cap to a count resets its denominator to 1.
+its seats bring, in arrival order, and most of that pass repeats (see
+:func:`_cascade`): a node hands out at most one period of its seats,
+fixed by the instance, to learn its children's caps, and fewer than
+``D`` more to learn their counts.  Node ``i``'s caps are kept as one
+list of integers ``X`` over a denominator ``Q_i`` shared by the whole
+list, the product of the weight denominators on its root path (``Q_0 =
+1``), so a seat costs one multiplication ``X * wnum[c]`` and integer
+comparisons.  ``Q_i`` grows with depth, so a node whose children's
+``Q`` would pass 2**60 hands its list on as ``(numerator,
+denominator)`` pairs, and its subtree keeps that form, where clamping a
+cap to a count resets its denominator to 1.
 
 A node with two children is split in locals.  Every other node is split
 by one heap of its children's next keys under all four methods (see
@@ -71,7 +74,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import repeat
+from itertools import chain, count, islice, repeat
 from operator import add, mul
 
 from .core import Allocation, Instance, _check_house, _fast_arrays
@@ -287,7 +290,7 @@ def _build_uc_plan(inst: Instance) -> list[tuple]:
     record of the split plan: one record per split plan record, in the
     same order, so the other methods never pay for it.
 
-    A node with two children ``a < b`` has ``(q, qa, qb, ka, kb)``:
+    A node with two children ``a < b`` has ``(q, qa, qb, ka, kb, L, D)``:
 
     * ``q`` is the node's ``Q_i`` if its caps come as one list of
       numerators, else 0: they come as pairs, and so do its whole
@@ -296,38 +299,55 @@ def _build_uc_plan(inst: Instance) -> list[tuple]:
       the node hands its caps on as one list, both at most ``_Q_LIMIT``,
       else 0;
     * ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that
-      is, whether they keep the caps they pass on.
+      is, whether they keep the caps they pass on;
+    * ``D`` is the lcm of ``da`` and ``db``, and ``L`` the node's period.
 
-    A node with one child, or more than two, has ``(q, qc, keep)``: ``q``
-    as above, ``qc`` the children's ``Q``, ``q * wd[j]``, if all are at
-    most ``_Q_LIMIT``, else 0, and ``keep`` tells, per child in the split
-    plan's id order, whether it has children.
+    A node with one child, or more than two, has ``(q, qc, keep, L, D)``:
+    ``q``, ``L`` and ``D`` as above, ``qc`` the children's ``Q``, ``q *
+    wd[j]``, if all are at most ``_Q_LIMIT``, else 0, and ``keep`` tells,
+    per child in the split plan's id order, whether it has children.
 
-    So no stored ``Q`` passes ``_Q_LIMIT``, and the plan stays O(n) words
-    at any depth.
+    A node whose caps repeat every ``P`` seats splits with the period ``L
+    = lcm(P, D)`` (see :func:`_cascade`); the root's ``P`` is 1, a
+    child's its parent's ``L * w``.  ``L`` is 0 where caps come as pairs,
+    at a node whose children are all leaves (it passes on no caps), below
+    a node with ``L = 0``, and past ``_Q_LIMIT``.
+
+    So no stored ``Q`` or ``L`` passes ``_Q_LIMIT``, and the plan stays
+    O(n) words at any depth.
     """
-    _, _, _, _, _, _, children = _fast_arrays(inst)
-    # Q_i of the nodes whose caps come as one list, 0 for the others
+    _, parents, _, _, wnum, wden, children = _fast_arrays(inst)
+    lcm = math.lcm
+    # Q_i of the nodes whose caps come as one list, 0 for the others, and
+    # L_i of the nodes with children
     qs = [0] * inst.n
     qs[0] = 1
+    ls = [0] * inst.n
     plan = []
     for rec in _split_plan(inst):
-        q = qs[rec[0]]
+        i = rec[0]
+        q = qs[i]
         if rec[2] is None:
-            _, kids, _, _, _, wd, _, _, _ = rec
-            qc = 0
-            if q and q * max(wd) <= _Q_LIMIT:
-                qc = tuple([q * y for y in wd])
-                for c, y in zip(kids, qc):
-                    qs[c] = y
-            plan.append((q, qc, tuple([bool(children[c]) for c in kids])))
-            continue
-        _, a, b, _, da, _, db, _, _ = rec
-        qa = qb = 0
-        if q and q * max(da, db) <= _Q_LIMIT:
-            qa = qs[a] = q * da
-            qb = qs[b] = q * db
-        plan.append((q, qa, qb, bool(children[a]), bool(children[b])))
+            _, kids, _, d, _, wd, _, _, _ = rec
+        else:
+            _, a, b, _, da, _, db, _, _ = rec
+            kids, wd, d = (a, b), (da, db), lcm(da, db)
+        qc = 0
+        if q and q * max(wd) <= _Q_LIMIT:
+            qc = tuple([q * y for y in wd])
+            for c, y in zip(kids, qc):
+                qs[c] = y
+        keep = tuple([bool(children[c]) for c in kids])
+        # the period of the node's caps: 1 at the root, L * w_i below
+        p = ls[parents[i]] // wden[i] * wnum[i] if i else 1
+        period = lcm(p, d) if qc and p and any(keep) else 0
+        if period > _Q_LIMIT:
+            period = 0
+        ls[i] = period
+        if rec[2] is None:
+            plan.append((q, qc, keep, period, d))
+        else:
+            plan.append((q, *(qc or (0, 0)), *keep, period, d))
     return plan
 
 
@@ -398,17 +418,38 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     A two-child node is split in locals, with Adams' zero-seat tie to the
     larger weight, then the lower id; any other node by
     :func:`_split_wide`.  In locals :func:`_work` counts one step for each
-    of the upper-compliant method's seats, which it hands out one at a
-    time, and none for the other methods, which hand out at most two.
+    of the upper-compliant method's seats (an upper bound), and none for
+    the other methods, which hand out at most two one at a time.
 
     The upper-compliant method splits a node in one pass over the caps
     the node's seats bring, in arrival order.  The root's ``t``-th seat
-    brings the cap ``t``.  A node's caps come either as one list of
-    numerators over its ``Q_i`` (see the module docstring), which
-    :func:`_uc_split_two` splits at a two-child node and
-    :func:`_split_wide` at any other while the children's ``Q`` stay
-    within ``_Q_LIMIT``, or as pairs, which :func:`_uc_split` and
-    :func:`_uc_split_wide_pairs` split; a list reaches them as pairs over
+    brings the cap ``t``.  Two facts cut the pass short:
+
+    * Every child is fixed at multiples of ``D``.  The cap a node's
+      ``k``-th seat brings is at most ``k``, the node's count after it,
+      so a child takes the seat only while ``s < k * w``, and holds at
+      most ``ceil(k * w)`` after it.  At ``k`` a multiple of ``D`` every
+      ``k * w`` is whole and they sum to ``k``, so each child holds
+      exactly ``k * w``.  So the node starts its children at ``k * w``
+      for ``k = v - v mod D`` and hands out only its last ``v mod D``
+      seats, under their own caps.
+    * The caps repeat.  If a node's caps repeat every ``P`` seats, each
+      ``P`` higher, then after ``t`` seats, ``t`` a multiple of ``L =
+      lcm(P, D)``, each child holds ``t * w`` by the first fact, and every
+      key ``(s + 1) / w`` and every cap is the first ``L`` seats' plus
+      ``t``, and every cap a child passes on, ``min(cap * w, s)``, plus
+      ``t * w``.  So the split repeats every ``L`` seats, and child ``j``'s
+      caps every ``L * w_j``, each that much higher.  A node whose
+      children pass caps on splits only its first ``min(v, L)`` seats to
+      give them their caps, which past their end repeat, unrolled lazily
+      as far as the child reads them.
+
+    The caps come either as one list of numerators over the node's
+    ``Q_i`` (see the module docstring), which :func:`_uc_split_two`
+    splits at a two-child node and :func:`_uc_split_wide` at any other
+    while the children's ``Q`` stay within ``_Q_LIMIT``, or as pairs,
+    which :func:`_uc_split` and :func:`_uc_split_wide_pairs` split over
+    all of the node's seats; a list reaches them as pairs over
     ``repeat(Q_i)``.
     """
     plan = _split_plan(inst)
@@ -416,36 +457,43 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     seats[0] = h
     if kind is MethodKind.UC_QUOTA:
         # the caps node i's seats brought: a list of numerators over Q_i
-        # (the root's t-th seat brings t, over Q_0 = 1) or two lists of
+        # (the root's t-th seat brings t, over Q_0 = 1), which repeats,
+        # each time len * Q_i higher, past its end, or two lists of
         # numerators and denominators; leaves keep none, and each node's
         # are dropped once the node is split
         caps = [None] * inst.n
         caps[0] = range(1, h + 1)
         for rec, uc in zip(plan, _uc_plan(inst)):
             i = rec[0]
-            if not seats[i]:
+            v = seats[i]
+            if not v:
                 continue
             xs = caps[i]
             caps[i] = None
+            q = uc[0]
             # uc[1] is the children's Q if the caps go on as one list,
             # uc[0] the node's Q_i if they came as one; else each is 0
-            if uc[1]:
+            if not uc[1]:
+                qns, qds = (_unrolled(xs, q, 0, v), repeat(q)) if q else xs
                 if rec[2] is None:
-                    keep = uc[2]
-                    adds = [0] * len(keep)
-                    for j, c in enumerate(rec[1]):
-                        if keep[j]:
-                            kept = caps[c] = []
-                            adds[j] = kept.append
-                    _split_wide(seats, rec, [0] * len(keep), 1, xs, uc[1], adds)
+                    _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps)
                 else:
-                    _uc_split_two(seats, rec, uc, xs, caps)
+                    _uc_split(seats, rec, uc, qns, qds, caps)
                 continue
-            qns, qds = (xs, repeat(uc[0])) if uc[0] else xs
             if rec[2] is None:
-                _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps)
+                split, keeps = _uc_split_wide, any(uc[2])
             else:
-                _uc_split(seats, rec, uc, qns, qds, caps)
+                split, keeps = _uc_split_two, uc[3] or uc[4]
+            period, d = uc[-2:]
+            if keeps:
+                # the children's caps: one period, or all if v is less
+                m = period if period and v > period else v
+                split(seats, rec, uc, _unrolled(xs, q, 0, m), caps, 0)
+                if m == v:
+                    continue
+            # every child holds exactly k * w at k = v - v mod D
+            k = v - v % d
+            split(seats, rec, uc, _unrolled(xs, q, k, v - k), None, k)
         return seats
     adams = kind is MethodKind.ADAMS
     is_quota = kind is MethodKind.QUOTA
@@ -507,6 +555,34 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
         seats[a] = sa
         seats[b] = v - sa
     return seats
+
+
+def _unrolled(xs, q, k, n):
+    """The caps of a node's seats ``k + 1`` to ``k + n``, from its list
+    ``xs`` over ``q``, which past its end repeats, each time ``len(xs) *
+    q`` higher (see :func:`_build_uc_plan`); lazily, without a copy."""
+    p = len(xs)
+    if k + n <= p:
+        return islice(xs, k, k + n)
+    r = k % p
+    blocks = (map(add, xs, repeat(y)) for y in count((k - r) * q, p * q))
+    return islice(chain.from_iterable(blocks), r, r + n)
+
+
+def _uc_split_wide(seats, rec, uc, xs, caps, k) -> None:
+    """Split the seats of a node with one child or more than two under the
+    upper-compliant method, caps in one list: :func:`_split_wide` with
+    every child starting at ``k * w_j``, ``k`` a multiple of ``D``, and the
+    caps ``xs`` of the seats after the ``k``-th.  Each non-leaf child gets
+    the caps it passes on in ``caps``, unless that is None."""
+    _, kids, _, _, wn, wd, _, _, _ = rec
+    adds = [0] * len(kids)
+    if caps is not None:
+        for j, c in enumerate(kids):
+            if uc[2][j]:
+                kept = caps[c] = []
+                adds[j] = kept.append
+    _split_wide(seats, rec, [k // y * x for x, y in zip(wn, wd)], 1, xs, uc[1], adds)
 
 
 def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
@@ -610,7 +686,7 @@ def _uc_split(seats, rec, uc, qns, qds, caps) -> None:
     (v - cap) <= 0``.
     """
     _, a, b, na, da, nb, db, pa, pb = rec
-    _, _, _, ka, kb = uc
+    ka, kb = uc[3:5]
     an = ad = bn = bd = None
     if ka:
         nums, dens = caps[a] = ([], [])
@@ -663,32 +739,37 @@ def _uc_split(seats, rec, uc, qns, qds, caps) -> None:
     seats[b] = sb
 
 
-def _uc_split_two(seats, rec, uc, xs, caps) -> None:
+def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     """Split a two-child node's seats under the upper-compliant method.
 
     ``rec`` and ``uc`` are the node's records of the split plan and the
-    upper-compliant plan.  The node's ``k``-th seat brought the cap
-    ``xs[k] / Q_i``, ``Q_i`` the product of the weight denominators on
-    the node's root path.
+    upper-compliant plan.  Each child starts at ``k * w``, ``k`` a
+    multiple of ``D``, and the node's seats after the ``k``-th brought
+    the caps ``x / Q_i``, ``x`` from ``xs``, ``Q_i`` the product of the
+    weight denominators on the node's root path.
     A child ``c`` counts in units of its own ``Q_c = Q_i * wden[c]``: it
     holds ``t_c = s_c * Q_c``, kept by addition, is eligible while
     ``t_c < x`` with ``x = X * wnum[c]`` (that is ``s_c < cap * w_c``),
     and passes on ``min(x, t_c)`` after the seat, over ``Q_c``.  The
     ranking and the override are :func:`_uc_split`'s, whose docstring
     shows that an overriding child passes on ``x`` unclamped.  Each
-    non-leaf child gets its list in ``caps``.
+    non-leaf child gets its list in ``caps``, unless that is None.
     """
-    _, a, b, na, _, nb, _, pa, pb = rec
-    _, qa, qb, ka, kb = uc
+    _, a, b, na, da, nb, _, pa, pb = rec
+    _, qa, qb, ka, kb, _, _ = uc
     add_a = add_b = None
-    if ka:
-        keep = caps[a] = []
-        add_a = keep.append
-    if kb:
-        keep = caps[b] = []
-        add_b = keep.append
-    ta = tb = 0
-    # (s + 1) * p for each child: the lower one ranks first
+    if caps is not None:
+        if ka:
+            keep = caps[a] = []
+            add_a = keep.append
+        if kb:
+            keep = caps[b] = []
+            add_b = keep.append
+    sa = k // da * na
+    sb = k - sa
+    ta, tb = sa * qa, sb * qb
+    # (s + 1) * p for each child, less the same s_a * p_a = s_b * p_b =
+    # k * na * nb: the lower one ranks first
     ra, rb = pa, pb
     for x in xs:
         if ra <= rb:

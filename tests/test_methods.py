@@ -411,6 +411,72 @@ class TestLevelCascade:
         walked, _ = _walk(inst, MethodKind.QUOTA, h)
         assert run_method(inst, MethodKind.QUOTA, h).final.seats == tuple(walked)
 
+    @given(
+        irregular_instances(max_nodes=8, max_weight=4),
+        st.sampled_from([MethodKind.QUOTA, MethodKind.UC_QUOTA]),
+        st.integers(0, 200),
+    )
+    def test_children_are_fixed_at_multiples_of_d(self, inst, method, h):
+        # What the quota and UC-quota splits start from, read off the walk
+        # alone: whenever a node's count k is a multiple of D, the lcm of
+        # its children's weight denominators, each child holds k * w.
+        seats = [0] * inst.n
+        for path in _walk(inst, method, h)[1]:
+            for i in path:
+                seats[i] += 1
+            for i in path:
+                kids = inst.children[i]
+                if kids and seats[i] % math.lcm(*(inst.weights[c].denominator for c in kids)) == 0:
+                    assert all(seats[c] == seats[i] * inst.weights[c] for c in kids)
+
+    @given(
+        irregular_instances(max_nodes=10, max_weight=3),
+        st.integers(0, 1500),
+        st.sampled_from([None, 0, 40]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_uc_quota_periods_match_the_walk(self, inst, h, limit, fixed_keys, flip):
+        # Houses up to 1500 span several periods of the top nodes' splits
+        # at weights up to 3.  A limit of 0 sends every cap through the
+        # (numerator, denominator) split; one of 40 leaves the top levels
+        # in one list and stops the periods that pass it.  A _STEP_BITS of
+        # 0 puts every wide node's keys in fixed point.
+        if flip:
+            inst = reversed_children(inst)
+        with pytest.MonkeyPatch.context() as patch:
+            if limit is not None:
+                patch.setattr(methods, "_Q_LIMIT", limit)
+            if fixed_keys:
+                patch.setattr(methods, "_STEP_BITS", 0)
+            final = run_method(inst, MethodKind.UC_QUOTA, h).final
+        walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+        assert final.seats == tuple(walked)
+
+    @pytest.mark.parametrize("limit", [None, 20])
+    def test_uc_quota_periods_down_a_tree(self, monkeypatch, limit):
+        # The root splits 1/6, 1/10 and 11/15, so D = 30 and, its caps
+        # repeating every seat, L = 30; node 3's caps repeat every 30 *
+        # 11/15 = 22 seats, and its halves make L = 22.  Nodes 1 and 6
+        # have only leaves below them, so no period.  A limit of 20 keeps
+        # the root's caps and its children's Q (6, 10, 15) in one list but
+        # stops its period, and sends node 3's caps on as pairs.  Houses
+        # up to 400 span many periods.
+        if limit is not None:
+            monkeypatch.setattr(methods, "_Q_LIMIT", limit)
+        half = Fraction(1, 2)
+        inst = Instance(
+            [None, 0, 0, 0, 1, 1, 3, 3, 6, 6],
+            [Fraction(1), Fraction(1, 6), Fraction(1, 10), Fraction(11, 15), Fraction(1, 3), Fraction(2, 3),
+             half, half, Fraction(1, 4), Fraction(3, 4)],
+        )
+        run_method(inst, MethodKind.UC_QUOTA, 0)
+        periods = {rec[0]: uc[-2] for rec, uc in zip(inst._plan, inst._ucplan)}
+        assert periods == ({0: 30, 1: 0, 3: 22, 6: 0} if limit is None else dict.fromkeys((0, 1, 3, 6), 0))
+        for h in range(401):
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
+            assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
+
     def test_quota_period_is_the_lcm_not_the_largest_denominator(self):
         # The largest weight denominator is 6, the lcm 12.
         inst = flat_instance([Fraction(1, 6), Fraction(1, 3), Fraction(1, 4), Fraction(1, 4)])
@@ -649,15 +715,19 @@ class TestLevelCascade:
             (MethodKind.JEFFERSON, TreeKind.FULL_4ARY, 3),
             (MethodKind.QUOTA, TreeKind.PERFECT_BINARY, 6),
             (MethodKind.QUOTA, TreeKind.FULL_4ARY, 3),
+            (MethodKind.UC_QUOTA, TreeKind.FULL_4ARY, 3),
+            (MethodKind.UC_QUOTA, TreeKind.PERFECT_BINARY, 6),
         ],
     )
     def test_million_seat_house(self, method, kind, height):
+        # UC-quota splits at most one period of a node's seats and fewer
+        # than D more, so these take a few hundredths of a second
         inst = random_instance(TreeFamily(kind, height), 11)
         final = run_method(inst, method, 10**6).final
         report = check_allocation(inst, final)
         assert final.seats[0] == 10**6
         assert report.flow_violations == ()
-        if method is MethodKind.ADAMS:
+        if method in (MethodKind.ADAMS, MethodKind.UC_QUOTA):
             assert report.upper_violation_count == 0
         else:
             assert report.lower_violation_count == 0
@@ -795,8 +865,9 @@ class TestSplitPlan:
         assert len(plan) == len(inst._plan) == sum(1 for kids in inst.children if kids)
         for rec, uc in zip(inst._plan, plan):
             q, qc = uc[:2]
-            # a two-child record keeps qa and qb, a wider one all its children's Q
-            stored = [q, *(uc[1:3] if rec[2] is not None else qc or ())]
+            # a two-child record keeps qa and qb, a wider one all its
+            # children's Q; every record keeps its period L
+            stored = [q, *(uc[1:3] if rec[2] is not None else qc or ()), uc[-2]]
             assert all(0 <= x <= methods._Q_LIMIT for x in stored)
         # the spines' caps switch to pairs five levels down, and stay so
         if inst.n in (401, 601):
@@ -805,7 +876,10 @@ class TestSplitPlan:
     def test_records(self, flat5, nested5):
         # two children in id order with their cross products; UC-quota's
         # caps denominators, Q_0 = 1, Q_1 = 9 and both children's, with
-        # the keep flags, are built on its first run, not for the others
+        # the keep flags, the period L and D, are built on its first run,
+        # not for the others: the root's caps repeat every seat, so L =
+        # lcm(1, 9); node 1's children are leaves, which keep no caps, so
+        # it has no period
         inst = reversed_children(nested5)
         assert methods._split_plan(inst) == [
             (0, 1, 2, 8, 9, 1, 9, 9, 72),
@@ -815,15 +889,15 @@ class TestSplitPlan:
             run_method(inst, method, 5)
         assert inst._ucplan is None
         run_method(inst, MethodKind.UC_QUOTA, 5)
-        assert inst._ucplan == [(1, 9, 9, True, False), (9, 81, 81, False, False)]
+        assert inst._ucplan == [(1, 9, 9, True, False, 9, 9), (9, 81, 81, False, False, 0, 9)]
         # wider: the children, D, their weights, no fixed-point units, their
         # key steps over L = lcm(2, 3, 3, 3) = 6, times b = 4, and their
-        # first heap entries; for UC-quota their Q and keep flags
+        # first heap entries; for UC-quota their Q, keep flags, L and D
         inst = reversed_children(flat5)
         assert methods._split_plan(inst) == [
             (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), None, (60, 80, 160, 160), (60, 81, 162, 163)),
         ]
-        assert methods._uc_plan(inst) == [(1, (5, 10, 20, 20), (False,) * 4)]
+        assert methods._uc_plan(inst) == [(1, (5, 10, 20, 20), (False,) * 4, 0, 20)]
         # Jefferson's order repeats every D = 20 seats, ties to the lower id
         period = [0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3]
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
