@@ -42,7 +42,7 @@ from .generator import (
     build_tree,
     random_instance,
 )
-from .methods import MethodKind, _splits, _work, run_method
+from .methods import _Q_LIMIT, MethodKind, _splits, _work, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
@@ -54,11 +54,11 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 # 10 0.4 s, on 4-ary height 10 0.2 s, on one node of 4 leaves 0.2 s, of
 # 30 of uneven six-decimal weight 0.7 s (0.9 s at h = 2 * 10**6 - 1), of
 # 30 of seven-decimal weight 1.0-1.3 s, of 10**4 prime weights 2.5-2.6 s,
-# and on heavy_spine(1000) 1.6-1.9 s; quota on the 30 seven-decimal
-# leaves 1.2-1.5 s and on the 10**4 primes 2.5-2.6 s, and never refused
-# on the others (the 30 six-decimal leaves at their worst, h = D - 1:
-# 1.1 s).  So a larger run is refused before it starts; the library sets
-# no bound.
+# and on heavy_spine(1000) at h = 4008 (pairs caps from depth 4 down, 2
+# steps a seat) 1.3-1.4 s; quota on the 30 seven-decimal leaves 1.2-1.5 s
+# and on the 10**4 primes 2.5-2.6 s, and never refused on the others (the
+# 30 six-decimal leaves at their worst, h = D - 1: 1.1 s).  So a larger
+# run is refused before it starts; the library sets no bound.
 _WORK_BUDGET = 8 * 10**6
 
 # --trajectory holds and prints all h + 1 allocations of n counts each.
@@ -98,19 +98,25 @@ def _check_work(kind: MethodKind, h: int, splits) -> None:
         )
 
 
-def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int]]:
-    """``(depth, b, D)`` bounds for every tree ``config`` generates.
+def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int, bool]]:
+    """``(depth, b, D, pairs)`` bounds for every tree ``config`` generates.
 
     A generated sibling group's weights are integer draws in
     ``[1, max_weight]`` over their sum, so ``D`` divides that sum, which
-    is at most ``b * max_weight``.
+    is at most ``b * max_weight``.  The product of those bounds down to a
+    node's children bounds their ``Q``, so past ``_Q_LIMIT`` (where it is
+    held) the node is marked as handing its caps on as pairs.
     """
     skeleton = build_tree(config.family)
+    top = config.max_weight
     depth = [0] * skeleton.n
+    qs = [1] * skeleton.n
     for i in range(1, skeleton.n):
-        depth[i] = depth[skeleton.parents[i]] + 1
+        p = skeleton.parents[i]
+        depth[i] = depth[p] + 1
+        qs[i] = min(qs[p] * len(skeleton.children[p]) * top, _Q_LIMIT + 1)
     return [
-        (depth[i], len(kids), len(kids) * config.max_weight)
+        (depth[i], len(kids), len(kids) * top, qs[i] * len(kids) * top > _Q_LIMIT)
         for i, kids in enumerate(skeleton.children)
         if kids
     ]

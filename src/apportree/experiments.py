@@ -76,24 +76,6 @@ class ExperimentConfig:
             raise ValueError("house sizes must be at least 1")
 
 
-@dataclass(frozen=True)
-class InstanceMetrics:
-    """Exact per-instance, per-method results at one house size."""
-
-    n: int
-    lower_violations: int
-    upper_violations: int
-    deviation_sum: Fraction
-    deviation_max: Fraction
-
-
-def evaluate_instance(inst, method: MethodKind, h: int, mode=QuotaMode.ALL_ANCESTORS) -> InstanceMetrics:
-    """Run one method on one instance and measure it exactly: the one cell
-    of :func:`_cells`, its integer deviations made into Fractions here."""
-    low, up, dev_num, dev_den, max_num, max_den = _cells(inst, (method,), (h,), mode)[0]
-    return InstanceMetrics(inst.n, low, up, Fraction(dev_num, dev_den), Fraction(max_num, max_den))
-
-
 def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
     """Every (method, house size) cell of one instance, method-major, as
     ``(lower, upper, dev_num, dev_den, max_num, max_den)``: violation

@@ -50,11 +50,12 @@ comparisons.  ``Q_i`` grows with depth, so a node whose children's
 denominator)`` pairs, and its subtree keeps that form, where clamping a
 cap to a count resets its denominator to 1.
 
-A node with two children is split in locals.  Every other node is split
-by one heap of its children's next keys under all four methods (see
-:func:`_split_wide`), in O(log b) per seat with ``b`` children: Adams
-and Jefferson hand out at most ``b`` seats that way, the quota method
-fewer than ``D``, the lcm of the children's weight denominators.
+A node with two children is split in locals, unless it hands caps on
+as pairs.  Every other node is split by one heap of its children's next
+keys (see :func:`_split_wide`), in O(log b) per seat with ``b``
+children: Adams and Jefferson hand out at most ``b`` seats that way, the
+quota method fewer than ``D``, the lcm of the children's weight
+denominators.
 :func:`_work` bounds the steps of all four methods from each split's
 cost, and the command line refuses a run over a fixed budget of them;
 the library sets no bound.  What a split reads of a node that does not
@@ -249,31 +250,36 @@ def _build_plan(inst: Instance) -> list[tuple]:
     :func:`_build_uc_plan`.
     """
     order, _, _, _, wnum, wden, children = _fast_arrays(inst)
-    lcm = math.lcm
     plan = []
     for i in order:
         kids = children[i]
         if not kids:
             continue
         if len(kids) != 2:
-            kids = tuple(sorted(kids))
-            wn = tuple([wnum[c] for c in kids])
-            wd = tuple([wden[c] for c in kids])
-            unit = steps = first = None
-            if sum(map(int.bit_length, set(wn))) <= _STEP_BITS:
-                top = lcm(*wn)
-                b = len(kids)
-                steps = tuple([y * (top // x) * b for x, y in zip(wn, wd)])
-                first = tuple([u + j for j, u in enumerate(steps)])
-            else:
-                p = 2 * max(wn).bit_length()
-                unit = tuple([y << p for y in wd])
-            plan.append((i, kids, None, lcm(*wd), wn, wd, unit, steps, first))
+            plan.append(_wide_record(i, kids, wnum, wden))
             continue
         a, b = sorted(kids)
         na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
         plan.append((i, a, b, na, da, nb, db, da * nb, db * na))
     return plan
+
+
+def _wide_record(i: int, kids, wnum, wden) -> tuple:
+    """Node ``i``'s split plan record in the form of a node with one
+    child or more than two (see :func:`_build_plan`)."""
+    kids = tuple(sorted(kids))
+    wn = tuple([wnum[c] for c in kids])
+    wd = tuple([wden[c] for c in kids])
+    unit = steps = first = None
+    if sum(map(int.bit_length, set(wn))) <= _STEP_BITS:
+        top = math.lcm(*wn)
+        b = len(kids)
+        steps = tuple([y * (top // x) * b for x, y in zip(wn, wd)])
+        first = tuple([u + j for j, u in enumerate(steps)])
+    else:
+        p = 2 * max(wn).bit_length()
+        unit = tuple([y << p for y in wd])
+    return (i, kids, None, math.lcm(*wd), wn, wd, unit, steps, first)
 
 
 def _uc_plan(inst: Instance) -> list[tuple]:
@@ -290,75 +296,94 @@ def _build_uc_plan(inst: Instance) -> list[tuple]:
     record of the split plan: one record per split plan record, in the
     same order, so the other methods never pay for it.
 
-    A node with two children ``a < b`` has ``(q, qa, qb, ka, kb, L, D)``:
+    A node that hands its caps on as one list has ``(q, qa, qb, ka, kb,
+    L, D)`` if it has two children ``a < b``, else ``(q, qc, keep, L,
+    D)``, and one that hands them on as pairs ``(q, 0, keep, wide, 0,
+    D)``:
 
     * ``q`` is the node's ``Q_i`` if its caps come as one list of
-      numerators, else 0: they come as pairs, and so do its whole
-      subtree's;
-    * ``qa = q * da`` and ``qb = q * db`` are the two children's ``Q`` if
-      the node hands its caps on as one list, both at most ``_Q_LIMIT``,
-      else 0;
+      numerators, else 0 (see :func:`_list_qs`);
+    * ``qa = q * da`` and ``qb = q * db`` are the two children's ``Q``,
+      and ``qc`` all of them, ``q * wd[j]``;
     * ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that
-      is, whether they keep the caps they pass on;
-    * ``D`` is the lcm of ``da`` and ``db``, and ``L`` the node's period.
-
-    A node with one child, or more than two, has ``(q, qc, keep, L, D)``:
-    ``q``, ``L`` and ``D`` as above, ``qc`` the children's ``Q``, ``q *
-    wd[j]``, if all are at most ``_Q_LIMIT``, else 0, and ``keep`` tells,
-    per child in the split plan's id order, whether it has children.
+      is, whether they keep the caps they pass on, and ``keep`` tells it
+      for every child, in the split plan's id order;
+    * ``D`` is the lcm of the children's weight denominators, and ``L``
+      the node's period;
+    * ``wide`` is the node's split plan record in the form of a node with
+      one child or more than two, for a heap to split it at any arity.
 
     A node whose caps repeat every ``P`` seats splits with the period ``L
     = lcm(P, D)`` (see :func:`_cascade`); the root's ``P`` is 1, a
-    child's its parent's ``L * w``.  ``L`` is 0 where caps come as pairs,
-    at a node whose children are all leaves (it passes on no caps), below
-    a node with ``L = 0``, and past ``_Q_LIMIT``.
+    child's its parent's ``L * w``.  ``L`` is 0 where caps go on as
+    pairs, at a node whose children are all leaves (it passes on no
+    caps), below a node with ``L = 0``, and past ``_Q_LIMIT``.
 
     So no stored ``Q`` or ``L`` passes ``_Q_LIMIT``, and the plan stays
     O(n) words at any depth.
     """
     _, parents, _, _, wnum, wden, children = _fast_arrays(inst)
     lcm = math.lcm
-    # Q_i of the nodes whose caps come as one list, 0 for the others, and
+    qs = _list_qs(inst)
     # L_i of the nodes with children
-    qs = [0] * inst.n
-    qs[0] = 1
     ls = [0] * inst.n
     plan = []
     for rec in _split_plan(inst):
         i = rec[0]
         q = qs[i]
         if rec[2] is None:
-            _, kids, _, d, _, wd, _, _, _ = rec
+            kids, d = rec[1], rec[3]
         else:
-            _, a, b, _, da, _, db, _, _ = rec
-            kids, wd, d = (a, b), (da, db), lcm(da, db)
-        qc = 0
-        if q and q * max(wd) <= _Q_LIMIT:
-            qc = tuple([q * y for y in wd])
-            for c, y in zip(kids, qc):
-                qs[c] = y
+            kids, d = rec[1:3], lcm(rec[4], rec[6])
         keep = tuple([bool(children[c]) for c in kids])
+        if not qs[kids[0]]:
+            wide = rec if rec[2] is None else _wide_record(i, kids, wnum, wden)
+            plan.append((q, 0, keep, wide, 0, d))
+            continue
+        qc = tuple([qs[c] for c in kids])
         # the period of the node's caps: 1 at the root, L * w_i below
         p = ls[parents[i]] // wden[i] * wnum[i] if i else 1
-        period = lcm(p, d) if qc and p and any(keep) else 0
+        period = lcm(p, d) if p and any(keep) else 0
         if period > _Q_LIMIT:
             period = 0
         ls[i] = period
         if rec[2] is None:
             plan.append((q, qc, keep, period, d))
         else:
-            plan.append((q, *(qc or (0, 0)), *keep, period, d))
+            plan.append((q, *qc, *keep, period, d))
     return plan
 
 
-def _splits(inst: Instance) -> list[tuple[int, int, int]]:
-    """``(depth, b, D)`` of every node with ``b`` children, ``D`` the lcm
-    of their weight denominators: what :func:`_work` reads of a tree."""
+def _list_qs(inst: Instance) -> list[int]:
+    """Each node's ``Q_i`` if its caps come as one list of numerators,
+    else 0: ``Q_0 = 1``, and children get ``Q_i * wden[c]`` while the
+    largest is at most ``_Q_LIMIT``; past it, and below, caps go as pairs."""
+    order, _, _, _, _, wden, children = _fast_arrays(inst)
+    qs = [0] * inst.n
+    qs[0] = 1
+    for i in order:
+        q = qs[i]
+        kids = children[i]
+        if q and kids and q * max([wden[c] for c in kids]) <= _Q_LIMIT:
+            for c in kids:
+                qs[c] = q * wden[c]
+    return qs
+
+
+def _splits(inst: Instance) -> list[tuple[int, int, int, bool]]:
+    """What :func:`_work` reads of a tree: ``(depth, b, D, pairs)`` of each
+    node with ``b`` children, ``D`` the lcm of their weight denominators,
+    and ``pairs`` whether it hands its caps on as pairs."""
     order, parents, _, _, _, wden, children = _fast_arrays(inst)
     depth = [0] * inst.n
     for i in order[1:]:
         depth[i] = depth[parents[i]] + 1
-    return [(depth[i], len(kids), math.lcm(*[wden[c] for c in kids])) for i in order if (kids := children[i])]
+    qs = _list_qs(inst)
+    return [
+        (depth[i], len(kids), math.lcm(*[wden[c] for c in kids]), not qs[kids[0]])
+        for i in order
+        if (kids := children[i])
+    ]
 
 
 def _work(kind: MethodKind, h: int, splits) -> int:
@@ -366,19 +391,20 @@ def _work(kind: MethodKind, h: int, splits) -> int:
 
     ``splits`` is :func:`_splits`' list.  At each node ``m`` seats are
     handed out one at a time, each at a cost stated where :func:`_cascade`
-    and :func:`_split_wide` describe the split.  The nodes at one depth
-    hold at most ``h`` seats in all, so a depth costs at most the smaller
-    of the sum of ``m`` times the cost and ``h`` times the largest cost.
+    and :func:`_split_wide` describe the split, a two-child node that
+    hands caps on as pairs paying the heap's.  The nodes at one depth hold
+    at most ``h`` seats in all, so a depth costs at most the smaller of
+    the sum of ``m`` times the cost and ``h`` times the largest cost.
     """
     levels: dict[int, tuple[int, int]] = {}
-    for depth, b, d in splits:
+    for depth, b, d, pairs in splits:
         if kind is MethodKind.UC_QUOTA:
             m = h
         elif b == 2:
             continue
         else:
             m = d - 1 if kind is MethodKind.QUOTA else b
-        cost = 1 if b == 2 else (b.bit_length() + 4) // 3
+        cost = 1 if b == 2 and not pairs else (b.bit_length() + 4) // 3
         total, top = levels.get(depth, (0, 0))
         levels[depth] = (total + cost * m, max(top, cost))
     return sum(min(total, h * top) for total, top in levels.values())
@@ -448,9 +474,8 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     ``Q_i`` (see the module docstring), which :func:`_uc_split_two`
     splits at a two-child node and :func:`_uc_split_wide` at any other
     while the children's ``Q`` stay within ``_Q_LIMIT``, or as pairs,
-    which :func:`_uc_split` and :func:`_uc_split_wide_pairs` split over
-    all of the node's seats; a list reaches them as pairs over
-    ``repeat(Q_i)``.
+    which :func:`_uc_split_wide_pairs` splits at a node of any arity over
+    all of its seats; a list reaches it as pairs over ``repeat(Q_i)``.
     """
     plan = _split_plan(inst)
     seats = [0] * inst.n
@@ -475,10 +500,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             # uc[0] the node's Q_i if they came as one; else each is 0
             if not uc[1]:
                 qns, qds = (_unrolled(xs, q, 0, v), repeat(q)) if q else xs
-                if rec[2] is None:
-                    _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps)
-                else:
-                    _uc_split(seats, rec, uc, qns, qds, caps)
+                _uc_split_wide_pairs(seats, uc, qns, qds, caps)
                 continue
             if rec[2] is None:
                 split, keeps = _uc_split_wide, any(uc[2])
@@ -560,10 +582,12 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
 def _unrolled(xs, q, k, n):
     """The caps of a node's seats ``k + 1`` to ``k + n``, from its list
     ``xs`` over ``q``, which past its end repeats, each time ``len(xs) *
-    q`` higher (see :func:`_build_uc_plan`); lazily, without a copy."""
+    q`` higher (see :func:`_build_uc_plan`): lazily, except that a tail
+    of fewer than ``D`` caps past ``k > 0`` is sliced, in O(1) from the
+    root's range, which ``islice`` would step through from its start."""
     p = len(xs)
     if k + n <= p:
-        return islice(xs, k, k + n)
+        return xs[k : k + n] if k else islice(xs, n)
     r = k % p
     blocks = (map(add, xs, repeat(y)) for y in count((k - r) * q, p * q))
     return islice(chain.from_iterable(blocks), r, r + n)
@@ -608,7 +632,7 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
     root's ``t``-th seat brings ``t``, the quota cap is the node's own
     count, and a child passes on ``min(cap * w_c, v_c)``, whose terms both
     rise with its seats (an overriding child's ``cap * w_c`` is that min,
-    see :func:`_uc_split`).  So a child found on top at its cap is parked
+    see :func:`_uc_split_two`).  So a child found on top at its cap is parked
     in a second heap, under its key ``s / w_j``, until a cap passes it;
     each park follows a seat the child took, so a seat costs O(log b)
     amortized, ``(bit_length(b) + 4) // 3`` steps of :func:`_work`: at
@@ -657,103 +681,27 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
         seats[c] = s
 
 
-def _uc_split(seats, rec, uc, qns, qds, caps) -> None:
-    """Split a two-child node's seats under the upper-compliant method,
-    caps in pairs.
-
-    ``rec`` and ``uc`` are the node's records of the split plan and the
-    upper-compliant plan.  The node's ``k``-th seat brought the cap
-    ``qns[k] / qds[k]``: pairs
-    below a node whose children's ``Q`` would pass ``_Q_LIMIT``, or a
-    list of numerators with ``qds`` repeating its ``Q_i``.  Which child a
-    seat goes to depends only on that cap and the counts of the node's
-    own children, so one pass over the caps, in arrival order, sets the
-    children's final counts.  Each non-leaf child ``c`` gets in
-    ``caps[c]`` the caps it passes on, ``min(cap * w_c, v_c)`` with ``v_c``
-    its count after the seat, as the walk computes them.  The inherited
-    cap always leaves some child eligible (see the module docstring).
-    Numerators and denominators go in two lists of ints, which the
-    garbage collector does not track as it would a tuple per seat.
-
-    Both counts are kept in locals, and the children rank by
-    ``(s + 1) * p`` against each other, ``p`` the sibling's weight
-    numerator times the child's own weight denominator; the tie goes to
-    the lower node id.  If the first-ranked child ``a`` is at its cap, the
-    other child ``b`` takes the seat and passes on ``cap * w_b`` unclamped:
-    with ``v`` the node's count after the seat, ranking first gives
-    ``s_a < v * w_a``, so ``cap <= s_a / w_a < v``, and then
-    ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
-    (v - cap) <= 0``.
-    """
-    _, a, b, na, da, nb, db, pa, pb = rec
-    ka, kb = uc[3:5]
-    an = ad = bn = bd = None
-    if ka:
-        nums, dens = caps[a] = ([], [])
-        an, ad = nums.append, dens.append
-    if kb:
-        nums, dens = caps[b] = ([], [])
-        bn, bd = nums.append, dens.append
-    sa = sb = 0
-    # (s + 1) * p for each child: the lower one ranks first
-    ra, rb = pa, pb
-    for qn, qd in zip(qns, qds):
-        if ra <= rb:
-            x = qn * na
-            y = qd * da
-            if sa * y < x:
-                sa += 1
-                ra += pa
-                if an:
-                    if x >= sa * y:
-                        x, y = sa, 1
-                    an(x)
-                    ad(y)
-                continue
-            # a ranks first but is at its cap, so b takes the seat and
-            # passes on cap * w_b, below v_b (see the docstring)
-            sb += 1
-            rb += pb
-            if bn:
-                bn(qn * nb)
-                bd(qd * db)
-        else:
-            x = qn * nb
-            y = qd * db
-            if sb * y < x:
-                sb += 1
-                rb += pb
-                if bn:
-                    if x >= sb * y:
-                        x, y = sb, 1
-                    bn(x)
-                    bd(y)
-                continue
-            # likewise with a and b swapped
-            sa += 1
-            ra += pa
-            if an:
-                an(qn * na)
-                ad(qd * da)
-    seats[a] = sa
-    seats[b] = sb
-
-
 def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     """Split a two-child node's seats under the upper-compliant method.
 
     ``rec`` and ``uc`` are the node's records of the split plan and the
     upper-compliant plan.  Each child starts at ``k * w``, ``k`` a
     multiple of ``D``, and the node's seats after the ``k``-th brought
-    the caps ``x / Q_i``, ``x`` from ``xs``, ``Q_i`` the product of the
-    weight denominators on the node's root path.
-    A child ``c`` counts in units of its own ``Q_c = Q_i * wden[c]``: it
-    holds ``t_c = s_c * Q_c``, kept by addition, is eligible while
-    ``t_c < x`` with ``x = X * wnum[c]`` (that is ``s_c < cap * w_c``),
-    and passes on ``min(x, t_c)`` after the seat, over ``Q_c``.  The
-    ranking and the override are :func:`_uc_split`'s, whose docstring
-    shows that an overriding child passes on ``x`` unclamped.  Each
-    non-leaf child gets its list in ``caps``, unless that is None.
+    the caps ``x / Q_i``, ``x`` from ``xs``.  A child ``c`` counts in
+    units of its own ``Q_c = Q_i * wden[c]``: it holds ``t_c = s_c *
+    Q_c``, kept by addition, is eligible while ``t_c < y`` with ``y = x *
+    wnum[c]`` (that is ``s_c < cap * w_c``), and passes on ``min(y,
+    t_c)`` after the seat, over ``Q_c``.  Each non-leaf child gets its
+    list in ``caps``, unless that is None.
+
+    The children rank by ``(s + 1) * p`` against each other, ``p`` the
+    sibling's weight numerator times the child's own weight denominator;
+    the tie goes to the lower node id.  If the first-ranked child ``a`` is
+    at its cap, the other child ``b`` takes the seat and passes on ``cap *
+    w_b`` unclamped: with ``v`` the node's count after the seat, ranking
+    first gives ``s_a < v * w_a``, so ``cap <= s_a / w_a < v``, and then
+    ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
+    (v - cap) <= 0``.
     """
     _, a, b, na, da, nb, _, pa, pb = rec
     _, qa, qb, ka, kb, _, _ = uc
@@ -800,17 +748,20 @@ def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     seats[b] = tb // qb
 
 
-def _uc_split_wide_pairs(seats, rec, uc, qns, qds, caps) -> None:
-    """Split the seats of a node with one child or more than two under the
-    upper-compliant method, caps in pairs.
+def _uc_split_wide_pairs(seats, uc, qns, qds, caps) -> None:
+    """Split the seats of a node that hands its caps on as pairs under the
+    upper-compliant method, at any arity.
 
-    ``rec`` and ``uc`` are the node's records of the split plan and the
-    upper-compliant plan, and the caps come as in :func:`_uc_split`.  The
-    children rank and park as in :func:`_split_wide`, with a cap's
-    denominator in place of ``q``, and each non-leaf child gets its caps
-    in two lists, clamped as in :func:`_uc_split`.
+    ``uc`` is the node's upper-compliant plan record (see
+    :func:`_build_uc_plan`).  The node's ``k``-th seat brought the cap
+    ``qns[k] / qds[k]``, with ``qds`` repeating ``Q_i`` if the caps came
+    as one list.  The children rank and park as in :func:`_split_wide`,
+    with a cap's denominator in place of ``q``.  Each non-leaf child ``c``
+    gets in ``caps[c]`` the caps it passes on, ``min(cap * w_c, v_c)``, in
+    two lists of ints, which the garbage collector does not track as it
+    would a tuple per seat.
     """
-    _, kids, _, _, wn, wd, unit, steps, first = rec
+    _, kids, _, _, wn, wd, unit, steps, first = uc[3]
     b = len(kids)
     heap = list(first) if steps else [u // n * b + j for j, (u, n) in enumerate(zip(unit, wn))]
     held = [0] * b

@@ -195,6 +195,18 @@ def caterpillar(seed: int, spine: int) -> Instance:
     return Instance(parents, weights)
 
 
+def heavy_spine(levels: int) -> Instance:
+    """A spine of two-child nodes, weights 9999/10000 and 1/10000, so each
+    level multiplies the caps denominator by 10**4."""
+    parents: list[int | None] = [None]
+    weights = [Fraction(1)]
+    for _ in range(levels):
+        tip = len(parents) - 2 if len(parents) > 1 else 0
+        parents += [tip, tip]
+        weights += [Fraction(9999, 10000), Fraction(1, 10000)]
+    return Instance(parents, weights)
+
+
 @st.composite
 def share_lists(draw, max_parties: int = 6, max_weight: int = 9):
     n = draw(st.integers(min_value=2, max_value=max_parties))

@@ -23,12 +23,11 @@ that walks every node up to the root, shares as running Fraction
 products, and the binary rewrite that rescales the remaining siblings
 at every level of a comb.  The experiment harness's per-node Fraction
 deviations are kept as the reference for its integer sums, rows summed
-from ``evaluate_instance``'s Fractions instance by instance as the
-reference for rows summed over one common denominator, and the
-both-quotas construction as first written, on the binary rewrite, as the
-reference for the pass that simulates the rewrite on the original tree;
-``pull_back`` and ``push_forward`` carry allocations between a tree and
-its rewrite.
+from those Fractions instance by instance as the reference for rows
+summed over one common denominator, and the both-quotas construction
+as first written, on the binary rewrite, as the reference for the pass
+that simulates the rewrite on the original tree; ``pull_back`` and
+``push_forward`` carry allocations between a tree and its rewrite.
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ from apportree import (
     QuotaMode,
     assign_entitlements,
     build_tree,
-    evaluate_instance,
+    count_violations,
     relative_entitlements,
+    run_method,
     to_full_binary,
 )
 from apportree.core import (
@@ -371,22 +371,18 @@ def deviations_by_fractions(inst: Instance, seats, h: int) -> tuple[Fraction, Fr
 def rows_by_summed_metrics(config) -> list[tuple[int, int, Fraction, Fraction, int]]:
     """Each row of ``config`` as ``(lower total, upper total, deviation sum,
     deviation max sum, instance count)``, method-major, adding one
-    ``evaluate_instance`` Fraction at a time."""
+    instance's violation counts and Fraction deviations at a time."""
     keys = [(method, h) for method in config.methods for h in config.house_sizes]
     rows = {key: (0, 0, Fraction(0), Fraction(0), 0) for key in keys}
     for k in range(config.instance_count):
         seed = (config.base_seed + k) % 2**64
         inst = assign_entitlements(build_tree(config.family), seed, config.max_weight)
         for method, h in keys:
-            m = evaluate_instance(inst, method, h, config.mode)
-            low, up, dev, dev_max, count = rows[method, h]
-            rows[method, h] = (
-                low + m.lower_violations,
-                up + m.upper_violations,
-                dev + m.deviation_sum,
-                dev_max + m.deviation_max,
-                count + 1,
-            )
+            seats = run_method(inst, method, h).final.seats
+            lower, upper = count_violations(inst, seats, config.mode)
+            dev_sum, dev_max = deviations_by_fractions(inst, seats, h)
+            low, up, dev, top, count = rows[method, h]
+            rows[method, h] = (low + lower, up + upper, dev + dev_sum, top + dev_max, count + 1)
     return [rows[key] for key in keys]
 
 

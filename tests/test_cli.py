@@ -13,11 +13,16 @@ import pytest
 
 from apportree import (
     Allocation,
+    ExperimentConfig,
     Instance,
     QuotaMode,
     SplitMix64,
+    TreeFamily,
+    TreeKind,
     allocation_to_json,
+    assign_entitlements,
     brute_force_both_quotas,
+    build_tree,
     check_allocation,
     instance_from_json,
     instance_to_json,
@@ -27,8 +32,10 @@ from apportree.cli import SEED_ENV_VAR, main
 
 import apportree.cli as cli
 import apportree.core as core
+import apportree.methods as methods
+from apportree.methods import _splits
 
-from conftest import flat_instance, make_deep7, make_flat5, make_nested5, make_sym7
+from conftest import flat_instance, heavy_spine, make_deep7, make_flat5, make_nested5, make_sym7
 
 
 @pytest.fixture
@@ -153,6 +160,34 @@ class TestAllocate:
         assert main(["allocate", flat5_file, "--method", "ucquota", "--seats", "11"]) == 1
         # the other methods' work does not grow with h
         assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "11"]) == 0
+
+    def test_uc_quota_budget_charges_pairs_on_the_heap(self, tmp_path, capsys, monkeypatch):
+        # Each level of a heavy spine multiplies the caps denominator by
+        # 10**4, so from depth 4 down its nodes hand their caps on as
+        # pairs, split on a heap of two at 2 steps a seat.  Six levels are
+        # 4 + 2 * 2 = 8 steps a seat, and 6 while the limit keeps every
+        # cap in one list.
+        path = write(tmp_path, "spine6.json", instance_to_json(heavy_spine(6)))
+        argv = ["allocate", path, "--method", "ucquota", "--seats"]
+        monkeypatch.setattr(cli, "_WORK_BUDGET", 80)
+        assert main(argv + ["10"]) == 0
+        assert main(argv + ["11"]) == 1
+        monkeypatch.setattr(methods, "_Q_LIMIT", 10**30)
+        assert main(argv + ["13"]) == 0
+        assert main(argv + ["14"]) == 1
+        capsys.readouterr()
+        # 1000 levels are 4 + 2 * 996 = 1996 steps a seat: the budget
+        # admits 4008 seats (about 1.5 s) and refuses 4009 at once
+        monkeypatch.undo()
+        path = write(tmp_path, "spine.json", instance_to_json(heavy_spine(1000)))
+        argv = ["allocate", path, "--method", "ucquota", "--seats"]
+        assert main(argv + ["4008"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["4009"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: ucquota at h=4009 may take 8001964 steps, over the budget of 8000000\n",
+        )
 
     def test_uc_quota_on_thirty_six_decimal_children_exits_at_once(self, tmp_path, capsys):
         # three steps a seat on a heap of 30, where a seat parks a child
@@ -611,6 +646,28 @@ class TestExperiment:
         # binary families cost the quota method nothing
         monkeypatch.setattr(cli, "_WORK_BUDGET", 0)
         assert main(flags[:2] + ["binary"] + flags[3:]) == 0
+
+    def test_uc_quota_budget_marks_pairs_by_the_largest_draw(self, capsys):
+        # With draws up to 10**6, D <= 2 * 10**6 at each binary node, so
+        # the bound on the children's caps denominator passes 2**60 from
+        # depth 2 down: 1 + 1 + 2 + 2 + 2 = 8 steps a seat on binary
+        # height 5.  The bound marks every node whose caps a generated
+        # tree hands on as pairs.
+        config = ExperimentConfig(TreeFamily(TreeKind.PERFECT_BINARY, 5), max_weight=10**6)
+        marks = [pairs for *_, pairs in cli._family_splits(config)]
+        assert marks == [False] * 3 + [True] * 28
+        for seed in range(20):
+            inst = assign_entitlements(build_tree(config.family), seed, config.max_weight)
+            assert all(mark or not pairs for mark, (*_, pairs) in zip(marks, _splits(inst)))
+        flags = [
+            "experiment", "--family", "binary", "--height", "5", "--max-weight", "1000000",
+            "--methods", "ucquota", "--house-sizes",
+        ]
+        assert main(flags + ["1000001"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: ucquota at h=1000001 may take 8000008 steps, over the budget of 8000000\n",
+        )
 
     def test_max_weight_past_64_bits_exits_at_once(self, tmp_path):
         # as for generate, in a child process that a timeout can stop

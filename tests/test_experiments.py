@@ -27,8 +27,8 @@ from apportree import (
     assign_entitlements,
     build_tree,
     config_from_json,
+    count_violations,
     emit_table,
-    evaluate_instance,
     format_fixed,
     run_experiment,
     run_method,
@@ -41,52 +41,52 @@ BINARY3 = TreeFamily(TreeKind.PERFECT_BINARY, 3)
 FOURARY3 = TreeFamily(TreeKind.FULL_4ARY, 3)
 
 
-class TestEvaluateInstance:
+def one_cell(inst, method, h, mode=QuotaMode.ALL_ANCESTORS):
+    """One instance's (method, h) cell: violation counts, then the
+    deviations' sum and maximum as Fractions."""
+    low, up, dev_num, dev_den, max_num, max_den = experiments._cells(inst, (method,), (h,), mode)[0]
+    return low, up, Fraction(dev_num, dev_den), Fraction(max_num, max_den)
+
+
+class TestCells:
     def test_quota_counts_the_known_upper_violation(self, nested5):
-        m = evaluate_instance(nested5, MethodKind.QUOTA, 5)
-        assert m.upper_violations == 1
-        assert m.lower_violations == 0
+        assert one_cell(nested5, MethodKind.QUOTA, 5)[:2] == (0, 1)
 
     def test_uc_quota_counts_the_known_lower_violation(self, deep7):
-        m = evaluate_instance(deep7, MethodKind.UC_QUOTA, 5)
-        assert m.lower_violations == 1
-        assert m.upper_violations == 0
+        assert one_cell(deep7, MethodKind.UC_QUOTA, 5)[:2] == (1, 0)
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_single_node_is_exact(self, single, method):
-        m = evaluate_instance(single, method, 12)
-        assert m.lower_violations == m.upper_violations == 0
-        assert m.deviation_sum == m.deviation_max == 0
+        assert one_cell(single, method, 12) == (0, 0, 0, 0)
 
     def test_deviations_are_exact_rationals(self, sym7):
-        from apportree import relative_entitlements, run_method
+        from apportree import relative_entitlements
 
-        m = evaluate_instance(sym7, MethodKind.ADAMS, 5)
+        _, _, dev_sum, dev_max = one_cell(sym7, MethodKind.ADAMS, 5)
         seats = run_method(sym7, MethodKind.ADAMS, 5).final.seats
         shares = relative_entitlements(sym7)
         devs = [abs(Fraction(seats[i]) - shares[i] * 5) for i in range(7)]
-        assert isinstance(m.deviation_sum, Fraction)
-        assert m.deviation_sum == sum(devs)
-        assert m.deviation_max == max(devs)
-        assert m.deviation_max.denominator == 4
+        assert dev_sum == sum(devs)
+        assert dev_max == max(devs)
+        assert dev_max.denominator == 4
 
-    @given(irregular_instances(), st.sampled_from(ALL_METHODS), st.integers(0, 300))
-    def test_deviations_match_per_node_fractions(self, inst, method, h):
-        m = evaluate_instance(inst, method, h)
+    @given(irregular_instances(), st.sampled_from(ALL_METHODS), st.integers(0, 300), st.sampled_from(QuotaMode))
+    def test_cells_match_the_checker_and_per_node_fractions(self, inst, method, h, mode):
         seats = run_method(inst, method, h).final.seats
-        assert (m.deviation_sum, m.deviation_max) == deviations_by_fractions(inst, seats, h)
+        expected = (*count_violations(inst, seats, mode), *deviations_by_fractions(inst, seats, h))
+        assert one_cell(inst, method, h, mode) == expected
 
     def test_max_deviation_tied_across_denominators(self):
         # Nodes 1 and 2 each hold half the house and node 3 a sixth: at h=3
         # each is half a seat off, as 1/2, 1/2 and 3/6.
         half = Fraction(1, 2)
         inst = Instance([None, 0, 0, 2, 2], [1, half, half, Fraction(1, 3), Fraction(2, 3)])
-        m = evaluate_instance(inst, MethodKind.JEFFERSON, 3)
+        _, _, dev_sum, dev_max = one_cell(inst, MethodKind.JEFFERSON, 3)
         seats = run_method(inst, MethodKind.JEFFERSON, 3).final.seats
         assert seats == (3, 2, 1, 0, 1)
-        assert m.deviation_max == half
-        assert m.deviation_sum == Fraction(3, 2)
-        assert (m.deviation_sum, m.deviation_max) == deviations_by_fractions(inst, seats, 3)
+        assert dev_max == half
+        assert dev_sum == Fraction(3, 2)
+        assert (dev_sum, dev_max) == deviations_by_fractions(inst, seats, 3)
 
 
 class TestRunExperiment:
@@ -95,14 +95,14 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         inst = assign_entitlements(build_tree(BINARY3), 77)
         for row in table.rows:
-            m = evaluate_instance(inst, row.method, 100)
+            low, up, dev_sum, dev_max = one_cell(inst, row.method, 100)
             assert row.instance_count == 1
-            assert row.lower_violation_total == m.lower_violations
-            assert row.upper_violation_total == m.upper_violations
-            assert row.deviation_sum == m.deviation_sum
-            assert row.deviation_max_sum == m.deviation_max
-            assert row.avg_deviation == m.deviation_sum / inst.n
-            assert row.max_deviation == m.deviation_max
+            assert row.lower_violation_total == low
+            assert row.upper_violation_total == up
+            assert row.deviation_sum == dev_sum
+            assert row.deviation_max_sum == dev_max
+            assert row.avg_deviation == dev_sum / inst.n
+            assert row.max_deviation == dev_max
 
     def test_rows_ordered_method_major(self):
         cfg = ExperimentConfig(BINARY3, instance_count=2, house_sizes=(10, 20))
@@ -175,14 +175,14 @@ class TestRowsAreSumsOfCells:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("max_weight", [3, 10, 50])
     @pytest.mark.parametrize("family", [BINARY3, FOURARY3], ids=["binary", "4ary"])
-    def test_rows_match_summed_evaluate_instance(self, family, max_weight, workers):
+    def test_rows_match_summed_fractions(self, family, max_weight, workers):
         cfg = ExperimentConfig(
             family, instance_count=20, base_seed=max_weight, house_sizes=(37, 200), max_weight=max_weight
         )
         # the instances' deviations come over different denominators
         dens = {
-            evaluate_instance(assign_entitlements(build_tree(family), cfg.base_seed + k, max_weight),
-                              MethodKind.ADAMS, 37).deviation_sum.denominator
+            one_cell(assign_entitlements(build_tree(family), cfg.base_seed + k, max_weight),
+                     MethodKind.ADAMS, 37)[2].denominator
             for k in range(cfg.instance_count)
         }
         assert len(dens) > 1

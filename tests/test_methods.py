@@ -33,7 +33,15 @@ import apportree.core as core
 import apportree.methods as methods
 from apportree.methods import _walk
 
-from conftest import caterpillar, flat_instance, irregular_instances, reversed_children, share_lists
+from conftest import (
+    ancestors_of,
+    caterpillar,
+    flat_instance,
+    heavy_spine,
+    irregular_instances,
+    reversed_children,
+    share_lists,
+)
 from oracles import (
     adams_single_level,
     jefferson_single_level,
@@ -732,6 +740,19 @@ class TestLevelCascade:
         else:
             assert report.lower_violation_count == 0
 
+    def test_uc_quota_reads_the_root_caps_in_constant_time(self):
+        # The root's caps are range(1, h + 1), and past one period a node
+        # splits only its last h mod D seats: sliced from the range, not
+        # stepped to, so a house of 10**12 costs what one of 10**6 does.
+        inst = random_instance(TreeFamily(TreeKind.FULL_4ARY, 3), 1)
+        start = perf_counter()
+        final = run_method(inst, MethodKind.UC_QUOTA, 10**12).final
+        assert perf_counter() - start < 0.5
+        report = check_allocation(inst, final)
+        assert final.seats[0] == 10**12
+        assert report.flow_violations == ()
+        assert report.upper_violation_count == 0
+
 
 PERIODIC_KINDS = (MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
 
@@ -773,18 +794,6 @@ class TestValidationOnce:
         for method in MethodKind:
             with pytest.raises(InvalidInstanceError):
                 run_method(bad, method, 3)
-
-
-def heavy_spine(levels: int) -> Instance:
-    """A spine of two-child nodes, weights 9999/10000 and 1/10000, so each
-    level multiplies the caps denominator by 10**4."""
-    parents: list[int | None] = [None]
-    weights = [Fraction(1)]
-    for _ in range(levels):
-        tip = len(parents) - 2 if len(parents) > 1 else 0
-        parents += [tip, tip]
-        weights += [Fraction(9999, 10000), Fraction(1, 10000)]
-    return Instance(parents, weights)
 
 
 def with_wide_nodes(inst: Instance, node: int) -> Instance:
@@ -865,13 +874,38 @@ class TestSplitPlan:
         assert len(plan) == len(inst._plan) == sum(1 for kids in inst.children if kids)
         for rec, uc in zip(inst._plan, plan):
             q, qc = uc[:2]
-            # a two-child record keeps qa and qb, a wider one all its
-            # children's Q; every record keeps its period L
-            stored = [q, *(uc[1:3] if rec[2] is not None else qc or ()), uc[-2]]
+            # a two-child record that hands its caps on as one list keeps
+            # qa and qb, a wider one all its children's Q, and one that
+            # hands them on as pairs 0; every record keeps its period L
+            stored = [q, *(uc[1:3] if len(uc) == 7 else qc or ()), uc[-2]]
             assert all(0 <= x <= methods._Q_LIMIT for x in stored)
         # the spines' caps switch to pairs five levels down, and stay so
         if inst.n in (401, 601):
             assert [uc[0] > 0 for uc in plan] == [True] * 5 + [False] * 195
+
+    @given(irregular_instances(max_nodes=16), st.integers(0, 5000))
+    def test_splits_mark_the_nodes_that_hand_caps_on_as_pairs(self, inst, limit):
+        # A node hands its caps on as pairs where its children's Q, the
+        # product of the weight denominators down to them, passes the
+        # limit at it or at an ancestor: what the work bound reads must be
+        # what the plan does.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(methods, "_Q_LIMIT", limit)
+            marks = [pairs for *_, pairs in methods._splits(inst)]
+            plan = methods._build_uc_plan(inst)
+
+        def passes(i):
+            q = 1
+            for a in [*ancestors_of(inst, i)[::-1], i][i == 0 :]:
+                q *= inst.weights[a].denominator
+                if q * max(inst.weights[c].denominator for c in inst.children[a]) > limit:
+                    return True
+            return False
+
+        nodes = [rec[0] for rec in inst._plan]
+        assert marks == [not uc[1] for uc in plan] == [passes(i) for i in nodes]
+        # every node that hands its caps on as pairs is split on a heap
+        assert all(uc[3][2] is None for uc in plan if not uc[1])
 
     def test_records(self, flat5, nested5):
         # two children in id order with their cross products; UC-quota's
