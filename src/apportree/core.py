@@ -432,6 +432,7 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
 
     ``seats[i]`` is read only when node ``i``'s children are reached, so a
     caller may fill in each node's seats after it is yielded.
+    :func:`count_violations` keeps its own copy of this carry.
     """
     order, _, rnum, rden, _, _, children = _fast_arrays(inst)
     fold = mode is QuotaMode.ALL_ANCESTORS
@@ -523,14 +524,41 @@ def count_violations(
     Semantically identical to :func:`check_allocation`'s flag counts for a
     flow-conserving allocation, but allocation-free: suitable for sweeps
     over many house sizes.
+
+    The carry of :func:`_quotas` (the reference for the bounds) without
+    binding ancestors or divisions: under extreme ancestor ratios ``hn/hd``
+    and ``ln/ld``, a child of share ``num/den`` holding ``s`` seats is below
+    its lower quota iff ``(s + 1) * den * hd <= num * hn``, and above its
+    upper quota iff ``(s - 1) * den * ld >= num * ln``.
     """
+    order, _, rnum, rden, _, _, children = _fast_arrays(inst)
+    fold = mode is QuotaMode.ALL_ANCESTORS
+    v = seats[0]
+    extremes = [(v, 1, v, 1)] * inst.n  # (hi_num, hi_den, lo_num, lo_den) per node
     low = up = 0
-    for i, lower, upper, _, _ in _quotas(inst, seats, mode):
-        v = seats[i]
-        if v < lower:
-            low += 1
-        if v > upper:
-            up += 1
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        hn, hd, ln, ld = extremes[i]
+        if fold:
+            pn = seats[i] * rden[i]
+            pd = rnum[i]
+            if pn * hd > hn * pd:
+                hn, hd = pn, pd
+            if pn * ld < ln * pd:
+                ln, ld = pn, pd
+        ext = hn, hd, ln, ld
+        for c in kids:
+            extremes[c] = ext
+            num = rnum[c]
+            den = rden[c]
+            s = seats[c]
+            # two independent tests: one node can miss both quotas
+            if (s + 1) * den * hd <= num * hn:
+                low += 1
+            if (s - 1) * den * ld >= num * ln:
+                up += 1
     return low, up
 
 

@@ -16,6 +16,9 @@ compliant method never violate upper quota; Jefferson and the quota
 method never violate lower quota) are asserted to produce exactly zero
 there; a nonzero count is an implementation bug and raises immediately.
 
+A cell reads its seats straight from the level-by-level split, with no
+trajectory, and ``count_violations`` tests both quotas of every node by
+cross-multiplication, without forming them.
 Aggregation is exact and stays in integers until a row is complete.
 With ``rnum / rden`` a node's share, it is ``|s * rden - rnum * h| / rden``
 seats off, so over ``L``, the lcm of the instance's ``rden``, a cell's
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 from .core import QuotaMode, _check_house, _fast_arrays, count_violations
 from .generator import TreeFamily, TreeKind, _family_tree, assign_entitlements
-from .methods import MethodKind, run_method
+from .methods import MethodKind, _cascade
 
 ALL_METHODS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
 
@@ -69,7 +72,7 @@ class ExperimentConfig:
                 bound = " of at least 1" if least else ""
                 raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
         object.__setattr__(self, "house_sizes", tuple(self.house_sizes))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", tuple(map(MethodKind, self.methods)))
         for h in self.house_sizes:
             _check_house(h)
         if 0 in self.house_sizes:
@@ -82,13 +85,14 @@ def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
     counts, then the deviations' sum and maximum over the lcm of ``rden``."""
     _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
     common = math.lcm(*rden)
-    scale = [common // den for den in rden]
+    # node i deviates by |s * rden - rnum * h| / rden seats, which is
+    # |s * common - quota| / common with quota = rnum * (common // rden) * h
+    quotas = [[num * (common // den) * h for num, den in zip(rnum, rden)] for h in house_sizes]
     cells = []
     for method in methods:
-        for h in house_sizes:
-            seats = run_method(inst, method, h).final.seats
-            # node i deviates by |s * rden - rnum * h| / rden seats
-            devs = [abs(s * den - num * h) * k for s, num, den, k in zip(seats, rnum, rden, scale)]
+        for h, quota in zip(house_sizes, quotas):
+            seats = _cascade(inst, method, h)
+            devs = [abs(s * common - q) for s, q in zip(seats, quota)]
             cells.append((*count_violations(inst, seats, mode), sum(devs), common, max(devs), common))
     return cells
 

@@ -445,6 +445,21 @@ class TestCheckAllocation:
             low, up = count_violations(inst, seats, mode)
             assert (low, up) == (report.lower_violation_count, report.upper_violation_count)
 
+    def test_one_node_outside_both_quotas_counts_on_both_sides(self):
+        # node 3 (share 1/4) holds 10 seats: lower quota 25 from the root's
+        # 100, upper quota 5 from node 1's 10
+        half = Fraction(1, 2)
+        inst = Instance([None, 0, 0, 1, 1], [Fraction(1), half, half, half, half])
+        seats = (100, 10, 90, 10, 0)
+        report = check_allocation(inst, Allocation(100, seats))
+        assert report.flow_violations == ()
+        assert (report.bounds[3].lower, report.bounds[3].upper) == (25, 5)
+        assert report.lower_violated[3] and report.upper_violated[3]
+        for mode, counts in ((QuotaMode.ALL_ANCESTORS, (3, 2)), (QuotaMode.ROOT_ONLY, (3, 1))):
+            report = check_allocation(inst, Allocation(100, seats), mode)
+            assert count_violations(inst, seats, mode) == counts
+            assert (report.lower_violation_count, report.upper_violation_count) == counts
+
 
 class TestJson:
     def test_round_trip(self, deep7):

@@ -170,6 +170,14 @@ class TestRunExperiment:
                 ExperimentConfig(BINARY3, base_seed=bad)
         assert ExperimentConfig(BINARY3, base_seed=-1, max_weight=1).base_seed == -1
 
+    def test_method_names_are_coerced_when_the_config_is_built(self):
+        named = ExperimentConfig(BINARY3, instance_count=3, methods=("adams", "ucquota"))
+        assert named.methods == (MethodKind.ADAMS, MethodKind.UC_QUOTA)
+        kinds = ExperimentConfig(BINARY3, instance_count=3, methods=(MethodKind.ADAMS, MethodKind.UC_QUOTA))
+        assert emit_table(run_experiment(named)) == emit_table(run_experiment(kinds))
+        with pytest.raises(ValueError, match="'hamilton' is not a valid MethodKind"):
+            ExperimentConfig(BINARY3, methods=("adams", "hamilton"))
+
 
 class TestRowsAreSumsOfCells:
     @pytest.mark.parametrize("workers", [1, 2])

@@ -21,6 +21,7 @@ from apportree import (
     TreeKind,
     allocate_both_quotas,
     check_allocation,
+    count_violations,
     instance_from_json,
     instance_to_json,
     random_instance,
@@ -39,6 +40,8 @@ from conftest import (
     flat_instance,
     heavy_spine,
     irregular_instances,
+    make_deep7,
+    make_nested5,
     reversed_children,
     share_lists,
 )
@@ -89,6 +92,26 @@ class TestKnownAllocations:
         assert report.lower_violated[5]
         assert report.bounds[5].lower == 4
         assert report.bounds[5].binding_lower_ancestor == 1
+
+    @pytest.mark.parametrize(
+        "method, make, h, seats, side",
+        [
+            (MethodKind.ADAMS, lambda: flat_instance([Fraction(7, 10)] + [Fraction(1, 10)] * 3), 4,
+             (4, 1, 1, 1, 1), "lower"),
+            (MethodKind.JEFFERSON, make_nested5, 5, (5, 5, 0, 5, 0), "upper"),
+            (MethodKind.QUOTA, make_nested5, 5, (5, 5, 0, 5, 0), "upper"),
+            (MethodKind.UC_QUOTA, make_deep7, 5, (5, 5, 0, 4, 1, 3, 1), "lower"),
+        ],
+    )
+    def test_each_method_misses_a_quota_on_some_tree(self, method, make, h, seats, side):
+        # none of the four methods meets both quotas on every tree
+        inst = make()
+        final = run_method(inst, method, h).final
+        assert final.seats == seats
+        report = check_allocation(inst, final)
+        low, up = report.lower_violation_count, report.upper_violation_count
+        assert (low > 0, up > 0) == (side == "lower", side == "upper")
+        assert count_violations(inst, seats) == (low, up)
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_single_node_gets_everything(self, single, method):
