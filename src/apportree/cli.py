@@ -42,7 +42,7 @@ from .generator import (
     build_tree,
     random_instance,
 )
-from .methods import _Q_LIMIT, MethodKind, _splits, _work, run_method
+from .methods import MethodKind, _family_splits, _splits, _work, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
@@ -96,30 +96,6 @@ def _check_work(kind: MethodKind, h: int, splits) -> None:
         raise ValueError(
             f"{kind.value} at h={h} may take {work} steps, over the budget of {_WORK_BUDGET}"
         )
-
-
-def _family_splits(config: ExperimentConfig) -> list[tuple[int, int, int, bool]]:
-    """``(depth, b, D, pairs)`` bounds for every tree ``config`` generates.
-
-    A generated sibling group's weights are integer draws in
-    ``[1, max_weight]`` over their sum, so ``D`` divides that sum, which
-    is at most ``b * max_weight``.  The product of those bounds down to a
-    node's children bounds their ``Q``, so past ``_Q_LIMIT`` (where it is
-    held) the node is marked as handing its caps on as pairs.
-    """
-    skeleton = build_tree(config.family)
-    top = config.max_weight
-    depth = [0] * skeleton.n
-    qs = [1] * skeleton.n
-    for i in range(1, skeleton.n):
-        p = skeleton.parents[i]
-        depth[i] = depth[p] + 1
-        qs[i] = min(qs[p] * len(skeleton.children[p]) * top, _Q_LIMIT + 1)
-    return [
-        (depth[i], len(kids), len(kids) * top, qs[i] * len(kids) * top > _Q_LIMIT)
-        for i, kids in enumerate(skeleton.children)
-        if kids
-    ]
 
 
 def _cmd_validate(args) -> int:
@@ -231,11 +207,11 @@ def _cmd_experiment(args) -> int:
             family=TreeFamily(TreeKind(args.family), args.height),
             instance_count=args.count,
             base_seed=args.base_seed,
-            house_sizes=tuple(int(h) for h in args.house_sizes.split(",")),
-            methods=tuple(MethodKind(m) for m in args.methods.split(",")) if args.methods else ALL_METHODS,
+            house_sizes=args.house_sizes,
+            methods=args.methods or ALL_METHODS,
             max_weight=args.max_weight,
         )
-    splits = _family_splits(config)
+    splits = _family_splits(build_tree(config.family), config.max_weight)
     for kind in config.methods:
         _check_work(kind, max(config.house_sizes, default=0), splits)
     table = run_experiment(config, workers=args.workers)
@@ -289,6 +265,20 @@ def _generate_arguments(p) -> None:
     p.add_argument("--max-weight", type=int, default=10)
 
 
+def _comma_list(convert, what: str):
+    """An argparse type: a comma-separated list of ``convert``'s values,
+    empty for an empty string.  A value that does not convert is a usage
+    error; one out of range is left to ExperimentConfig, a domain error."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(map(convert, text.split(","))) if text else ()
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated list of {what}: {text!r}") from None
+
+    return parse
+
+
 def _experiment_arguments(p) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", choices=["csv", "md"], default="csv")
@@ -297,8 +287,9 @@ def _experiment_arguments(p) -> None:
     p.add_argument("--height", type=int)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--house-sizes", default="100,500")
-    p.add_argument("--methods", default=None, help="comma-separated method names")
+    p.add_argument("--house-sizes", type=_comma_list(int, "integers"), default="100,500")
+    p.add_argument("--methods", type=_comma_list(MethodKind, "method names"), default=(),
+                   help="comma-separated method names, all by default")
     p.add_argument("--max-weight", type=int, default=10)
 
 

@@ -90,7 +90,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_plan", "_ucplan")
+    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_plan")
 
     def __init__(
         self,
@@ -124,11 +124,8 @@ class Instance:
         # set by validate_instance once the instance is valid, so it marks validity
         self._fast = None
         self._order: tuple[int, ...] | None = None
-        # the methods' per-node split data, built on the first allocation
-        self._plan: list[tuple] | None = None
-        # what only the upper-compliant method's splits read, built on its
-        # first allocation
-        self._ucplan: list[tuple] | None = None
+        # the methods' per-node split data, built on first use
+        self._plan: tuple[list[tuple], list[tuple]] | None = None
 
     @property
     def n(self) -> int:
@@ -459,18 +456,8 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
             yield c, (num * hn) // (den * hd), -((-(num * ln)) // (den * ld)), ha, la
 
 
-def _audit(inst: Instance, alloc: Allocation) -> list[int]:
-    """The seat checks and flow pass behind :func:`check_allocation` and
-    CLI ``check``.
-
-    Raises :class:`ValueError` if ``alloc`` has the wrong length or a seat
-    count that is not a non-negative integer, validates the instance, and
-    returns the flow breaks in ascending node order (the root first if its
-    seats are not ``h``).  The quota bounds are left to the caller, which
-    reads them from :func:`_quotas`.
-    """
-    n = inst.n
-    seats = alloc.seats
+def _check_seats(n: int, seats: Sequence[int]) -> None:
+    """Raise :class:`ValueError` unless ``seats`` holds ``n`` non-negative ints, not bools."""
     if len(seats) != n:
         raise ValueError(f"allocation has {len(seats)} entries for {n} nodes")
     # plain ints pass in one C-level test; the loop names a bad count, and
@@ -480,6 +467,18 @@ def _audit(inst: Instance, alloc: Allocation) -> list[int]:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"seat count for node {i} must be a non-negative integer")
 
+
+def _audit(inst: Instance, alloc: Allocation) -> list[int]:
+    """The seat checks and flow pass behind :func:`check_allocation` and
+    CLI ``check``.
+
+    Raises :class:`ValueError` if ``alloc`` fails :func:`_check_seats`,
+    validates the instance, and returns the flow breaks in ascending node
+    order (the root first if its seats are not ``h``).  The quota bounds
+    are left to the caller, which reads them from :func:`_quotas`.
+    """
+    seats = alloc.seats
+    _check_seats(inst.n, seats)
     at = seats.__getitem__
     children = _fast_arrays(inst)[6]  # validates the instance first
     flow = [i for i, kids in enumerate(children) if kids and seats[i] != sum(map(at, kids))]
@@ -529,8 +528,11 @@ def count_violations(
     binding ancestors or divisions: under extreme ancestor ratios ``hn/hd``
     and ``ln/ld``, a child of share ``num/den`` holding ``s`` seats is below
     its lower quota iff ``(s + 1) * den * hd <= num * hn``, and above its
-    upper quota iff ``(s - 1) * den * ld >= num * ln``.
+    upper quota iff ``(s - 1) * den * ld >= num * ln``.  Seats of the
+    wrong length raise :class:`ValueError`; their counts are not checked.
     """
+    if len(seats) != inst.n:
+        _check_seats(inst.n, seats)  # raises the length error
     order, _, rnum, rden, _, _, children = _fast_arrays(inst)
     fold = mode is QuotaMode.ALL_ANCESTORS
     v = seats[0]

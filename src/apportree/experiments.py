@@ -81,8 +81,8 @@ class ExperimentConfig:
 
 def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
     """Every (method, house size) cell of one instance, method-major, as
-    ``(lower, upper, dev_num, dev_den, max_num, max_den)``: violation
-    counts, then the deviations' sum and maximum over the lcm of ``rden``."""
+    ``(lower, upper, dev_num, max_num, den)``: violation counts, then the
+    deviations' sum and maximum over ``den``, the lcm of ``rden``."""
     _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
     common = math.lcm(*rden)
     # node i deviates by |s * rden - rnum * h| / rden seats, which is
@@ -93,7 +93,7 @@ def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
         for h, quota in zip(house_sizes, quotas):
             seats = _cascade(inst, method, h)
             devs = [abs(s * common - q) for s, q in zip(seats, quota)]
-            cells.append((*count_violations(inst, seats, mode), sum(devs), common, max(devs), common))
+            cells.append((*count_violations(inst, seats, mode), sum(devs), max(devs), common))
     return cells
 
 
@@ -146,13 +146,12 @@ def _evaluate_batch(args) -> list[tuple[int, ...]]:
 
 
 def _add_cell(total: list[int], cell: tuple[int, ...]) -> None:
-    """Add one cell to a row's running sums, in the cell's own layout; each
-    deviation sum stays over the lcm of the denominators added so far."""
-    total[0] += cell[0]
-    total[1] += cell[1]
-    for i in (2, 4):
-        common = math.lcm(total[i + 1], cell[i + 1])
-        total[i:i + 2] = total[i] * (common // total[i + 1]) + cell[i] * (common // cell[i + 1]), common
+    """Add one cell to a row's running sums, in the cell's own layout; both
+    deviation sums stay over the lcm of the denominators added so far."""
+    low, up, dev, dev_max, den = cell
+    common = math.lcm(total[4], den)
+    a, b = common // total[4], common // den
+    total[:] = total[0] + low, total[1] + up, total[2] * a + dev * b, total[3] * a + dev_max * b, common
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
@@ -168,7 +167,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     """
     n = _family_tree(config.family).n
     tasks = [
-        (config.family, (config.base_seed + k) & ((1 << 64) - 1), config.max_weight,
+        (config.family, config.base_seed + k, config.max_weight,
          config.methods, config.house_sizes, config.mode)
         for k in range(config.instance_count)
     ]
@@ -181,7 +180,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     else:
         batches = map(_evaluate_batch, tasks)
     keys = [(method, h) for method in config.methods for h in config.house_sizes]
-    sums = [[0, 0, 0, 1, 0, 1] for _ in keys]
+    sums = [[0, 0, 0, 0, 1] for _ in keys]
     for batch in batches:
         for total, cell in zip(sums, batch):
             _add_cell(total, cell)
@@ -196,8 +195,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
 
     return MetricsTable(config, tuple(
         TableRow(method, config.family, n, h, config.instance_count, low, up,
-                 Fraction(dev_num, dev_den), Fraction(max_num, max_den))
-        for (method, h), (low, up, dev_num, dev_den, max_num, max_den) in zip(keys, sums)
+                 Fraction(dev_num, den), Fraction(max_num, den))
+        for (method, h), (low, up, dev_num, max_num, den) in zip(keys, sums)
     ))
 
 

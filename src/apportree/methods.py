@@ -60,9 +60,9 @@ denominators.
 cost, and the command line refuses a run over a fixed budget of them;
 the library sets no bound.  What a split reads of a node that does not
 depend on ``h`` (its sorted children, their weights, cross products or
-key units and steps, and ``D``) is built once per instance, on its
-first allocation, and kept; what only the upper-compliant split reads
-(``Q_i``) likewise, on the first upper-compliant allocation.  The walk
+key units and steps, ``D``, and for the upper-compliant method ``Q_i``,
+the pairs mark and the period) is built by one walk, :func:`_build_plan`,
+on an instance's first allocation by any method, and kept.  The walk
 reads none of it: it stays the trajectory API and the reference the
 cascade is tested against.
 """
@@ -78,11 +78,10 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, count, islice, repeat
 from operator import add, mul
 
-from .core import Allocation, Instance, _check_house, _fast_arrays
+from .core import Allocation, Instance, _check_house, _check_seats, _fast_arrays
 
-# the largest Q_c a child's caps keep as one list of numerators; past it
-# the subtree's caps go in (numerator, denominator) pairs, whose clamp to
-# a count resets the denominator to 1
+# the largest Q_c a child's caps keep as one list of numerators (the
+# 2**60 of the module docstring)
 _Q_LIMIT = 1 << 60
 
 # the most bits a wide node's distinct weight numerators may take in all
@@ -203,15 +202,17 @@ def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[A
     """One seat of ``method``: the allocation after it and the path it took.
 
     A one-seat :func:`_walk` on a copy of ``alloc.seats``, so ``alloc`` is
-    left as it is.  On flow-conserving seat counts a child under the cap
-    always exists; :class:`NoEligibleChild` only guards against corrupted
-    inputs.
+    left as it is.  Seats that :func:`~apportree.core.check_allocation`
+    rejects raise its :class:`ValueError`.  On flow-conserving seat counts
+    a child under the cap always exists; :class:`NoEligibleChild` only
+    guards against corrupted inputs.
     """
+    _check_seats(inst.n, alloc.seats)
     seats, paths = _walk(inst, MethodKind(method), 1, list(alloc.seats))
     return Allocation(alloc.h + 1, tuple(seats)), paths[0]
 
 
-def _split_plan(inst: Instance) -> list[tuple]:
+def _split_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
     """The instance's split plan (see :func:`_build_plan`), built on first use and kept."""
     plan = inst._plan
     if plan is None:
@@ -219,16 +220,18 @@ def _split_plan(inst: Instance) -> list[tuple]:
     return plan
 
 
-def _build_plan(inst: Instance) -> list[tuple]:
-    """What every cascade reads of each node, whatever the house size.
+def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
+    """What every cascade reads of each node, whatever the house size, in
+    one walk: two lists of one record per node with children, in
+    breadth-first order (so after its parent's).
 
-    One record per node with children, in breadth-first order (so after
-    its parent's).  A node with two children has the record
-    ``(i, a, b, na, da, nb, db, pa, pb)``: ``a < b``, weights ``na / da``
-    and ``nb / db``, and ``pa = da * nb``, ``pb = db * na``, so that the
-    keys ``s_a / w_a`` and ``s_b / w_b`` compare as ``s_a * pa`` and
-    ``s_b * pb``.  A node with one child, or more than two, has the record
-    ``(i, kids, None, D, wn, wd, unit, steps, first)``:
+    The first list is what all four methods read.  A node with two
+    children has the record ``(i, a, b, na, da, nb, db, pa, pb)``: ``a <
+    b``, weights ``na / da`` and ``nb / db``, and ``pa = da * nb``, ``pb =
+    db * na``, so that the keys ``s_a / w_a`` and ``s_b / w_b`` compare as
+    ``s_a * pa`` and ``s_b * pb``.  A node with one child, or more than
+    two, has the record ``(i, kids, None, D, wn, wd, unit, steps,
+    first)``:
 
     * ``kids`` are its children in id order, and ``wn`` and ``wd`` their
       weight numerators and denominators, in the same order;
@@ -246,22 +249,66 @@ def _build_plan(inst: Instance) -> list[tuple]:
       exactly, ties included, in O(log) bits each however many distinct
       ``wn`` there are, but a seat must recompute its key.
 
-    What only the upper-compliant method reads is in
-    :func:`_build_uc_plan`.
+    The second list is what only the upper-compliant method reads, ``(q,
+    qc, keep, L, D)`` at any arity, children in id order:
+
+    * ``q`` is the node's ``Q_i`` (see the module docstring) if its caps
+      come as one list of numerators, else 0;
+    * ``qc`` holds the children's ``Q``, or is 0 where the node hands its
+      caps on as pairs; then the record gains a sixth field, its
+      first-list record in the form of a node with one child or more
+      than two, for a heap to split it;
+    * ``keep`` tells for each child whether it has children, that is,
+      whether it keeps the caps it passes on;
+    * ``D`` is the lcm of the children's weight denominators, and ``L``
+      the node's period: a node whose caps repeat every ``P`` seats splits
+      with the period ``L = lcm(P, D)`` (see :func:`_cascade`), the
+      root's ``P`` being 1 and a child's its parent's ``L * w``.  ``L`` is
+      0 where caps go on as pairs, at a node whose children are all leaves
+      (it passes on no caps), below a node with ``L = 0``, and past
+      ``_Q_LIMIT``.
+
+    So no stored ``Q`` or ``L`` passes ``_Q_LIMIT``, and the plan stays
+    O(n) words at any depth.
     """
-    order, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    order, parents, _, _, wnum, wden, children = _fast_arrays(inst)
+    lcm = math.lcm
+    # Q_i, and L_i of the nodes with children
+    qs = [0] * inst.n
+    qs[0] = 1
+    ls = [0] * inst.n
     plan = []
+    uc = []
     for i in order:
         kids = children[i]
         if not kids:
             continue
-        if len(kids) != 2:
-            plan.append(_wide_record(i, kids, wnum, wden))
+        if len(kids) == 2:
+            a, b = kids = sorted(kids)
+            na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
+            rec = (i, a, b, na, da, nb, db, da * nb, db * na)
+            wd, d = (da, db), lcm(da, db)
+        else:
+            rec = _wide_record(i, kids, wnum, wden)
+            kids, d, wd = rec[1], rec[3], rec[5]
+        plan.append(rec)
+        keep = tuple([bool(children[c]) for c in kids])
+        q = qs[i]
+        if not q or q * max(wd) > _Q_LIMIT:
+            wide = rec if rec[2] is None else _wide_record(i, kids, wnum, wden)
+            uc.append((q, 0, keep, 0, d, wide))
             continue
-        a, b = sorted(kids)
-        na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
-        plan.append((i, a, b, na, da, nb, db, da * nb, db * na))
-    return plan
+        qc = tuple([q * y for y in wd])
+        for c, y in zip(kids, qc):
+            qs[c] = y
+        # the period of the node's caps: 1 at the root, L * w_i below
+        p = ls[parents[i]] // wden[i] * wnum[i] if i else 1
+        period = lcm(p, d) if p and any(keep) else 0
+        if period > _Q_LIMIT:
+            period = 0
+        ls[i] = period
+        uc.append((q, qc, keep, period, d))
+    return plan, uc
 
 
 def _wide_record(i: int, kids, wnum, wden) -> tuple:
@@ -282,107 +329,39 @@ def _wide_record(i: int, kids, wnum, wden) -> tuple:
     return (i, kids, None, math.lcm(*wd), wn, wd, unit, steps, first)
 
 
-def _uc_plan(inst: Instance) -> list[tuple]:
-    """The instance's upper-compliant plan (see :func:`_build_uc_plan`),
-    built on the first upper-compliant allocation and kept."""
-    plan = inst._ucplan
-    if plan is None:
-        plan = inst._ucplan = _build_uc_plan(inst)
-    return plan
-
-
-def _build_uc_plan(inst: Instance) -> list[tuple]:
-    """What the upper-compliant cascade reads of each node besides its
-    record of the split plan: one record per split plan record, in the
-    same order, so the other methods never pay for it.
-
-    A node that hands its caps on as one list has ``(q, qa, qb, ka, kb,
-    L, D)`` if it has two children ``a < b``, else ``(q, qc, keep, L,
-    D)``, and one that hands them on as pairs ``(q, 0, keep, wide, 0,
-    D)``:
-
-    * ``q`` is the node's ``Q_i`` if its caps come as one list of
-      numerators, else 0 (see :func:`_list_qs`);
-    * ``qa = q * da`` and ``qb = q * db`` are the two children's ``Q``,
-      and ``qc`` all of them, ``q * wd[j]``;
-    * ``ka`` and ``kb`` tell whether ``a`` and ``b`` have children, that
-      is, whether they keep the caps they pass on, and ``keep`` tells it
-      for every child, in the split plan's id order;
-    * ``D`` is the lcm of the children's weight denominators, and ``L``
-      the node's period;
-    * ``wide`` is the node's split plan record in the form of a node with
-      one child or more than two, for a heap to split it at any arity.
-
-    A node whose caps repeat every ``P`` seats splits with the period ``L
-    = lcm(P, D)`` (see :func:`_cascade`); the root's ``P`` is 1, a
-    child's its parent's ``L * w``.  ``L`` is 0 where caps go on as
-    pairs, at a node whose children are all leaves (it passes on no
-    caps), below a node with ``L = 0``, and past ``_Q_LIMIT``.
-
-    So no stored ``Q`` or ``L`` passes ``_Q_LIMIT``, and the plan stays
-    O(n) words at any depth.
-    """
-    _, parents, _, _, wnum, wden, children = _fast_arrays(inst)
-    lcm = math.lcm
-    qs = _list_qs(inst)
-    # L_i of the nodes with children
-    ls = [0] * inst.n
-    plan = []
-    for rec in _split_plan(inst):
-        i = rec[0]
-        q = qs[i]
-        if rec[2] is None:
-            kids, d = rec[1], rec[3]
-        else:
-            kids, d = rec[1:3], lcm(rec[4], rec[6])
-        keep = tuple([bool(children[c]) for c in kids])
-        if not qs[kids[0]]:
-            wide = rec if rec[2] is None else _wide_record(i, kids, wnum, wden)
-            plan.append((q, 0, keep, wide, 0, d))
-            continue
-        qc = tuple([qs[c] for c in kids])
-        # the period of the node's caps: 1 at the root, L * w_i below
-        p = ls[parents[i]] // wden[i] * wnum[i] if i else 1
-        period = lcm(p, d) if p and any(keep) else 0
-        if period > _Q_LIMIT:
-            period = 0
-        ls[i] = period
-        if rec[2] is None:
-            plan.append((q, qc, keep, period, d))
-        else:
-            plan.append((q, *qc, *keep, period, d))
-    return plan
-
-
-def _list_qs(inst: Instance) -> list[int]:
-    """Each node's ``Q_i`` if its caps come as one list of numerators,
-    else 0: ``Q_0 = 1``, and children get ``Q_i * wden[c]`` while the
-    largest is at most ``_Q_LIMIT``; past it, and below, caps go as pairs."""
-    order, _, _, _, _, wden, children = _fast_arrays(inst)
-    qs = [0] * inst.n
-    qs[0] = 1
-    for i in order:
-        q = qs[i]
-        kids = children[i]
-        if q and kids and q * max([wden[c] for c in kids]) <= _Q_LIMIT:
-            for c in kids:
-                qs[c] = q * wden[c]
-    return qs
-
-
 def _splits(inst: Instance) -> list[tuple[int, int, int, bool]]:
     """What :func:`_work` reads of a tree: ``(depth, b, D, pairs)`` of each
     node with ``b`` children, ``D`` the lcm of their weight denominators,
-    and ``pairs`` whether it hands its caps on as pairs."""
-    order, parents, _, _, _, wden, children = _fast_arrays(inst)
+    and ``pairs`` whether it hands its caps on as pairs, the last three
+    from the split plan, which this builds if need be."""
+    order, parents = _fast_arrays(inst)[:2]
     depth = [0] * inst.n
     for i in order[1:]:
         depth[i] = depth[parents[i]] + 1
-    qs = _list_qs(inst)
+    plan, uc = _split_plan(inst)
+    return [(depth[rec[0]], len(u[2]), u[4], not u[1]) for rec, u in zip(plan, uc)]
+
+
+def _family_splits(skeleton, max_weight: int) -> list[tuple[int, int, int, bool]]:
+    """``(depth, b, D, pairs)`` bounds for every tree drawn onto
+    ``skeleton`` with weights up to ``max_weight``, node by node.
+
+    A generated sibling group's weights are integer draws in ``[1,
+    max_weight]`` over their sum, so ``D`` divides that sum, which is at
+    most ``b * max_weight``.  The product of those bounds down to a node's
+    children bounds their ``Q``, so past ``_Q_LIMIT`` (where it is held)
+    the node is marked as handing its caps on as pairs.
+    """
+    depth = [0] * skeleton.n
+    qs = [1] * skeleton.n
+    for i in range(1, skeleton.n):
+        p = skeleton.parents[i]
+        depth[i] = depth[p] + 1
+        qs[i] = min(qs[p] * len(skeleton.children[p]) * max_weight, _Q_LIMIT + 1)
     return [
-        (depth[i], len(kids), math.lcm(*[wden[c] for c in kids]), not qs[kids[0]])
-        for i in order
-        if (kids := children[i])
+        (depth[i], len(kids), len(kids) * max_weight, qs[i] * len(kids) * max_weight > _Q_LIMIT)
+        for i, kids in enumerate(skeleton.children)
+        if kids
     ]
 
 
@@ -414,10 +393,8 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     """Final seats of any of the four methods at ``h``, level by level.
 
     Each node, in breadth-first order, splits its seats among its children
-    as the single-level method would, reading its record of the
-    instance's split plan (:func:`_build_plan`, built on the first call
-    and kept on the instance) and, for the upper-compliant method, of its
-    upper-compliant plan (:func:`_build_uc_plan`).  The divisor methods
+    as the single-level method would, reading its records of the
+    instance's split plan (:func:`_build_plan`).  The divisor methods
     jump-start every child at a count its first seats provably reach
     before the walk's ``v``-th seat, then give out the few left one by
     one:
@@ -477,7 +454,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     which :func:`_uc_split_wide_pairs` splits at a node of any arity over
     all of its seats; a list reaches it as pairs over ``repeat(Q_i)``.
     """
-    plan = _split_plan(inst)
+    plan, ucplan = _split_plan(inst)
     seats = [0] * inst.n
     seats[0] = h
     if kind is MethodKind.UC_QUOTA:
@@ -488,7 +465,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
         # are dropped once the node is split
         caps = [None] * inst.n
         caps[0] = range(1, h + 1)
-        for rec, uc in zip(plan, _uc_plan(inst)):
+        for rec, uc in zip(plan, ucplan):
             i = rec[0]
             v = seats[i]
             if not v:
@@ -496,18 +473,14 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             xs = caps[i]
             caps[i] = None
             q = uc[0]
-            # uc[1] is the children's Q if the caps go on as one list,
-            # uc[0] the node's Q_i if they came as one; else each is 0
+            # the caps go on as pairs; they came as one list over q unless q is 0
             if not uc[1]:
                 qns, qds = (_unrolled(xs, q, 0, v), repeat(q)) if q else xs
                 _uc_split_wide_pairs(seats, uc, qns, qds, caps)
                 continue
-            if rec[2] is None:
-                split, keeps = _uc_split_wide, any(uc[2])
-            else:
-                split, keeps = _uc_split_two, uc[3] or uc[4]
-            period, d = uc[-2:]
-            if keeps:
+            _, _, keep, period, d = uc
+            split = _uc_split_two if rec[2] else _uc_split_wide
+            if any(keep):
                 # the children's caps: one period, or all if v is less
                 m = period if period and v > period else v
                 split(seats, rec, uc, _unrolled(xs, q, 0, m), caps, 0)
@@ -582,7 +555,7 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
 def _unrolled(xs, q, k, n):
     """The caps of a node's seats ``k + 1`` to ``k + n``, from its list
     ``xs`` over ``q``, which past its end repeats, each time ``len(xs) *
-    q`` higher (see :func:`_build_uc_plan`): lazily, except that a tail
+    q`` higher (see :func:`_cascade`): lazily, except that a tail
     of fewer than ``D`` caps past ``k > 0`` is sliced, in O(1) from the
     root's range, which ``islice`` would step through from its start."""
     p = len(xs)
@@ -684,8 +657,8 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
 def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     """Split a two-child node's seats under the upper-compliant method.
 
-    ``rec`` and ``uc`` are the node's records of the split plan and the
-    upper-compliant plan.  Each child starts at ``k * w``, ``k`` a
+    ``rec`` and ``uc`` are the node's two records of the split plan (see
+    :func:`_build_plan`).  Each child starts at ``k * w``, ``k`` a
     multiple of ``D``, and the node's seats after the ``k``-th brought
     the caps ``x / Q_i``, ``x`` from ``xs``.  A child ``c`` counts in
     units of its own ``Q_c = Q_i * wden[c]``: it holds ``t_c = s_c *
@@ -704,7 +677,7 @@ def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     (v - cap) <= 0``.
     """
     _, a, b, na, da, nb, _, pa, pb = rec
-    _, qa, qb, ka, kb, _, _ = uc
+    _, (qa, qb), (ka, kb), _, _ = uc
     add_a = add_b = None
     if caps is not None:
         if ka:
@@ -752,16 +725,17 @@ def _uc_split_wide_pairs(seats, uc, qns, qds, caps) -> None:
     """Split the seats of a node that hands its caps on as pairs under the
     upper-compliant method, at any arity.
 
-    ``uc`` is the node's upper-compliant plan record (see
-    :func:`_build_uc_plan`).  The node's ``k``-th seat brought the cap
-    ``qns[k] / qds[k]``, with ``qds`` repeating ``Q_i`` if the caps came
-    as one list.  The children rank and park as in :func:`_split_wide`,
-    with a cap's denominator in place of ``q``.  Each non-leaf child ``c``
+    ``uc`` is the node's upper-compliant record of the split plan, which
+    ends in its record in wide form (see :func:`_build_plan`).  The
+    node's ``k``-th seat brought the cap ``qns[k] / qds[k]``, with ``qds``
+    repeating ``Q_i`` if the caps came as one list.  The children rank and
+    park as in :func:`_split_wide`, with a cap's denominator in place of
+    ``q``.  Each non-leaf child ``c``
     gets in ``caps[c]`` the caps it passes on, ``min(cap * w_c, v_c)``, in
     two lists of ints, which the garbage collector does not track as it
     would a tuple per seat.
     """
-    _, kids, _, _, wn, wd, unit, steps, first = uc[3]
+    _, kids, _, _, wn, wd, unit, steps, first = uc[5]
     b = len(kids)
     heap = list(first) if steps else [u // n * b + j for j, (u, n) in enumerate(zip(unit, wn))]
     held = [0] * b

@@ -13,16 +13,11 @@ import pytest
 
 from apportree import (
     Allocation,
-    ExperimentConfig,
     Instance,
     QuotaMode,
     SplitMix64,
-    TreeFamily,
-    TreeKind,
     allocation_to_json,
-    assign_entitlements,
     brute_force_both_quotas,
-    build_tree,
     check_allocation,
     instance_from_json,
     instance_to_json,
@@ -33,7 +28,6 @@ from apportree.cli import SEED_ENV_VAR, main
 import apportree.cli as cli
 import apportree.core as core
 import apportree.methods as methods
-from apportree.methods import _splits
 
 from conftest import flat_instance, heavy_spine, make_deep7, make_flat5, make_nested5, make_sym7
 
@@ -578,6 +572,41 @@ class TestExperiment:
     def test_requires_config_or_family(self, capsys):
         assert main(["experiment"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--house-sizes", "1e3", "argument --house-sizes: not a comma-separated list of integers: '1e3'"),
+            ("--house-sizes", "10,", "argument --house-sizes: not a comma-separated list of integers: '10,'"),
+            ("--methods", "adams,bogus",
+             "argument --methods: not a comma-separated list of method names: 'adams,bogus'"),
+        ],
+    )
+    def test_flags_that_do_not_parse_are_usage_errors(self, capsys, flag, value, message):
+        assert main(["experiment", "--family", "binary", "--height", "2", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: apportree ")
+        assert err.endswith(f"apportree experiment: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [("0", "house sizes must be at least 1"), ("10,-1", "house size must be a non-negative integer")],
+    )
+    def test_house_sizes_out_of_range_are_domain_errors(self, capsys, sizes, message):
+        assert main(["experiment", "--family", "binary", "--height", "2", "--house-sizes", sizes]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_empty_lists(self, capsys):
+        # no methods stand for every method; no house sizes give no rows,
+        # as in a config
+        flags = ["experiment", "--family", "binary", "--height", "2", "--count", "2", "--house-sizes", "10"]
+        assert main(flags + ["--methods", ""]) == 0
+        empty = capsys.readouterr().out
+        assert main(flags) == 0
+        assert capsys.readouterr().out == empty
+        assert main(flags[:-1] + [""]) == 0
+        assert capsys.readouterr().out == empty.splitlines(keepends=True)[0]
+
     def test_parallel_bytes_match_serial(self, capsys):
         main(self.FLAGS)
         serial = capsys.readouterr().out
@@ -651,14 +680,7 @@ class TestExperiment:
         # With draws up to 10**6, D <= 2 * 10**6 at each binary node, so
         # the bound on the children's caps denominator passes 2**60 from
         # depth 2 down: 1 + 1 + 2 + 2 + 2 = 8 steps a seat on binary
-        # height 5.  The bound marks every node whose caps a generated
-        # tree hands on as pairs.
-        config = ExperimentConfig(TreeFamily(TreeKind.PERFECT_BINARY, 5), max_weight=10**6)
-        marks = [pairs for *_, pairs in cli._family_splits(config)]
-        assert marks == [False] * 3 + [True] * 28
-        for seed in range(20):
-            inst = assign_entitlements(build_tree(config.family), seed, config.max_weight)
-            assert all(mark or not pairs for mark, (*_, pairs) in zip(marks, _splits(inst)))
+        # height 5 (methods._family_splits is tested in test_methods).
         flags = [
             "experiment", "--family", "binary", "--height", "5", "--max-weight", "1000000",
             "--methods", "ucquota", "--house-sizes",
@@ -727,6 +749,8 @@ class TestTopLevel:
         "ambiguous-option": ["experiment", "--m", "3"],
         "extra-positional": ["validate", "a", "b"],
         "unknown-option": ["allocate", "t.json", "--method", "adams", "--seats", "3", "--bogus"],
+        "bad-house-sizes": ["experiment", "--family", "binary", "--height", "2", "--house-sizes", "1e3"],
+        "bad-methods": ["experiment", "--family", "binary", "--height", "2", "--methods", "adams,bogus"],
     }
 
     @pytest.mark.parametrize("case", sorted(CORPUS))

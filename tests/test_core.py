@@ -402,6 +402,13 @@ class TestCheckAllocation:
         with pytest.raises(ValueError):
             check_allocation(sym7, Allocation(3, (3, 3)))
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_count_violations_rejects_the_wrong_length(self, sym7, n):
+        seats = (6, 1, 2, 1, 2, 3, 3, 0)[:n]
+        for mode in QuotaMode:
+            with pytest.raises(ValueError, match=f"^allocation has {n} entries for 7 nodes$"):
+                count_violations(sym7, seats, mode)
+
     def test_negative_seats_rejected(self, sym7):
         with pytest.raises(ValueError):
             check_allocation(sym7, Allocation(0, (0, 0, 0, 0, 0, -1, 1)))

@@ -44,8 +44,8 @@ FOURARY3 = TreeFamily(TreeKind.FULL_4ARY, 3)
 def one_cell(inst, method, h, mode=QuotaMode.ALL_ANCESTORS):
     """One instance's (method, h) cell: violation counts, then the
     deviations' sum and maximum as Fractions."""
-    low, up, dev_num, dev_den, max_num, max_den = experiments._cells(inst, (method,), (h,), mode)[0]
-    return low, up, Fraction(dev_num, dev_den), Fraction(max_num, max_den)
+    low, up, dev_num, max_num, den = experiments._cells(inst, (method,), (h,), mode)[0]
+    return low, up, Fraction(dev_num, den), Fraction(max_num, den)
 
 
 class TestCells:
@@ -170,6 +170,13 @@ class TestRunExperiment:
                 ExperimentConfig(BINARY3, base_seed=bad)
         assert ExperimentConfig(BINARY3, base_seed=-1, max_weight=1).base_seed == -1
 
+    def test_seeds_wrap_at_64_bits(self):
+        # instance k is drawn from base_seed + k modulo 2**64, which
+        # SplitMix64 applies, so a negative base names the same instances
+        wrapped = ExperimentConfig(BINARY3, instance_count=3, base_seed=-2)
+        plain = ExperimentConfig(BINARY3, instance_count=3, base_seed=2**64 - 2)
+        assert emit_table(run_experiment(wrapped)) == emit_table(run_experiment(plain))
+
     def test_method_names_are_coerced_when_the_config_is_built(self):
         named = ExperimentConfig(BINARY3, instance_count=3, methods=("adams", "ucquota"))
         assert named.methods == (MethodKind.ADAMS, MethodKind.UC_QUOTA)
@@ -220,7 +227,7 @@ class TestRowsAreSumsOfCells:
         task = (FOURARY3, 5, 10, ALL_METHODS, (100, 500), QuotaMode.ALL_ANCESTORS)
         batch = experiments._evaluate_batch(task)
         assert len(batch) == 8
-        assert all(type(cell) is tuple and len(cell) == 6 for cell in batch)
+        assert all(type(cell) is tuple and len(cell) == 5 for cell in batch)
         assert all(type(v) is int for cell in batch for v in cell)
 
     def test_serial_run_builds_each_family_tree_once(self, monkeypatch):

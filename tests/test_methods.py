@@ -20,6 +20,8 @@ from apportree import (
     TreeFamily,
     TreeKind,
     allocate_both_quotas,
+    assign_entitlements,
+    build_tree,
     check_allocation,
     count_violations,
     instance_from_json,
@@ -328,6 +330,25 @@ class TestStepFunctions:
             assert alloc == traj.final
             assert tuple(paths) == traj.paths
 
+    @pytest.mark.parametrize(
+        "seats, message",
+        [
+            ((0, 0, 0, 0), "allocation has 4 entries for 5 nodes"),
+            ((0, 0, 0, 0, 0, 0), "allocation has 6 entries for 5 nodes"),
+            ((1, 1, 0, 1, -1), "seat count for node 4 must be a non-negative integer"),
+            ((1, True, 0, True, 0), "seat count for node 1 must be a non-negative integer"),
+            ((1, 1, 0, 1.0, 0), "seat count for node 3 must be a non-negative integer"),
+        ],
+        ids=["short", "long", "negative", "bool", "float"],
+    )
+    def test_bad_seats_raise_what_the_checker_raises(self, nested5, seats, message):
+        alloc = Allocation(1, seats)
+        for method in MethodKind:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                step(nested5, alloc, method)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_allocation(nested5, alloc)
+
     def test_no_eligible_child_on_corrupted_seats(self, nested5):
         # Seats that do not conserve flow (children already hold more than
         # the root) can strand the quota walk; the guard names the method,
@@ -502,7 +523,7 @@ class TestLevelCascade:
              half, half, Fraction(1, 4), Fraction(3, 4)],
         )
         run_method(inst, MethodKind.UC_QUOTA, 0)
-        periods = {rec[0]: uc[-2] for rec, uc in zip(inst._plan, inst._ucplan)}
+        periods = {rec[0]: uc[3] for rec, uc in zip(*inst._plan)}
         assert periods == ({0: 30, 1: 0, 3: 22, 6: 0} if limit is None else dict.fromkeys((0, 1, 3, 6), 0))
         for h in range(401):
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
@@ -580,7 +601,7 @@ class TestLevelCascade:
             monkeypatch.setattr(methods, "_STEP_BITS", 0)
         inst = with_wide_nodes(heavy_spine(7), 13)
         run_method(inst, MethodKind.UC_QUOTA, 0)
-        assert [uc[0] for rec, uc in zip(inst._plan, inst._ucplan) if rec[2] is None] == [0, 0]
+        assert [uc[0] for rec, uc in zip(*inst._plan) if rec[2] is None] == [0, 0]
         for h in (1, 2, 5, 37, 150, 1000, 3000):
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
@@ -632,7 +653,7 @@ class TestLevelCascade:
             for h in (7, 299, 300, 301, 900):
                 walked, _ = _walk(inst, method, h)
                 assert run_method(inst, method, h).final.seats == tuple(walked)
-        assert inst._plan[0][7] is None
+        assert inst._plan[0][0][7] is None
 
     def test_uc_quota_overrides_jefferson_at_a_wide_node(self, monkeypatch):
         # Node 1 (weight 2/3) splits among nodes 3, 4 and 5 (1/2, 1/4,
@@ -863,28 +884,31 @@ PRIMES = first_primes(10**4)
 
 class TestSplitPlan:
     """Each instance's per-node split data is built once, on its first
-    cascade, and only there."""
+    cascade or work bound, and only there."""
 
     def test_plan_is_built_once(self, deep7, monkeypatch):
+        # one walk builds what every method reads, whichever needs it
+        # first: the work bound, as on the command line, or a cascade
         calls = []
-        for name in ("_build_plan", "_build_uc_plan"):
-            original = getattr(methods, name)
-            monkeypatch.setattr(methods, name, lambda inst, f=original, name=name: calls.append(name) or f(inst))
+        original = methods._build_plan
+        monkeypatch.setattr(methods, "_build_plan", lambda inst: calls.append(inst) or original(inst))
+        methods._splits(deep7)
         for method in MethodKind:
             for h in (0, 5, 9, 1000):
                 run_method(deep7, method, h)
         run_method(deep7, MethodKind.QUOTA, 12).allocation_at(7)
-        assert calls == ["_build_plan", "_build_uc_plan"]
+        assert calls == [deep7]
 
     def test_loading_and_auditing_build_no_plan(self, deep7):
         inst = instance_from_json(instance_to_json(deep7))
         alloc = allocate_both_quotas(inst, 7)
         core._audit(inst, alloc)
         check_allocation(inst, alloc)
+        count_violations(inst, alloc.seats)
         assert inst._plan is None
         run_method(inst, MethodKind.ADAMS, 7)
-        assert inst._plan is not None
-        assert inst._ucplan is None
+        plan, uc = inst._plan
+        assert len(plan) == len(uc) == sum(1 for kids in inst.children if kids)
 
     @pytest.mark.parametrize(
         "inst",
@@ -893,29 +917,36 @@ class TestSplitPlan:
     )
     def test_no_stored_q_passes_the_limit(self, inst):
         run_method(inst, MethodKind.UC_QUOTA, 50)
-        plan = inst._ucplan
-        assert len(plan) == len(inst._plan) == sum(1 for kids in inst.children if kids)
-        for rec, uc in zip(inst._plan, plan):
-            q, qc = uc[:2]
-            # a two-child record that hands its caps on as one list keeps
-            # qa and qb, a wider one all its children's Q, and one that
-            # hands them on as pairs 0; every record keeps its period L
-            stored = [q, *(uc[1:3] if len(uc) == 7 else qc or ()), uc[-2]]
-            assert all(0 <= x <= methods._Q_LIMIT for x in stored)
+        plan, uc = inst._plan
+        assert len(plan) == len(uc) == sum(1 for kids in inst.children if kids)
+        for q, qc, _, period, _, *_ in uc:
+            # a record that hands its caps on as one list keeps its
+            # children's Q, one that hands them on as pairs 0; every
+            # record keeps its period L
+            assert all(0 <= x <= methods._Q_LIMIT for x in (q, *(qc or ()), period))
         # the spines' caps switch to pairs five levels down, and stay so
         if inst.n in (401, 601):
-            assert [uc[0] > 0 for uc in plan] == [True] * 5 + [False] * 195
+            assert [u[0] > 0 for u in uc] == [True] * 5 + [False] * 195
 
     @given(irregular_instances(max_nodes=16), st.integers(0, 5000))
     def test_splits_mark_the_nodes_that_hand_caps_on_as_pairs(self, inst, limit):
-        # A node hands its caps on as pairs where its children's Q, the
-        # product of the weight denominators down to them, passes the
-        # limit at it or at an ancestor: what the work bound reads must be
-        # what the plan does.
+        # What the work bound reads, from the tree alone: a node's depth
+        # from its parent chain, its number of children, the lcm D of
+        # their weight denominators, and whether it hands its caps on as
+        # pairs: whether its children's Q, the product of the weight
+        # denominators down to them, passes the limit at it or at an
+        # ancestor.  A fresh copy builds its plan under the patched limit.
+        inst = Instance(inst.parents, inst.weights)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(methods, "_Q_LIMIT", limit)
-            marks = [pairs for *_, pairs in methods._splits(inst)]
-            plan = methods._build_uc_plan(inst)
+            splits = methods._splits(inst)
+
+        def depth(i):
+            d = 0
+            while i:
+                i = inst.parents[i]
+                d += 1
+            return d
 
         def passes(i):
             q = 1
@@ -925,47 +956,84 @@ class TestSplitPlan:
                     return True
             return False
 
-        nodes = [rec[0] for rec in inst._plan]
-        assert marks == [not uc[1] for uc in plan] == [passes(i) for i in nodes]
+        expected = [
+            (depth(i), len(kids), math.lcm(*(inst.weights[c].denominator for c in kids)), passes(i))
+            for i in inst.bfs_order()
+            if (kids := inst.children[i])
+        ]
+        assert splits == expected
         # every node that hands its caps on as pairs is split on a heap
-        assert all(uc[3][2] is None for uc in plan if not uc[1])
+        assert all(u[5][2] is None for u in inst._plan[1] if not u[1])
+
+    @pytest.mark.parametrize(
+        "kind, height, max_weight",
+        [(TreeKind.PERFECT_BINARY, 5, 10**6), (TreeKind.PERFECT_BINARY, 3, 1), (TreeKind.FULL_4ARY, 3, 10)],
+    )
+    def test_family_splits_bound_every_generated_tree(self, kind, height, max_weight):
+        # A generated node's D divides the sum of its children's draws,
+        # at most b * max_weight, and the product of those bounds down a
+        # path bounds Q.  With draws up to 10**6 the bound on binary
+        # height 5 passes 2**60 from depth 2 down.  So the work bound of
+        # the family is at least that of every tree drawn from it.
+        skeleton = build_tree(TreeFamily(kind, height))
+        bounds = methods._family_splits(skeleton, max_weight)
+        if max_weight == 10**6:
+            assert [pairs for *_, pairs in bounds] == [False] * 3 + [True] * 28
+        for seed in range(20):
+            splits = methods._splits(assign_entitlements(skeleton, seed, max_weight))
+            assert len(splits) == len(bounds)
+            for (depth, b, d, pairs), (top_depth, top_b, top_d, top_pairs) in zip(splits, bounds):
+                assert (depth, b) == (top_depth, top_b)
+                assert d <= top_d
+                assert top_pairs or not pairs
+            for method in MethodKind:
+                assert methods._work(method, 1000, splits) <= methods._work(method, 1000, bounds)
 
     def test_records(self, flat5, nested5):
-        # two children in id order with their cross products; UC-quota's
-        # caps denominators, Q_0 = 1, Q_1 = 9 and both children's, with
-        # the keep flags, the period L and D, are built on its first run,
-        # not for the others: the root's caps repeat every seat, so L =
-        # lcm(1, 9); node 1's children are leaves, which keep no caps, so
-        # it has no period
+        # two children in id order with their cross products; for
+        # UC-quota the caps denominators, Q_0 = 1, Q_1 = 9 and both
+        # children's, the keep flags, the period L and D: the root's caps
+        # repeat every seat, so L = lcm(1, 9); node 1's children are
+        # leaves, which keep no caps, so it has no period
         inst = reversed_children(nested5)
-        assert methods._split_plan(inst) == [
-            (0, 1, 2, 8, 9, 1, 9, 9, 72),
-            (1, 3, 4, 8, 9, 1, 9, 9, 72),
-        ]
-        for method in (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA):
-            run_method(inst, method, 5)
-        assert inst._ucplan is None
-        run_method(inst, MethodKind.UC_QUOTA, 5)
-        assert inst._ucplan == [(1, 9, 9, True, False, 9, 9), (9, 81, 81, False, False, 0, 9)]
+        assert methods._split_plan(inst) == (
+            [(0, 1, 2, 8, 9, 1, 9, 9, 72), (1, 3, 4, 8, 9, 1, 9, 9, 72)],
+            [(1, (9, 9), (True, False), 9, 9), (9, (81, 81), (False, False), 0, 9)],
+        )
         # wider: the children, D, their weights, no fixed-point units, their
         # key steps over L = lcm(2, 3, 3, 3) = 6, times b = 4, and their
         # first heap entries; for UC-quota their Q, keep flags, L and D
         inst = reversed_children(flat5)
-        assert methods._split_plan(inst) == [
-            (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), None, (60, 80, 160, 160), (60, 81, 162, 163)),
-        ]
-        assert methods._uc_plan(inst) == [(1, (5, 10, 20, 20), (False,) * 4, 0, 20)]
+        wide = (
+            0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), None, (60, 80, 160, 160), (60, 81, 162, 163)
+        )
+        assert methods._split_plan(inst) == ([wide], [(1, (5, 10, 20, 20), (False,) * 4, 0, 20)])
         # Jefferson's order repeats every D = 20 seats, ties to the lower id
         period = [0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3]
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
         assert [path[1] - 1 for path in jefferson] == period * 2
+
+    def test_pairs_records(self, flat5, nested5, monkeypatch):
+        # Past the limit the children's Q is 0 and there is no period; a
+        # record gains the node's split in the form of a wide node: for
+        # two children of weights 8/9 and 1/9, key steps over L = 8,
+        # times b = 2.  Node 1's caps come as pairs too, so its Q is 0.
+        monkeypatch.setattr(methods, "_Q_LIMIT", 0)
+        plan, uc = methods._split_plan(reversed_children(nested5))
+        assert uc == [
+            (1, 0, (True, False), 0, 9, (0, (1, 2), None, 9, (8, 1), (9, 9), None, (18, 144), (18, 145))),
+            (0, 0, (False, False), 0, 9, (1, (3, 4), None, 9, (8, 1), (9, 9), None, (18, 144), (18, 145))),
+        ]
+        # a wide node's own record serves its heap
+        plan, uc = methods._split_plan(reversed_children(flat5))
+        assert uc == [(1, 0, (False,) * 4, 0, 20, plan[0])]
 
     def test_fixed_point_records(self, flat5, monkeypatch):
         # past _STEP_BITS (the distinct numerators 2 and 3 take 4
         # bits) the units are wd << 4, as 2**4 > 3 * 3, and there are no
         # key steps
         monkeypatch.setattr(methods, "_STEP_BITS", 3)
-        assert methods._split_plan(reversed_children(flat5)) == [
+        assert methods._split_plan(reversed_children(flat5))[0] == [
             (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), (80, 160, 320, 320), None, None),
         ]
 
@@ -982,7 +1050,7 @@ class TestSplitPlan:
         inst = flat_instance([wa, wb, 1 - wa - wb])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(methods, "_STEP_BITS", 0)
-            rec = methods._split_plan(inst)[0]
+            rec = methods._split_plan(inst)[0][0]
         s_a = pow(x, -1, y) + k * y
         s_b = (s_a * x - 1) // y
         off = (0, 0, 0)
@@ -1011,12 +1079,12 @@ class TestSplitPlan:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert perf_counter() - start < 60
-        assert inst._plan[0][7] is None
+        assert inst._plan[0][0][7] is None
 
     def test_no_child_under_the_cap_raises(self, flat5):
         # four children holding 2, 3, 4 and 4 seats, each at least its
         # quota at the cap 10 (over q = 1), so all are parked
-        rec = methods._split_plan(flat5)[0]
+        rec = methods._split_plan(flat5)[0][0]
         seats = [0] * flat5.n
         with pytest.raises(RuntimeError, match="no child under its cap"):
             methods._split_wide(seats, rec, [4, 3, 2, 2], 1, [10], rec[5], (0,) * 4)
