@@ -55,10 +55,11 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 # 30 of uneven six-decimal weight 0.7 s (0.9 s at h = 2 * 10**6 - 1), of
 # 30 of seven-decimal weight 1.0-1.3 s, of 10**4 prime weights 2.5-2.6 s,
 # and on heavy_spine(1000) at h = 4008 (pairs caps from depth 4 down, 2
-# steps a seat) 1.3-1.4 s; quota on the 30 seven-decimal leaves 1.2-1.5 s
-# and on the 10**4 primes 2.5-2.6 s, and never refused on the others (the
-# 30 six-decimal leaves at their worst, h = D - 1: 1.1 s).  So a larger
-# run is refused before it starts; the library sets no bound.
+# steps a seat) 1.6-2.2 s, six runs on a busier host; quota on the 30
+# seven-decimal leaves 1.2-1.5 s and on the 10**4 primes 2.5-2.6 s, and
+# never refused on the others (the 30 six-decimal leaves at their worst,
+# h = D - 1: 1.1 s).  So a larger run is refused before it starts; the
+# library sets no bound.
 _WORK_BUDGET = 8 * 10**6
 
 # --trajectory holds and prints all h + 1 allocations of n counts each.

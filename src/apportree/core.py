@@ -488,15 +488,17 @@ def _audit(inst: Instance, alloc: Allocation) -> list[int]:
 
 
 def check_allocation(
-    inst: Instance, alloc: Allocation, mode: QuotaMode = QuotaMode.ALL_ANCESTORS
+    inst: Instance, alloc: Allocation, mode: QuotaMode | str = QuotaMode.ALL_ANCESTORS
 ) -> QuotaReport:
     """Audit ``alloc``: flow conservation plus per-node quota compliance.
 
     Flow breaks (root seats != h, or an internal node's seats != sum of its
     children's) are reported in the result rather than raised, so broken
     allocations can still be inspected.  ``bounds[i]`` holds node ``i``'s
-    bounds; the root's collapse to its own seat count.
+    bounds; the root's collapse to its own seat count.  ``mode`` may be
+    given by its value, ``"all"`` or ``"root"``.
     """
+    mode = QuotaMode(mode)
     flow = _audit(inst, alloc)
     seats = alloc.seats
     quotas = [(0, seats[0], seats[0], 0, 0)] * inst.n
@@ -516,7 +518,7 @@ def check_allocation(
 
 
 def count_violations(
-    inst: Instance, seats: Sequence[int], mode: QuotaMode = QuotaMode.ALL_ANCESTORS
+    inst: Instance, seats: Sequence[int], mode: QuotaMode | str = QuotaMode.ALL_ANCESTORS
 ) -> tuple[int, int]:
     """Count (lower, upper) quota violations without building a report.
 
@@ -530,11 +532,12 @@ def count_violations(
     its lower quota iff ``(s + 1) * den * hd <= num * hn``, and above its
     upper quota iff ``(s - 1) * den * ld >= num * ln``.  Seats of the
     wrong length raise :class:`ValueError`; their counts are not checked.
+    ``mode`` may be given by its value, as in :func:`check_allocation`.
     """
     if len(seats) != inst.n:
         _check_seats(inst.n, seats)  # raises the length error
     order, _, rnum, rden, _, _, children = _fast_arrays(inst)
-    fold = mode is QuotaMode.ALL_ANCESTORS
+    fold = mode is QuotaMode.ALL_ANCESTORS or QuotaMode(mode) is QuotaMode.ALL_ANCESTORS
     v = seats[0]
     extremes = [(v, 1, v, 1)] * inst.n  # (hi_num, hi_den, lo_num, lo_den) per node
     low = up = 0

@@ -73,6 +73,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
         object.__setattr__(self, "house_sizes", tuple(self.house_sizes))
         object.__setattr__(self, "methods", tuple(map(MethodKind, self.methods)))
+        object.__setattr__(self, "mode", QuotaMode(self.mode))
         for h in self.house_sizes:
             _check_house(h)
         if 0 in self.house_sizes:
@@ -270,24 +271,10 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ValueError('config must be an object with a "family" object')
     fam = obj["family"]
     family = TreeFamily(TreeKind(fam.get("kind")), fam.get("height"))
+    # ExperimentConfig checks every field, but would raise TypeError on
+    # a bare number where a list belongs
     for key in ("house_sizes", "methods"):
         if not isinstance(obj.get(key, []), list):
             raise ValueError(f'"{key}" must be a list, got {obj[key]!r}')
-    kwargs = {}
-    for key in ("instance_count", "base_seed", "max_weight"):
-        if key in obj:
-            kwargs[key] = _json_int(obj[key], f'"{key}"')
-    if "house_sizes" in obj:
-        kwargs["house_sizes"] = tuple(_json_int(h, 'each "house_sizes" entry') for h in obj["house_sizes"])
-    if "methods" in obj:
-        kwargs["methods"] = tuple(MethodKind(m) for m in obj["methods"])
-    if "mode" in obj:
-        kwargs["mode"] = QuotaMode(obj["mode"])
-    return ExperimentConfig(family, **kwargs)
-
-
-def _json_int(value, what: str) -> int:
-    # a plain JSON integer: not a bool, a float or a numeric string
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+    keys = ("instance_count", "base_seed", "house_sizes", "methods", "mode", "max_weight")
+    return ExperimentConfig(family, **{key: obj[key] for key in keys if key in obj})

@@ -51,20 +51,16 @@ denominator)`` pairs, and its subtree keeps that form, where clamping a
 cap to a count resets its denominator to 1.
 
 A node with two children is split in locals, unless it hands caps on
-as pairs.  Every other node is split by one heap of its children's next
-keys (see :func:`_split_wide`), in O(log b) per seat with ``b``
-children: Adams and Jefferson hand out at most ``b`` seats that way, the
-quota method fewer than ``D``, the lcm of the children's weight
-denominators.
-:func:`_work` bounds the steps of all four methods from each split's
-cost, and the command line refuses a run over a fixed budget of them;
-the library sets no bound.  What a split reads of a node that does not
-depend on ``h`` (its sorted children, their weights, cross products or
-key units and steps, ``D``, and for the upper-compliant method ``Q_i``,
-the pairs mark and the period) is built by one walk, :func:`_build_plan`,
-on an instance's first allocation by any method, and kept.  The walk
-reads none of it: it stays the trajectory API and the reference the
-cascade is tested against.
+as pairs, and every other node by one heap loop, :func:`_split_wide`,
+for caps in either form.  :func:`_work` bounds the steps of all four
+methods from each split's cost, and the command line refuses a run over
+a fixed budget of them; the library sets no bound.  What a split reads
+of a node that does not depend on ``h`` (its sorted children, their
+weights, cross products or key units and steps, ``D``, and for the
+upper-compliant method ``Q_i``, the pairs mark and the period) is built
+by one walk, :func:`_build_plan`, on an instance's first allocation by
+any method, and kept.  The walk reads none of it: it stays the
+trajectory API and the reference the cascade is tested against.
 """
 
 from __future__ import annotations
@@ -257,7 +253,7 @@ def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
     * ``qc`` holds the children's ``Q``, or is 0 where the node hands its
       caps on as pairs; then the record gains a sixth field, its
       first-list record in the form of a node with one child or more
-      than two, for a heap to split it;
+      than two, which :func:`_split_wide` reads at any arity;
     * ``keep`` tells for each child whether it has children, that is,
       whether it keeps the caps it passes on;
     * ``D`` is the lcm of the children's weight denominators, and ``L``
@@ -279,6 +275,7 @@ def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
     ls = [0] * inst.n
     plan = []
     uc = []
+    keeps = {}  # one tuple per distinct keep
     for i in order:
         kids = children[i]
         if not kids:
@@ -293,6 +290,7 @@ def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
             kids, d, wd = rec[1], rec[3], rec[5]
         plan.append(rec)
         keep = tuple([bool(children[c]) for c in kids])
+        keep = keeps.setdefault(keep, keep)
         q = qs[i]
         if not q or q * max(wd) > _Q_LIMIT:
             wide = rec if rec[2] is None else _wide_record(i, kids, wnum, wden)
@@ -447,12 +445,11 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       give them their caps, which past their end repeat, unrolled lazily
       as far as the child reads them.
 
-    The caps come either as one list of numerators over the node's
-    ``Q_i`` (see the module docstring), which :func:`_uc_split_two`
-    splits at a two-child node and :func:`_uc_split_wide` at any other
-    while the children's ``Q`` stay within ``_Q_LIMIT``, or as pairs,
-    which :func:`_uc_split_wide_pairs` splits at a node of any arity over
-    all of its seats; a list reaches it as pairs over ``repeat(Q_i)``.
+    The caps come as one list of numerators over the node's ``Q_i``
+    (see the module docstring) or as pairs.  :func:`_uc_split_two`
+    splits a two-child node that hands them on as one list, and
+    :func:`_uc_split_wide` every other node, one that hands them on as
+    pairs over all of its seats.
     """
     plan, ucplan = _split_plan(inst)
     seats = [0] * inst.n
@@ -460,9 +457,9 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     if kind is MethodKind.UC_QUOTA:
         # the caps node i's seats brought: a list of numerators over Q_i
         # (the root's t-th seat brings t, over Q_0 = 1), which repeats,
-        # each time len * Q_i higher, past its end, or two lists of
-        # numerators and denominators; leaves keep none, and each node's
-        # are dropped once the node is split
+        # each time len * Q_i higher, past its end, or one list of
+        # numerators and denominators in turn; leaves keep none, and each
+        # node's are dropped once the node is split
         caps = [None] * inst.n
         caps[0] = range(1, h + 1)
         for rec, uc in zip(plan, ucplan):
@@ -473,10 +470,12 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             xs = caps[i]
             caps[i] = None
             q = uc[0]
-            # the caps go on as pairs; they came as one list over q unless q is 0
+            # the caps go on as pairs; they came as one list over q, or as
+            # one list of numerators and denominators in turn if q is 0
             if not uc[1]:
-                qns, qds = (_unrolled(xs, q, 0, v), repeat(q)) if q else xs
-                _uc_split_wide_pairs(seats, uc, qns, qds, caps)
+                it = iter(xs)
+                xs = zip(_unrolled(xs, q, 0, v), repeat(q)) if q else zip(it, it)
+                _uc_split_wide(seats, rec, uc, xs, caps, 0)
                 continue
             _, _, keep, period, d = uc
             split = _uc_split_two if rec[2] else _uc_split_wide
@@ -567,11 +566,19 @@ def _unrolled(xs, q, k, n):
 
 
 def _uc_split_wide(seats, rec, uc, xs, caps, k) -> None:
-    """Split the seats of a node with one child or more than two under the
-    upper-compliant method, caps in one list: :func:`_split_wide` with
-    every child starting at ``k * w_j``, ``k`` a multiple of ``D``, and the
-    caps ``xs`` of the seats after the ``k``-th.  Each non-leaf child gets
-    the caps it passes on in ``caps``, unless that is None."""
+    """Split a node's seats under the upper-compliant method by
+    :func:`_split_wide`, each child starting at ``k * w_j``, ``k`` a
+    multiple of ``D``, given the caps ``xs`` after the ``k``-th seat as
+    numerators over ``Q_i``, or, at a node that hands its caps on as
+    pairs, those of all its seats as pairs ``(x, qd)``.  Each non-leaf
+    child gets the caps it passes on in ``caps``, unless that is None:
+    a list of numerators, or one of numerators and denominators in
+    turn, which the garbage collector does not track as it would a
+    tuple per seat."""
+    zs = uc[1]
+    if not zs:
+        rec = uc[5]
+        zs = None
     _, kids, _, _, wn, wd, _, _, _ = rec
     adds = [0] * len(kids)
     if caps is not None:
@@ -579,22 +586,28 @@ def _uc_split_wide(seats, rec, uc, xs, caps, k) -> None:
             if uc[2][j]:
                 kept = caps[c] = []
                 adds[j] = kept.append
-    _split_wide(seats, rec, [k // y * x for x, y in zip(wn, wd)], 1, xs, uc[1], adds)
+    held = [k // y * x for x, y in zip(wn, wd)] if k else [0] * len(kids)
+    _split_wide(seats, rec, held, 1, xs, zs, adds)
 
 
-def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
-    """Split the seats of a node with one child or more than two, caps in
-    one list: the wide split of all four methods.
+def _split_wide(seats, rec, held, bump, caps, zs, adds) -> None:
+    """Split the seats of a node with one child or more than two, or of
+    one that hands its caps on as pairs: the heap split of all four
+    methods, with ``rec`` the node's split plan record in that form.
 
-    ``rec`` is the node's split plan record.  Child ``j``, in its id
-    order, starts at ``held[j]`` seats (a list the split counts on), and
-    each further seat brings a cap ``x / q``, ``x`` from ``caps`` in
-    arrival order.  The seat goes to the child with the least key ``(s +
-    bump) / w`` among those holding fewer than ``x / q * w`` seats, the
-    tie to the lower id.  Child ``j`` is under the cap while ``s_j *
-    qc[j] < x * wn[j]``, with ``qc[j]`` its ``q * wd[j]``, or 0 for no
-    cap.  If ``adds[j]`` is not false, the child passes on ``min(x *
-    wn[j], s_j * qc[j])`` through it after each seat it takes.
+    Child ``j``, in its id order, starts at ``held[j]`` seats (a list the
+    split counts on).  Each further seat brings a cap ``x / qd`` and goes
+    to the child with the least key ``(s + bump) / w`` among those under
+    it, ``s_j * zs[j] < x * wn[j]`` with ``zs[j] = qd * wd[j]``, the tie
+    to the lower id.  ``caps`` holds the ``x`` in arrival order, over one
+    ``qd``: ``zs`` is ``Q_i * wd`` for the upper-compliant method's list,
+    ``wd`` for the quota cap and zeros for Adams and Jefferson, uncapped.
+    Or ``zs`` is None and ``caps`` holds pairs ``(x, qd)``, whose ``qd``
+    seldom changes from one seat to the next.  If ``adds[j]`` is not
+    false, the child passes on ``min(x * wn[j], s_j * zs[j]) / zs[j]``
+    after each seat it takes: the numerator, or where the caps come as
+    pairs, the numerator and then the denominator, ``(s_j, 1)`` when
+    clamped.
 
     A heap holds each child's next key ``(s + bump) / w_j`` as an int,
     ``key * b + j`` (see :func:`_build_plan` for the key's scale): the
@@ -606,13 +619,14 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
     count, and a child passes on ``min(cap * w_c, v_c)``, whose terms both
     rise with its seats (an overriding child's ``cap * w_c`` is that min,
     see :func:`_uc_split_two`).  So a child found on top at its cap is parked
-    in a second heap, under its key ``s / w_j``, until a cap passes it;
-    each park follows a seat the child took, so a seat costs O(log b)
-    amortized, ``(bit_length(b) + 4) // 3`` steps of :func:`_work`: at
-    the command line's budget edge such a seat took about 2, 2 and 5.6
-    times a two-child one at ``b`` = 4, 30 and 10**4.  Some child is
-    always under the cap (see the module docstring); if none is, the
-    counts are corrupt, and it raises :class:`RuntimeError`.
+    in a second heap, under its key ``s / w_j`` (only the capped methods
+    park, and their ``bump`` is 1), until a cap passes it; each park
+    follows a seat the child took, so a seat costs O(log b) amortized,
+    ``(bit_length(b) + 4) // 3`` steps of :func:`_work`: at the command
+    line's budget edge such a seat took about 2, 2 and 5.6 times a
+    two-child one at ``b`` = 4, 30 and 10**4.  Some child is always under
+    the cap (see the module docstring); if none is, the counts are
+    corrupt, and it raises :class:`RuntimeError`.
     """
     _, kids, _, _, wn, _, unit, steps, first = rec
     b = len(kids)
@@ -623,21 +637,30 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
         heap = [(s + bump) * u // n * b + j for j, (s, u, n) in enumerate(zip(held, unit, wn))]
     heapify(heap)
     parked = []
+    pairs = zs is None
+    if pairs:
+        # zs by each cap denominator q met; an unchanged q is mostly one object
+        wd, by_q, q = rec[5], {}, None
     for x in caps:
+        if pairs:
+            x, d = x
+            if d is not q:
+                q = d
+                zs = by_q.get(q) or by_q.setdefault(q, tuple([q * z for z in wd]))
         while parked:
             e = parked[0]
             j = e % b
             s = held[j]
-            if s * qc[j] >= x * wn[j]:
+            if s * zs[j] >= x * wn[j]:
                 break
             heappop(parked)
-            heappush(heap, e + bump * steps[j] if steps else (s + bump) * unit[j] // wn[j] * b + j)
+            heappush(heap, e + steps[j] if steps else (s + 1) * unit[j] // wn[j] * b + j)
         e = heap[0]
         j = e % b
         y = x * wn[j]
-        while held[j] * qc[j] >= y:
+        while held[j] * zs[j] >= y:
             heappop(heap)
-            heappush(parked, e - bump * steps[j] if steps else held[j] * unit[j] // wn[j] * b + j)
+            heappush(parked, e - steps[j] if steps else held[j] * unit[j] // wn[j] * b + j)
             if not heap:
                 raise RuntimeError("no child under its cap")
             e = heap[0]
@@ -648,8 +671,15 @@ def _split_wide(seats, rec, held, bump, caps, qc, adds) -> None:
         heapreplace(heap, e + steps[j] if steps else (s + bump) * unit[j] // wn[j] * b + j)
         out = adds[j]
         if out:
-            s *= qc[j]
-            out(y if y < s else s)
+            t = s * zs[j]
+            if not pairs:
+                out(y if y < t else t)
+            elif y < t:
+                out(y)
+                out(zs[j])
+            else:
+                out(s)
+                out(1)
     for c, s in zip(kids, held):
         seats[c] = s
 
@@ -721,61 +751,6 @@ def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     seats[b] = tb // qb
 
 
-def _uc_split_wide_pairs(seats, uc, qns, qds, caps) -> None:
-    """Split the seats of a node that hands its caps on as pairs under the
-    upper-compliant method, at any arity.
-
-    ``uc`` is the node's upper-compliant record of the split plan, which
-    ends in its record in wide form (see :func:`_build_plan`).  The
-    node's ``k``-th seat brought the cap ``qns[k] / qds[k]``, with ``qds``
-    repeating ``Q_i`` if the caps came as one list.  The children rank and
-    park as in :func:`_split_wide`, with a cap's denominator in place of
-    ``q``.  Each non-leaf child ``c``
-    gets in ``caps[c]`` the caps it passes on, ``min(cap * w_c, v_c)``, in
-    two lists of ints, which the garbage collector does not track as it
-    would a tuple per seat.
-    """
-    _, kids, _, _, wn, wd, unit, steps, first = uc[5]
-    b = len(kids)
-    heap = list(first) if steps else [u // n * b + j for j, (u, n) in enumerate(zip(unit, wn))]
-    held = [0] * b
-    kept = [([], []) if k else None for k in uc[2]]
-    heapify(heap)
-    parked = []
-    for qn, qd in zip(qns, qds):
-        while parked:
-            e = parked[0]
-            j = e % b
-            if held[j] * qd * wd[j] >= qn * wn[j]:
-                break
-            heappop(parked)
-            heappush(heap, e + steps[j] if steps else (held[j] + 1) * unit[j] // wn[j] * b + j)
-        e = heap[0]
-        j = e % b
-        x = qn * wn[j]
-        y = qd * wd[j]
-        while held[j] * y >= x:
-            heappop(heap)
-            heappush(parked, e - steps[j] if steps else held[j] * unit[j] // wn[j] * b + j)
-            if not heap:
-                raise RuntimeError("no child under its cap")
-            e = heap[0]
-            j = e % b
-            x = qn * wn[j]
-            y = qd * wd[j]
-        vc = held[j] + 1
-        heapreplace(heap, e + steps[j] if steps else (vc + 1) * unit[j] // wn[j] * b + j)
-        held[j] = vc
-        if kept[j]:
-            if x >= vc * y:
-                x, y = vc, 1
-            kept[j][0].append(x)
-            kept[j][1].append(y)
-    for c, vc, pair in zip(kids, held, kept):
-        seats[c] = vc
-        caps[c] = pair
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A full run of one method: the final allocation plus each seat's path.
@@ -808,9 +783,9 @@ class Trajectory:
         The run for ``h`` seats is a prefix of this one, so this is the
         level-by-level result at ``h``; it does not walk ``paths``.
         """
-        if not 0 <= h <= self.final.h:
-            raise ValueError(f"h must be in 0..{self.final.h}")
         _check_house(h)
+        if h > self.final.h:
+            raise ValueError(f"h must be in 0..{self.final.h}")
         return Allocation(h, tuple(_cascade(self.instance, self.method, h)))
 
     def allocations(self) -> Iterator[Allocation]:

@@ -467,6 +467,23 @@ class TestCheckAllocation:
             assert count_violations(inst, seats, mode) == counts
             assert (report.lower_violation_count, report.upper_violation_count) == counts
 
+    def test_mode_given_by_its_value(self):
+        # the seats of the test above, whose counts differ by mode, so a
+        # value read as the other mode would show
+        half = Fraction(1, 2)
+        inst = Instance([None, 0, 0, 1, 1], [Fraction(1), half, half, half, half])
+        seats = (100, 10, 90, 10, 0)
+        alloc = Allocation(100, seats)
+        for mode, counts in ((QuotaMode.ALL_ANCESTORS, (3, 2)), (QuotaMode.ROOT_ONLY, (3, 1))):
+            report = check_allocation(inst, alloc, mode.value)
+            assert report == check_allocation(inst, alloc, mode)
+            assert report.mode is mode
+            assert count_violations(inst, seats, mode.value) == counts
+        with pytest.raises(ValueError, match="'bogus' is not a valid QuotaMode"):
+            check_allocation(inst, alloc, "bogus")
+        with pytest.raises(ValueError, match="'bogus' is not a valid QuotaMode"):
+            count_violations(inst, seats, "bogus")
+
 
 class TestJson:
     def test_round_trip(self, deep7):

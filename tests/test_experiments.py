@@ -185,6 +185,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="'hamilton' is not a valid MethodKind"):
             ExperimentConfig(BINARY3, methods=("adams", "hamilton"))
 
+    def test_mode_names_are_coerced_when_the_config_is_built(self):
+        tables = []
+        for mode in QuotaMode:
+            named = ExperimentConfig(BINARY3, instance_count=20, house_sizes=(50,), mode=mode.value)
+            assert named.mode is mode
+            kinds = ExperimentConfig(BINARY3, instance_count=20, house_sizes=(50,), mode=mode)
+            tables.append(emit_table(run_experiment(kinds)))
+            assert emit_table(run_experiment(named)) == tables[-1]
+        # the modes give different tables, so a value read as the other mode would show
+        assert tables[0] != tables[1]
+        with pytest.raises(ValueError, match="'bogus' is not a valid QuotaMode"):
+            ExperimentConfig(BINARY3, mode="bogus")
+
 
 class TestRowsAreSumsOfCells:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -428,6 +441,7 @@ class TestConfigFromJson:
             '{"family": {"kind": "binary", "height": 3}, "house_sizes": 5}',
             '{"family": {"kind": "binary", "height": 3}, "house_sizes": [{}]}',
             '{"family": {"kind": "binary", "height": 3}, "house_sizes": [true]}',
+            '{"family": {"kind": "binary", "height": 3}, "mode": "bogus"}',
         ],
     )
     def test_bad_documents_rejected(self, doc):

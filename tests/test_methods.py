@@ -162,6 +162,9 @@ class TestTrajectoryShape:
             traj.allocation_at(4)
         with pytest.raises(ValueError):
             traj.allocation_at(-1)
+        for bad in ("3", None, 2.0, True):
+            with pytest.raises(ValueError, match="house size must be a non-negative integer"):
+                traj.allocation_at(bad)
 
     def test_run_rejects_bad_house(self, sym7):
         with pytest.raises(ValueError):
@@ -910,6 +913,15 @@ class TestSplitPlan:
         plan, uc = inst._plan
         assert len(plan) == len(uc) == sum(1 for kids in inst.children if kids)
 
+    def test_records_share_their_keep_tuples(self):
+        # a binary tree's nodes have four kinds of child pair, by which of
+        # the two children have children; each kind is one object
+        inst = random_instance(TreeFamily(TreeKind.PERFECT_BINARY, 6), 1)
+        run_method(inst, MethodKind.ADAMS, 1)
+        uc = inst._plan[1]
+        assert len(uc) == 63
+        assert len({id(u[2]) for u in uc}) <= 4
+
     @pytest.mark.parametrize(
         "inst",
         [heavy_spine(200), wide_spine(200), caterpillar(8, 1000)],
@@ -1083,8 +1095,10 @@ class TestSplitPlan:
 
     def test_no_child_under_the_cap_raises(self, flat5):
         # four children holding 2, 3, 4 and 4 seats, each at least its
-        # quota at the cap 10 (over q = 1), so all are parked
+        # quota at the cap 10 / 1, so all are parked, whether the cap
+        # comes in a list over one denominator or as a pair
         rec = methods._split_plan(flat5)[0][0]
         seats = [0] * flat5.n
-        with pytest.raises(RuntimeError, match="no child under its cap"):
-            methods._split_wide(seats, rec, [4, 3, 2, 2], 1, [10], rec[5], (0,) * 4)
+        for caps, zs in (([10], rec[5]), ([(10, 1)], None)):
+            with pytest.raises(RuntimeError, match="no child under its cap"):
+                methods._split_wide(seats, rec, [4, 3, 2, 2], 1, caps, zs, (0,) * 4)
