@@ -116,8 +116,8 @@ def _cmd_allocate(args) -> int:
         if args.trajectory:
             print("error: --trajectory is not defined for both-quotas", file=sys.stderr)
             return 2
-        print("note: both-quotas allocations are not house monotone", file=sys.stderr)
         alloc = allocate_both_quotas(inst, h)
+        print("note: both-quotas allocations are not house monotone", file=sys.stderr)
         print(allocation_to_json(alloc))
         return 0
     kind = MethodKind(args.method)

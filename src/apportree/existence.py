@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, _check_house, _fast_arrays, require_valid
+from .core import Allocation, Instance, _check_house, _fast_arrays, _fold, require_valid
 
 
 class EmptyInterval(RuntimeError):
@@ -183,7 +183,9 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
     quotas ``floor(R*hn/hd)`` and ``ceil(R*ln/ld)``.  Per pair of the
     rewrite, yields ``(x, v, low, high, scaled, rest)``: its first child
     ``x``, an original node weighing ``scaled/rest`` in the pair, may take
-    ``low..high`` of the pair's ``v`` seats.
+    ``low..high`` of the pair's ``v`` seats.  It keeps its own copy of
+    :func:`~apportree.core._fold`'s carry, as it folds in the comb's
+    holders, which are not tree nodes.
     """
     order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
     seats[0] = h
@@ -279,8 +281,9 @@ def brute_force_both_quotas(
     Enumerates flow-conserving allocations top-down, pruning with the
     per-child quota bounds, so only compliant allocations are ever
     completed.  Results are deterministic: children take seat values in
-    ascending order, node by node in breadth-first order.  Guarded by
-    :class:`SizeLimitExceeded` since the output can grow quickly.
+    ascending order, node by node in breadth-first order, with bounds from
+    the checker's :func:`~apportree.core._fold` and no recursion.  Guarded
+    by :class:`SizeLimitExceeded` since the output can grow quickly.
     """
     _check_house(h)
     require_valid(inst)
@@ -289,74 +292,40 @@ def brute_force_both_quotas(
     if h > max_house:
         raise SizeLimitExceeded(f"house size {h} exceeds limit {max_house}")
 
-    order, _, rnum, rden, _, _, children = _fast_arrays(inst)
-    n = inst.n
-    internal = [i for i in order if children[i]]
-    seats = [0] * n
+    order, parents, rnum, rden, _, _, children = _fast_arrays(inst)
+    slots = order[1:]
+    seats = [0] * inst.n
     seats[0] = h
-    hi_n = [0] * n
-    hi_d = [1] * n
-    lo_n = [0] * n
-    lo_d = [1] * n
-    hi_n[0] = lo_n[0] = h
-    # per internal node, while it is being split: its children's lower and
-    # upper quotas and the suffix sums of each
-    quotas: list = [None] * len(internal)
+    # per node, once its parent's first child is reached: its quotas, the
+    # least and most seats its later siblings can take, and the ancestor
+    # extremes it inherits (see _fold)
+    bounds = [(h, h, 0, 0, (h, 1, 0, h, 1, 0))] * inst.n
     results: list[Allocation] = []
-    # (idx, pos, value, remaining): child ``pos`` of node ``internal[idx]``
-    # takes ``value`` of the ``remaining`` seats; pushed in descending value
-    # order so they come off ascending
-    stack: list[tuple[int, int, int, int]] = []
-
-    def advance(idx: int, pos: int, remaining: int) -> None:
-        """Fix forced choices from child ``pos`` of ``internal[idx]`` on,
-        up to the next real choice, whose values go on the stack."""
-        while True:
-            if pos == 0:
-                if idx == len(internal):
-                    results.append(Allocation(h, tuple(seats)))
-                    return
-                i = internal[idx]
-                remaining = seats[i]
-                pn = remaining * rden[i]
-                pd = rnum[i]
-                bn, bd = hi_n[i], hi_d[i]
-                if pn * bd > bn * pd:
-                    bn, bd = pn, pd
-                sn, sd = lo_n[i], lo_d[i]
-                if pn * sd < sn * pd:
-                    sn, sd = pn, pd
-                lq = []
-                uq = []
-                for c in children[i]:
-                    hi_n[c], hi_d[c] = bn, bd
-                    lo_n[c], lo_d[c] = sn, sd
-                    lq.append((rnum[c] * bn) // (rden[c] * bd))
-                    uq.append(-((-(rnum[c] * sn)) // (rden[c] * sd)))
-                slq = [0] * (len(lq) + 1)
-                suq = [0] * (len(uq) + 1)
-                for k in range(len(lq) - 1, -1, -1):
-                    slq[k] = slq[k + 1] + lq[k]
-                    suq[k] = suq[k + 1] + uq[k]
-                quotas[idx] = lq, uq, slq, suq
-            kids = children[internal[idx]]
-            lq, uq, slq, suq = quotas[idx]
-            if pos == len(kids) - 1:
-                if not lq[pos] <= remaining <= uq[pos]:
-                    return
-                seats[kids[pos]] = remaining
-                idx += 1
-                pos = 0
-                continue
-            lo = max(lq[pos], remaining - suq[pos + 1])
-            hi = min(uq[pos], remaining - slq[pos + 1])
-            for v in range(hi, lo - 1, -1):
-                stack.append((idx, pos, v, remaining))
-            return
-
-    advance(0, 0, h)
-    while stack:
-        idx, pos, v, remaining = stack.pop()
-        seats[children[internal[idx]][pos]] = v
-        advance(idx, pos + 1, remaining - v)
-    return tuple(results)
+    # per filled slot: its values left to try, ascending, and the seats
+    # left for it and its later siblings
+    stack: list[tuple] = []
+    while True:
+        if len(stack) == len(slots):
+            results.append(Allocation(h, tuple(seats)))
+        else:
+            c = slots[len(stack)]
+            p = parents[c]
+            if c == children[p][0]:
+                hn, hd, _, ln, ld, _ = ext = _fold(bounds[p][4], p, seats[p], rnum[p], rden[p])
+                least = most = 0
+                for x in reversed(children[p]):
+                    lq = (rnum[x] * hn) // (rden[x] * hd)
+                    uq = -((-(rnum[x] * ln)) // (rden[x] * ld))
+                    bounds[x] = lq, uq, least, most, ext
+                    least += lq
+                    most += uq
+                left = seats[p]
+            lq, uq, least, most, _ = bounds[c]
+            stack.append((iter(range(max(lq, left - most), min(uq, left - least) + 1)), left))
+        # the next value of the deepest slot that has one left
+        while stack and (v := next(stack[-1][0], None)) is None:
+            stack.pop()
+        if not stack:
+            return tuple(results)
+        left = stack[-1][1] - v
+        seats[slots[len(stack) - 1]] = v

@@ -445,11 +445,10 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       give them their caps, which past their end repeat, unrolled lazily
       as far as the child reads them.
 
-    The caps come as one list of numerators over the node's ``Q_i``
-    (see the module docstring) or as pairs.  :func:`_uc_split_two`
-    splits a two-child node that hands them on as one list, and
-    :func:`_uc_split_wide` every other node, one that hands them on as
-    pairs over all of its seats.
+    Caps handed on as pairs have no period, so such a node splits all
+    its seats if a child keeps caps.  :func:`_uc_split_two` splits a
+    two-child node that hands caps on in one list over ``Q_i`` (see the
+    module docstring), :func:`_uc_split_wide` every other node.
     """
     plan, ucplan = _split_plan(inst)
     seats = [0] * inst.n
@@ -469,25 +468,17 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                 continue
             xs = caps[i]
             caps[i] = None
-            q = uc[0]
-            # the caps go on as pairs; they came as one list over q, or as
-            # one list of numerators and denominators in turn if q is 0
-            if not uc[1]:
-                it = iter(xs)
-                xs = zip(_unrolled(xs, q, 0, v), repeat(q)) if q else zip(it, it)
-                _uc_split_wide(seats, rec, uc, xs, caps, 0)
-                continue
-            _, _, keep, period, d = uc
-            split = _uc_split_two if rec[2] else _uc_split_wide
+            _, qc, keep, period, d = uc[:5]
+            split = _uc_split_two if rec[2] and qc else _uc_split_wide
             if any(keep):
                 # the children's caps: one period, or all if v is less
                 m = period if period and v > period else v
-                split(seats, rec, uc, _unrolled(xs, q, 0, m), caps, 0)
+                split(seats, rec, uc, _unrolled(xs, uc, 0, m), caps, 0)
                 if m == v:
                     continue
             # every child holds exactly k * w at k = v - v mod D
             k = v - v % d
-            split(seats, rec, uc, _unrolled(xs, q, k, v - k), None, k)
+            split(seats, rec, uc, _unrolled(xs, uc, k, v - k), None, k)
         return seats
     adams = kind is MethodKind.ADAMS
     is_quota = kind is MethodKind.QUOTA
@@ -551,30 +542,36 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     return seats
 
 
-def _unrolled(xs, q, k, n):
-    """The caps of a node's seats ``k + 1`` to ``k + n``, from its list
-    ``xs`` over ``q``, which past its end repeats, each time ``len(xs) *
-    q`` higher (see :func:`_cascade`): lazily, except that a tail
-    of fewer than ``D`` caps past ``k > 0`` is sliced, in O(1) from the
-    root's range, which ``islice`` would step through from its start."""
+def _unrolled(xs, uc, k, n):
+    """The caps of a node's seats ``k + 1`` to ``k + n`` in the form its
+    split reads, from its caps ``xs`` and UC record ``uc``: pairs if
+    ``Q_i = uc[0]`` is 0, else a list over ``Q_i`` that past its end
+    repeats ``len(xs) * Q_i`` higher (see :func:`_cascade`), paired with
+    ``Q_i`` at a node that hands caps on as pairs.  Lazily, but a tail
+    past ``k > 0`` is sliced, O(1) on the root's range, not stepped to."""
+    q = uc[0]
+    if not q:
+        it = iter(xs[2 * k : 2 * (k + n)])
+        return zip(it, it)
     p = len(xs)
     if k + n <= p:
-        return xs[k : k + n] if k else islice(xs, n)
-    r = k % p
-    blocks = (map(add, xs, repeat(y)) for y in count((k - r) * q, p * q))
-    return islice(chain.from_iterable(blocks), r, r + n)
+        ys = xs[k : k + n] if k else islice(xs, n)
+    else:
+        r = k % p
+        blocks = (map(add, xs, repeat(y)) for y in count((k - r) * q, p * q))
+        ys = islice(chain.from_iterable(blocks), r, r + n)
+    return ys if uc[1] else zip(ys, repeat(q))
 
 
 def _uc_split_wide(seats, rec, uc, xs, caps, k) -> None:
     """Split a node's seats under the upper-compliant method by
     :func:`_split_wide`, each child starting at ``k * w_j``, ``k`` a
     multiple of ``D``, given the caps ``xs`` after the ``k``-th seat as
-    numerators over ``Q_i``, or, at a node that hands its caps on as
-    pairs, those of all its seats as pairs ``(x, qd)``.  Each non-leaf
-    child gets the caps it passes on in ``caps``, unless that is None:
-    a list of numerators, or one of numerators and denominators in
-    turn, which the garbage collector does not track as it would a
-    tuple per seat."""
+    numerators over ``Q_i``, or as pairs ``(x, qd)`` at a node that hands
+    its caps on as pairs.  Each non-leaf child gets the caps it passes on
+    in ``caps``, unless that is None: a list of numerators, or one of
+    numerators and denominators in turn, which the garbage collector does
+    not track as it would a tuple per seat."""
     zs = uc[1]
     if not zs:
         rec = uc[5]

@@ -301,7 +301,10 @@ class TestAllocate:
         assert code == 2
 
     def test_negative_seats_is_domain_error(self, sym7_file, capsys):
-        assert main(["allocate", sym7_file, "--method", "adams", "--seats", "-3"]) == 1
+        # one error line, with no both-quotas note before it
+        for method in ("adams", "both-quotas"):
+            assert main(["allocate", sym7_file, "--method", method, "--seats", "-3"]) == 1
+            assert capsys.readouterr() == ("", "error: house size must be a non-negative integer\n")
 
     def test_unknown_method_is_usage_error(self, sym7_file, capsys):
         assert main(["allocate", sym7_file, "--method", "webster", "--seats", "3"]) == 2

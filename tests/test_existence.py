@@ -341,6 +341,10 @@ class TestBruteForce:
     def test_chain_deeper_than_the_recursion_limit(self):
         chain = Instance([None] + list(range(599)), [1] * 600)
         assert brute_force_both_quotas(chain, 2, max_nodes=600) == (Allocation(2, (2,) * 600),)
+        # as wide: a star with more children than the recursion limit.  Not
+        # at h >= 2, where C(1100, 2) allocations of 1101 seats take gigabytes.
+        star = Instance([None] + [0] * 1100, [1] + [Fraction(1, 1100)] * 1100)
+        assert brute_force_both_quotas(star, 0, max_nodes=1101) == (Allocation(0, (0,) * 1101),)
 
     @settings(max_examples=40)
     @given(irregular_instances(max_nodes=7), st.integers(0, 5))

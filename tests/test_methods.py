@@ -575,6 +575,32 @@ class TestLevelCascade:
             walked, _ = _walk(inst, MethodKind.UC_QUOTA, h)
             assert run_method(inst, MethodKind.UC_QUOTA, h).final.seats == tuple(walked)
 
+    def test_uc_quota_pairs_nodes_over_leaves_split_only_their_tail(self, monkeypatch):
+        # A limit of 0 sends every cap through the (numerator, denominator)
+        # split.  A node whose children are all leaves passes no caps on,
+        # so like a node with caps in one list it starts its children at
+        # k * w, k = v - v mod D, and hands out fewer than D seats one at
+        # a time, here of some 60.
+        monkeypatch.setattr(methods, "_Q_LIMIT", 0)
+        split = methods._split_wide
+        handed: dict[int, int] = {}
+
+        def spy(seats, rec, held, bump, caps, zs, adds):
+            caps = list(caps)
+            handed[rec[0]] = handed.get(rec[0], 0) + len(caps)
+            split(seats, rec, held, bump, caps, zs, adds)
+
+        monkeypatch.setattr(methods, "_split_wide", spy)
+        for seed in range(10):
+            inst = random_instance(TreeFamily(TreeKind.PERFECT_BINARY, 6), seed)
+            handed.clear()
+            final = run_method(inst, MethodKind.UC_QUOTA, 2000).final
+            over_leaves = [(rec[0], uc[4]) for rec, uc in zip(*inst._plan) if not any(uc[2])]
+            assert len(over_leaves) == 32
+            assert all(handed[i] < d for i, d in over_leaves)
+            walked, _ = _walk(inst, MethodKind.UC_QUOTA, 2000)
+            assert final.seats == tuple(walked)
+
     @given(
         st.integers(2, 4),
         st.integers(0, 2**32 - 1),
