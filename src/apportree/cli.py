@@ -9,6 +9,7 @@ All output is byte-deterministic given identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -20,6 +21,7 @@ from .core import (
     _quotas,
     allocation_from_json,
     allocation_to_json,
+    count_violations,
     instance_from_json,
     instance_to_json,
     parse_instance_document,
@@ -72,9 +74,10 @@ _TRAJECTORY_BUDGET = 2 * 10**6
 def _load(path: str, parse):
     """Read a UTF-8 file and return ``parse(text)``.
 
-    A file that cannot be read, is not UTF-8 or holds malformed JSON
-    raises :class:`RuntimeError` with a one-line message naming the file,
-    which :func:`main` prints and answers with exit 1.
+    A file that cannot be read, is not UTF-8, or holds JSON that is
+    malformed or that ``json.loads`` cannot decode (too deep, or an integer
+    past 4300 digits) raises :class:`RuntimeError` with a one-line message
+    naming the file, which :func:`main` prints and answers with exit 1.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -89,6 +92,15 @@ def _load(path: str, parse):
         raise RuntimeError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except InvalidInstanceError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        # decoding again, on this error path only, tells a failed decode from parse's own errors
+        try:
+            json.loads(text)
+        except (RecursionError, ValueError):
+            raise RuntimeError(f"{path}: cannot decode JSON: {exc}") from exc
+        raise
 
 
 def _check_work(kind: MethodKind, h: int, splits) -> None:
@@ -141,6 +153,9 @@ def _cmd_check(args) -> int:
     alloc = _load(args.allocation, allocation_from_json)
     flow = _audit(inst, alloc)
     seats = alloc.seats
+    if not flow and count_violations(inst, seats, args.mode) == (0, 0):
+        print("ok: allocation satisfies both quotas at every node")
+        return 0
     for i in flow:
         if i == 0 and seats[0] != alloc.h:
             print(f"node 0: root has {seats[0]} seats for house size {alloc.h}")
@@ -159,9 +174,6 @@ def _cmd_check(args) -> int:
         if v > upper:
             up += 1
             print(f"node {i}: {v} seats above upper quota {upper} (binding ancestor {binding_upper})")
-    if not (flow or low or up):
-        print("ok: allocation satisfies both quotas at every node")
-        return 0
     print(f"lower violations: {low}, upper violations: {up}, flow violations: {len(flow)}")
     return 1 if args.strict else 0
 
@@ -363,11 +375,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is paused while the command runs, as it builds many containers
+    and no cycles; the pause ends with the command, on every exit path."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -388,6 +405,9 @@ def main(argv=None) -> int:
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

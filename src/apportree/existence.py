@@ -17,7 +17,7 @@ respect to every ancestor.  The construction works in two moves:
    ``[max(LQ_x, V - UQ_y), min(UQ_x, V - LQ_y)]`` for x's count; the
    interval is never empty, and any choice inside it keeps both quotas
    satisfiable underneath.  This implementation picks the integer nearest
-   x's proportional share of ``V`` (ties rounded down).
+   x's proportional share of ``V`` (exact halves down), clamped into it.
 
 :func:`allocate_both_quotas` does both moves in one integer pass over the
 original tree, without building the rewrite: one loop walks each node's
@@ -169,11 +169,6 @@ def to_full_binary(inst: Instance) -> BinaryReduction:
     return BinaryReduction(inst, reduced, node_map, tuple(relabel[j] for j in created))
 
 
-def _nearest_down(num: int, den: int) -> int:
-    """The integer nearest num/den, rounding exact halves down."""
-    return -((-(2 * num - den)) // (2 * den))
-
-
 def _pairs(inst: Instance, h: int, seats: list[int]):
     """The both-quotas pass: fill in ``seats`` for ``h``, yielding each pair.
 
@@ -183,9 +178,10 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
     quotas ``floor(R*hn/hd)`` and ``ceil(R*ln/ld)``.  Per pair of the
     rewrite, yields ``(x, v, low, high, scaled, rest)``: its first child
     ``x``, an original node weighing ``scaled/rest`` in the pair, may take
-    ``low..high`` of the pair's ``v`` seats.  It keeps its own copy of
-    :func:`~apportree.core._fold`'s carry, as it folds in the comb's
-    holders, which are not tree nodes.
+    ``low..high`` of the pair's ``v`` seats, and takes the integer nearest
+    ``scaled * v / rest`` (exact halves down) clamped into them, found by
+    one floor division.  It keeps its own copy of :func:`~apportree.core._fold`'s
+    carry, as it folds in the comb's holders, which are not tree nodes.
     """
     order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
     seats[0] = h
@@ -203,7 +199,7 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
         # its own ratio, folded when it is reached, equals i's.
         v = seats[i]
         hn, hd, ln, ld = extremes[i]
-        den = math.lcm(*[wden[c] for c in kids])
+        den = math.lcm(wden[kids[0]], wden[kids[1]]) if len(kids) == 2 else math.lcm(*[wden[c] for c in kids])
         a = rnum[i]
         d = rden[i] * den
         rest = den
@@ -220,11 +216,15 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
             xn, xd = rnum[x], rden[x]
             # y is the next holder, or the last child
             yn = a * (rest - scaled)
-            low = max((xn * hn) // (xd * hd), v + (-(yn * ln)) // (d * ld))
-            high = min(-((-(xn * ln)) // (xd * ld)), v - (yn * hn) // (d * hd))
+            low = (xn * hn) // (xd * hd)
+            high = -((-(xn * ln)) // (xd * ld))
+            if (t := v + (-(yn * ln)) // (d * ld)) > low:
+                low = t
+            if (t := v - (yn * hn) // (d * hd)) < high:
+                high = t
             if low > high:
                 raise EmptyInterval(x, low, high, h)
-            pick = _nearest_down(scaled * v, rest)
+            pick = -((rest - 2 * scaled * v) // (2 * rest))
             if pick < low:
                 pick = low
             elif pick > high:

@@ -27,7 +27,9 @@ from those Fractions instance by instance as the reference for rows
 summed over one common denominator, and the both-quotas construction
 as first written, on the binary rewrite, as the reference for the pass
 that simulates the rewrite on the original tree; ``pull_back`` and
-``push_forward`` carry allocations between a tree and its rewrite.
+``push_forward`` carry allocations between a tree and its rewrite.  That
+pass itself is kept as first written, with ``max``, ``min`` and a
+rounding helper, as the reference for the one tuned to fewer steps.
 """
 
 from __future__ import annotations
@@ -423,6 +425,72 @@ def both_quotas_by_reduction(
         seats[y] = v - pick
     alloc = pull_back(reduction, Allocation(h, tuple(seats)))
     return alloc, reduction, tuple(intervals)
+
+
+def _nearest_down(num: int, den: int) -> int:
+    """The integer nearest num/den, rounding exact halves down."""
+    return -((-(2 * num - den)) // (2 * den))
+
+
+def _pairs_as_written(inst: Instance, h: int, seats: list[int]):
+    """``existence._pairs`` as first written: fills in ``seats`` and yields
+    ``(x, v, low, high, scaled, rest)`` per pair of the binary rewrite."""
+    order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
+    seats[0] = h
+    extremes = [(h, 1, h, 1)] * inst.n
+    for i in order:
+        kids = children[i]
+        if not kids:
+            continue
+        v = seats[i]
+        hn, hd, ln, ld = extremes[i]
+        den = math.lcm(*[wden[c] for c in kids])
+        a = rnum[i]
+        d = rden[i] * den
+        rest = den
+        for x in kids[:-1]:
+            pn = v * d
+            pd = a * rest
+            if pn * hd > hn * pd:
+                hn, hd = pn, pd
+            if pn * ld < ln * pd:
+                ln, ld = pn, pd
+            extremes[x] = hn, hd, ln, ld
+            scaled = wnum[x] * (den // wden[x])
+            xn, xd = rnum[x], rden[x]
+            yn = a * (rest - scaled)
+            low = max((xn * hn) // (xd * hd), v + (-(yn * ln)) // (d * ld))
+            high = min(-((-(xn * ln)) // (xd * ld)), v - (yn * hn) // (d * hd))
+            if low > high:
+                raise EmptyInterval(x, low, high, h)
+            pick = _nearest_down(scaled * v, rest)
+            if pick < low:
+                pick = low
+            elif pick > high:
+                pick = high
+            seats[x] = pick
+            yield x, v, low, high, scaled, rest
+            v -= pick
+            rest -= scaled
+        c = kids[-1]
+        seats[c] = v
+        extremes[c] = hn, hd, ln, ld
+
+
+def both_quotas_by_pass_as_written(
+    inst: Instance, h: int
+) -> tuple[Allocation, tuple[FeasibleInterval, ...]]:
+    """``allocate_both_quotas``'s seats and ``trace_both_quotas``' intervals
+    (keyed by the rewrite's ids), both from :func:`_pairs_as_written`."""
+    seats = [0] * inst.n
+    for _ in _pairs_as_written(inst, h, seats):
+        pass
+    reduced = to_full_binary(inst).reduced
+    intervals = tuple(
+        FeasibleInterval(x, low, high, Fraction(scaled * v, rest))
+        for x, v, low, high, scaled, rest in _pairs_as_written(reduced, h, [0] * reduced.n)
+    )
+    return Allocation(h, tuple(seats)), intervals
 
 
 def pull_back(reduction: BinaryReduction, alloc: Allocation) -> Allocation:

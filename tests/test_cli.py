@@ -2,25 +2,35 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from time import perf_counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from apportree import (
     Allocation,
+    ExperimentConfig,
     Instance,
+    MethodKind,
     QuotaMode,
     SplitMix64,
+    TreeFamily,
+    TreeKind,
+    allocate_both_quotas,
     allocation_to_json,
     brute_force_both_quotas,
     check_allocation,
     instance_from_json,
     instance_to_json,
+    run_experiment,
+    run_method,
     validate_instance,
 )
 from apportree.cli import SEED_ENV_VAR, main
@@ -29,7 +39,15 @@ import apportree.cli as cli
 import apportree.core as core
 import apportree.methods as methods
 
-from conftest import flat_instance, heavy_spine, make_deep7, make_flat5, make_nested5, make_sym7
+from conftest import (
+    flat_instance,
+    heavy_spine,
+    irregular_instances,
+    make_deep7,
+    make_flat5,
+    make_nested5,
+    make_sym7,
+)
 
 
 @pytest.fixture
@@ -469,6 +487,47 @@ class TestCheckOutput:
         assert main(["check", path, bad, "--strict"]) == expected[0]
         assert capsys.readouterr().out == expected[1]
 
+    @given(st.data())
+    def test_matches_report_on_drawn_allocations(self, tmp_path_factory, data):
+        # a clean allocation takes check's short path, the rest the listing
+        inst = data.draw(irregular_instances(max_nodes=15))
+        h = data.draw(st.integers(0, 200))
+        kind = data.draw(st.sampled_from(["both-quotas", "seat-moved", "flow-break", "walked"]))
+        if kind == "walked":
+            # a walking method's seats: flow kept, often out of an ancestor's quota only
+            seats = list(run_method(inst, data.draw(st.sampled_from(list(MethodKind))), h).final.seats)
+        else:
+            seats = list(allocate_both_quotas(inst, h).seats)
+        pairs = [(a, b) for kids in inst.children for a in kids for b in kids if a != b and seats[a]]
+        if kind == "seat-moved" and pairs:
+            # one seat from a leaf under a to a leaf under b, flow kept
+            a, b = data.draw(st.sampled_from(pairs))
+            while True:
+                seats[a] -= 1
+                if not inst.children[a]:
+                    break
+                a = next(c for c in inst.children[a] if seats[c])
+            while True:
+                seats[b] += 1
+                if not inst.children[b]:
+                    break
+                b = inst.children[b][0]
+        elif kind == "flow-break":
+            # off by one, so that often every quota still holds
+            i = data.draw(st.integers(0, inst.n - 1))
+            seats[i] = abs(seats[i] + data.draw(st.sampled_from([-1, 1])))
+        alloc = Allocation(h, tuple(seats))
+        folder = tmp_path_factory.mktemp("check")
+        path = write(folder, "inst.json", instance_to_json(inst))
+        apath = write(folder, "alloc.json", allocation_to_json(alloc))
+        for mode in QuotaMode:
+            for strict in (False, True):
+                argv = ["check", path, apath, "--mode", mode.value] + (["--strict"] if strict else [])
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert (code, out.getvalue(), err.getvalue()) == (*render_check(inst, alloc, mode, strict), "")
+
 
 class TestReduce:
     def test_flat_four_way(self, tmp_path, capsys):
@@ -828,6 +887,66 @@ class TestTopLevel:
         assert sys.stdout is closed and dups == []
 
 
+class TestCollectorPause:
+    """main pauses the cyclic collector for the command only; the library never touches it."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    CASES = {
+        "ok": (["allocate", "{inst}", "--method", "both-quotas", "--seats", "5"], 0),
+        "domain-error": (["allocate", "{inst}", "--method", "both-quotas", "--seats", "-1"], 1),
+        "invalid-instance": (["allocate", "{bad}", "--method", "both-quotas", "--seats", "3"], 1),
+        "usage-error": (["allocate", "{inst}", "--method", "webster", "--seats", "3"], 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_leaves_the_collector_as_found(self, case, collector, sym7_file, tmp_path, capsys, monkeypatch):
+        bad = write(tmp_path, "bad.json", json.dumps(nodes((0, None, "1"), (1, 0, "1/2"))))
+        seen = []
+        original = cli.allocate_both_quotas
+        monkeypatch.setattr(
+            cli, "allocate_both_quotas", lambda *args: seen.append(gc.isenabled()) or original(*args)
+        )
+        argv, code = self.CASES[case]
+        assert main([a.format(inst=sym7_file, bad=bad) for a in argv]) == code
+        assert gc.isenabled() is collector
+        assert seen == ([False] if case in ("ok", "domain-error") else [])
+
+    def test_a_closed_pipe_leaves_the_collector_as_found(self, collector, sym7_file, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["allocate", sym7_file, "--method", "jefferson", "--seats", "3"]) == 1
+        assert gc.isenabled() is collector
+
+    def test_an_unexpected_error_leaves_the_collector_as_found(self, collector, sym7_file, monkeypatch):
+        def fail(*args):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(cli, "allocate_both_quotas", fail)
+        with pytest.raises(ZeroDivisionError):
+            main(["allocate", sym7_file, "--method", "both-quotas", "--seats", "3"])
+        assert gc.isenabled() is collector
+
+    def test_only_main_pauses_the_collector(self, sym7, sym7_file, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+        monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+        inst = instance_from_json(instance_to_json(sym7))
+        check_allocation(inst, allocate_both_quotas(inst, 100))
+        run_experiment(ExperimentConfig(TreeFamily(TreeKind.PERFECT_BINARY, 2), instance_count=3))
+        assert calls == []
+        main(["validate", sym7_file])
+        assert calls == (["disable", "enable"] if gc.isenabled() else ["disable"])
+
+
 class TestInputFiles:
     """Every file argument reports a missing, undecodable or malformed file alike."""
 
@@ -863,6 +982,40 @@ class TestInputFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == expected
+
+    # JSON that json.loads refuses past its limits, not for its syntax
+    UNDECODABLE = {
+        "nested-too-deep": ("[" * 10**5, "recursion"),
+        "integer-too-long": ('{"nodes": [{"id": ' + "9" * 5000 + "}]}", "4300 digits"),
+    }
+
+    @pytest.mark.parametrize("problem", sorted(UNDECODABLE))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_undecodable_json_names_the_file(self, command, problem, sym7_file, tmp_path, capsys):
+        if problem == "integer-too-long" and not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python decodes integers of any length")
+        text, reason = self.UNDECODABLE[problem]
+        alloc = write(tmp_path, "alloc.json", '{"h": 6, "seats": [6, 1, 2, 1, 2, 3, 3]}')
+        bad = write(tmp_path, "undecodable.json", text)
+        argv = [a.format(bad=bad, inst=sym7_file, alloc=alloc) for a in self.COMMANDS[command]]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: cannot decode JSON: ") and reason in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, text, expected",
+        [
+            (["check", "{inst}", "{bad}"], '{"h": -1, "seats": []}', '"h" must be a non-negative integer'),
+            (["experiment", "--config", "{bad}"], '{"family": 3}', 'config must be an object with a "family" object'),
+        ],
+        ids=["allocation", "config"],
+    )
+    def test_parse_errors_keep_their_text(self, argv, text, expected, sym7_file, tmp_path, capsys):
+        bad = write(tmp_path, "bad.json", text)
+        assert main([a.format(bad=bad, inst=sym7_file) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
 
 
 def nodes(*entries) -> dict:

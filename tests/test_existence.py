@@ -33,10 +33,17 @@ from conftest import (
     caterpillar,
     flat_instance,
     irregular_instances,
+    make_sym7,
     reversed_children,
     share_lists,
 )
-from oracles import binary_by_rescaling, both_quotas_by_reduction, pull_back, push_forward
+from oracles import (
+    binary_by_rescaling,
+    both_quotas_by_pass_as_written,
+    both_quotas_by_reduction,
+    pull_back,
+    push_forward,
+)
 
 
 def assert_full_binary(inst: Instance) -> None:
@@ -272,6 +279,49 @@ class TestOnOriginalTree:
         monkeypatch.setattr(existence, "Fraction", refuse)
         monkeypatch.setattr(Instance, "__init__", refuse)
         assert [allocate_both_quotas(inst, h) for h in range(40)] == expected
+
+
+# a decade first, then a house size in it: h log-uniform up to 10**6
+LOG_HOUSES = st.integers(0, 6).flatmap(lambda k: st.integers(10**k // 10, 10**k))
+
+
+class TestPassAsWritten:
+    """The pass, tuned to fewer interpreter steps, against its first form."""
+
+    @given(
+        st.one_of(
+            irregular_instances(max_nodes=40),
+            irregular_instances(max_nodes=40, max_weight=1000),
+            share_lists(30, 1000).map(flat_instance),
+        ),
+        LOG_HOUSES,
+    )
+    def test_seats_and_intervals_match(self, inst, h):
+        alloc, intervals = both_quotas_by_pass_as_written(inst, h)
+        assert allocate_both_quotas(inst, h) == alloc
+        traced, _, traced_intervals = trace_both_quotas(inst, h)
+        assert traced == alloc
+        assert traced_intervals == intervals
+
+    # each holds a pair whose first child's share of the pair's seats is
+    # an exact half, inside an interval that allows both neighbours
+    HALVES = {
+        "halves": (lambda: flat_instance([Fraction(1, 2)] * 2), 7, (7, 3, 4)),
+        "thirds": (lambda: flat_instance([Fraction(1, 3)] * 3), 4, (4, 1, 1, 2)),
+        "quarters": (lambda: flat_instance([Fraction(1, 4)] * 2 + [Fraction(1, 2)]), 6, (6, 1, 2, 3)),
+        "sym7": (make_sym7, 7, (7, 1, 2, 2, 2, 3, 4)),
+        "halves-large": (lambda: flat_instance([Fraction(1, 2)] * 2), 10**6 + 1, (10**6 + 1, 500000, 500001)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HALVES))
+    def test_exact_halves_round_down(self, case):
+        make, h, expected = self.HALVES[case]
+        inst = make()
+        alloc, intervals = both_quotas_by_pass_as_written(inst, h)
+        halves = [i for i in intervals if i.target.denominator == 2 and i.low < i.high]
+        assert halves and all(i.low < i.target < i.high for i in halves)
+        assert allocate_both_quotas(inst, h) == alloc == Allocation(h, expected)
+        assert trace_both_quotas(inst, h)[2] == intervals
 
 
 def enumerate_flows(inst: Instance, h: int):
