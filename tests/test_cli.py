@@ -489,7 +489,7 @@ class TestCheckOutput:
 
     @given(st.data())
     def test_matches_report_on_drawn_allocations(self, tmp_path_factory, data):
-        # a clean allocation takes check's short path, the rest the listing
+        # clean or not, with or without a flow break, check prints the report's verdict
         inst = data.draw(irregular_instances(max_nodes=15))
         h = data.draw(st.integers(0, 200))
         kind = data.draw(st.sampled_from(["both-quotas", "seat-moved", "flow-break", "walked"]))
