@@ -9,6 +9,7 @@ All output is byte-deterministic given identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -248,35 +249,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _instance_argument(p) -> None:
-    p.add_argument("instance")
-
-
-def _allocate_arguments(p) -> None:
-    p.add_argument("instance")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["adams", "jefferson", "quota", "ucquota", "both-quotas"],
-    )
-    p.add_argument("--seats", type=int, required=True, metavar="H")
-    p.add_argument("--trajectory", action="store_true", help="emit every intermediate allocation")
-
-
-def _check_arguments(p) -> None:
-    p.add_argument("instance")
-    p.add_argument("allocation")
-    p.add_argument("--mode", choices=["all", "root"], default="all")
-    p.add_argument("--strict", action="store_true", help="exit 1 if any violation is found")
-
-
-def _generate_arguments(p) -> None:
-    p.add_argument("--family", required=True, choices=["binary", "4ary"])
-    p.add_argument("--height", type=int, required=True, metavar="K")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
-    p.add_argument("--max-weight", type=int, default=10)
-
-
 def _comma_list(convert, what: str):
     """An argparse type: a comma-separated list of ``convert``'s values,
     empty for an empty string.  A value that does not convert is a usage
@@ -291,7 +263,53 @@ def _comma_list(convert, what: str):
     return parse
 
 
-def _experiment_arguments(p) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.
+
+    It is built on the first call and shared by every later one, each
+    :func:`main` call's included, so callers must not change it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="apportree",
+        description="Seat apportionment over entitlement trees.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_line, func):
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("validate", "check an instance file's structural invariants", _cmd_validate)
+    p.add_argument("instance")
+
+    p = command("allocate", "allocate seats with one of the methods", _cmd_allocate)
+    p.add_argument("instance")
+    p.add_argument(
+        "--method",
+        required=True,
+        choices=["adams", "jefferson", "quota", "ucquota", "both-quotas"],
+    )
+    p.add_argument("--seats", type=int, required=True, metavar="H")
+    p.add_argument("--trajectory", action="store_true", help="emit every intermediate allocation")
+
+    p = command("check", "audit an allocation against an instance", _cmd_check)
+    p.add_argument("instance")
+    p.add_argument("allocation")
+    p.add_argument("--mode", choices=["all", "root"], default="all")
+    p.add_argument("--strict", action="store_true", help="exit 1 if any violation is found")
+
+    p = command("reduce", "rewrite an instance as a full binary tree", _cmd_reduce)
+    p.add_argument("instance")
+
+    p = command("generate", "generate a seeded random instance", _cmd_generate)
+    p.add_argument("--family", required=True, choices=["binary", "4ary"])
+    p.add_argument("--height", type=int, required=True, metavar="K")
+    p.add_argument("--seed", type=int, default=None, metavar="S")
+    p.add_argument("--max-weight", type=int, default=10)
+
+    p = command("experiment", "run a metrics experiment over generated instances", _cmd_experiment)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", choices=["csv", "md"], default="csv")
     p.add_argument("--workers", type=int, default=1)
@@ -304,83 +322,22 @@ def _experiment_arguments(p) -> None:
                    help="comma-separated method names, all by default")
     p.add_argument("--max-weight", type=int, default=10)
 
-
-def _oracle_arguments(p) -> None:
+    p = command("oracle", "enumerate every both-quotas allocation (small instances)", _cmd_oracle)
     p.add_argument("instance")
     p.add_argument("--seats", type=int, required=True, metavar="H")
     p.add_argument("--max-nodes", type=int, default=15)
     p.add_argument("--max-house", type=int, default=10)
-
-
-# name: (help line, handler, arguments), in the order help lists them
-_COMMANDS = {
-    "validate": ("check an instance file's structural invariants", _cmd_validate, _instance_argument),
-    "allocate": ("allocate seats with one of the methods", _cmd_allocate, _allocate_arguments),
-    "check": ("audit an allocation against an instance", _cmd_check, _check_arguments),
-    "reduce": ("rewrite an instance as a full binary tree", _cmd_reduce, _instance_argument),
-    "generate": ("generate a seeded random instance", _cmd_generate, _generate_arguments),
-    "experiment": ("run a metrics experiment over generated instances", _cmd_experiment, _experiment_arguments),
-    "oracle": ("enumerate every both-quotas allocation (small instances)", _cmd_oracle, _oracle_arguments),
-}
-
-
-def _build(parser_class, names) -> argparse.ArgumentParser:
-    parser = parser_class(
-        prog="apportree",
-        description="Seat apportionment over entitlement trees.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, func, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        arguments(p)
-        p.set_defaults(func=func)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command.
-
-    :func:`main` first parses with a parser of only the command its first
-    argument names, which is cheaper to build, and turns to this one for
-    help, for a missing or unknown command and for every usage error, so
-    what it prints is what this parser prints.
-    """
-    return _build(argparse.ArgumentParser, _COMMANDS)
-
-
-class _AskFullParser(Exception):
-    """A one-command parser met help or a usage error."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that prints nothing: help and usage errors raise
-    :class:`_AskFullParser`, since its usage line would list one command."""
-
-    def error(self, message):
-        raise _AskFullParser
-
-    def print_help(self, file=None):
-        raise _AskFullParser
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _build(_OneCommandParser, argv[:1]).parse_args(argv)
-        except _AskFullParser:
-            pass
-    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  The cyclic garbage
-    collector is paused while the command runs, as it builds many containers
-    and at most a few dozen cyclic objects; the pause ends with the command,
-    on every exit path."""
+    collector is paused while the command runs, which builds many containers;
+    past the first call, a call leaves at most a few dozen cyclic objects,
+    parsing included (see the README).  The pause ends on every exit path."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     enabled = gc.isenabled()

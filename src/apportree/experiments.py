@@ -201,16 +201,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     ))
 
 
-def format_fixed(value: Fraction, places: int = 4) -> str:
-    """Exact fixed-point rendering: round half away from zero, no floats."""
-    scale = 10 ** places
-    num = value.numerator * scale
+def format_fixed(value: Fraction) -> str:
+    """Exact four-place rendering: round half away from zero, no floats, no "-0.0000"."""
+    num = value.numerator * 10000
     den = value.denominator
     q, r = divmod(abs(num), den)
     if 2 * r >= den:
         q += 1
-    sign = "-" if num < 0 else ""
-    return f"{sign}{q // scale}.{q % scale:0{places}d}"
+    sign = "-" if num < 0 and q else ""
+    return f"{sign}{q // 10000}.{q % 10000:04d}"
 
 
 _CSV_COLUMNS = (

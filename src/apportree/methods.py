@@ -113,7 +113,7 @@ class NoEligibleChild(RuntimeError):
         )
 
 
-def _best_child(seats, kids, wnum, wden, bump: int, qn: int = 0, qd: int = 1) -> int:
+def _best_child(seats, kids, wnum, wden, bump: int, qn: int, qd: int) -> int:
     """The child a seat goes to at one node: smallest ``(seats + bump) / w``.
 
     With ``qn`` > 0 only children holding fewer than ``qn / qd * w`` seats

@@ -804,7 +804,10 @@ class TestTopLevel:
         "none": [],
         "help": ["-h"],
         "unknown-command": ["frobnicate"],
-        **{f"{name}-help": [name, "-h"] for name in cli._COMMANDS},
+        **{
+            f"{name}-help": [name, "-h"]
+            for name in ("validate", "allocate", "check", "reduce", "generate", "experiment", "oracle")
+        },
         "missing-argument": ["allocate", "{inst}", "--method", "adams"],
         "bad-choice": ["allocate", "{inst}", "--method", "webster", "--seats", "3"],
         "abbreviated-option": ["allocate", "{inst}", "--meth", "adams", "--seats", "3"],
@@ -945,6 +948,31 @@ class TestCollectorPause:
         assert calls == []
         main(["validate", sym7_file])
         assert calls == (["disable", "enable"] if gc.isenabled() else ["disable"])
+
+    REPEATED = {
+        "validate": ["validate", "{inst}"],
+        "allocate-both-quotas": ["allocate", "{inst}", "--method", "both-quotas", "--seats", "100"],
+        "allocate-jefferson": ["allocate", "{inst}", "--method", "jefferson", "--seats", "100"],
+        "check-strict": ["check", "{inst}", "{alloc}", "--strict"],
+        "oracle": ["oracle", "{inst}", "--seats", "6"],
+        "experiment": ["experiment", "--family", "binary", "--height", "2", "--count", "5", "--workers", "1"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(REPEATED))
+    def test_a_repeated_command_leaves_no_cyclic_garbage(self, case, sym7, sym7_file, tmp_path, capsys):
+        # the first call may build what later calls share (the parser among them)
+        alloc = write(tmp_path, "alloc.json", allocation_to_json(allocate_both_quotas(sym7, 100)))
+        argv = [a.format(inst=sym7_file, alloc=alloc) for a in self.REPEATED[case]]
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
 
 
 class TestInputFiles:

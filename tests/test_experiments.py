@@ -279,17 +279,14 @@ class TestFormatFixed:
             (Fraction(1, 20000), "0.0001"),
             (Fraction(3, 20000), "0.0002"),
             (Fraction(-1, 20000), "-0.0001"),
+            (Fraction(-1, 100000), "0.0000"),
+            (Fraction(-1, 20001), "0.0000"),
             (Fraction(12747, 10000), "1.2747"),
             (Fraction(100), "100.0000"),
         ],
     )
     def test_rounding(self, value, text):
         assert format_fixed(value) == text
-
-    def test_places(self):
-        assert format_fixed(Fraction(1, 3), 2) == "0.33"
-        assert format_fixed(Fraction(5, 10), 1) == "0.5"
-        assert format_fixed(Fraction(349, 1000), 2) == "0.35"
 
 
 class TestEmitTable:
