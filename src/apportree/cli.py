@@ -19,6 +19,7 @@ from .core import (
     InvalidInstanceError,
     QuotaMode,
     _audit,
+    _instance_doc,
     _quotas,
     allocation_from_json,
     allocation_to_json,
@@ -181,9 +182,8 @@ def _cmd_check(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = _load(args.instance, instance_from_json)
     reduction = to_full_binary(inst)
-    doc = json.loads(instance_to_json(reduction.reduced))
-    doc["node_map"] = list(reduction.node_map)
-    doc["introduced"] = list(reduction.introduced)
+    doc = _instance_doc(reduction.reduced)
+    doc.update(node_map=list(reduction.node_map), introduced=list(reduction.introduced))
     print(json.dumps(doc, indent=2))
     return 0
 

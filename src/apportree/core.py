@@ -132,11 +132,24 @@ class Instance:
         return len(self.parents)
 
     def bfs_order(self) -> tuple[int, ...]:
-        """Node ids in breadth-first order from the root (parents first)."""
+        """Node ids in breadth-first order from the root (parents first).
+
+        Raises :class:`InvalidInstanceError` unless the child lists reach
+        each node exactly once, rather than walk a cycle or skip a node.
+        """
         if self._order is None:
+            n = len(self.parents)
+            seen = bytearray(n)
             order = [0]
             for i in order:
-                order.extend(self.children[i])
+                kids = self.children[i]
+                for c in kids:
+                    if type(c) is not int or not 0 < c < n or seen[c]:
+                        raise InvalidInstanceError(validate_instance(self))
+                    seen[c] = 1
+                order.extend(kids)
+            if len(order) != n:
+                raise InvalidInstanceError(validate_instance(self))
             self._order = tuple(order)
         return self._order
 
@@ -211,15 +224,15 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
 
     # connectivity: the child lists are now the exact inverse of the parent
     # map, so a node reaches the root iff the search from the root finds it
+    # (its own search: bfs_order calls back here on a fault)
     if not errors:
-        order = inst.bfs_order()
-        if len(order) != n:
-            reached = bytearray(n)
-            for i in order:
-                reached[i] = 1
-            for i in range(1, n):
-                if not reached[i]:
-                    errors.append(StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
+        order = [0]
+        for i in order:
+            order.extend(inst.children[i])
+        reached = set(order)
+        for i in range(1, n):
+            if i not in reached:
+                errors.append(StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
 
     weights = inst.weights
     wnum = [w.numerator for w in weights]
@@ -421,7 +434,8 @@ def _fold(ext: tuple, i: int, v: int, num: int, den: int) -> tuple:
     """Fold node ``i``'s seats-per-share ratio ``v * den / num`` into
     ``ext``, the ``(hi_num, hi_den, hi_node, lo_num, lo_den, lo_node)``
     extremes over its ancestors, giving its children's; ties keep the
-    ancestor nearest the root."""
+    ancestor nearest the root.  It folds any ratio ``v * den / num``, a
+    both-quotas comb holder's included."""
     hn, hd, ha, ln, ld, la = ext
     pn = v * den
     if pn * hd > hn * num:
@@ -443,7 +457,6 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
 
     ``seats[i]`` is read only when node ``i``'s children are reached, so a
     caller may fill in each node's seats after it is yielded.
-    :func:`count_violations` keeps its own copy of the carry.
     """
     order, _, rnum, rden, _, _, children = _fast_arrays(inst)
     fold = mode is QuotaMode.ALL_ANCESTORS
@@ -530,39 +543,29 @@ def count_violations(
     """Count (lower, upper) quota violations without building a report.
 
     Semantically identical to :func:`check_allocation`'s flag counts for a
-    flow-conserving allocation, but allocation-free: suitable for sweeps
-    over many house sizes.
+    flow-conserving allocation; it allocates only one ``n``-entry list of
+    per-node extremes, so it suits sweeps over many house sizes.
 
-    The carry of :func:`_quotas` (the reference for the bounds) without
-    binding ancestors or divisions, kept for speed: calling :func:`_fold`
-    at each internal node ran up to 13% slower on the experiment's
-    height-3 trees.  Under extreme ancestor ratios ``hn/hd`` and
-    ``ln/ld``, a child of share ``num/den`` holding ``s`` seats is below
-    its lower quota iff ``(s + 1) * den * hd <= num * hn``, and above its
-    upper quota iff ``(s - 1) * den * ld >= num * ln``.  Seats of the
-    wrong length raise :class:`ValueError`; their counts are not checked.
+    The carry of :func:`_quotas` (the reference for the bounds), each
+    node's extremes taken from :func:`_fold` as there, but without
+    divisions.  Under extreme ancestor ratios ``hn/hd`` and ``ln/ld``, a
+    child of share ``num/den`` holding ``s`` seats is below its lower
+    quota iff ``(s + 1) * den * hd <= num * hn``, and above its upper
+    quota iff ``(s - 1) * den * ld >= num * ln``.  Seats of the wrong
+    length raise :class:`ValueError`; their counts are not checked.
     ``mode`` may be given by its value, as in :func:`check_allocation`.
     """
     if len(seats) != inst.n:
         _check_seats(inst.n, seats)  # raises the length error
     order, _, rnum, rden, _, _, children = _fast_arrays(inst)
-    fold = mode is QuotaMode.ALL_ANCESTORS or QuotaMode(mode) is QuotaMode.ALL_ANCESTORS
-    v = seats[0]
-    extremes = [(v, 1, v, 1)] * inst.n  # (hi_num, hi_den, lo_num, lo_den) per node
+    fold = QuotaMode(mode) is QuotaMode.ALL_ANCESTORS
+    extremes = [(seats[0], 1, 0, seats[0], 1, 0)] * inst.n
     low = up = 0
     for i in order:
         kids = children[i]
         if not kids:
             continue
-        hn, hd, ln, ld = extremes[i]
-        if fold:
-            pn = seats[i] * rden[i]
-            pd = rnum[i]
-            if pn * hd > hn * pd:
-                hn, hd = pn, pd
-            if pn * ld < ln * pd:
-                ln, ld = pn, pd
-        ext = hn, hd, ln, ld
+        hn, hd, _, ln, ld, _ = ext = _fold(extremes[i], i, seats[i], rnum[i], rden[i]) if fold else extremes[i]
         for c in kids:
             extremes[c] = ext
             num = rnum[c]
@@ -673,13 +676,15 @@ def instance_from_json(text: str) -> Instance:
     return inst
 
 
+def _instance_doc(inst: Instance) -> dict:
+    """The instance file's document, nodes in breadth-first order."""
+    p, w = inst.parents, inst.weights
+    return {"nodes": [{"id": i, "parent": p[i], "weight": str(w[i])} for i in inst.bfs_order()]}
+
+
 def instance_to_json(inst: Instance) -> str:
     """Serialize to the instance file format (nodes in breadth-first order)."""
-    nodes = []
-    for i in inst.bfs_order():
-        p = inst.parents[i]
-        nodes.append({"id": i, "parent": p, "weight": str(inst.weights[i])})
-    return json.dumps({"nodes": nodes}, indent=2)
+    return json.dumps(_instance_doc(inst), indent=2)
 
 
 def allocation_from_json(text: str) -> Allocation:

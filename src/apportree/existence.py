@@ -180,12 +180,12 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
     ``x``, an original node weighing ``scaled/rest`` in the pair, may take
     ``low..high`` of the pair's ``v`` seats, and takes the integer nearest
     ``scaled * v / rest`` (exact halves down) clamped into them, found by
-    one floor division.  It keeps its own copy of :func:`~apportree.core._fold`'s
-    carry, as it folds in the comb's holders, which are not tree nodes.
+    one floor division.  Each comb holder, though not a tree node, is
+    folded into the extremes by :func:`~apportree.core._fold`.
     """
     order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
     seats[0] = h
-    extremes = [(h, 1, h, 1)] * inst.n
+    extremes = [(h, 1, 0, h, 1, 0)] * inst.n
     for i in order:
         kids = children[i]
         if not kids:
@@ -198,20 +198,14 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
         # children are one pair.  An only child takes v and i's extremes;
         # its own ratio, folded when it is reached, equals i's.
         v = seats[i]
-        hn, hd, ln, ld = extremes[i]
+        ext = extremes[i]
         den = math.lcm(wden[kids[0]], wden[kids[1]]) if len(kids) == 2 else math.lcm(*[wden[c] for c in kids])
         a = rnum[i]
         d = rden[i] * den
         rest = den
         for x in kids[:-1]:
             # fold the holder's seats-per-share ratio into the extremes
-            pn = v * d
-            pd = a * rest
-            if pn * hd > hn * pd:
-                hn, hd = pn, pd
-            if pn * ld < ln * pd:
-                ln, ld = pn, pd
-            extremes[x] = hn, hd, ln, ld
+            hn, hd, _, ln, ld, _ = ext = extremes[x] = _fold(ext, i, v, a * rest, d)
             scaled = wnum[x] * (den // wden[x])
             xn, xd = rnum[x], rden[x]
             # y is the next holder, or the last child
@@ -235,7 +229,7 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
             rest -= scaled
         c = kids[-1]
         seats[c] = v
-        extremes[c] = hn, hd, ln, ld
+        extremes[c] = ext
 
 
 def allocate_both_quotas(inst: Instance, h: int) -> Allocation:

@@ -241,6 +241,22 @@ class TestValidation:
     def test_accept_pass_matches_root_walk_reference(self, inst):
         assert core._accept(inst) == (validate_by_root_walks(inst) == [])
 
+    @given(malformed_instances())
+    # a cycle the child lists reach from the root
+    @example(Instance([None, 0], [1, 1], [[1], [1]]))
+    # two nodes that are each other's parent, cut off from the root
+    @example(Instance([None, 2, 1], [1, 1, 1]))
+    def test_bfs_order_meets_every_node_once_or_raises_the_report(self, inst):
+        errors = validate_instance(inst)
+        try:
+            order = inst.bfs_order()
+        except InvalidInstanceError as exc:
+            assert exc.errors == errors != []
+            with pytest.raises(InvalidInstanceError):
+                instance_to_json(inst)
+        else:
+            assert sorted(order) == list(range(inst.n))
+
 
 class TestEntitlements:
     def test_sym7_shares(self, sym7):
@@ -443,7 +459,11 @@ class TestCheckAllocation:
                     b.lower, b.upper, b.binding_lower_ancestor, b.binding_upper_ancestor
                 ) == expected
 
-    @given(irregular_instances(), st.integers(0, 40), st.randoms(use_true_random=False))
+    @given(
+        st.one_of(irregular_instances(), irregular_instances(max_weight=1000)),
+        st.integers(0, 40),
+        st.randoms(use_true_random=False),
+    )
     def test_count_violations_agrees_with_report(self, inst, h, rand):
         seats = random_seats(inst, h, rand)
         alloc = Allocation(h, seats)
