@@ -19,7 +19,7 @@ from .core import (
     InvalidInstanceError,
     QuotaMode,
     _audit,
-    _instance_doc,
+    _instance_text,
     _quotas,
     allocation_from_json,
     allocation_to_json,
@@ -182,9 +182,7 @@ def _cmd_check(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = _load(args.instance, instance_from_json)
     reduction = to_full_binary(inst)
-    doc = _instance_doc(reduction.reduced)
-    doc.update(node_map=list(reduction.node_map), introduced=list(reduction.introduced))
-    print(json.dumps(doc, indent=2))
+    print(_instance_text(reduction.reduced, node_map=reduction.node_map, introduced=reduction.introduced))
     return 0
 
 

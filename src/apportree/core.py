@@ -120,6 +120,8 @@ class Instance:
             self.children = tuple(tuple(k) for k in kids)
         else:
             self.children = tuple(map(tuple, children))
+            if len(self.children) != n:
+                raise ValueError("children must hold one list per node")
         self._shares: tuple[Fraction, ...] | None = None
         # set by validate_instance once the instance is valid, so it marks validity
         self._fast = None
@@ -676,15 +678,37 @@ def instance_from_json(text: str) -> Instance:
     return inst
 
 
-def _instance_doc(inst: Instance) -> dict:
-    """The instance file's document, nodes in breadth-first order."""
-    p, w = inst.parents, inst.weights
-    return {"nodes": [{"id": i, "parent": p[i], "weight": str(w[i])} for i in inst.bfs_order()]}
+def _instance_text(inst: Instance, **lists: Sequence[int]) -> str:
+    """The instance file's text, nodes in breadth-first order.
+
+    Lays the document out byte for byte as :func:`json.dumps` does with
+    an indent of two spaces, without its pure-Python indent encoder.  Each
+    keyword's list of plain ints follows the nodes as a top-level key
+    (``reduce`` writes ``node_map`` and ``introduced``).
+    """
+    parents, weights = inst.parents, inst.weights
+    nodes = []
+    for i in inst.bfs_order():
+        p = parents[i]
+        if p is None:
+            p = "null"
+        elif type(p) is not int:
+            # an int subclass, or what only an invalid instance holds:
+            # json.dumps writes it, shifted to the depth of a node's fields
+            p = json.dumps(p, indent="  ").replace("\n", "\n      ")
+        w = weights[i]
+        # a Fraction's str holds only digits, "-" and "/", which need no escape
+        w = '"' + str(w) + '"' if type(w) is Fraction else json.dumps(str(w))
+        nodes.append(f'    {{\n      "id": {i},\n      "parent": {p},\n      "weight": {w}\n    }}')
+    text = '{\n  "nodes": [\n' + ",\n".join(nodes) + "\n  ]"
+    for key, ids in lists.items():
+        text += f',\n  "{key}": ' + ("[\n    " + ",\n    ".join(map(str, ids)) + "\n  ]" if ids else "[]")
+    return text + "\n}"
 
 
 def instance_to_json(inst: Instance) -> str:
     """Serialize to the instance file format (nodes in breadth-first order)."""
-    return json.dumps(_instance_doc(inst), indent=2)
+    return _instance_text(inst)
 
 
 def allocation_from_json(text: str) -> Allocation:

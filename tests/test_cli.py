@@ -12,7 +12,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from apportree import (
     Allocation,
@@ -31,6 +31,7 @@ from apportree import (
     instance_to_json,
     run_experiment,
     run_method,
+    to_full_binary,
     validate_instance,
 )
 from apportree.cli import SEED_ENV_VAR, main
@@ -546,6 +547,26 @@ class TestReduce:
         assert reduced.weights[5] == Fraction(3, 4)
         assert reduced.weights[6] == Fraction(2, 3)
 
+    @given(st.one_of(irregular_instances(), irregular_instances(max_weight=1000)))
+    # already binary, so it prints "introduced": []
+    @example(make_sym7())
+    def test_prints_the_indented_document(self, tmp_path_factory, inst):
+        path = write(tmp_path_factory.mktemp("reduce"), "inst.json", instance_to_json(inst))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["reduce", path]) == 0
+        reduction = to_full_binary(inst)
+        reduced = reduction.reduced
+        doc = {
+            "nodes": [
+                {"id": i, "parent": reduced.parents[i], "weight": str(reduced.weights[i])}
+                for i in reduced.bfs_order()
+            ],
+            "node_map": list(reduction.node_map),
+            "introduced": list(reduction.introduced),
+        }
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
 
 class TestGenerate:
     ARGS = ["generate", "--family", "binary", "--height", "1"]
@@ -956,6 +977,8 @@ class TestCollectorPause:
         "check-strict": ["check", "{inst}", "{alloc}", "--strict"],
         "oracle": ["oracle", "{inst}", "--seats", "6"],
         "experiment": ["experiment", "--family", "binary", "--height", "2", "--count", "5", "--workers", "1"],
+        "generate": ["generate", "--family", "4ary", "--height", "4", "--seed", "1"],
+        "reduce": ["reduce", "{inst}"],
     }
 
     @pytest.mark.parametrize("case", sorted(REPEATED))

@@ -42,6 +42,10 @@ class NodeId(int):
     """An int subclass, which the validator takes as a node id."""
 
 
+class Share(Fraction):
+    """A Fraction subclass, which Instance keeps as it is."""
+
+
 @st.composite
 def malformed_instances(draw) -> Instance:
     """Instances that may break any tree rule the validator names.
@@ -79,6 +83,14 @@ def malformed_instances(draw) -> Instance:
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         weights[i] = draw(fractions)
     return Instance(parents, weights, children)
+
+
+def bfs_order_succeeds(inst: Instance) -> bool:
+    try:
+        inst.bfs_order()
+    except InvalidInstanceError:
+        return False
+    return True
 
 
 class TestParseWeight:
@@ -131,6 +143,11 @@ class TestInstanceBasics:
         mixed = Instance(parents=[None, 0, 0], weights=[Fraction(1), Fraction(1, 3), "2/3"])
         assert mixed.weights == tuple(weights)
         assert all(type(w) is Fraction for w in mixed.weights)
+
+    @pytest.mark.parametrize("children", [[[1]], [[1], [], []]], ids=["too-few", "too-many"])
+    def test_children_need_one_list_per_node(self, children):
+        with pytest.raises(ValueError, match="one list per node"):
+            Instance([None, 0], [1, 1], children)
 
     def test_ancestors_root_is_its_own(self, sym7):
         assert ancestors_of(sym7, 0) == [0]
@@ -295,7 +312,7 @@ class TestEntitlements:
 
     @given(irregular_instances(max_nodes=30, max_weight=1000))
     def test_loaded_arrays_equal_api_arrays(self, inst):
-        # the loader hands its integer weights to the walk that validates
+        # the loader's validating walk builds the arrays from the Fractions it parsed
         loaded = instance_from_json(instance_to_json(inst))
         assert loaded._fast == core._fast_arrays(Instance(inst.parents, inst.weights))
         _, _, rnum, rden, _, _, _ = loaded._fast
@@ -617,6 +634,40 @@ class TestJson:
     @given(irregular_instances())
     def test_round_trip_any_shape(self, inst):
         assert instance_from_json(instance_to_json(inst)) == inst
+
+    @staticmethod
+    def indented(inst: Instance) -> str:
+        """The instance file as the indent encoder writes it."""
+        nodes = [{"id": i, "parent": inst.parents[i], "weight": str(inst.weights[i])} for i in inst.bfs_order()]
+        return json.dumps({"nodes": nodes}, indent=2)
+
+    @given(
+        st.one_of(
+            irregular_instances(),
+            irregular_instances(max_weight=1000),
+            malformed_instances().filter(bfs_order_succeeds),
+        )
+    )
+    # parents other than a plain int: a bool, an int subclass, None
+    @example(Instance([None, True], [1, 1], [[1], []]))
+    @example(Instance([None, NodeId(0)], [1, 1]))
+    @example(Instance([None, None], [1, Fraction(1, 2)], [[1], []]))
+    @example(Instance([None, 0, 0], [1, Share(1, 3), Share(2, 3)]))
+    def test_writer_matches_indented_json_dumps(self, inst):
+        assert instance_to_json(inst) == self.indented(inst)
+
+    @pytest.mark.parametrize(
+        "parent",
+        ["x\ny", 1.5, math.nan, 2**70, -1, [], [0, [1, {}]], {"a": [1, 2], "b": {}}],
+        ids=repr,
+    )
+    def test_writer_matches_indented_json_dumps_on_any_parent(self, parent):
+        inst = Instance([None, parent], [1, 1], [[1], []])
+        assert instance_to_json(inst) == self.indented(inst)
+
+    def test_writer_refuses_what_json_cannot_encode(self):
+        with pytest.raises(TypeError):
+            instance_to_json(Instance([None, object()], [1, 1], [[1], []]))
 
     def test_allocation_round_trip(self):
         alloc = Allocation(6, (6, 2, 1, 2, 1, 3, 3))
