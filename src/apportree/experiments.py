@@ -164,8 +164,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     building its two deviation Fractions once at the end, so the result
     is identical to the serial run.  The family's tree shape is built
     once per process.  Seeds are ``base_seed + index``, so a config names
-    its instances independently of worker scheduling.
+    its instances independently of worker scheduling.  A ``workers``
+    that is not an int of at least 1 (a bool included) raises
+    :class:`ValueError`.
     """
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     n = _family_tree(config.family).n
     tasks = [
         (config.family, config.base_seed + k, config.max_weight,

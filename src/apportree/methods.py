@@ -56,11 +56,11 @@ for caps in either form.  :func:`_work` bounds the steps of all four
 methods from each split's cost, and the command line refuses a run over
 a fixed budget of them; the library sets no bound.  What a split reads
 of a node that does not depend on ``h`` (its sorted children, their
-weights, cross products or key units and steps, ``D``, and for the
-upper-compliant method ``Q_i``, the pairs mark and the period) is built
-by one walk, :func:`_build_plan`, on an instance's first allocation by
-any method, and kept.  The walk reads none of it: it stays the
-trajectory API and the reference the cascade is tested against.
+weights, key units or steps, ``D``, and for the upper-compliant method
+``Q_i``, the pairs mark and the period) is built by one walk,
+:func:`_build_plan`, on an instance's first allocation by any method,
+and kept.  The walk reads none of it: it stays the trajectory API and
+the reference the cascade is tested against.
 """
 
 from __future__ import annotations
@@ -222,11 +222,10 @@ def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
     breadth-first order (so after its parent's).
 
     The first list is what all four methods read.  A node with two
-    children has the record ``(i, a, b, na, da, nb, db, pa, pb)``: ``a <
-    b``, weights ``na / da`` and ``nb / db``, and ``pa = da * nb``, ``pb =
-    db * na``, so that the keys ``s_a / w_a`` and ``s_b / w_b`` compare as
-    ``s_a * pa`` and ``s_b * pb``.  A node with one child, or more than
-    two, has the record ``(i, kids, None, D, wn, wd, unit, steps,
+    children has the record ``(i, a, b, na, nb, d)``: ``a < b``, and
+    weights ``na / d`` and ``nb / d`` (two weights in lowest terms that
+    sum to 1 share their denominator).  A node with one child, or more
+    than two, has the record ``(i, kids, None, D, wn, wd, unit, steps,
     first)``:
 
     * ``kids`` are its children in id order, and ``wn`` and ``wd`` their
@@ -282,9 +281,9 @@ def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
             continue
         if len(kids) == 2:
             a, b = kids = sorted(kids)
-            na, da, nb, db = wnum[a], wden[a], wnum[b], wden[b]
-            rec = (i, a, b, na, da, nb, db, da * nb, db * na)
-            wd, d = (da, db), lcm(da, db)
+            d = wden[a]
+            rec = (i, a, b, wnum[a], wnum[b], d)
+            wd = (d, d)
         else:
             rec = _wide_record(i, kids, wnum, wden)
             kids, d, wd = rec[1], rec[3], rec[5]
@@ -405,6 +404,10 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       At most ``b`` remain, and at ``v > b`` every start is at least 1.
       At ``v <= b`` the first ``v`` children by larger weight, then lower
       id, take one seat each: Adams' tie among children at zero seats.
+      At two children Adams too lands within one seat of ``floor(v *
+      w)``: had it given child ``a`` two seats past ``floor(v * w_a)``,
+      the key of ``a``'s last seat, ``(s_a - 1) / w_a``, would exceed
+      ``v``, while ``b``'s next key ``s_b / w_b`` stays below ``v``.
     * The quota method's split is periodic: with ``D`` the lcm of the
       children's weight denominators, every quota ``k * w`` is whole at
       ``k`` a multiple of ``D``, and the quota method, meeting both quotas
@@ -416,11 +419,15 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       Jefferson's lower quota for the one sibling keeps the chosen child
       under it.
 
-    A two-child node is split in locals, with Adams' zero-seat tie to the
-    larger weight, then the lower id; any other node by
-    :func:`_split_wide`.  In locals :func:`_work` counts one step for each
-    of the upper-compliant method's seats (an upper bound), and none for
-    the other methods, which hand out at most two one at a time.
+    A two-child node is split in locals: ``sa, r = divmod(v * na, d)``
+    is ``a``'s floor, exact at ``r = 0``; otherwise one comparison of the
+    two next keys places the one seat left, ``(s + 1) / w`` under
+    Jefferson and the quota method, the tie to ``a``, and ``s / w`` under
+    Adams, at zero seats to the larger weight, then to ``a``.  Any other
+    node is split by :func:`_split_wide`.  In locals :func:`_work` counts
+    one step for each of the upper-compliant method's seats (an upper
+    bound), and none for the other methods, which place at most one seat
+    by one comparison.
 
     The upper-compliant method splits a node in one pass over the caps
     the node's seats bring, in arrival order.  The root's ``t``-th seat
@@ -510,33 +517,22 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
                 continue
             _split_wide(seats, rec, start, 0 if adams else 1, repeat(1, v - sum(start)), off, off)
             continue
-        i, a, b, na, da, nb, db, pa, pb = rec
+        i, a, b, na, nb, d = rec
         v = seats[i]
         if not v:
             continue
-        if adams:
-            m = v - 2
-            sa = sb = 0
-            if m > 0:
-                sa = -(-m * na // da)
-                sb = -(-m * nb // db)
-            # at most two seats are left; keys s / w, compared as s * p
-            while sa + sb < v:
-                ka = sa * pa
-                kb = sb * pb
-                # at zero seats the larger weight w_a >= w_b leads
-                if ka < kb or ka == kb and (ka or pb >= pa):
+        sa, r = divmod(v * na, d)
+        if r:
+            # one seat over the floors sa and v - 1 - sa; keys s_a / w_a
+            # and s_b / w_b compare as s_a * nb and s_b * na
+            if adams:
+                ka = sa * nb
+                kb = (v - 1 - sa) * na
+                # at zero seats the larger weight leads, then a
+                if ka < kb or ka == kb and (ka or na >= nb):
                     sa += 1
-                else:
-                    sb += 1
-            seats[a] = sa
-            seats[b] = sb
-            continue
-        sa = v * na // da
-        sb = v * nb // db
-        # at most one seat is left: keys (s + 1) / w, the tie to a
-        if sa + sb < v and (sa + 1) * pa <= (sb + 1) * pb:
-            sa += 1
+            elif (sa + 1) * nb <= (v - sa) * na:
+                sa += 1
         seats[a] = sa
         seats[b] = v - sa
     return seats
@@ -694,16 +690,16 @@ def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     t_c)`` after the seat, over ``Q_c``.  Each non-leaf child gets its
     list in ``caps``, unless that is None.
 
-    The children rank by ``(s + 1) * p`` against each other, ``p`` the
-    sibling's weight numerator times the child's own weight denominator;
-    the tie goes to the lower node id.  If the first-ranked child ``a`` is
-    at its cap, the other child ``b`` takes the seat and passes on ``cap *
-    w_b`` unclamped: with ``v`` the node's count after the seat, ranking
-    first gives ``s_a < v * w_a``, so ``cap <= s_a / w_a < v``, and then
-    ``cap * w_b - v_b = (s_a - cap * w_a) - (v - cap) < w_a * (v - cap) -
-    (v - cap) <= 0``.
+    The children rank by ``s + 1`` times the sibling's weight numerator,
+    ``(s + 1) / w`` times ``na * nb / d``, in steps of ``nb`` for ``a``
+    and ``na`` for ``b``; the tie goes to the lower node id.  If the
+    first-ranked child ``a`` is at its cap, the other child ``b`` takes
+    the seat and passes on ``cap * w_b`` unclamped: with ``v`` the node's
+    count after the seat, ranking first gives ``s_a < v * w_a``, so ``cap
+    <= s_a / w_a < v``, and then ``cap * w_b - v_b = (s_a - cap * w_a) -
+    (v - cap) < w_a * (v - cap) - (v - cap) <= 0``.
     """
-    _, a, b, na, da, nb, _, pa, pb = rec
+    _, a, b, na, nb, d = rec
     _, (qa, qb), (ka, kb), _, _ = uc
     add_a = add_b = None
     if caps is not None:
@@ -713,35 +709,35 @@ def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
         if kb:
             keep = caps[b] = []
             add_b = keep.append
-    sa = k // da * na
+    sa = k // d * na
     sb = k - sa
     ta, tb = sa * qa, sb * qb
-    # (s + 1) * p for each child, less the same s_a * p_a = s_b * p_b =
-    # k * na * nb: the lower one ranks first
-    ra, rb = pa, pb
+    # (s_a + 1) * nb and (s_b + 1) * na, less the same s_a * nb = s_b * na
+    # = k * na * nb / d: the lower one ranks first
+    ra, rb = nb, na
     for x in xs:
         if ra <= rb:
             y = x * na
             if ta < y:
                 ta += qa
-                ra += pa
+                ra += nb
                 if add_a:
                     add_a(y if y < ta else ta)
                 continue
             tb += qb
-            rb += pb
+            rb += na
             if add_b:
                 add_b(x * nb)
         else:
             y = x * nb
             if tb < y:
                 tb += qb
-                rb += pb
+                rb += na
                 if add_b:
                     add_b(y if y < tb else tb)
                 continue
             ta += qa
-            ra += pa
+            ra += nb
             if add_a:
                 add_a(x * na)
     seats[a] = ta // qa

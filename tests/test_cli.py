@@ -679,6 +679,12 @@ class TestExperiment:
         assert main(["experiment", "--family", "binary", "--height", "2", "--house-sizes", sizes]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_are_domain_errors(self, capsys, workers):
+        assert main(self.FLAGS + ["--workers", workers]) == 1
+        message = f"error: workers must be an integer of at least 1, got {workers}\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_empty_lists(self, capsys):
         # no methods stand for every method; no house sizes give no rows,
         # as in a config

@@ -384,6 +384,13 @@ class TestDeterminismAndParallel:
         assert made == pools
         assert table == emit_table(run_experiment(cfg))
 
+    @pytest.mark.parametrize("workers", [0, -3, True, False, 2.0, "2", None])
+    def test_workers_must_be_an_int_of_at_least_one(self, monkeypatch, workers):
+        # refused before any instance is drawn
+        monkeypatch.setattr(experiments, "_evaluate_batch", None)
+        with pytest.raises(ValueError, match="workers must be an integer of at least 1, got"):
+            run_experiment(self.CFG, workers=workers)
+
     def test_importing_the_package_leaves_multiprocessing_out(self):
         code = 'import sys, apportree, apportree.cli; print("multiprocessing" in sys.modules)'
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from apportree import (
     Allocation,
@@ -32,6 +32,7 @@ from apportree import (
     step,
 )
 
+import apportree.cli as cli
 import apportree.core as core
 import apportree.methods as methods
 from apportree.methods import _walk
@@ -827,6 +828,39 @@ class TestLevelCascade:
         assert report.upper_violation_count == 0
 
 
+def generated_instances():
+    """Generator trees: binary to height 6 and 4-ary to height 3, weights
+    up to 3, 10 or 1000."""
+    families = [TreeFamily(TreeKind.PERFECT_BINARY, k) for k in range(1, 7)]
+    families += [TreeFamily(TreeKind.FULL_4ARY, k) for k in range(1, 4)]
+    return st.builds(
+        random_instance, st.sampled_from(families), st.integers(0, 2**64 - 1), st.sampled_from([3, 10, 1000])
+    )
+
+
+class TestStepOnTheCascade:
+    """One seat walked on from the level-by-level counts at any ``h`` must
+    land on those at ``h + 1``: house monotonicity, the split's start,
+    the UC-quota period and its unrolling, far past the walk's reach."""
+
+    @settings(max_examples=500)
+    @given(
+        st.one_of(
+            st.sampled_from([3, 10, 1000]).flatmap(lambda w: irregular_instances(max_weight=w)),
+            generated_instances(),
+        ),
+        st.sampled_from(CASCADE_KINDS),
+        # log-uniform: a bit length k, then a house of k bits
+        st.sampled_from(range(41)).flatmap(lambda k: st.integers(1 << k >> 1, min(1 << k, 10**12))),
+    )
+    def test_one_step_reaches_the_next_house(self, inst, method, h):
+        assume(methods._work(method, h + 1, methods._splits(inst)) <= cli._WORK_BUDGET)
+        before = methods._cascade(inst, method, h)
+        after, path = step(inst, Allocation(h, tuple(before)), method)
+        assert after == Allocation(h + 1, tuple(methods._cascade(inst, method, h + 1)))
+        assert sorted(path) == [i for i, (x, y) in enumerate(zip(before, after.seats)) if x != y]
+
+
 PERIODIC_KINDS = (MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
 
 
@@ -1028,14 +1062,14 @@ class TestSplitPlan:
                 assert methods._work(method, 1000, splits) <= methods._work(method, 1000, bounds)
 
     def test_records(self, flat5, nested5):
-        # two children in id order with their cross products; for
-        # UC-quota the caps denominators, Q_0 = 1, Q_1 = 9 and both
-        # children's, the keep flags, the period L and D: the root's caps
-        # repeat every seat, so L = lcm(1, 9); node 1's children are
-        # leaves, which keep no caps, so it has no period
+        # two children in id order, their weight numerators and their one
+        # denominator; for UC-quota the caps denominators, Q_0 = 1, Q_1 =
+        # 9 and both children's, the keep flags, the period L and D: the
+        # root's caps repeat every seat, so L = lcm(1, 9); node 1's
+        # children are leaves, which keep no caps, so it has no period
         inst = reversed_children(nested5)
         assert methods._split_plan(inst) == (
-            [(0, 1, 2, 8, 9, 1, 9, 9, 72), (1, 3, 4, 8, 9, 1, 9, 9, 72)],
+            [(0, 1, 2, 8, 1, 9), (1, 3, 4, 8, 1, 9)],
             [(1, (9, 9), (True, False), 9, 9), (9, (81, 81), (False, False), 0, 9)],
         )
         # wider: the children, D, their weights, no fixed-point units, their
