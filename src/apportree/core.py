@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -63,12 +64,17 @@ def parse_weight(text: str) -> Fraction:
 
     Only non-negative integer numerators and positive integer denominators
     are accepted; decimals are rejected so that entitlements stay exact.
+    A number longer than Python converts from a string is refused too.
     """
     m = _WEIGHT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational 'p' or 'p/q' string: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2) or 1)
+    except ValueError:
+        # the digits match, so only the limit on digits can refuse them
+        raise ValueError(f"weight has a number of over {sys.get_int_max_str_digits()} digits") from None
     if den == 0:
         raise ValueError(f"zero denominator in weight: {text!r}")
     return Fraction(num, den)
@@ -138,6 +144,8 @@ class Instance:
 
         Raises :class:`InvalidInstanceError` unless the child lists reach
         each node exactly once, rather than walk a cycle or skip a node.
+        It is not :func:`validate_instance`'s walk, as it must also order
+        the invalid instances that :func:`instance_to_json` writes.
         """
         if self._order is None:
             n = len(self.parents)
@@ -179,158 +187,110 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
     for entitlements outside (0, 1] (or a root entitlement other than 1),
     and ``ChildrenWeightsNotNormalized`` with the exact sibling sum.
 
-    A valid instance is accepted by one breadth-first walk, :func:`_accept`,
-    which also builds and caches the integer arrays of :func:`_fast_arrays`.
-    Only once that walk meets a fault does the full report below run, so
-    the report alone decides which errors are returned and in what order.
+    One walk over the child lists checks every rule.  The root has no
+    parent and weighs 1; :func:`_node_faults` holds each other node's own
+    rules.  A listed child is a plain int in ``1..n-1``, listed once, under
+    the node its parent entry names; each group's listed nodes weigh 1 in
+    all, summed over the lcm of their denominators; the root reaches all.
+
+    The walk goes breadth first from the root and takes each node's share
+    ``rnum/rden`` as its parent's times its weight, so a valid instance
+    caches the arrays of :func:`_fast_arrays`.  It queues no group after
+    its first fault; then the same walk visits every node in id order and
+    reports each fault: parents, child lists, unlisted nodes, unreached
+    nodes, weights, sibling sums.
     """
-    if _accept(inst):
-        return []
-    # The full report.  Any rule added or changed here must be mirrored in
-    # _accept, which has to accept exactly what this reports nothing for;
-    # test_accept_pass_matches_root_walk_reference checks that they agree.
-    errors: list[StructuralError] = []
-    n = inst.n
-
-    if inst.parents[0] is not None:
-        errors.append(StructuralError(NON_TREE, 0, "root must have no parent"))
-    for i in range(1, n):
-        p = inst.parents[i]
-        if p is None:
-            errors.append(StructuralError(NON_TREE, i, "non-root node without a parent"))
-        elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
-            errors.append(StructuralError(NON_TREE, i, f"parent id {p!r} out of range"))
-        elif p == i:
-            errors.append(StructuralError(NON_TREE, i, "node is its own parent"))
-
-    # children lists must partition 1..n-1 consistently with the parent map;
-    # a child id must be a plain int, so a bool is not one
-    seen: set[int] = set()
-    sibling_lists = inst.children
-    for i in range(n):
-        for c in inst.children[i]:
-            if type(c) is not int or not 0 < c < n:
-                errors.append(StructuralError(NON_TREE, i, f"invalid child id {c!r}"))
-                sibling_lists = None
-            elif c in seen:
-                errors.append(StructuralError(NON_TREE, c, "node listed as child more than once"))
-            else:
-                seen.add(c)
-                if inst.parents[c] != i:
-                    errors.append(
-                        StructuralError(NON_TREE, c, "children list disagrees with parent map")
-                    )
-    for i in range(1, n):
-        if i not in seen and isinstance(inst.parents[i], int):
-            errors.append(StructuralError(NON_TREE, i, "node missing from its parent's child list"))
-
-    # connectivity: the child lists are now the exact inverse of the parent
-    # map, so a node reaches the root iff the search from the root finds it
-    # (its own search: bfs_order calls back here on a fault)
-    if not errors:
-        order = [0]
-        for i in order:
-            order.extend(inst.children[i])
-        reached = set(order)
-        for i in range(1, n):
-            if i not in reached:
-                errors.append(StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
-
-    weights = inst.weights
+    parents, weights, children = inst.parents, inst.weights, inst.children
+    n = len(parents)
     wnum = [w.numerator for w in weights]
     wden = [w.denominator for w in weights]
-    if weights[0] != 1:
-        errors.append(
-            StructuralError(WEIGHT_OUT_OF_RANGE, 0, f"root weight must be 1, got {weights[0]}")
-        )
-    for i in range(1, n):
-        if not 0 < wnum[i] <= wden[i]:
-            errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {weights[i]} not in (0, 1]"))
-
-    # each sibling sum in integers over the least common denominator, over
-    # the listed ids that name nodes
-    if sibling_lists is None:
-        sibling_lists = [[c for c in kids if type(c) is int and 0 < c < n] for kids in inst.children]
-    lcm = math.lcm
-    for i, kids in enumerate(sibling_lists):
-        if kids:
-            den = lcm(*[wden[c] for c in kids])
-            num = sum([wnum[c] * (den // wden[c]) for c in kids])
-            if num != den:
-                errors.append(
-                    StructuralError(
-                        CHILDREN_WEIGHTS_NOT_NORMALIZED, i,
-                        f"children weights sum to {Fraction(num, den)}",
-                    )
-                )
-    return errors
-
-
-def _accept(inst: Instance) -> bool:
-    """Accept a valid instance in one walk and cache its integer arrays.
-
-    Walks the child lists breadth first from the root.  Each listed child
-    must be a plain int in ``1..n-1`` not met before, whose parent entry is
-    an int (not a bool) naming the node that lists it, with a weight in
-    (0, 1]; each sibling group must sum to exactly 1, in integers over the
-    lcm of its denominators; the walk must reach all ``n`` nodes; the root
-    must have no parent and weigh 1.  These are to hold exactly when the
-    full report in :func:`validate_instance` finds nothing, so a rule
-    changed there is changed here too.  On the way, each node's
-    share ``rnum/rden`` is its parent's times its weight.
-
-    Returns ``False`` at the first condition that fails.  On success it
-    sets ``inst._fast`` and returns ``True``.
-    """
-    parents = inst.parents
-    children = inst.children
-    n = len(parents)
-    wnum = [w.numerator for w in inst.weights]
-    wden = [w.denominator for w in inst.weights]
-    if parents[0] is not None or wnum[0] != 1 or wden[0] != 1:
-        return False
     rnum = [1] * n
     rden = [1] * n
-    reached = bytearray(n)
-    order = [0]
     gcd = math.gcd
-    for i in order:
-        kids = children[i]
-        if not kids:
-            continue
-        a = rnum[i]
-        b = rden[i]
-        # the sibling weights' running sum t/m, m the lcm of their denominators
-        t = 0
-        m = 1
-        for c in kids:
-            if type(c) is not int or not 0 < c < n or reached[c]:
-                return False
-            p = parents[c]
-            # an int as the report takes it: int subclasses pass, bools do not
-            if p != i or type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
-                return False
-            num = wnum[c]
-            den = wden[c]
-            if not 0 < num <= den:
-                return False
-            reached[c] = 1
-            # the parent's share times the weight, cancelled crosswise as
-            # Fraction multiplication does, so both stay in lowest terms
-            g1 = gcd(a, den)
-            g2 = gcd(num, b)
-            rnum[c] = (a // g1) * (num // g2)
-            rden[c] = (b // g2) * (den // g1)
-            g = gcd(m, den)
-            t = t * (den // g) + num * (m // g)
-            m = m // g * den
-        if t != m:
-            return False
-        order.extend(kids)
-    if len(order) != n:
-        return False
-    inst._fast = (order, parents, rnum, rden, wnum, wden, children)
-    return True
+    order = [0]
+    # in id order a parent's share may not be known yet, and none is kept
+    ones = [1] * n
+    for walk, up_num, up_den in ((order, rnum, rden), (range(n), ones, ones)):
+        # (section of the report, node or listing node, error)
+        faults: list[tuple[int, int, StructuralError]] = []
+        if parents[0] is not None:
+            faults.append((0, 0, StructuralError(NON_TREE, 0, "root must have no parent")))
+        if wnum[0] != 1 or wden[0] != 1:
+            faults.append((4, 0, StructuralError(WEIGHT_OUT_OF_RANGE, 0, f"root weight must be 1, got {weights[0]}")))
+        seen = bytearray(n)
+        for i in walk:
+            kids = children[i]
+            if not kids:
+                continue
+            a, b = up_num[i], up_den[i]
+            # the sibling weights' running sum t/m, m the lcm of their
+            # denominators, over the listed ids that name nodes
+            t, m, skipped = 0, 1, 0
+            for c in kids:
+                if type(c) is not int or not 0 < c < n:
+                    faults.append((1, i, StructuralError(NON_TREE, i, f"invalid child id {c!r}")))
+                    skipped += 1
+                    continue
+                num, den = wnum[c], wden[c]
+                if seen[c]:
+                    faults.append((1, i, StructuralError(NON_TREE, c, "node listed as child more than once")))
+                else:
+                    seen[c] = 1
+                    p = parents[c]
+                    # a plain int parent entry equal to i, not c, and a weight in range pass
+                    if p != i or type(p) is not int or p == c or not 0 < num <= den:
+                        if p != i:
+                            faults.append((1, i, StructuralError(NON_TREE, c, "children list disagrees with parent map")))
+                        _node_faults(faults, inst, c)
+                # the parent's share times the weight, cancelled crosswise as
+                # Fraction multiplication does, so both stay in lowest terms
+                g1 = gcd(a, den)
+                g2 = gcd(num, b)
+                rnum[c] = (a // g1) * (num // g2)
+                rden[c] = (b // g2) * (den // g1)
+                g = gcd(m, den)
+                t = t * (den // g) + num * (m // g)
+                m = m // g * den
+            if t != m and skipped < len(kids):
+                faults.append((5, i, StructuralError(CHILDREN_WEIGHTS_NOT_NORMALIZED, i, f"children weights sum to {Fraction(t, m)}")))
+            # the breadth-first order grows only while all is well, so no group comes twice
+            if not faults:
+                order += kids
+        if walk is order and not faults and len(order) == n:
+            inst._fast = (order, parents, rnum, rden, wnum, wden, children)
+            return []
+
+    for i in range(1, n):
+        if not seen[i]:
+            _node_faults(faults, inst, i)
+            if isinstance(parents[i], int):
+                faults.append((2, i, StructuralError(NON_TREE, i, "node missing from its parent's child list")))
+    # connectivity: the child lists are now the exact inverse of the parent
+    # map, so a node reaches the root iff the search from the root finds it
+    if all(section > 2 for section, _, _ in faults):
+        reach = [0]
+        for i in reach:
+            reach += children[i]
+        reached = set(reach)
+        faults += [(3, i, StructuralError(NON_TREE, i, "node does not reach the root (cycle)"))
+                   for i in range(1, n) if i not in reached]
+    faults.sort(key=lambda fault: fault[:2])
+    return [error for _, _, error in faults]
+
+
+def _node_faults(faults: list, inst: Instance, i: int) -> None:
+    """Append node ``i``'s own faults: its parent must be an int (an int subclass
+    too, but not a bool) in range and not ``i``; its weight lies in (0, 1]."""
+    p = inst.parents[i]
+    if p is None:
+        faults.append((0, i, StructuralError(NON_TREE, i, "non-root node without a parent")))
+    elif not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < inst.n:
+        faults.append((0, i, StructuralError(NON_TREE, i, f"parent id {p!r} out of range")))
+    elif p == i:
+        faults.append((0, i, StructuralError(NON_TREE, i, "node is its own parent")))
+    w = inst.weights[i]
+    if not 0 < w <= 1:
+        faults.append((4, i, StructuralError(WEIGHT_OUT_OF_RANGE, i, f"weight {w} not in (0, 1]")))
 
 
 def require_valid(inst: Instance) -> Instance:
@@ -364,9 +324,8 @@ def _fast_arrays(inst: Instance):
     Returns ``(order, parents, rnum, rden, wnum, wden, children)`` where
     node ``i``'s relative entitlement is ``rnum[i]/rden[i]`` and its
     parent-relative entitlement ``wnum[i]/wden[i]``, both in lowest terms,
-    and ``order`` is breadth-first.  Built only for a valid instance, by
-    the walk that validates it: the first call goes through
-    :func:`require_valid`.
+    and ``order`` is breadth-first.  :func:`validate_instance` builds them
+    on its walk; the first call goes through :func:`require_valid`.
     """
     return require_valid(inst)._fast
 

@@ -1217,6 +1217,18 @@ class TestHostileDocuments:
         assert main(["allocate", path, "--method", "adams", "--seats", "3"]) == 1
         assert capsys.readouterr() == ("", expected)
 
+    def test_over_long_weight_gives_one_line(self, tmp_path, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python parses integers of any length")
+        digits = "1" * 5000
+        path = write(tmp_path, "bad.json", json.dumps(nodes((0, None, "1"), (1, 0, f"{digits}/{digits}"))))
+        message = f"weight has a number of over {sys.get_int_max_str_digits()} digits"
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr() == (f"WeightOutOfRange (node 1): {message}\n", "")
+        with pytest.raises(ValueError) as exc:
+            Instance([None, 0], ["1", digits])
+        assert str(exc.value) == message
+
 
 class TestHostileSizes:
     """Deep and wide inputs far past the benchmark's sizes.

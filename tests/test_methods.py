@@ -828,11 +828,11 @@ class TestLevelCascade:
         assert report.upper_violation_count == 0
 
 
-def generated_instances():
-    """Generator trees: binary to height 6 and 4-ary to height 3, weights
-    up to 3, 10 or 1000."""
-    families = [TreeFamily(TreeKind.PERFECT_BINARY, k) for k in range(1, 7)]
-    families += [TreeFamily(TreeKind.FULL_4ARY, k) for k in range(1, 4)]
+def generated_instances(min_height: int = 1):
+    """Generator trees: binary to height 6 and 4-ary to height 3, each
+    from ``min_height`` up, weights up to 3, 10 or 1000."""
+    families = [TreeFamily(TreeKind.PERFECT_BINARY, k) for k in range(min_height, 7)]
+    families += [TreeFamily(TreeKind.FULL_4ARY, k) for k in range(min_height, 4)]
     return st.builds(
         random_instance, st.sampled_from(families), st.integers(0, 2**64 - 1), st.sampled_from([3, 10, 1000])
     )
@@ -854,6 +854,23 @@ class TestStepOnTheCascade:
         st.sampled_from(range(41)).flatmap(lambda k: st.integers(1 << k >> 1, min(1 << k, 10**12))),
     )
     def test_one_step_reaches_the_next_house(self, inst, method, h):
+        self.check_step(inst, method, h)
+
+    # Below the root a node's caps repeat every period, and they are
+    # unrolled once its seats pass one period.  The draws above seldom
+    # give the upper-compliant method a tree tall enough and a house large
+    # enough, within its budget, to get there: these houses run from 2**7
+    # to 2**14.
+    @settings(max_examples=100)
+    @given(
+        generated_instances(min_height=3),
+        st.sampled_from(range(8, 15)).flatmap(lambda k: st.integers(1 << k >> 1, 1 << k)),
+    )
+    def test_uc_quota_steps_past_a_cap_period_on_tall_trees(self, inst, h):
+        self.check_step(inst, MethodKind.UC_QUOTA, h)
+
+    @staticmethod
+    def check_step(inst, method, h):
         assume(methods._work(method, h + 1, methods._splits(inst)) <= cli._WORK_BUDGET)
         before = methods._cascade(inst, method, h)
         after, path = step(inst, Allocation(h, tuple(before)), method)
