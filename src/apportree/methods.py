@@ -404,10 +404,6 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       At most ``b`` remain, and at ``v > b`` every start is at least 1.
       At ``v <= b`` the first ``v`` children by larger weight, then lower
       id, take one seat each: Adams' tie among children at zero seats.
-      At two children Adams too lands within one seat of ``floor(v *
-      w)``: had it given child ``a`` two seats past ``floor(v * w_a)``,
-      the key of ``a``'s last seat, ``(s_a - 1) / w_a``, would exceed
-      ``v``, while ``b``'s next key ``s_b / w_b`` stays below ``v``.
     * The quota method's split is periodic: with ``D`` the lcm of the
       children's weight denominators, every quota ``k * w`` is whole at
       ``k`` a multiple of ``D``, and the quota method, meeting both quotas
@@ -415,19 +411,27 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
       many.  From there every key ``(s + 1) / w`` and every cap ``t * w``
       moves by the same ``k``, so it starts every child at ``k * w`` for
       ``k = v - v mod D`` and gives out the last ``v mod D < D`` seats
-      under the caps ``k + 1, ..., v``.  A two-child node needs no cap:
-      Jefferson's lower quota for the one sibling keeps the chosen child
-      under it.
+      under the caps ``k + 1, ..., v``.  At two children it is
+      Jefferson's method: Jefferson's lower quota for the one sibling
+      keeps the chosen child under its cap.
 
-    A two-child node is split in locals: ``sa, r = divmod(v * na, d)``
-    is ``a``'s floor, exact at ``r = 0``; otherwise one comparison of the
-    two next keys places the one seat left, ``(s + 1) / w`` under
-    Jefferson and the quota method, the tie to ``a``, and ``s / w`` under
-    Adams, at zero seats to the larger weight, then to ``a``.  Any other
-    node is split by :func:`_split_wide`.  In locals :func:`_work` counts
-    one step for each of the upper-compliant method's seats (an upper
-    bound), and none for the other methods, which place at most one seat
-    by one comparison.
+    A two-child node, weights ``na / d`` and ``nb / d``, is split by one
+    floor division.  With ``s, r = divmod(v * na, d)`` and ``na + nb =
+    d``, the seat left over the floors goes to ``a``:
+
+    * under Jefferson and the quota method when ``(s + 1) * nb <= (v - s)
+      * na``, which is ``r >= nb``, so ``a`` holds ``s + [r >= nb] =
+      floor((v + 1) * na / d)``;
+    * under Adams when ``r > na``, or ``r == na`` and ``s > 0 or na >=
+      nb`` (equal keys; at zero seats the larger weight, then ``a``).
+      ``floor((v - 1) * na / d) + 1 = s + [r >= na]`` differs only at ``r
+      == na, s == 0``, that is ``v == 1``, where ``a`` holds 1 iff ``na
+      >= nb``.
+
+    Neither needs ``gcd(na, d) = 1``.  Any other node is split by
+    :func:`_split_wide`.  In locals :func:`_work` counts one step for each
+    of the upper-compliant method's seats (an upper bound), and none for
+    the other methods, which split a two-child node by one floor division.
 
     The upper-compliant method splits a node in one pass over the caps
     the node's seats bring, in arrival order.  The root's ``t``-th seat
@@ -519,20 +523,11 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
             continue
         i, a, b, na, nb, d = rec
         v = seats[i]
-        if not v:
-            continue
-        sa, r = divmod(v * na, d)
-        if r:
-            # one seat over the floors sa and v - 1 - sa; keys s_a / w_a
-            # and s_b / w_b compare as s_a * nb and s_b * na
-            if adams:
-                ka = sa * nb
-                kb = (v - 1 - sa) * na
-                # at zero seats the larger weight leads, then a
-                if ka < kb or ka == kb and (ka or na >= nb):
-                    sa += 1
-            elif (sa + 1) * nb <= (v - sa) * na:
-                sa += 1
+        # the closed forms of the docstring; at v = 0 both give a no seat
+        if adams:
+            sa = (v - 1) * na // d + 1 if v != 1 or na >= nb else 0
+        else:
+            sa = (v + 1) * na // d
         seats[a] = sa
         seats[b] = v - sa
     return seats

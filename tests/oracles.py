@@ -223,7 +223,9 @@ def validate_by_root_walks(inst: Instance) -> list[StructuralError]:
     n = inst.n
 
     def is_child_id(c) -> bool:
-        return isinstance(c, int) and not isinstance(c, bool) and 0 < c < n
+        # a plain int, as validate_instance requires; bool and other int
+        # subclasses are not child ids
+        return type(c) is int and 0 < c < n
 
     if inst.parents[0] is not None:
         errors.append(StructuralError(NON_TREE, 0, "root must have no parent"))

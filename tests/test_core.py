@@ -251,6 +251,8 @@ class TestValidation:
     @example(Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 2)], children=[[1, 1], [], []]))
     # an int subclass is an int parent
     @example(Instance([None, NodeId(0)], [1, 1]))
+    # but an int-subclass child id is not a child id
+    @example(Instance([None, 0, 0], [1, Fraction(1, 2), Fraction(1, 2)], children=[[1, NodeId(2)], [], []]))
     def test_matches_root_walk_reference(self, inst):
         assert validate_instance(inst) == validate_by_root_walks(inst)
 

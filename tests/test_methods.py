@@ -766,12 +766,16 @@ class TestLevelCascade:
 
     @pytest.mark.parametrize("method", [MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA])
     @pytest.mark.parametrize(
-        "pair", [(1, 1), (1, 2), (2, 1), (3, 5), (1, 9)], ids=lambda p: f"{p[0]}-{p[1]}"
+        "pair",
+        [(a, t - a) for t in range(2, 13) for a in range(1, t)],
+        ids=lambda p: f"{p[0]}-{p[1]}",
     )
     def test_two_child_splits_at_small_houses(self, method, pair):
-        # Two children are split in locals: Adams' zero-seat tie to the
-        # larger weight, then the lower id, and Jefferson's tie to the
-        # lower id, in both child orders and one level down as well.
+        # Two children are split by one floor division.  Every weight pair
+        # a / d, b / d with d = a + b <= 12, at every h up to 3 * d, reaches
+        # Adams' zero-seat tie to the larger weight, then the lower id,
+        # Adams' tie at v - 1 a multiple of d and Jefferson's at v * a mod
+        # d = b, in both child orders and one level down as well.
         a, b = pair
         top = flat_instance([Fraction(a, a + b), Fraction(b, a + b)])
         nested = Instance(
@@ -779,9 +783,10 @@ class TestLevelCascade:
             [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(a, a + b), Fraction(b, a + b)],
         )
         for inst in (top, reversed_children(top), nested, reversed_children(nested)):
-            for h in range(5):
-                walked, _ = _walk(inst, method, h)
+            walked = [0] * inst.n
+            for h in range(3 * (a + b) + 1):
                 assert run_method(inst, method, h).final.seats == tuple(walked)
+                _walk(inst, method, 1, walked)
 
     @pytest.mark.parametrize("method", list(MethodKind))
     def test_paths_are_walked_once_on_demand(self, deep7, method):
@@ -876,6 +881,88 @@ class TestStepOnTheCascade:
         after, path = step(inst, Allocation(h, tuple(before)), method)
         assert after == Allocation(h + 1, tuple(methods._cascade(inst, method, h + 1)))
         assert sorted(path) == [i for i, (x, y) in enumerate(zip(before, after.seats)) if x != y]
+
+
+def inserted_above(inst: Instance, x: int) -> Instance:
+    """``inst`` with a one-child node put above node ``x``: the new node
+    takes ``x``'s id, parent and weight, and old ``x`` becomes its only
+    child, id ``n`` and weight 1, holding ``x``'s children."""
+    n = inst.n
+    parents = list(inst.parents) + [x]
+    children = [list(kids) for kids in inst.children] + [list(inst.children[x])]
+    for c in inst.children[x]:
+        parents[c] = n
+    children[x] = [n]
+    return Instance(parents, list(inst.weights) + [Fraction(1)], children)
+
+
+def preorder_relabelled(inst: Instance) -> tuple[Instance, list[int]]:
+    """``inst`` with its ids renumbered in depth-first preorder, siblings
+    visited in id order, and the map from old ids to new.  Each sibling
+    group keeps its id order and its child-list order."""
+    new = [0] * inst.n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        new[i] = len(order)
+        order.append(i)
+        stack.extend(sorted(inst.children[i], reverse=True))
+    relabelled = Instance(
+        [None] + [new[inst.parents[i]] for i in order[1:]],
+        [inst.weights[i] for i in order],
+        [[new[c] for c in inst.children[i]] for i in order],
+    )
+    return relabelled, new
+
+
+class TestMetamorphicRelations:
+    """Two rewrites of a tree that must not move a seat, for all four
+    methods: a one-child node passes on its ``v`` seats and, since its
+    weight is 1 and no cap passes ``v``, its caps unchanged; and ties go
+    by id only within a sibling group."""
+
+    trees = st.one_of(
+        st.builds(
+            random_instance,
+            st.sampled_from(
+                [TreeFamily(kind, k) for kind in (TreeKind.PERFECT_BINARY, TreeKind.FULL_4ARY) for k in range(1, 5)]
+            ),
+            st.integers(0, 2**64 - 1),
+            st.sampled_from([3, 10, 1000]),
+        ),
+        irregular_instances(),
+    )
+    houses = st.one_of(st.sampled_from([0, 1, 7, 100, 1234, 5000]), st.integers(0, 5000))
+
+    @staticmethod
+    def seats(inst, h):
+        """Each method's seats at ``h``, None where the command line would
+        refuse the run."""
+        splits = methods._splits(inst)
+        return {
+            m: run_method(inst, m, h).final.seats if methods._work(m, h, splits) <= cli._WORK_BUDGET else None
+            for m in MethodKind
+        }
+
+    @settings(max_examples=150)
+    @given(trees, houses, st.data())
+    def test_a_one_child_node_inserted_above_any_node(self, inst, h, data):
+        x = data.draw(st.integers(0, inst.n - 1))
+        wider = inserted_above(inst, x)
+        before, after = self.seats(inst, h), self.seats(wider, h)
+        for m in MethodKind:
+            if before[m] is not None and after[m] is not None:
+                assert after[m] == before[m] + (before[m][x],)
+
+    @settings(max_examples=150)
+    @given(trees, houses)
+    def test_ids_relabelled_in_preorder(self, inst, h):
+        relabelled, new = preorder_relabelled(inst)
+        before, after = self.seats(inst, h), self.seats(relabelled, h)
+        for m in MethodKind:
+            if before[m] is not None and after[m] is not None:
+                assert [after[m][new[i]] for i in range(inst.n)] == list(before[m])
 
 
 PERIODIC_KINDS = (MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
