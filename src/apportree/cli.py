@@ -42,7 +42,7 @@ from .experiments import (
 from .generator import (
     TreeFamily,
     TreeKind,
-    build_tree,
+    _family_tree,
     random_instance,
 )
 from .methods import MethodKind, _family_splits, _splits, _work, run_method
@@ -214,15 +214,15 @@ def _cmd_experiment(args) -> int:
         if args.family is None or args.height is None:
             print("error: provide --config or both --family and --height", file=sys.stderr)
             return 2
+        given = {"instance_count": args.count, "base_seed": args.base_seed,
+                 "house_sizes": args.house_sizes, "max_weight": args.max_weight}
+        # a flag left out keeps ExperimentConfig's default
         config = ExperimentConfig(
             family=TreeFamily(TreeKind(args.family), args.height),
-            instance_count=args.count,
-            base_seed=args.base_seed,
-            house_sizes=args.house_sizes,
             methods=args.methods or ALL_METHODS,
-            max_weight=args.max_weight,
+            **{key: value for key, value in given.items() if value is not None},
         )
-    splits = _family_splits(build_tree(config.family), config.max_weight)
+    splits = _family_splits(_family_tree(config.family), config.max_weight)
     for kind in config.methods:
         _check_work(kind, max(config.house_sizes, default=0), splits)
     table = run_experiment(config, workers=args.workers)
@@ -313,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--family", choices=["binary", "4ary"])
     p.add_argument("--height", type=int)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--house-sizes", type=_comma_list(int, "integers"), default="100,500")
+    p.add_argument("--count", type=int)
+    p.add_argument("--base-seed", type=int)
+    p.add_argument("--house-sizes", type=_comma_list(int, "integers"))
     p.add_argument("--methods", type=_comma_list(MethodKind, "method names"), default=(),
                    help="comma-separated method names, all by default")
-    p.add_argument("--max-weight", type=int, default=10)
+    p.add_argument("--max-weight", type=int)
 
     p = command("oracle", "enumerate every both-quotas allocation (small instances)", _cmd_oracle)
     p.add_argument("instance")

@@ -185,7 +185,8 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
     Reports one entry per violated invariant with the offending node:
     ``NonTree`` for parent/cycle/connectivity defects, ``WeightOutOfRange``
     for entitlements outside (0, 1] (or a root entitlement other than 1),
-    and ``ChildrenWeightsNotNormalized`` with the exact sibling sum.
+    and ``ChildrenWeightsNotNormalized`` with the exact sibling sum (its size
+    if it has too many digits to print).
 
     One walk over the child lists checks every rule.  The root has no
     parent and weighs 1; :func:`_node_faults` holds each other node's own
@@ -252,7 +253,7 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
                 t = t * (den // g) + num * (m // g)
                 m = m // g * den
             if t != m and skipped < len(kids):
-                faults.append((5, i, StructuralError(CHILDREN_WEIGHTS_NOT_NORMALIZED, i, f"children weights sum to {Fraction(t, m)}")))
+                faults.append((5, i, StructuralError(CHILDREN_WEIGHTS_NOT_NORMALIZED, i, _sum_message(Fraction(t, m)))))
             # the breadth-first order grows only while all is well, so no group comes twice
             if not faults:
                 order += kids
@@ -276,6 +277,14 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
                    for i in range(1, n) if i not in reached]
     faults.sort(key=lambda fault: fault[:2])
     return [error for _, _, error in faults]
+
+
+def _sum_message(total: Fraction) -> str:
+    """A sibling sum's fault text: the sum, or its size past Python's int-to-str digit limit."""
+    try:
+        return f"children weights sum to {total}"
+    except ValueError:
+        return f"children weights do not sum to 1: their sum has a {total.denominator.bit_length()}-bit denominator"
 
 
 def _node_faults(faults: list, inst: Instance, i: int) -> None:

@@ -22,23 +22,23 @@ cross-multiplication, without forming them.
 Aggregation is exact and stays in integers until a row is complete.
 With ``rnum / rden`` a node's share, it is ``|s * rden - rnum * h| / rden``
 seats off, so over ``L``, the lcm of the instance's ``rden``, a cell's
-deviation sum and maximum are two integer numerators.  A row adds its
-cells' violation counts and puts their numerators over one common
-denominator, and builds its two Fractions once, from those sums.  Sums
-are keyed by instance index and commutative, so a parallel run over a
-worker pool produces byte-identical tables to a serial run of the same
-config.
+deviation sum and maximum are two integer numerators.  Instances are
+drawn one at a time and dropped once added.  All rows see the same
+instances, so they keep their numerators over one running denominator,
+the lcm of every ``L`` so far, and build their Fractions once, at the
+end.  The sums are commutative, so a parallel run over a worker pool
+produces byte-identical tables to a serial run of the same config.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import QuotaMode, _check_house, _fast_arrays, count_violations
 from .generator import TreeFamily, TreeKind, _family_tree, assign_entitlements
@@ -80,10 +80,11 @@ class ExperimentConfig:
             raise ValueError("house sizes must be at least 1")
 
 
-def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
-    """Every (method, house size) cell of one instance, method-major, as
-    ``(lower, upper, dev_num, max_num, den)``: violation counts, then the
-    deviations' sum and maximum over ``den``, the lcm of ``rden``."""
+def _cells(inst, methods, house_sizes, mode) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """``(common, cells)``: ``common`` the lcm of ``rden``, and every
+    (method, house size) cell of one instance, method-major, as
+    ``(lower, upper, dev_num, max_num)``: violation counts, then the
+    deviations' sum and maximum over ``common``."""
     _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
     common = math.lcm(*rden)
     # node i deviates by |s * rden - rnum * h| / rden seats, which is
@@ -94,8 +95,8 @@ def _cells(inst, methods, house_sizes, mode) -> list[tuple[int, ...]]:
         for h, quota in zip(house_sizes, quotas):
             seats = _cascade(inst, method, h)
             devs = [abs(s * common - q) for s, q in zip(seats, quota)]
-            cells.append((*count_violations(inst, seats, mode), sum(devs), max(devs), common))
-    return cells
+            cells.append((*count_violations(inst, seats, mode), sum(devs), max(devs)))
+    return common, cells
 
 
 @dataclass
@@ -110,11 +111,11 @@ class TableRow:
     family: TreeFamily
     n: int
     h: int
-    instance_count: int = 0
-    lower_violation_total: int = 0
-    upper_violation_total: int = 0
-    deviation_sum: Fraction = field(default_factory=Fraction)
-    deviation_max_sum: Fraction = field(default_factory=Fraction)
+    instance_count: int
+    lower_violation_total: int
+    upper_violation_total: int
+    deviation_sum: Fraction
+    deviation_max_sum: Fraction
 
     @property
     def lq_violation_rate_pct(self) -> Fraction:
@@ -139,20 +140,12 @@ class MetricsTable:
     rows: tuple[TableRow, ...]
 
 
-def _evaluate_batch(args) -> list[tuple[int, ...]]:
-    """Worker task: the cells of one generated instance for every
-    (method, house size), method-major like the table's rows."""
-    family, seed, max_weight, methods, house_sizes, mode = args
-    return _cells(assign_entitlements(_family_tree(family), seed, max_weight), methods, house_sizes, mode)
-
-
-def _add_cell(total: list[int], cell: tuple[int, ...]) -> None:
-    """Add one cell to a row's running sums, in the cell's own layout; both
-    deviation sums stay over the lcm of the denominators added so far."""
-    low, up, dev, dev_max, den = cell
-    common = math.lcm(total[4], den)
-    a, b = common // total[4], common // den
-    total[:] = total[0] + low, total[1] + up, total[2] * a + dev * b, total[3] * a + dev_max * b, common
+def _evaluate_batch(config: ExperimentConfig, seed: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Worker task: draw the instance of ``seed`` and return its
+    :func:`_cells` for every (method, house size), method-major like the
+    table's rows."""
+    inst = assign_entitlements(_family_tree(config.family), seed, config.max_weight)
+    return _cells(inst, config.methods, config.house_sizes, config.mode)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
@@ -160,37 +153,40 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
 
     ``workers`` > 1 spreads instances over a process pool of at most
     ``workers`` processes, and no more than there are instances or CPUs.
-    Cells come back as ints and each row sums them exactly as they come,
-    building its two deviation Fractions once at the end, so the result
-    is identical to the serial run.  The family's tree shape is built
-    once per process.  Seeds are ``base_seed + index``, so a config names
-    its instances independently of worker scheduling.  A ``workers``
-    that is not an int of at least 1 (a bool included) raises
-    :class:`ValueError`.
+    Cells come back as ints, one instance at a time, and each row sums
+    them exactly as they come, in any order, building its two deviation
+    Fractions once at the end, so the result is identical to the serial
+    run.  The family's tree shape is built once per process.  Seeds are
+    ``base_seed + index``, so a config names its instances independently
+    of worker scheduling.  A ``workers`` that is not an int of at least 1
+    (a bool included) raises :class:`ValueError`.
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     n = _family_tree(config.family).n
-    tasks = [
-        (config.family, config.base_seed + k, config.max_weight,
-         config.methods, config.house_sizes, config.mode)
-        for k in range(config.instance_count)
-    ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    keys = [(method, h) for method in config.methods for h in config.house_sizes]
+    evaluate = partial(_evaluate_batch, config)
+    seeds = range(config.base_seed, config.base_seed + config.instance_count)
+    common, sums = 1, [(0, 0, 0, 0)] * len(keys)
+    workers = min(workers, config.instance_count, os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool  # only here: it is slow to import
 
-        with Pool(workers) as pool:
-            batches = pool.map(_evaluate_batch, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+        pool = Pool(workers)
+        batches = pool.imap_unordered(evaluate, seeds, chunksize=max(1, len(seeds) // (workers * 4)))
     else:
-        batches = map(_evaluate_batch, tasks)
-    keys = [(method, h) for method in config.methods for h in config.house_sizes]
-    sums = [[0, 0, 0, 0, 1] for _ in keys]
-    for batch in batches:
-        for total, cell in zip(sums, batch):
-            _add_cell(total, cell)
+        pool, batches = nullcontext(), map(evaluate, seeds)
+    with pool:  # the pool's results are all read before it ends
+        for den, cells in batches:
+            total = math.lcm(common, den)
+            a, b = total // common, total // den
+            sums = [
+                (low + cell_low, up + cell_up, dev * a + cell_dev * b, top * a + cell_top * b)
+                for (low, up, dev, top), (cell_low, cell_up, cell_dev, cell_top) in zip(sums, cells)
+            ]
+            common = total
 
-    for (method, h), (low, up, *_) in zip(keys, sums):
+    for (method, h), (low, up, _, _) in zip(keys, sums):
         no_lower, no_upper = _GUARANTEES[method]
         for guaranteed, count, side in ((no_lower, low, "lower"), (no_upper, up, "upper")):
             if guaranteed and count:
@@ -200,8 +196,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
 
     return MetricsTable(config, tuple(
         TableRow(method, config.family, n, h, config.instance_count, low, up,
-                 Fraction(dev_num, den), Fraction(max_num, den))
-        for (method, h), (low, up, dev_num, max_num, den) in zip(keys, sums)
+                 Fraction(dev, common), Fraction(top, common))
+        for (method, h), (low, up, dev, top) in zip(keys, sums)
     ))
 
 
@@ -237,21 +233,14 @@ def _row_cells(row: TableRow) -> list[str]:
 
 
 def emit_table(table: MetricsTable, format: str = "csv") -> str:
-    """Render a table as ``"csv"`` or ``"md"`` (markdown), 4 decimal places either way."""
+    """Render a table as ``"csv"`` or ``"md"`` (markdown), 4 decimal places
+    either way.  No cell holds a comma, quote or line break to escape."""
+    rows = [_CSV_COLUMNS, *map(_row_cells, table.rows)]
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in table.rows:
-            writer.writerow(_row_cells(row))
-        return buf.getvalue()
+        return "".join(",".join(row) + "\n" for row in rows)
     if format == "md":
-        lines = [
-            "| " + " | ".join(_CSV_COLUMNS) + " |",
-            "|" + "|".join("---" for _ in _CSV_COLUMNS) + "|",
-        ]
-        for row in table.rows:
-            lines.append("| " + " | ".join(_row_cells(row)) + " |")
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        lines.insert(1, "|---" * len(_CSV_COLUMNS) + "|")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown table format: {format!r}")
 

@@ -155,10 +155,11 @@ def assign_entitlements(skeleton: TreeSkeleton, seed: Seed, max_weight: int = 10
     Every child gets an integer weight uniform in ``[1, max_weight]``;
     sibling weights are normalized to exact rationals summing to 1.  Draws
     happen in breadth-first node order and child order, so the instance is
-    a pure function of (skeleton, seed, max_weight).
+    a pure function of (skeleton, seed, max_weight).  A ``max_weight`` not
+    an int of at least 1 (a bool included) raises :class:`ValueError`.
     """
-    if max_weight < 1:
-        raise ValueError("max_weight must be at least 1")
+    if not isinstance(max_weight, int) or isinstance(max_weight, bool) or max_weight < 1:
+        raise ValueError(f"max_weight must be an integer of at least 1, got {max_weight!r}")
     rng = SplitMix64(seed)
     n = skeleton.n
     weights: list[Fraction] = [Fraction(1)] * n

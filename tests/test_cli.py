@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -27,6 +28,7 @@ from apportree import (
     allocation_to_json,
     brute_force_both_quotas,
     check_allocation,
+    emit_table,
     instance_from_json,
     instance_to_json,
     run_experiment,
@@ -655,6 +657,11 @@ class TestExperiment:
     def test_requires_config_or_family(self, capsys):
         assert main(["experiment"]) == 2
 
+    def test_flags_left_out_take_the_config_defaults(self, capsys):
+        assert main(["experiment", "--family", "binary", "--height", "1"]) == 0
+        config = ExperimentConfig(TreeFamily(TreeKind.PERFECT_BINARY, 1))
+        assert capsys.readouterr() == (emit_table(run_experiment(config)), "")
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -1212,6 +1219,25 @@ class TestHostileDocuments:
     def test_error_lines_are_frozen(self, case, tmp_path, capsys):
         doc, expected = self.CASES[case]
         path = write(tmp_path, "bad.json", json.dumps(doc))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr() == (expected, "")
+        assert main(["allocate", path, "--method", "adams", "--seats", "3"]) == 1
+        assert capsys.readouterr() == ("", expected)
+
+    def test_over_long_sibling_sum_gives_one_line(self, tmp_path, capsys):
+        # 2000 children weighing 1/p over the first 2000 primes p: the
+        # sum's denominator is their product, of over 7000 digits
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python prints integers of any length")
+        primes = [p for p in range(2, 17390) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert len(primes) == 2000
+        doc = nodes((0, None, "1"), *((k, 0, f"1/{p}") for k, p in enumerate(primes, 1)))
+        path = write(tmp_path, "star.json", json.dumps(doc))
+        bits = math.prod(primes).bit_length()
+        expected = (
+            "ChildrenWeightsNotNormalized (node 0): children weights do not sum to 1: "
+            f"their sum has a {bits}-bit denominator\n"
+        )
         assert main(["validate", path]) == 1
         assert capsys.readouterr() == (expected, "")
         assert main(["allocate", path, "--method", "adams", "--seats", "3"]) == 1

@@ -149,6 +149,15 @@ class TestInstanceBasics:
         with pytest.raises(ValueError, match="one list per node"):
             Instance([None, 0], [1, 1], children)
 
+    @pytest.mark.parametrize(
+        "parents, weights, message",
+        [([], [], "at least the root node"), ([None], [1, 1], "equal length")],
+        ids=["empty", "weights-too-many"],
+    )
+    def test_parents_and_weights_need_one_entry_per_node(self, parents, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Instance(parents, weights)
+
     def test_ancestors_root_is_its_own(self, sym7):
         assert ancestors_of(sym7, 0) == [0]
 
@@ -170,6 +179,9 @@ class TestInstanceBasics:
         assert sym7 == other
         assert hash(sym7) == hash(other)
         assert sym7 != Instance([None], [1])
+        # another type is left to its own comparison, so it is unequal
+        assert sym7.__eq__(object()) is NotImplemented
+        assert (sym7 == object(), sym7 != object()) == (False, True)
 
 
 class TestValidation:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from apportree import (
     run_experiment,
     run_method,
 )
+from apportree.cli import main
 
 from conftest import irregular_instances
 from oracles import deviations_by_fractions, rows_by_summed_metrics
@@ -44,7 +47,8 @@ FOURARY3 = TreeFamily(TreeKind.FULL_4ARY, 3)
 def one_cell(inst, method, h, mode=QuotaMode.ALL_ANCESTORS):
     """One instance's (method, h) cell: violation counts, then the
     deviations' sum and maximum as Fractions."""
-    low, up, dev_num, max_num, den = experiments._cells(inst, (method,), (h,), mode)[0]
+    den, cells = experiments._cells(inst, (method,), (h,), mode)
+    low, up, dev_num, max_num = cells[0]
     return low, up, Fraction(dev_num, den), Fraction(max_num, den)
 
 
@@ -237,11 +241,36 @@ class TestRowsAreSumsOfCells:
             run_experiment(cfg)
 
     def test_worker_batch_holds_only_ints(self):
-        task = (FOURARY3, 5, 10, ALL_METHODS, (100, 500), QuotaMode.ALL_ANCESTORS)
-        batch = experiments._evaluate_batch(task)
+        den, batch = experiments._evaluate_batch(ExperimentConfig(FOURARY3, house_sizes=(100, 500)), 5)
+        assert type(den) is int
         assert len(batch) == 8
-        assert all(type(cell) is tuple and len(cell) == 5 for cell in batch)
+        assert all(type(cell) is tuple and len(cell) == 4 for cell in batch)
         assert all(type(v) is int for cell in batch for v in cell)
+
+    def test_serial_memory_does_not_grow_with_the_instance_count(self):
+        def config(count):
+            family = TreeFamily(TreeKind.PERFECT_BINARY, 1)
+            return ExperimentConfig(family, instance_count=count, house_sizes=(1,), methods=(MethodKind.ADAMS,))
+
+        # The first run builds the family tree and fills the interpreter's
+        # free lists; the collector, which empties them, stays off while
+        # memory is traced.
+        run_experiment(config(3000))
+        peaks = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for count in (300, 3000):
+                tracemalloc.start()
+                try:
+                    run_experiment(config(count))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            if enabled:
+                gc.enable()
+        assert peaks[1] <= peaks[0] + 1024
 
     def test_serial_run_builds_each_family_tree_once(self, monkeypatch):
         calls = []
@@ -264,6 +293,9 @@ class TestRowsAreSumsOfCells:
             run_experiment(ExperimentConfig(FOURARY3, instance_count=7, house_sizes=(20, 40)))
             run_experiment(ExperimentConfig(BINARY3, instance_count=3, base_seed=50))
             assert calls == [BINARY3, FOURARY3]
+            # the command bounds the work on the same tree that the run draws on
+            assert main(["experiment", "--family", "binary", "--height", "2", "--count", "2"]) == 0
+            assert calls == [BINARY3, FOURARY3, TreeFamily(TreeKind.PERFECT_BINARY, 2)]
         finally:
             generator._family_tree.cache_clear()
 
@@ -374,8 +406,9 @@ class TestDeterminismAndParallel:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return list(map(fn, tasks))
+            def imap_unordered(self, fn, tasks, chunksize=1):
+                # last instance first: rows must not depend on the order
+                return reversed([fn(task) for task in tasks])
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

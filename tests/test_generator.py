@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,15 @@ class TestAssignEntitlements:
         skel = build_tree(TreeFamily(TreeKind.PERFECT_BINARY, 1))
         inst = assign_entitlements(skel, seed=0, max_weight=1)
         assert inst.weights[1] == inst.weights[2] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, "3", True])
+    def test_max_weight_must_be_an_int_of_at_least_one(self, bad):
+        family = TreeFamily(TreeKind.PERFECT_BINARY, 1)
+        message = f"max_weight must be an integer of at least 1, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assign_entitlements(build_tree(family), seed=0, max_weight=bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_instance(family, 0, bad)
 
     @given(st.sampled_from(list(TreeKind)), st.integers(1, 3), st.integers(0, 2**64 - 1))
     def test_generated_instances_validate(self, kind, height, seed):
