@@ -19,6 +19,7 @@ from .core import (
     InvalidInstanceError,
     QuotaMode,
     _audit,
+    _fast_arrays,
     _instance_text,
     _quotas,
     allocation_from_json,
@@ -45,7 +46,7 @@ from .generator import (
     _family_tree,
     random_instance,
 )
-from .methods import MethodKind, _family_splits, _splits, _work, run_method
+from .methods import MethodKind, _splits, _work, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
 
@@ -104,12 +105,14 @@ def _load(path: str, parse):
         raise
 
 
-def _check_work(kind: MethodKind, h: int, splits) -> None:
-    work = _work(kind, h, splits)
-    if work > _WORK_BUDGET:
-        raise ValueError(
-            f"{kind.value} at h={h} may take {work} steps, over the budget of {_WORK_BUDGET}"
-        )
+def _check_work(kinds, h: int, children, den) -> None:
+    splits = _splits(children, den)
+    for kind in kinds:
+        work = _work(kind, h, splits)
+        if work > _WORK_BUDGET:
+            raise ValueError(
+                f"{kind.value} at h={h} may take {work} steps, over the budget of {_WORK_BUDGET}"
+            )
 
 
 def _cmd_validate(args) -> int:
@@ -134,7 +137,7 @@ def _cmd_allocate(args) -> int:
         print(allocation_to_json(alloc))
         return 0
     kind = MethodKind(args.method)
-    _check_work(kind, h, _splits(inst))
+    _check_work([kind], h, inst.children, _fast_arrays(inst)[5])
     if args.trajectory and (h + 1) * inst.n > _TRAJECTORY_BUDGET:
         raise ValueError(
             f"--trajectory at h={h} on a tree of {inst.n} nodes prints {(h + 1) * inst.n} "
@@ -209,11 +212,17 @@ def _cmd_generate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.config:
-        config = _load(args.config, config_from_json)
-    else:
-        if args.family is None or args.height is None:
-            print("error: provide --config or both --family and --height", file=sys.stderr)
+        # the file describes the whole experiment, so these flags would go unread
+        keys = ("family", "height", "count", "base_seed", "house_sizes", "methods", "max_weight")
+        extra = ["--" + key.replace("_", "-") for key in keys if getattr(args, key) is not None]
+        if extra:
+            print(f"error: --config cannot be combined with {', '.join(extra)}", file=sys.stderr)
             return 2
+        config = _load(args.config, config_from_json)
+    elif args.family is None or args.height is None:
+        print("error: provide --config or both --family and --height", file=sys.stderr)
+        return 2
+    else:
         given = {"instance_count": args.count, "base_seed": args.base_seed,
                  "house_sizes": args.house_sizes, "max_weight": args.max_weight}
         # a flag left out keeps ExperimentConfig's default
@@ -222,9 +231,10 @@ def _cmd_experiment(args) -> int:
             methods=args.methods or ALL_METHODS,
             **{key: value for key, value in given.items() if value is not None},
         )
-    splits = _family_splits(_family_tree(config.family), config.max_weight)
-    for kind in config.methods:
-        _check_work(kind, max(config.house_sizes, default=0), splits)
+    # a drawn weight's denominator divides its group's sum of draws
+    tree = _family_tree(config.family)
+    den = [len(tree.children[p]) * config.max_weight if i else 1 for i, p in enumerate(tree.parents)]
+    _check_work(config.methods, max(config.house_sizes, default=0), tree.children, den)
     table = run_experiment(config, workers=args.workers)
     sys.stdout.write(emit_table(table, args.out))
     return 0
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--base-seed", type=int)
     p.add_argument("--house-sizes", type=_comma_list(int, "integers"))
-    p.add_argument("--methods", type=_comma_list(MethodKind, "method names"), default=(),
+    p.add_argument("--methods", type=_comma_list(MethodKind, "method names"),
                    help="comma-separated method names, all by default")
     p.add_argument("--max-weight", type=int)
 

@@ -96,7 +96,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_shares", "_fast", "_order", "_plan")
+    __slots__ = ("parents", "weights", "children", "_fast", "_order", "_plan")
 
     def __init__(
         self,
@@ -128,7 +128,6 @@ class Instance:
             self.children = tuple(map(tuple, children))
             if len(self.children) != n:
                 raise ValueError("children must hold one list per node")
-        self._shares: tuple[Fraction, ...] | None = None
         # set by validate_instance once the instance is valid, so it marks validity
         self._fast = None
         self._order: tuple[int, ...] | None = None
@@ -319,12 +318,10 @@ def relative_entitlements(inst: Instance) -> tuple[Fraction, ...]:
     """All relative entitlements: node i's share of the whole house.
 
     The root's is 1; every other node's is its entitlement times its
-    parent's relative entitlement, computed exactly.
+    parent's relative entitlement, computed exactly on each call.
     """
-    if inst._shares is None:
-        _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
-        inst._shares = tuple(map(Fraction, rnum, rden))
-    return inst._shares
+    _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
+    return tuple(map(Fraction, rnum, rden))
 
 
 def _fast_arrays(inst: Instance):

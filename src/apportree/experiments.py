@@ -173,7 +173,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
         from multiprocessing import Pool  # only here: it is slow to import
 
         pool = Pool(workers)
-        batches = pool.imap_unordered(evaluate, seeds, chunksize=max(1, len(seeds) // (workers * 4)))
+        # a task's results go back as one message, so it holds at most 256 instances
+        batches = pool.imap_unordered(evaluate, seeds, chunksize=min(max(1, len(seeds) // (workers * 4)), 256))
     else:
         pool, batches = nullcontext(), map(evaluate, seeds)
     with pool:  # the pool's results are all read before it ends

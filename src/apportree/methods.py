@@ -50,17 +50,18 @@ comparisons.  ``Q_i`` grows with depth, so a node whose children's
 denominator)`` pairs, and its subtree keeps that form, where clamping a
 cap to a count resets its denominator to 1.
 
-A node with two children is split in locals, unless it hands caps on
-as pairs, and every other node by one heap loop, :func:`_split_wide`,
-for caps in either form.  :func:`_work` bounds the steps of all four
-methods from each split's cost, and the command line refuses a run over
-a fixed budget of them; the library sets no bound.  What a split reads
-of a node that does not depend on ``h`` (its sorted children, their
-weights, key units or steps, ``D``, and for the upper-compliant method
-``Q_i``, the pairs mark and the period) is built by one walk,
-:func:`_build_plan`, on an instance's first allocation by any method,
-and kept.  The walk reads none of it: it stays the trajectory API and
-the reference the cascade is tested against.
+A node with two children is split in locals, unless it hands caps on as
+pairs, and every other node by one heap loop, :func:`_split_wide`, for
+caps in either form.  :func:`_work` bounds the steps of all four methods
+from each split's cost, known from the child lists and weight
+denominators alone, and the command line refuses a run over a fixed
+budget of them; the library sets no bound.  What a split reads of a node
+that does not depend on ``h`` (its sorted children, their weights, key
+units or steps, ``D``, and for the upper-compliant method ``Q_i``, the
+pairs mark and the period) is built by one walk, :func:`_build_plan`, on
+an instance's first allocation by any method, and kept.  The walk reads
+none of it: it stays the trajectory API and the reference the cascade is
+tested against.
 """
 
 from __future__ import annotations
@@ -208,14 +209,6 @@ def step(inst: Instance, alloc: Allocation, method: MethodKind | str) -> tuple[A
     return Allocation(alloc.h + 1, tuple(seats)), paths[0]
 
 
-def _split_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
-    """The instance's split plan (see :func:`_build_plan`), built on first use and kept."""
-    plan = inst._plan
-    if plan is None:
-        plan = inst._plan = _build_plan(inst)
-    return plan
-
-
 def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
     """What every cascade reads of each node, whatever the house size, in
     one walk: two lists of one record per node with children, in
@@ -326,40 +319,34 @@ def _wide_record(i: int, kids, wnum, wden) -> tuple:
     return (i, kids, None, math.lcm(*wd), wn, wd, unit, steps, first)
 
 
-def _splits(inst: Instance) -> list[tuple[int, int, int, bool]]:
-    """What :func:`_work` reads of a tree: ``(depth, b, D, pairs)`` of each
-    node with ``b`` children, ``D`` the lcm of their weight denominators,
-    and ``pairs`` whether it hands its caps on as pairs, the last three
-    from the split plan, which this builds if need be."""
-    order, parents = _fast_arrays(inst)[:2]
-    depth = [0] * inst.n
-    for i in order[1:]:
-        depth[i] = depth[parents[i]] + 1
-    plan, uc = _split_plan(inst)
-    return [(depth[rec[0]], len(u[2]), u[4], not u[1]) for rec, u in zip(plan, uc)]
-
-
-def _family_splits(skeleton, max_weight: int) -> list[tuple[int, int, int, bool]]:
-    """``(depth, b, D, pairs)`` bounds for every tree drawn onto
-    ``skeleton`` with weights up to ``max_weight``, node by node.
-
-    A generated sibling group's weights are integer draws in ``[1,
-    max_weight]`` over their sum, so ``D`` divides that sum, which is at
-    most ``b * max_weight``.  The product of those bounds down to a node's
-    children bounds their ``Q``, so past ``_Q_LIMIT`` (where it is held)
-    the node is marked as handing its caps on as pairs.
-    """
-    depth = [0] * skeleton.n
-    qs = [1] * skeleton.n
-    for i in range(1, skeleton.n):
-        p = skeleton.parents[i]
-        depth[i] = depth[p] + 1
-        qs[i] = min(qs[p] * len(skeleton.children[p]) * max_weight, _Q_LIMIT + 1)
-    return [
-        (depth[i], len(kids), len(kids) * max_weight, qs[i] * len(kids) * max_weight > _Q_LIMIT)
-        for i, kids in enumerate(skeleton.children)
-        if kids
-    ]
+def _splits(children, den) -> list[tuple[int, int, int, bool]]:
+    """What :func:`_work` reads of a tree from its child lists and ``den``
+    alone: ``(depth, b, D, pairs)`` of each node with ``b`` children, in
+    breadth-first order.  ``den[c]`` is node ``c``'s weight denominator
+    (the root's 1), or a bound on it, the same for siblings; ``D`` is the
+    lcm of the children's, and ``pairs`` :func:`_build_plan`'s rule: the
+    node's ``Q`` (the product of ``den`` down from the root, 0 below a node
+    marked ``pairs``) times the children's largest ``den`` passes
+    ``_Q_LIMIT``.  Two sibling weights in lowest terms that sum to 1 share
+    their denominator, so a two-child node reads its first child's."""
+    splits = []
+    level, depth = [((0,), 1)], 0  # child lists, each with its parent's Q
+    while level:
+        below = []
+        for kids, qp in level:
+            for c in kids:
+                if grand := children[c]:
+                    q = qp * den[c]
+                    if len(grand) == 2:
+                        d = top = den[grand[0]]
+                    else:
+                        ds = [den[g] for g in grand]
+                        d, top = math.lcm(*ds), max(ds)
+                    pairs = not q or q * top > _Q_LIMIT
+                    splits.append((depth, len(grand), d, pairs))
+                    below.append((grand, 0 if pairs else q))
+        level, depth = below, depth + 1
+    return splits
 
 
 def _work(kind: MethodKind, h: int, splits) -> int:
@@ -391,10 +378,10 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
 
     Each node, in breadth-first order, splits its seats among its children
     as the single-level method would, reading its records of the
-    instance's split plan (:func:`_build_plan`).  The divisor methods
-    jump-start every child at a count its first seats provably reach
-    before the walk's ``v``-th seat, then give out the few left one by
-    one:
+    instance's split plan (:func:`_build_plan`), built on the instance's
+    first cascade and kept.  The divisor methods jump-start every child at
+    a count its first seats provably reach before the walk's ``v``-th
+    seat, then give out the few left one by one:
 
     * Jefferson starts at ``floor(v * w)``: each of those seats has key
       ``k / w <= v``, and there are at most ``v`` such seats in all, so
@@ -461,7 +448,9 @@ def _cascade(inst: Instance, kind: MethodKind, h: int) -> list[int]:
     two-child node that hands caps on in one list over ``Q_i`` (see the
     module docstring), :func:`_uc_split_wide` every other node.
     """
-    plan, ucplan = _split_plan(inst)
+    if inst._plan is None:
+        inst._plan = _build_plan(inst)
+    plan, ucplan = inst._plan
     seats = [0] * inst.n
     seats[0] = h
     if kind is MethodKind.UC_QUOTA:

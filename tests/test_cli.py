@@ -164,6 +164,23 @@ class TestAllocate:
             "error: ucquota at h=1000000000 may take 2000000000 steps, over the budget of 8000000\n",
         )
 
+    def test_refused_allocate_builds_no_plan(self, sym7_file, tmp_path, capsys, monkeypatch):
+        # the work bound reads the child lists and weight denominators
+        # alone, caps handed on as pairs included
+        calls = []
+        original = methods._build_plan
+        monkeypatch.setattr(methods, "_build_plan", lambda inst: calls.append(inst) or original(inst))
+        spine = write(tmp_path, "spine.json", instance_to_json(heavy_spine(1000)))
+        for path, h, line in (
+            (sym7_file, 10**9, "error: ucquota at h=1000000000 may take 2000000000 steps, over the budget of 8000000\n"),
+            (spine, 4009, "error: ucquota at h=4009 may take 8001964 steps, over the budget of 8000000\n"),
+        ):
+            assert main(["allocate", path, "--method", "ucquota", "--seats", str(h)]) == 1
+            assert capsys.readouterr() == ("", line)
+        assert calls == []
+        assert main(["allocate", sym7_file, "--method", "ucquota", "--seats", "10"]) == 0
+        assert len(calls) == 1
+
     def test_uc_quota_budget_is_h_times_height(self, sym7_file, flat5_file, capsys, monkeypatch):
         # sym7 is binary of height 2, a step a seat at each level: ten
         # seats are 20 steps, eleven are 22
@@ -654,6 +671,25 @@ class TestExperiment:
         assert main(["experiment", "--config", path]) == 0
         assert capsys.readouterr().out == from_flags
 
+    def test_config_with_experiment_flags_is_a_usage_error(self, tmp_path, capsys):
+        # The file describes the whole experiment, so a flag that does
+        # too would go unread: one error line names every such flag.
+        cfg = {"family": {"kind": "binary", "height": 2}, "instance_count": 3,
+               "house_sizes": [10], "methods": ["adams"]}
+        path = write(tmp_path, "c.json", json.dumps(cfg))
+        argv = ["experiment", "--config", path]
+        extra = ["--count", "50", "--family", "4ary", "--height", "3", "--methods", "quota"]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == (
+            "", "error: --config cannot be combined with --family, --height, --count, --methods\n"
+        )
+        for flag, value in (("--base-seed", "1"), ("--house-sizes", "5"), ("--max-weight", "3"), ("--methods", "")):
+            assert main(argv + [flag, value]) == 2
+            assert capsys.readouterr() == ("", f"error: --config cannot be combined with {flag}\n")
+        # the output format and the worker count stay free
+        assert main(argv + ["--out", "md", "--workers", "1"]) == 0
+        assert capsys.readouterr().out.startswith("| method | family |")
+
     def test_requires_config_or_family(self, capsys):
         assert main(["experiment"]) == 2
 
@@ -776,7 +812,7 @@ class TestExperiment:
         # With draws up to 10**6, D <= 2 * 10**6 at each binary node, so
         # the bound on the children's caps denominator passes 2**60 from
         # depth 2 down: 1 + 1 + 2 + 2 + 2 = 8 steps a seat on binary
-        # height 5 (methods._family_splits is tested in test_methods).
+        # height 5 (the family bound of methods._splits is tested in test_methods).
         flags = [
             "experiment", "--family", "binary", "--height", "5", "--max-weight", "1000000",
             "--methods", "ucquota", "--house-sizes",

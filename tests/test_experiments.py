@@ -417,6 +417,34 @@ class TestDeterminismAndParallel:
         assert made == pools
         assert table == emit_table(run_experiment(cfg))
 
+    @pytest.mark.parametrize("count, chunk", [(10**6, 256), (4 * 10**5, 256), (2000, 250), (3, 1)])
+    def test_pool_tasks_hold_a_bounded_number_of_instances(self, monkeypatch, count, chunk):
+        # A stand-in pool of two processes records the chunk size and
+        # evaluates nothing: a task of many instances would be sent back
+        # as one message, so the calling process's memory would grow with
+        # the count.
+        sizes = []
+
+        class ChunkPool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks, chunksize=1):
+                sizes.append((len(tasks), chunksize))
+                return iter(())
+
+        monkeypatch.setattr(multiprocessing, "Pool", ChunkPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_evaluate_batch", lambda *args: pytest.fail("evaluated"))
+        run_experiment(ExperimentConfig(BINARY3, instance_count=count), workers=2)
+        assert sizes == [(count, chunk)]
+
     @pytest.mark.parametrize("workers", [0, -3, True, False, 2.0, "2", None])
     def test_workers_must_be_an_int_of_at_least_one(self, monkeypatch, workers):
         # refused before any instance is drawn

@@ -58,6 +58,12 @@ from oracles import (
 method_kinds = st.sampled_from(list(MethodKind))
 
 
+def splits_of(inst: Instance) -> list[tuple[int, int, int, bool]]:
+    """What the command line's work bound reads of ``inst``."""
+    _, _, _, _, _, wden, children = core._fast_arrays(inst)
+    return methods._splits(children, wden)
+
+
 class TestKnownAllocations:
     def test_adams_sym7(self, sym7):
         traj = run_method(sym7, MethodKind.ADAMS, 6)
@@ -876,7 +882,7 @@ class TestStepOnTheCascade:
 
     @staticmethod
     def check_step(inst, method, h):
-        assume(methods._work(method, h + 1, methods._splits(inst)) <= cli._WORK_BUDGET)
+        assume(methods._work(method, h + 1, splits_of(inst)) <= cli._WORK_BUDGET)
         before = methods._cascade(inst, method, h)
         after, path = step(inst, Allocation(h, tuple(before)), method)
         assert after == Allocation(h + 1, tuple(methods._cascade(inst, method, h + 1)))
@@ -939,7 +945,7 @@ class TestMetamorphicRelations:
     def seats(inst, h):
         """Each method's seats at ``h``, None where the command line would
         refuse the run."""
-        splits = methods._splits(inst)
+        splits = splits_of(inst)
         return {
             m: run_method(inst, m, h).final.seats if methods._work(m, h, splits) <= cli._WORK_BUDGET else None
             for m in MethodKind
@@ -1051,15 +1057,21 @@ PRIMES = first_primes(10**4)
 
 class TestSplitPlan:
     """Each instance's per-node split data is built once, on its first
-    cascade or work bound, and only there."""
+    cascade, and only there: the work bound reads the child lists and
+    weight denominators alone."""
 
     def test_plan_is_built_once(self, deep7, monkeypatch):
-        # one walk builds what every method reads, whichever needs it
-        # first: the work bound, as on the command line, or a cascade
+        # the work bound, as on the command line, builds no plan; one
+        # walk on the first cascade builds what every method reads
         calls = []
         original = methods._build_plan
         monkeypatch.setattr(methods, "_build_plan", lambda inst: calls.append(inst) or original(inst))
-        methods._splits(deep7)
+        splits = splits_of(deep7)
+        for method in MethodKind:
+            methods._work(method, 1000, splits)
+        assert calls == [] and deep7._plan is None
+        run_method(deep7, MethodKind.UC_QUOTA, 3)
+        assert calls == [deep7]
         for method in MethodKind:
             for h in (0, 5, 9, 1000):
                 run_method(deep7, method, h)
@@ -1111,11 +1123,11 @@ class TestSplitPlan:
         # their weight denominators, and whether it hands its caps on as
         # pairs: whether its children's Q, the product of the weight
         # denominators down to them, passes the limit at it or at an
-        # ancestor.  A fresh copy builds its plan under the patched limit.
-        inst = Instance(inst.parents, inst.weights)
+        # ancestor.  The plan is built under the patched limit too.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(methods, "_Q_LIMIT", limit)
-            splits = methods._splits(inst)
+            splits = splits_of(inst)
+            uc = methods._build_plan(inst)[1]
 
         def depth(i):
             d = 0
@@ -1139,7 +1151,7 @@ class TestSplitPlan:
         ]
         assert splits == expected
         # every node that hands its caps on as pairs is split on a heap
-        assert all(u[5][2] is None for u in inst._plan[1] if not u[1])
+        assert all(u[5][2] is None for u in uc if not u[1])
 
     @pytest.mark.parametrize(
         "kind, height, max_weight",
@@ -1152,11 +1164,12 @@ class TestSplitPlan:
         # height 5 passes 2**60 from depth 2 down.  So the work bound of
         # the family is at least that of every tree drawn from it.
         skeleton = build_tree(TreeFamily(kind, height))
-        bounds = methods._family_splits(skeleton, max_weight)
+        den = [len(skeleton.children[p]) * max_weight if i else 1 for i, p in enumerate(skeleton.parents)]
+        bounds = methods._splits(skeleton.children, den)
         if max_weight == 10**6:
             assert [pairs for *_, pairs in bounds] == [False] * 3 + [True] * 28
         for seed in range(20):
-            splits = methods._splits(assign_entitlements(skeleton, seed, max_weight))
+            splits = splits_of(assign_entitlements(skeleton, seed, max_weight))
             assert len(splits) == len(bounds)
             for (depth, b, d, pairs), (top_depth, top_b, top_d, top_pairs) in zip(splits, bounds):
                 assert (depth, b) == (top_depth, top_b)
@@ -1172,7 +1185,7 @@ class TestSplitPlan:
         # root's caps repeat every seat, so L = lcm(1, 9); node 1's
         # children are leaves, which keep no caps, so it has no period
         inst = reversed_children(nested5)
-        assert methods._split_plan(inst) == (
+        assert methods._build_plan(inst) == (
             [(0, 1, 2, 8, 1, 9), (1, 3, 4, 8, 1, 9)],
             [(1, (9, 9), (True, False), 9, 9), (9, (81, 81), (False, False), 0, 9)],
         )
@@ -1183,7 +1196,7 @@ class TestSplitPlan:
         wide = (
             0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), None, (60, 80, 160, 160), (60, 81, 162, 163)
         )
-        assert methods._split_plan(inst) == ([wide], [(1, (5, 10, 20, 20), (False,) * 4, 0, 20)])
+        assert methods._build_plan(inst) == ([wide], [(1, (5, 10, 20, 20), (False,) * 4, 0, 20)])
         # Jefferson's order repeats every D = 20 seats, ties to the lower id
         period = [0, 1, 0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 3, 0, 1, 0, 0, 1, 2, 3]
         jefferson = run_method(flat5, MethodKind.JEFFERSON, 40).paths
@@ -1195,13 +1208,13 @@ class TestSplitPlan:
         # two children of weights 8/9 and 1/9, key steps over L = 8,
         # times b = 2.  Node 1's caps come as pairs too, so its Q is 0.
         monkeypatch.setattr(methods, "_Q_LIMIT", 0)
-        plan, uc = methods._split_plan(reversed_children(nested5))
+        plan, uc = methods._build_plan(reversed_children(nested5))
         assert uc == [
             (1, 0, (True, False), 0, 9, (0, (1, 2), None, 9, (8, 1), (9, 9), None, (18, 144), (18, 145))),
             (0, 0, (False, False), 0, 9, (1, (3, 4), None, 9, (8, 1), (9, 9), None, (18, 144), (18, 145))),
         ]
         # a wide node's own record serves its heap
-        plan, uc = methods._split_plan(reversed_children(flat5))
+        plan, uc = methods._build_plan(reversed_children(flat5))
         assert uc == [(1, 0, (False,) * 4, 0, 20, plan[0])]
 
     def test_fixed_point_records(self, flat5, monkeypatch):
@@ -1209,7 +1222,7 @@ class TestSplitPlan:
         # bits) the units are wd << 4, as 2**4 > 3 * 3, and there are no
         # key steps
         monkeypatch.setattr(methods, "_STEP_BITS", 3)
-        assert methods._split_plan(reversed_children(flat5))[0] == [
+        assert methods._build_plan(reversed_children(flat5))[0] == [
             (0, (1, 2, 3, 4), None, 20, (2, 3, 3, 3), (5, 10, 20, 20), (80, 160, 320, 320), None, None),
         ]
 
@@ -1226,7 +1239,7 @@ class TestSplitPlan:
         inst = flat_instance([wa, wb, 1 - wa - wb])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(methods, "_STEP_BITS", 0)
-            rec = methods._split_plan(inst)[0][0]
+            rec = methods._build_plan(inst)[0][0]
         s_a = pow(x, -1, y) + k * y
         s_b = (s_a * x - 1) // y
         off = (0, 0, 0)
@@ -1261,7 +1274,7 @@ class TestSplitPlan:
         # four children holding 2, 3, 4 and 4 seats, each at least its
         # quota at the cap 10 / 1, so all are parked, whether the cap
         # comes in a list over one denominator or as a pair
-        rec = methods._split_plan(flat5)[0][0]
+        rec = methods._build_plan(flat5)[0][0]
         seats = [0] * flat5.n
         for caps, zs in (([10], rec[5]), ([(10, 1)], None)):
             with pytest.raises(RuntimeError, match="no child under its cap"):
