@@ -24,11 +24,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence
 
 
 class InvalidInstanceError(ValueError):
@@ -45,8 +44,50 @@ WEIGHT_OUT_OF_RANGE = "WeightOutOfRange"
 CHILDREN_WEIGHTS_NOT_NORMALIZED = "ChildrenWeightsNotNormalized"
 
 
-@dataclass(frozen=True)
-class StructuralError:
+class _Record:
+    """Base of the frozen value records.  A subclass's fields are its own
+    annotations, in order, and a class attribute named like a field is its
+    default.  Each subclass gets a generated ``__init__`` with one named
+    parameter per field, which then calls ``__post_init__`` if there is
+    one.  Equality, hashing, ``repr``, ``__match_args__`` and pickling go
+    by the fields; records of different classes are never equal.  Setting
+    or deleting an attribute raises :class:`AttributeError`; the
+    ``__dict__`` stays, so a ``cached_property`` works beside the fields.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__annotations__)
+        params = "".join(f", {f}=_cls.{f}" if f in vars(cls) else f", {f}" for f in names)
+        # object.__setattr__, not self.__dict__: reading __dict__ drops the inline values that keep reads fast
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n self.__post_init__()"
+        values = "".join(f"self.{f}, " for f in names)
+        scope = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self{params}):{body}\ndef _values(self):\n return ({values})", scope)
+        cls.__init__, cls._values, cls.__match_args__ = scope["__init__"], scope["_values"], names
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class StructuralError(_Record):
     kind: str
     node: int | None
     message: str
@@ -342,8 +383,7 @@ def _check_house(h: object) -> None:
         raise ValueError("house size must be a non-negative integer")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Record):
     """Seat counts per node for a house of ``h`` seats."""
 
     h: int
@@ -360,8 +400,7 @@ class QuotaMode(Enum):
     ROOT_ONLY = "root"
 
 
-@dataclass(frozen=True)
-class QuotaBounds:
+class QuotaBounds(_Record):
     """Lower/upper quota of one node, with the ancestors that bind them.
 
     The binding ancestor is the one whose seats-per-share ratio is extremal
@@ -376,8 +415,7 @@ class QuotaBounds:
     binding_upper_ancestor: int
 
 
-@dataclass(frozen=True)
-class QuotaReport:
+class QuotaReport(_Record):
     """Full quota audit of an allocation against an instance."""
 
     mode: QuotaMode

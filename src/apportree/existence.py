@@ -39,10 +39,9 @@ allocations is included for cross-checking on small instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, _check_house, _fast_arrays, _fold, require_valid
+from .core import Allocation, Instance, _check_house, _fast_arrays, _fold, _Record, require_valid
 
 
 class EmptyInterval(RuntimeError):
@@ -66,8 +65,7 @@ class SizeLimitExceeded(ValueError):
     """Brute-force enumeration was asked for an instance beyond its limits."""
 
 
-@dataclass(frozen=True)
-class FeasibleInterval:
+class FeasibleInterval(_Record):
     """Seat counts node ``node`` may take once its ancestors are fixed.
 
     ``low``/``high`` bound the choice (inclusive); ``target`` is the exact
@@ -80,8 +78,7 @@ class FeasibleInterval:
     target: Fraction
 
 
-@dataclass(frozen=True)
-class BinaryReduction:
+class BinaryReduction(_Record):
     """A tree rewritten to full binary form, with the node correspondence.
 
     ``node_map[i]`` is the reduced-tree id carrying original node ``i``'s

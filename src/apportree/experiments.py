@@ -36,11 +36,10 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .core import QuotaMode, _check_house, _fast_arrays, count_violations
+from .core import QuotaMode, _check_house, _fast_arrays, _Record, count_violations
 from .generator import TreeFamily, TreeKind, _family_tree, assign_entitlements
 from .methods import MethodKind, _cascade
 
@@ -55,8 +54,7 @@ _GUARANTEES = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     family: TreeFamily
     instance_count: int = 1000
     base_seed: int = 0
@@ -99,8 +97,7 @@ def _cells(inst, methods, house_sizes, mode) -> tuple[int, list[tuple[int, int, 
     return common, cells
 
 
-@dataclass
-class TableRow:
+class TableRow(_Record):
     """Exact aggregate for one (method, house size) cell block.
 
     Keeps raw integer counts and Fraction sums; the percentage and mean
@@ -134,8 +131,7 @@ class TableRow:
         return self.deviation_max_sum / self.instance_count
 
 
-@dataclass(frozen=True)
-class MetricsTable:
+class MetricsTable(_Record):
     config: ExperimentConfig
     rows: tuple[TableRow, ...]
 

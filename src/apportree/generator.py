@@ -21,12 +21,11 @@ the class docstring are asserted by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .core import Instance
+from .core import Instance, _Record
 
 Seed = int
 """Seeds are 64-bit unsigned integers; larger ints are reduced mod 2**64."""
@@ -89,22 +88,21 @@ class TreeKind(Enum):
     FULL_4ARY = "4ary"
 
 
-@dataclass(frozen=True)
-class TreeFamily:
-    """A tree shape: the construction rule plus the height."""
+class TreeFamily(_Record):
+    """A tree shape: the construction rule (a :class:`TreeKind` or its value) plus the height."""
 
     kind: TreeKind
     height: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", TreeKind(self.kind))
         if not isinstance(self.height, int) or isinstance(self.height, bool):
             raise UnsupportedHeight(f"height must be an integer, got {self.height!r}")
         if self.height < 1:
             raise UnsupportedHeight(f"height must be at least 1, got {self.height}")
 
 
-@dataclass(frozen=True)
-class TreeSkeleton:
+class TreeSkeleton(_Record):
     """Tree structure without entitlements: parent links and child lists."""
 
     family: TreeFamily

@@ -68,14 +68,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, count, islice, repeat
 from operator import add, mul
 
-from .core import Allocation, Instance, _check_house, _check_seats, _fast_arrays
+from .core import Allocation, Instance, _check_house, _check_seats, _fast_arrays, _Record
 
 # the largest Q_c a child's caps keep as one list of numerators (the
 # 2**60 of the module docstring)
@@ -728,8 +727,7 @@ def _uc_split_two(seats, rec, uc, xs, caps, k) -> None:
     seats[b] = tb // qb
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """A full run of one method: the final allocation plus each seat's path.
 
     ``paths[k]`` is the root-to-leaf chain the ``k+1``-th seat travelled.

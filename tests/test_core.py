@@ -2,22 +2,42 @@
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from apportree import (
+    ALL_METHODS,
     CHILDREN_WEIGHTS_NOT_NORMALIZED,
     NON_TREE,
     WEIGHT_OUT_OF_RANGE,
     Allocation,
+    BinaryReduction,
+    ExperimentConfig,
+    FeasibleInterval,
     Instance,
     InvalidInstanceError,
+    MethodKind,
+    MetricsTable,
+    QuotaBounds,
     QuotaMode,
+    QuotaReport,
     StructuralError,
+    TableRow,
+    Trajectory,
+    TreeFamily,
+    TreeKind,
+    UnsupportedHeight,
+    build_tree,
     allocation_from_json,
     allocation_to_json,
     check_allocation,
@@ -28,7 +48,9 @@ from apportree import (
     parse_weight,
     relative_entitlements,
     require_valid,
+    run_method,
     step,
+    to_full_binary,
     validate_instance,
 )
 
@@ -707,3 +729,163 @@ class TestJson:
     def test_empty_and_huge_seat_lists_parse(self):
         assert allocation_from_json('{"h": 0, "seats": []}') == Allocation(0, ())
         assert allocation_from_json(f'{{"h": 0, "seats": [0, {10**30}]}}').seats == (0, 10**30)
+
+
+def record_pairs() -> list[tuple]:
+    """One record of each value class and one of the same class that
+    differs from it in one field."""
+    sym7 = make_sym7()
+    binary2 = TreeFamily(TreeKind.PERFECT_BINARY, 2)
+    bounds = QuotaBounds(1, 2, 3, 0, 0)
+    config = ExperimentConfig(binary2, instance_count=3, house_sizes=(10,), methods=(MethodKind.ADAMS,))
+    row = TableRow(MethodKind.ADAMS, binary2, 7, 10, 3, 1, 0, Fraction(1, 2), Fraction(1, 3))
+    report = QuotaReport(QuotaMode.ALL_ANCESTORS, (bounds,), (False,), (True,), (), 0, 1)
+    return [
+        (StructuralError(NON_TREE, 1, "node is its own parent"), StructuralError(NON_TREE, 2, "node is its own parent")),
+        (Allocation(3, (3, 2, 1)), Allocation(3, (3, 1, 2))),
+        (bounds, QuotaBounds(1, 2, 3, 0, 1)),
+        (report, QuotaReport(QuotaMode.ROOT_ONLY, (bounds,), (False,), (True,), (), 0, 1)),
+        (FeasibleInterval(1, 0, 2, Fraction(3, 2)), FeasibleInterval(1, 0, 2, Fraction(5, 4))),
+        (to_full_binary(sym7), BinaryReduction(sym7, sym7, tuple(range(7)), (7,))),
+        (binary2, TreeFamily(TreeKind.FULL_4ARY, 2)),
+        (build_tree(binary2), build_tree(TreeFamily(TreeKind.PERFECT_BINARY, 3))),
+        (run_method(sym7, "adams", 4), run_method(sym7, "jefferson", 4)),
+        (config, ExperimentConfig(binary2, instance_count=4, house_sizes=(10,), methods=(MethodKind.ADAMS,))),
+        (row, TableRow(MethodKind.ADAMS, binary2, 7, 10, 3, 1, 1, Fraction(1, 2), Fraction(1, 3))),
+        (MetricsTable(config, (row,)), MetricsTable(config, ())),
+    ]
+
+
+RECORD_CLASSES = [type(a) for a, _ in record_pairs()]
+
+
+def rebuilt(record):
+    return type(record)(*(getattr(record, f) for f in record.__match_args__))
+
+
+@pytest.mark.parametrize("index", range(len(RECORD_CLASSES)), ids=[c.__name__ for c in RECORD_CLASSES])
+class TestRecords:
+    """The public value types are frozen records with field semantics."""
+
+    def test_equal_and_hash_by_field(self, index):
+        record, other = record_pairs()[index]
+        copy_ = rebuilt(record)
+        assert copy_ is not record and copy_ == record and hash(copy_) == hash(record)
+        assert other != record and not other == record
+        assert hash(other) != hash(record)
+
+    def test_unequal_across_classes(self, index):
+        record = record_pairs()[index][0]
+        assert all(record != b for i, (b, _) in enumerate(record_pairs()) if i != index)
+        assert record != tuple(getattr(record, f) for f in record.__match_args__)
+
+    def test_repr_lists_the_fields(self, index):
+        record = record_pairs()[index][0]
+        fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record.__match_args__)
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_frozen(self, index):
+        record = record_pairs()[index][0]
+        field = record.__match_args__[0]
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert rebuilt(record) == record
+
+    @pytest.mark.parametrize(
+        "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+    )
+    def test_pickle_and_copy_round_trip(self, index, clone):
+        record = record_pairs()[index][0]
+        back = clone(record)
+        assert type(back) is type(record) and back == record and hash(back) == hash(record)
+
+    def test_signature_names_the_fields(self, index):
+        cls = RECORD_CLASSES[index]
+        assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
+
+    def test_keyword_construction(self, index):
+        record = record_pairs()[index][0]
+        assert type(record)(**{f: getattr(record, f) for f in record.__match_args__}) == record
+
+
+class TestRecordDetails:
+    def test_exact_reprs(self):
+        assert repr(Allocation(3, [2, 1])) == "Allocation(h=3, seats=(2, 1))"
+        assert repr(QuotaBounds(4, 1, 2, 0, 1)) == (
+            "QuotaBounds(node=4, lower=1, upper=2, binding_lower_ancestor=0, binding_upper_ancestor=1)"
+        )
+        assert repr(StructuralError(NON_TREE, None, "empty node list")) == (
+            "StructuralError(kind='NonTree', node=None, message='empty node list')"
+        )
+        assert repr(TreeFamily("4ary", 3)) == "TreeFamily(kind=<TreeKind.FULL_4ARY: '4ary'>, height=3)"
+        traj = run_method(make_sym7(), "adams", 1)
+        assert repr(traj) == (
+            "Trajectory(instance=Instance(n=7), method=<MethodKind.ADAMS: 'adams'>, "
+            "final=Allocation(h=1, seats=(1, 1, 0, 0, 0, 1, 0)))"
+        )
+
+    def test_not_equal_to_a_tuple_or_a_record_of_the_same_values(self):
+        class Other(core._Record):
+            h: int
+            seats: tuple
+
+        assert Allocation(1, (1,)) != (1, (1,))
+        assert Allocation(1, (1,)) != Other(1, (1,))
+        assert Other(1, (1,)) == Other(1, (1,)) and Other.__match_args__ == ("h", "seats")
+
+    def test_construction_by_position_keyword_and_default(self):
+        family = TreeFamily(TreeKind.PERFECT_BINARY, 2)
+        assert Allocation(2, (2, 1, 1)) == Allocation(h=2, seats=(2, 1, 1)) == Allocation(2, seats=[2, 1, 1])
+        config = ExperimentConfig(family)
+        assert config == ExperimentConfig(family, 1000, 0, (100, 500), ALL_METHODS, QuotaMode.ALL_ANCESTORS, 10)
+        assert (config.instance_count, config.base_seed, config.house_sizes, config.max_weight) == (1000, 0, (100, 500), 10)
+        assert config.methods == ALL_METHODS and config.mode is QuotaMode.ALL_ANCESTORS
+        assert ExperimentConfig(family, max_weight=3) == ExperimentConfig(family, 1000, 0, (100, 500), ALL_METHODS, "all", 3)
+        params = inspect.signature(ExperimentConfig).parameters
+        assert params["family"].default is inspect.Parameter.empty
+        assert params["instance_count"].default == 1000
+        with pytest.raises(TypeError):
+            Allocation(2)
+        with pytest.raises(TypeError):
+            Allocation(2, (2,), seat=(2,))
+        with pytest.raises(TypeError):
+            ExperimentConfig()
+
+    def test_post_init_converts_and_validates(self):
+        assert type(Allocation(1, [1]).seats) is tuple
+        assert TreeFamily("binary", 2).kind is TreeKind.PERFECT_BINARY
+        for height in (0, 2.5, True):
+            with pytest.raises(UnsupportedHeight):
+                TreeFamily(TreeKind.PERFECT_BINARY, height)
+        family = TreeFamily(TreeKind.FULL_4ARY, 1)
+        config = ExperimentConfig(family, house_sizes=[5, 6], methods=["quota"], mode="root")
+        assert config.house_sizes == (5, 6) and config.methods == (MethodKind.QUOTA,)
+        assert config.mode is QuotaMode.ROOT_ONLY
+        for bad in ({"instance_count": 0}, {"base_seed": "1"}, {"max_weight": True}, {"house_sizes": [0]}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(family, **bad)
+
+    def test_trajectory_paths_are_cached_and_not_a_field(self):
+        sym7 = make_sym7()
+        traj = run_method(sym7, "adams", 5)
+        assert "paths" not in vars(traj)
+        paths = traj.paths
+        assert traj.paths is paths and vars(traj)["paths"] is paths
+        fresh = run_method(sym7, "adams", 5)
+        assert traj == fresh and hash(traj) == hash(fresh) and repr(traj) == repr(fresh)
+        assert "paths" not in vars(fresh) and Trajectory.__match_args__ == ("instance", "method", "final")
+        assert pickle.loads(pickle.dumps(traj)).paths == paths
+
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # -S keeps site from preloading typing, so the check sees the library's own imports
+        code = (
+            "import sys; before = set(sys.modules); import apportree, apportree.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from apportree import (
+    ExperimentConfig,
     SplitMix64,
     TreeFamily,
     TreeKind,
     UnsupportedHeight,
     assign_entitlements,
     build_tree,
+    emit_table,
     instance_to_json,
     random_instance,
+    run_experiment,
     validate_instance,
 )
 
@@ -134,6 +137,26 @@ class TestBuildTree:
     def test_height_must_be_integral(self):
         with pytest.raises(UnsupportedHeight):
             TreeFamily(TreeKind.PERFECT_BINARY, 2.5)
+
+    @pytest.mark.parametrize("kind", list(TreeKind))
+    def test_kind_given_by_value_builds_that_family(self, kind):
+        family = TreeFamily(kind.value, 2)
+        assert family.kind is kind
+        assert family == TreeFamily(kind, 2)
+        assert build_tree(family) == build_tree(TreeFamily(kind, 2))
+        assert len(build_tree(family).children[0]) == (2 if kind is TreeKind.PERFECT_BINARY else 4)
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="nonsense"):
+            TreeFamily("nonsense", 2)
+
+    def test_experiment_on_a_family_given_by_value(self):
+        def table(kind):
+            config = ExperimentConfig(TreeFamily(kind, 2), instance_count=2, house_sizes=(10,), methods=("adams",))
+            return emit_table(run_experiment(config))
+
+        assert table("binary") == table(TreeKind.PERFECT_BINARY)
+        assert table("binary").splitlines()[1].startswith("adams,binary,2,7,10,")
 
 
 class TestAssignEntitlements:
