@@ -1,5 +1,5 @@
 """Command-line front-end: validate, allocate, check, reduce, generate,
-run experiments, and enumerate small-instance oracles.
+run experiments, and enumerate every both-quotas allocation.
 
 Exit codes: 0 on success, 1 on domain errors (invalid instances, stuck
 allocations, strict checks that found violations), 2 on usage errors.
@@ -40,12 +40,7 @@ from .experiments import (
     emit_table,
     run_experiment,
 )
-from .generator import (
-    TreeFamily,
-    TreeKind,
-    _family_tree,
-    random_instance,
-)
+from .generator import TreeFamily, _family_tree, random_instance
 from .methods import MethodKind, _splits, _work, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
@@ -204,7 +199,7 @@ def _cmd_generate(args) -> int:
         except ValueError:
             print(f"error: {SEED_ENV_VAR} must be an integer, got {env!r}", file=sys.stderr)
             return 2
-    family = TreeFamily(TreeKind(args.family), args.height)
+    family = TreeFamily(args.family, args.height)
     inst = random_instance(family, seed, args.max_weight)
     print(instance_to_json(inst))
     return 0
@@ -227,7 +222,7 @@ def _cmd_experiment(args) -> int:
                  "house_sizes": args.house_sizes, "max_weight": args.max_weight}
         # a flag left out keeps ExperimentConfig's default
         config = ExperimentConfig(
-            family=TreeFamily(TreeKind(args.family), args.height),
+            family=TreeFamily(args.family, args.height),
             methods=args.methods or ALL_METHODS,
             **{key: value for key, value in given.items() if value is not None},
         )
@@ -242,18 +237,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = _load(args.instance, instance_from_json)
-    allocations = brute_force_both_quotas(
-        inst, args.seats, max_nodes=args.max_nodes, max_house=args.max_house
-    )
-    print(
-        json.dumps(
-            {
-                "h": args.seats,
-                "count": len(allocations),
-                "allocations": [list(a.seats) for a in allocations],
-            }
-        )
-    )
+    allocations = brute_force_both_quotas(inst, args.seats)
+    doc = {"h": args.seats, "count": len(allocations), "allocations": [list(a.seats) for a in allocations]}
+    print(json.dumps(doc))
     return 0
 
 
@@ -330,11 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated method names, all by default")
     p.add_argument("--max-weight", type=int)
 
-    p = command("oracle", "enumerate every both-quotas allocation (small instances)", _cmd_oracle)
+    p = command("oracle", "list every both-quotas allocation, up to 2 * 10**6 seat counts", _cmd_oracle)
     p.add_argument("instance")
     p.add_argument("--seats", type=int, required=True, metavar="H")
-    p.add_argument("--max-nodes", type=int, default=15)
-    p.add_argument("--max-house", type=int, default=10)
     return parser
 
 

@@ -35,12 +35,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
 from .core import QuotaMode, _check_house, _fast_arrays, _Record, count_violations
-from .generator import TreeFamily, TreeKind, _family_tree, assign_entitlements
+from .generator import TreeFamily, _family_tree, assign_entitlements
 from .methods import MethodKind, _cascade
 
 ALL_METHODS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
@@ -64,6 +65,8 @@ class ExperimentConfig(_Record):
     max_weight: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.family, TreeFamily):
+            raise ValueError(f"family must be a TreeFamily, got {self.family!r}")
         for name, least in (("instance_count", 1), ("base_seed", None), ("max_weight", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or least and value < least:
@@ -76,6 +79,9 @@ class ExperimentConfig(_Record):
             _check_house(h)
         if 0 in self.house_sizes:
             raise ValueError("house sizes must be at least 1")
+        for name, values in (("house_sizes", self.house_sizes), ("methods", [m.value for m in self.methods])):
+            if twice := [v for v, k in Counter(values).items() if k > 1]:
+                raise ValueError(f"{name} must not repeat a value, got {twice[0]!r} more than once")
 
 
 def _cells(inst, methods, house_sizes, mode) -> tuple[int, list[tuple[int, int, int, int]]]:
@@ -259,7 +265,7 @@ def config_from_json(text: str) -> ExperimentConfig:
     if not isinstance(obj, dict) or not isinstance(obj.get("family"), dict):
         raise ValueError('config must be an object with a "family" object')
     fam = obj["family"]
-    family = TreeFamily(TreeKind(fam.get("kind")), fam.get("height"))
+    family = TreeFamily(fam.get("kind"), fam.get("height"))
     # ExperimentConfig checks every field, but would raise TypeError on
     # a bare number where a list belongs
     for key in ("house_sizes", "methods"):

@@ -722,6 +722,20 @@ class TestExperiment:
         assert main(["experiment", "--family", "binary", "--height", "2", "--house-sizes", sizes]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--house-sizes", "10,20,10", "house_sizes must not repeat a value, got 10 more than once"),
+         ("--methods", "adams,quota,adams", "methods must not repeat a value, got 'adams' more than once")],
+    )
+    def test_repeats_are_domain_errors(self, capsys, flag, value, message):
+        assert main(["experiment", "--family", "binary", "--height", "1", "--count", "1", flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unknown_kind_in_config_is_domain_error(self, tmp_path, capsys):
+        path = write(tmp_path, "cfg.json", '{"family": {"kind": "x", "height": 3}}')
+        assert main(["experiment", "--config", path]) == 1
+        assert capsys.readouterr() == ("", "error: 'x' is not a valid TreeKind\n")
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_are_domain_errors(self, capsys, workers):
         assert main(self.FLAGS + ["--workers", workers]) == 1
@@ -849,9 +863,19 @@ class TestOracle:
         assert doc["allocations"] == [list(a.seats) for a in expected]
         assert all(seats[5] == seats[6] == 3 for seats in doc["allocations"])
 
-    def test_size_limit_is_domain_error(self, sym7_file, capsys):
-        assert main(["oracle", sym7_file, "--seats", "11"]) == 1
+    def test_size_limit_is_domain_error(self, tmp_path, capsys):
+        nodes = [{"id": 0, "parent": None, "weight": "1"}]
+        nodes += [{"id": i, "parent": 0, "weight": "1/40"} for i in range(1, 41)]
+        path = write(tmp_path, "star.json", json.dumps({"nodes": nodes}))
+        assert main(["oracle", path, "--seats", "20"]) == 1
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--max-house"])
+    def test_size_flags_are_usage_errors(self, sym7_file, flag, capsys):
+        assert main(["oracle", sym7_file, "--seats", "6", flag, "15"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"apportree: error: unrecognized arguments: {flag} 15\n")
 
     def test_negative_seats_is_domain_error(self, sym7_file, capsys):
         assert main(["oracle", sym7_file, "--seats", "-1"]) == 1
@@ -862,7 +886,7 @@ class TestOracle:
     def test_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         nodes = [{"id": i, "parent": i - 1 if i else None, "weight": "1"} for i in range(800)]
         path = write(tmp_path, "chain.json", json.dumps({"nodes": nodes}))
-        assert main(["oracle", path, "--seats", "2", "--max-nodes", "1000"]) == 0
+        assert main(["oracle", path, "--seats", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 1
         assert doc["allocations"] == [[2] * 800]

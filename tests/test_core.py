@@ -440,6 +440,16 @@ class TestQuotaBounds:
         for b in report.bounds:
             assert b.lower <= b.upper
 
+    @given(irregular_instances(), st.sampled_from(QuotaMode), st.data())
+    def test_quotas_differ_by_at_most_one(self, inst, mode, data):
+        # lower is the floor of share * the largest ancestor ratio and upper
+        # the ceiling of share * the smallest, so upper - lower <= 1 for any
+        # seats, flow or not (the bounds may cross); brute_force_both_quotas'
+        # budget rests on it
+        seats = data.draw(st.lists(st.integers(0, 10**6), min_size=inst.n, max_size=inst.n))
+        for b in check_allocation(inst, Allocation(seats[0], seats), mode).bounds:
+            assert b.upper - b.lower <= 1
+
 
 class TestCheckAllocation:
     def test_clean_allocation(self, sym7):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -369,11 +370,21 @@ class TestBruteForce:
         assert results
         assert all(alloc.seats[3] != 5 for alloc in results)
 
-    def test_size_limits(self, sym7):
+    def test_size_limits(self):
+        # equal stars: every leaf takes 0 or 1 seats, so the allocations are
+        # C(k, h) of k + 1 counts each, past the budget from C(26, 5)
         with pytest.raises(SizeLimitExceeded):
-            brute_force_both_quotas(sym7, 3, max_nodes=5)
+            brute_force_both_quotas(flat_instance([Fraction(1, 26)] * 26), 5)
         with pytest.raises(SizeLimitExceeded):
-            brute_force_both_quotas(sym7, 11)
+            brute_force_both_quotas(flat_instance([Fraction(1, 40)] * 40), 20)
+
+    def test_budget_admits_the_largest_equal_stars(self):
+        # the largest output on 15 nodes, and the widest equal star at h = 5
+        fourteen = flat_instance([Fraction(1, 14)] * 14)
+        assert len(brute_force_both_quotas(fourteen, 7)) == math.comb(14, 7) == 3432
+        results = brute_force_both_quotas(flat_instance([Fraction(1, 25)] * 25), 5)
+        assert len(results) == math.comb(25, 5)
+        assert results[0].seats == (5,) + (0,) * 20 + (1,) * 5
 
     @settings(max_examples=40)
     @given(irregular_instances(max_nodes=7), st.integers(0, 5))
@@ -390,14 +401,14 @@ class TestBruteForce:
 
     def test_chain_deeper_than_the_recursion_limit(self):
         chain = Instance([None] + list(range(599)), [1] * 600)
-        assert brute_force_both_quotas(chain, 2, max_nodes=600) == (Allocation(2, (2,) * 600),)
+        assert brute_force_both_quotas(chain, 2) == (Allocation(2, (2,) * 600),)
         # as wide: a star with more children than the recursion limit.  Not
-        # at h >= 2, where C(1100, 2) allocations of 1101 seats take gigabytes.
+        # at h >= 2, where C(1100, 2) allocations of 1101 seats pass the budget.
         star = Instance([None] + [0] * 1100, [1] + [Fraction(1, 1100)] * 1100)
-        assert brute_force_both_quotas(star, 0, max_nodes=1101) == (Allocation(0, (0,) * 1101),)
+        assert brute_force_both_quotas(star, 0) == (Allocation(0, (0,) * 1101),)
 
     @settings(max_examples=40)
-    @given(irregular_instances(max_nodes=7), st.integers(0, 5))
+    @given(irregular_instances(max_nodes=7), st.integers(0, 60))
     def test_oracle_nonempty_and_contains_construction(self, inst, h):
         results = brute_force_both_quotas(inst, h)
         assert results

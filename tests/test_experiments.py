@@ -174,6 +174,17 @@ class TestRunExperiment:
                 ExperimentConfig(BINARY3, base_seed=bad)
         assert ExperimentConfig(BINARY3, base_seed=-1, max_weight=1).base_seed == -1
 
+    def test_family_must_be_a_tree_family(self):
+        for bad in ("binary", ("binary", 3), None):
+            with pytest.raises(ValueError, match="family must be a TreeFamily, got"):
+                ExperimentConfig(bad, instance_count=1, house_sizes=(10,))
+
+    def test_repeats_are_refused(self):
+        with pytest.raises(ValueError, match="house_sizes must not repeat a value, got 10 more than once"):
+            ExperimentConfig(BINARY3, house_sizes=(10, 20, 10))
+        with pytest.raises(ValueError, match="methods must not repeat a value, got 'adams' more than once"):
+            ExperimentConfig(BINARY3, methods=("adams", MethodKind.ADAMS))
+
     def test_seeds_wrap_at_64_bits(self):
         # instance k is drawn from base_seed + k modulo 2**64, which
         # SplitMix64 applies, so a negative base names the same instances
