@@ -148,6 +148,9 @@ class Instance:
         self.parents = tuple(parents)
         ws = tuple(weights)
         if not all(map(isinstance, ws, repeat(Fraction))):
+            for i, w in enumerate(ws):
+                if isinstance(w, bool) or not isinstance(w, (int, str, Fraction)):
+                    raise ValueError(f"weight of node {i} must be an int, a Fraction or a 'p/q' string, got {w!r}")
             ws = tuple(
                 w if isinstance(w, Fraction) else
                 parse_weight(w) if isinstance(w, str) else Fraction(w)
@@ -219,7 +222,7 @@ class Instance:
         return f"Instance(n={self.n})"
 
 
-def validate_instance(inst: Instance) -> list[StructuralError]:
+def validate_instance(inst: Instance, *, _columns: tuple[list[int], list[int]] | None = None) -> list[StructuralError]:
     """Check every structural invariant; an empty list means the instance is ok.
 
     Reports one entry per violated invariant with the offending node:
@@ -232,19 +235,22 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
     parent and weighs 1; :func:`_node_faults` holds each other node's own
     rules.  A listed child is a plain int in ``1..n-1``, listed once, under
     the node its parent entry names; each group's listed nodes weigh 1 in
-    all, summed over the lcm of their denominators; the root reaches all.
+    all, summed over the lcm of their denominators, with no gcd while a
+    child's denominator equals that lcm; the root reaches all.
 
     The walk goes breadth first from the root and takes each node's share
-    ``rnum/rden`` as its parent's times its weight, so a valid instance
-    caches the arrays of :func:`_fast_arrays`.  It queues no group after
+    ``rnum/rden`` as its parent's times its weight, cancelled crosswise
+    with the parent's share once per run of siblings of one denominator,
+    so a valid instance caches the arrays of :func:`_fast_arrays`.  The
+    private ``_columns`` hands in the weights' numerators and denominators
+    in lowest terms, as the loader has them.  It queues no group after
     its first fault; then the same walk visits every node in id order and
     reports each fault: parents, child lists, unlisted nodes, unreached
     nodes, weights, sibling sums.
     """
     parents, weights, children = inst.parents, inst.weights, inst.children
     n = len(parents)
-    wnum = [w.numerator for w in weights]
-    wden = [w.denominator for w in weights]
+    wnum, wden = _columns or ([w.numerator for w in weights], [w.denominator for w in weights])
     rnum = [1] * n
     rden = [1] * n
     gcd = math.gcd
@@ -265,8 +271,9 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
                 continue
             a, b = up_num[i], up_den[i]
             # the sibling weights' running sum t/m, m the lcm of their
-            # denominators, over the listed ids that name nodes
-            t, m, skipped = 0, 1, 0
+            # denominators, over the listed ids that name nodes; run is the
+            # denominator that aq/dq, the parent's share cancelled against it, are for
+            t, m, skipped, run = 0, 1, 0, 0
             for c in kids:
                 if type(c) is not int or not 0 < c < n:
                     faults.append((1, i, StructuralError(NON_TREE, i, f"invalid child id {c!r}")))
@@ -285,13 +292,18 @@ def validate_instance(inst: Instance) -> list[StructuralError]:
                         _node_faults(faults, inst, c)
                 # the parent's share times the weight, cancelled crosswise as
                 # Fraction multiplication does, so both stay in lowest terms
-                g1 = gcd(a, den)
+                if den != run:
+                    g1 = gcd(a, den)
+                    aq, dq, run = a // g1, den // g1, den
                 g2 = gcd(num, b)
-                rnum[c] = (a // g1) * (num // g2)
-                rden[c] = (b // g2) * (den // g1)
-                g = gcd(m, den)
-                t = t * (den // g) + num * (m // g)
-                m = m // g * den
+                rnum[c] = aq * (num // g2)
+                rden[c] = (b // g2) * dq
+                if den == m:
+                    t += num
+                else:
+                    g = gcd(m, den)
+                    t = t * (den // g) + num * (m // g)
+                    m = m // g * den
             if t != m and skipped < len(kids):
                 faults.append((5, i, StructuralError(CHILDREN_WEIGHTS_NOT_NORMALIZED, i, _sum_message(Fraction(t, m)))))
             # the breadth-first order grows only while all is well, so no group comes twice
@@ -600,7 +612,9 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
     """Build an Instance from parsed JSON, collecting every error found.
 
     Returns ``(instance, [])`` on success; the instance is validated, so
-    :func:`require_valid` does not check it again.  If the document is too
+    :func:`require_valid` does not check it again.  Each distinct weight
+    string is parsed once, and the walk of :func:`validate_instance` gets
+    the integer numerators and denominators.  If the document is too
     broken to assemble (bad ids, missing fields), the instance is ``None``
     and the errors say why; otherwise structural errors from
     :func:`validate_instance` are returned alongside ``None``.
@@ -614,12 +628,13 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
 
     n = len(entries)
     parents: list[int | None] = [None] * n
-    weights: list[Fraction] = [Fraction(0)] * n
     children_order: list[list[int]] = [[] for _ in range(n)]
     seen = bytearray(n)
     # files repeat few weight strings; a failing one is parsed again for
     # each node that has it, so each gets its own error
-    parsed: dict[str, Fraction] = {}
+    parsed: dict[str, tuple[Fraction, int, int]] = {}
+    # each node's (weight, numerator, denominator), in lowest terms
+    triples: list[tuple[Fraction, int, int] | None] = [None] * n
 
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -648,15 +663,16 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
                 StructuralError(WEIGHT_OUT_OF_RANGE, ident, 'weight must be a "p" or "p/q" string')
             )
             continue
-        weight = parsed.get(raw_weight)
-        if weight is None:
+        triple = parsed.get(raw_weight)
+        if triple is None:
             try:
-                weight = parsed[raw_weight] = parse_weight(raw_weight)
+                weight = parse_weight(raw_weight)
             except ValueError as exc:
                 errors.append(StructuralError(WEIGHT_OUT_OF_RANGE, ident, str(exc)))
                 continue
+            triple = parsed[raw_weight] = (weight, weight.numerator, weight.denominator)
         parents[ident] = parent
-        weights[ident] = weight
+        triples[ident] = triple
         if parent is not None and 0 <= parent < n:
             children_order[parent].append(ident)
 
@@ -666,8 +682,9 @@ def parse_instance_document(obj: object) -> tuple[Instance | None, list[Structur
     if errors:
         return None, errors
 
+    weights, wnum, wden = map(list, zip(*triples))
     inst = Instance(parents, weights, children_order)
-    errors = validate_instance(inst)
+    errors = validate_instance(inst, _columns=(wnum, wden))
     if errors:
         return None, errors
     return inst, []

@@ -185,7 +185,9 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
     ``low..high`` of the pair's ``v`` seats, and takes the integer nearest
     ``scaled * v / rest`` (exact halves down) clamped into them, found by
     one floor division.  Each comb holder, though not a tree node, is
-    folded into the extremes by :func:`~apportree.core._fold`.
+    folded into the extremes by :func:`~apportree.core._fold`.  A two-child
+    node's common denominator is its first child's weight denominator, as
+    two lowest-terms weights that sum to 1 share theirs.
     """
     order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
     seats[0] = h
@@ -203,7 +205,7 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
         # its own ratio, folded when it is reached, equals i's.
         v = seats[i]
         ext = extremes[i]
-        den = math.lcm(wden[kids[0]], wden[kids[1]]) if len(kids) == 2 else math.lcm(*[wden[c] for c in kids])
+        den = wden[kids[0]] if len(kids) == 2 else math.lcm(*[wden[c] for c in kids])
         a = rnum[i]
         d = rden[i] * den
         rest = den

@@ -56,7 +56,7 @@ from apportree import (
 
 import apportree.core as core
 
-from conftest import ancestors_of, definitional_bounds, irregular_instances, make_sym7
+from conftest import ancestors_of, definitional_bounds, flat_instance, irregular_instances, make_sym7, share_lists
 from oracles import shares_by_products, validate_by_root_walks
 
 
@@ -166,6 +166,12 @@ class TestInstanceBasics:
         assert mixed.weights == tuple(weights)
         assert all(type(w) is Fraction for w in mixed.weights)
 
+    # a bool was read as 1, and 0.1 + 0.9 summed to 36028797018963969/36028797018963968
+    @pytest.mark.parametrize("bad", [True, False, 0.1, None, [1], (1, 2)], ids=repr)
+    def test_other_weight_types_are_refused_by_node(self, bad):
+        with pytest.raises(ValueError, match=r"^weight of node 1 must be an int, a Fraction or a 'p/q' string, got "):
+            Instance([None, 0, 0], [1, bad, 0.9])
+
     @pytest.mark.parametrize("children", [[[1]], [[1], [], []]], ids=["too-few", "too-many"])
     def test_children_need_one_list_per_node(self, children):
         with pytest.raises(ValueError, match="one list per node"):
@@ -263,7 +269,7 @@ class TestValidation:
     def test_require_valid_remembers_success_only(self, monkeypatch):
         calls = []
         original = core.validate_instance
-        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(inst) or original(inst))
+        monkeypatch.setattr(core, "validate_instance", lambda inst, **kw: calls.append(inst) or original(inst, **kw))
         good = make_sym7()
         assert require_valid(good) is good
         assert require_valid(good) is good
@@ -350,6 +356,38 @@ class TestEntitlements:
         _, _, rnum, rden, _, _, _ = loaded._fast
         expected = shares_by_products(inst)
         assert list(zip(rnum, rden)) == [(s.numerator, s.denominator) for s in expected]
+
+    @given(st.one_of(irregular_instances(max_nodes=30, max_weight=1000), share_lists(30, 1000).map(flat_instance)))
+    def test_loader_columns_and_public_walk_agree(self, inst):
+        # the loader hands the walk integer columns; the public call reads the Fractions
+        built = Instance(inst.parents, inst.weights, inst.children)
+        assert validate_instance(built) == []
+        assert instance_from_json(instance_to_json(inst))._fast == built._fast
+
+    @pytest.mark.parametrize(
+        "group, fault",
+        [
+            (("1/6", "1/3", "1/2"), None),
+            (("1/4", "1/4", "1/2"), None),
+            (("1/6", "1/6", "1/2"), "children weights sum to 5/6"),
+            (("1/2", "1/3", "1/3"), "children weights sum to 7/6"),
+        ],
+    )
+    def test_sibling_groups_loaded_and_built(self, group, fault):
+        # the group sits below a node of share 2/3, which cancels against the sixths
+        parents = [None, 0, 0, 1, 1, 1]
+        weights = ["1", "2/3", "1/3", *group]
+        doc = {"nodes": [{"id": i, "parent": p, "weight": w} for i, (p, w) in enumerate(zip(parents, weights))]}
+        loaded, loaded_errors = parse_instance_document(doc)
+        built = Instance(parents, weights)
+        errors = validate_instance(built)
+        assert loaded_errors == errors
+        if fault is None:
+            assert errors == [] and loaded._fast == built._fast
+            assert relative_entitlements(loaded)[3:] == tuple(Fraction(2, 3) * Fraction(w) for w in group)
+        else:
+            assert loaded is None
+            assert errors == [StructuralError(CHILDREN_WEIGHTS_NOT_NORMALIZED, 1, fault)]
 
     def test_disconnected_trees_raise(self):
         cycle = Instance([None, 0, 3, 2], [1, 1, Fraction(1, 2), Fraction(1, 2)])

@@ -93,7 +93,7 @@ class TestToFullBinary:
     def test_loaded_instance_is_validated_once(self, deep7, monkeypatch):
         calls = []
         original = core.validate_instance
-        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(inst) or original(inst))
+        monkeypatch.setattr(core, "validate_instance", lambda inst, **kw: calls.append(inst) or original(inst, **kw))
         inst = instance_from_json(instance_to_json(deep7))
         _, red, _ = trace_both_quotas(inst, 5)
         allocate_both_quotas(inst, 7)

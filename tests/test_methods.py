@@ -1000,7 +1000,7 @@ class TestValidationOnce:
     def test_valid_instance_is_validated_once(self, deep7, monkeypatch):
         calls = []
         original = core.validate_instance
-        monkeypatch.setattr(core, "validate_instance", lambda inst: calls.append(1) or original(inst))
+        monkeypatch.setattr(core, "validate_instance", lambda inst, **kw: calls.append(1) or original(inst, **kw))
         for method in MethodKind:
             for h in (0, 5, 9):
                 run_method(deep7, method, h)
