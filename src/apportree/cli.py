@@ -19,7 +19,6 @@ from .core import (
     InvalidInstanceError,
     QuotaMode,
     _audit,
-    _fast_arrays,
     _instance_text,
     _quotas,
     allocation_from_json,
@@ -28,11 +27,7 @@ from .core import (
     instance_to_json,
     parse_instance_document,
 )
-from .existence import (
-    allocate_both_quotas,
-    brute_force_both_quotas,
-    to_full_binary,
-)
+from .existence import _COUNT_BUDGET, allocate_both_quotas, brute_force_both_quotas, to_full_binary
 from .experiments import (
     ALL_METHODS,
     ExperimentConfig,
@@ -40,7 +35,7 @@ from .experiments import (
     emit_table,
     run_experiment,
 )
-from .generator import TreeFamily, _family_tree, random_instance
+from .generator import TreeFamily, build_tree, random_instance
 from .methods import MethodKind, _splits, _work, run_method
 
 SEED_ENV_VAR = "APPORTREE_SEED"
@@ -60,12 +55,6 @@ SEED_ENV_VAR = "APPORTREE_SEED"
 # h = D - 1: 1.1 s).  So a larger run is refused before it starts; the
 # library sets no bound.
 _WORK_BUDGET = 8 * 10**6
-
-# --trajectory holds and prints all h + 1 allocations of n counts each.
-# On a 7-node tree 2 * 10**6 counts (h = 285713) take about 1.4 s and
-# 130 MiB peak RSS with Jefferson, so a larger run is refused before it
-# starts; per count, larger trees cost less.
-_TRAJECTORY_BUDGET = 2 * 10**6
 
 
 def _load(path: str, parse):
@@ -132,11 +121,11 @@ def _cmd_allocate(args) -> int:
         print(allocation_to_json(alloc))
         return 0
     kind = MethodKind(args.method)
-    _check_work([kind], h, inst.children, _fast_arrays(inst)[5])
-    if args.trajectory and (h + 1) * inst.n > _TRAJECTORY_BUDGET:
+    _check_work([kind], h, inst.children, inst._fast[5])
+    if args.trajectory and (h + 1) * inst.n > _COUNT_BUDGET:
         raise ValueError(
             f"--trajectory at h={h} on a tree of {inst.n} nodes prints {(h + 1) * inst.n} "
-            f"seat counts, over the budget of {_TRAJECTORY_BUDGET}"
+            f"seat counts, over the budget of {_COUNT_BUDGET}"
         )
     traj = run_method(inst, kind, h)
     if args.trajectory:
@@ -227,7 +216,7 @@ def _cmd_experiment(args) -> int:
             **{key: value for key, value in given.items() if value is not None},
         )
     # a drawn weight's denominator divides its group's sum of draws
-    tree = _family_tree(config.family)
+    tree = build_tree(config.family)
     den = [len(tree.children[p]) * config.max_weight if i else 1 for i, p in enumerate(tree.parents)]
     _check_work(config.methods, max(config.house_sizes, default=0), tree.children, den)
     table = run_experiment(config, workers=args.workers)

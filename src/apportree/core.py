@@ -137,7 +137,7 @@ class Instance:
     threads.  Construction does not validate; see :func:`validate_instance`.
     """
 
-    __slots__ = ("parents", "weights", "children", "_fast", "_order", "_plan")
+    __slots__ = ("parents", "weights", "children", "_fast", "_plan")
 
     def __init__(
         self,
@@ -172,9 +172,11 @@ class Instance:
             self.children = tuple(map(tuple, children))
             if len(self.children) != n:
                 raise ValueError("children must hold one list per node")
-        # set by validate_instance once the instance is valid, so it marks validity
+        # validate_instance sets it once the instance is valid, so it marks
+        # validity: (order, parents, rnum, rden, wnum, wden, children), with
+        # order breadth-first and node i's share rnum[i]/rden[i] of the house
+        # and wnum[i]/wden[i] of its parent, all in lowest terms
         self._fast = None
-        self._order: tuple[int, ...] | None = None
         # the methods' per-node split data, built on first use
         self._plan: tuple[list[tuple], list[tuple]] | None = None
 
@@ -190,21 +192,19 @@ class Instance:
         It is not :func:`validate_instance`'s walk, as it must also order
         the invalid instances that :func:`instance_to_json` writes.
         """
-        if self._order is None:
-            n = len(self.parents)
-            seen = bytearray(n)
-            order = [0]
-            for i in order:
-                kids = self.children[i]
-                for c in kids:
-                    if type(c) is not int or not 0 < c < n or seen[c]:
-                        raise InvalidInstanceError(validate_instance(self))
-                    seen[c] = 1
-                order.extend(kids)
-            if len(order) != n:
-                raise InvalidInstanceError(validate_instance(self))
-            self._order = tuple(order)
-        return self._order
+        n = len(self.parents)
+        seen = bytearray(n)
+        order = [0]
+        for i in order:
+            kids = self.children[i]
+            for c in kids:
+                if type(c) is not int or not 0 < c < n or seen[c]:
+                    raise InvalidInstanceError(validate_instance(self))
+                seen[c] = 1
+            order.extend(kids)
+        if len(order) != n:
+            raise InvalidInstanceError(validate_instance(self))
+        return tuple(order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -241,7 +241,7 @@ def validate_instance(inst: Instance, *, _columns: tuple[list[int], list[int]] |
     The walk goes breadth first from the root and takes each node's share
     ``rnum/rden`` as its parent's times its weight, cancelled crosswise
     with the parent's share once per run of siblings of one denominator,
-    so a valid instance caches the arrays of :func:`_fast_arrays`.  The
+    and a valid instance caches them in its ``_fast`` arrays.  The
     private ``_columns`` hands in the weights' numerators and denominators
     in lowest terms, as the loader has them.  It queues no group after
     its first fault; then the same walk visits every node in id order and
@@ -373,20 +373,8 @@ def relative_entitlements(inst: Instance) -> tuple[Fraction, ...]:
     The root's is 1; every other node's is its entitlement times its
     parent's relative entitlement, computed exactly on each call.
     """
-    _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
+    _, _, rnum, rden, _, _, _ = require_valid(inst)._fast
     return tuple(map(Fraction, rnum, rden))
-
-
-def _fast_arrays(inst: Instance):
-    """Per-instance integer arrays for the hot loops.
-
-    Returns ``(order, parents, rnum, rden, wnum, wden, children)`` where
-    node ``i``'s relative entitlement is ``rnum[i]/rden[i]`` and its
-    parent-relative entitlement ``wnum[i]/wden[i]``, both in lowest terms,
-    and ``order`` is breadth-first.  :func:`validate_instance` builds them
-    on its walk; the first call goes through :func:`require_valid`.
-    """
-    return require_valid(inst)._fast
 
 
 def _check_house(h: object) -> None:
@@ -475,7 +463,7 @@ def _quotas(inst: Instance, seats: Sequence[int], mode: QuotaMode):
     ``seats[i]`` is read only when node ``i``'s children are reached, so a
     caller may fill in each node's seats after it is yielded.
     """
-    order, _, rnum, rden, _, _, children = _fast_arrays(inst)
+    order, _, rnum, rden, _, _, children = require_valid(inst)._fast
     fold = mode is QuotaMode.ALL_ANCESTORS
     v = seats[0]
     # per node: (hi_num, hi_den, hi_node, lo_num, lo_den, lo_node) of its ancestors
@@ -517,7 +505,7 @@ def _audit(inst: Instance, alloc: Allocation) -> list[int]:
     seats = alloc.seats
     _check_seats(inst.n, seats)
     at = seats.__getitem__
-    children = _fast_arrays(inst)[6]  # validates the instance first
+    children = require_valid(inst)._fast[6]
     flow = [i for i, kids in enumerate(children) if kids and seats[i] != sum(map(at, kids))]
     if seats[0] != alloc.h and (not flow or flow[0] != 0):
         flow.insert(0, 0)
@@ -574,7 +562,7 @@ def count_violations(
     """
     if len(seats) != inst.n:
         _check_seats(inst.n, seats)  # raises the length error
-    order, _, rnum, rden, _, _, children = _fast_arrays(inst)
+    order, _, rnum, rden, _, _, children = require_valid(inst)._fast
     fold = QuotaMode(mode) is QuotaMode.ALL_ANCESTORS
     extremes = [(seats[0], 1, 0, seats[0], 1, 0)] * inst.n
     low = up = 0

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Allocation, Instance, _check_house, _fast_arrays, _fold, _Record, require_valid
+from .core import Allocation, Instance, _check_house, _fold, _Record, require_valid
 
 
 class EmptyInterval(RuntimeError):
@@ -66,10 +66,12 @@ class SizeLimitExceeded(ValueError):
     """Brute-force enumeration would write more than its budget of seat counts."""
 
 
-# brute_force_both_quotas' budget, in seat counts.  At its edge CLI `oracle`
-# took 0.75 s and 58 MiB peak RSS: a 25-leaf star at h = 5 has 53130
-# allocations (Python 3.11, 2 vCPUs).
-_ORACLE_BUDGET = 2 * 10**6
+# The seat counts that brute_force_both_quotas and CLI `allocate
+# --trajectory` may write.  At this edge (Python 3.11, 2 vCPUs) `oracle`
+# took 0.75 s and 58 MiB peak RSS on a 25-leaf star at h = 5 (53130
+# allocations), and `--trajectory` with Jefferson about 1.4 s and 130 MiB
+# on a 7-node tree at h = 285713; per count, larger trees cost less.
+_COUNT_BUDGET = 2 * 10**6
 
 
 class FeasibleInterval(_Record):
@@ -189,7 +191,7 @@ def _pairs(inst: Instance, h: int, seats: list[int]):
     node's common denominator is its first child's weight denominator, as
     two lowest-terms weights that sum to 1 share theirs.
     """
-    order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
+    order, _, rnum, rden, wnum, wden, children = require_valid(inst)._fast
     seats[0] = h
     extremes = [(h, 1, 0, h, 1, 0)] * inst.n
     for i in order:
@@ -286,11 +288,10 @@ def brute_force_both_quotas(inst: Instance, h: int) -> tuple[Allocation, ...]:
     and a search on 15 nodes keeps at most 2**14 allocations.  The search
     charges one seat count per node it fills in and ``n`` per allocation it
     keeps, and raises :class:`SizeLimitExceeded` once that passes
-    ``_ORACLE_BUDGET`` (2 * 10**6).
+    ``_COUNT_BUDGET`` (2 * 10**6).
     """
     _check_house(h)
-    require_valid(inst)
-    order, parents, rnum, rden, _, _, children = _fast_arrays(inst)
+    order, parents, rnum, rden, _, _, children = require_valid(inst)._fast
     slots = order[1:]
     seats = [0] * inst.n
     seats[0] = h
@@ -323,8 +324,8 @@ def brute_force_both_quotas(inst: Instance, h: int) -> tuple[Allocation, ...]:
             lq, uq, least, most, _ = bounds[c]
             stack.append((iter(range(max(lq, left - most), min(uq, left - least) + 1)), left))
             charge += 1
-        if charge > _ORACLE_BUDGET:
-            raise SizeLimitExceeded(f"listing the allocations of h={h} exceeds {_ORACLE_BUDGET} seat counts")
+        if charge > _COUNT_BUDGET:
+            raise SizeLimitExceeded(f"listing the allocations of h={h} exceeds {_COUNT_BUDGET} seat counts")
         # the next value of the deepest slot that has one left
         while stack and (v := next(stack[-1][0], None)) is None:
             stack.pop()

@@ -40,8 +40,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
-from .core import QuotaMode, _check_house, _fast_arrays, _Record, count_violations
-from .generator import TreeFamily, _family_tree, assign_entitlements
+from .core import QuotaMode, _check_house, _Record, count_violations, require_valid
+from .generator import TreeFamily, assign_entitlements, build_tree
 from .methods import MethodKind, _cascade
 
 ALL_METHODS = (MethodKind.ADAMS, MethodKind.JEFFERSON, MethodKind.QUOTA, MethodKind.UC_QUOTA)
@@ -89,7 +89,7 @@ def _cells(inst, methods, house_sizes, mode) -> tuple[int, list[tuple[int, int, 
     (method, house size) cell of one instance, method-major, as
     ``(lower, upper, dev_num, max_num)``: violation counts, then the
     deviations' sum and maximum over ``common``."""
-    _, _, rnum, rden, _, _, _ = _fast_arrays(inst)
+    _, _, rnum, rden, _, _, _ = require_valid(inst)._fast
     common = math.lcm(*rden)
     # node i deviates by |s * rden - rnum * h| / rden seats, which is
     # |s * common - quota| / common with quota = rnum * (common // rden) * h
@@ -146,7 +146,7 @@ def _evaluate_batch(config: ExperimentConfig, seed: int) -> tuple[int, list[tupl
     """Worker task: draw the instance of ``seed`` and return its
     :func:`_cells` for every (method, house size), method-major like the
     table's rows."""
-    inst = assign_entitlements(_family_tree(config.family), seed, config.max_weight)
+    inst = assign_entitlements(build_tree(config.family), seed, config.max_weight)
     return _cells(inst, config.methods, config.house_sizes, config.mode)
 
 
@@ -165,7 +165,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> MetricsTable:
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
-    n = _family_tree(config.family).n
+    n = build_tree(config.family).n
     keys = [(method, h) for method in config.methods for h in config.house_sizes]
     evaluate = partial(_evaluate_batch, config)
     seeds = range(config.base_seed, config.base_seed + config.instance_count)
@@ -260,16 +260,22 @@ def config_from_json(text: str) -> ExperimentConfig:
          "house_sizes": [100, 500],
          "methods": ["adams", "jefferson", "quota", "ucquota"],
          "mode": "all", "max_weight": 10}
+
+    Any other key, at the top or in ``family``, raises :class:`ValueError`.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("family"), dict):
         raise ValueError('config must be an object with a "family" object')
     fam = obj["family"]
+    keys = ("instance_count", "base_seed", "house_sizes", "methods", "mode", "max_weight")
+    for what, doc, known in (("config", obj, ("family", *keys)), ("family", fam, ("kind", "height"))):
+        for key in doc:
+            if key not in known:
+                raise ValueError(f"unknown {what} key {key!r}")
     family = TreeFamily(fam.get("kind"), fam.get("height"))
     # ExperimentConfig checks every field, but would raise TypeError on
     # a bare number where a list belongs
     for key in ("house_sizes", "methods"):
         if not isinstance(obj.get(key, []), list):
             raise ValueError(f'"{key}" must be a list, got {obj[key]!r}')
-    keys = ("instance_count", "base_seed", "house_sizes", "methods", "mode", "max_weight")
     return ExperimentConfig(family, **{key: obj[key] for key in keys if key in obj})

@@ -114,8 +114,13 @@ class TreeSkeleton(_Record):
         return len(self.parents)
 
 
+@cache
 def build_tree(family: TreeFamily) -> TreeSkeleton:
-    """Construct the family's tree shape with breadth-first node ids."""
+    """Construct the family's tree shape with breadth-first node ids.
+
+    Each family's shape is built once per process (24 families are valid),
+    and every call returns that one immutable skeleton.
+    """
     if not 1 <= family.height <= 12:
         raise UnsupportedHeight(f"height must be in 1..12, got {family.height}")
     parents: list[int | None] = [None]
@@ -141,12 +146,6 @@ def build_tree(family: TreeFamily) -> TreeSkeleton:
     return TreeSkeleton(family, tuple(parents), tuple(tuple(k) for k in kids))
 
 
-@cache
-def _family_tree(family: TreeFamily) -> TreeSkeleton:
-    """:func:`build_tree`, built once per family and process (24 families are valid)."""
-    return build_tree(family)
-
-
 def assign_entitlements(skeleton: TreeSkeleton, seed: Seed, max_weight: int = 10) -> Instance:
     """Draw entitlements onto a skeleton, deterministically in the seed.
 
@@ -163,11 +162,10 @@ def assign_entitlements(skeleton: TreeSkeleton, seed: Seed, max_weight: int = 10
     weights: list[Fraction] = [Fraction(1)] * n
     order = [0]
     for i in order:
-        order.extend(skeleton.children[i])
-    for i in order:
         kids = skeleton.children[i]
         if not kids:
             continue
+        order += kids
         draws = [rng.randint(1, max_weight) for _ in kids]
         total = sum(draws)
         for c, d in zip(kids, draws):

@@ -74,7 +74,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain, count, islice, repeat
 from operator import add, mul
 
-from .core import Allocation, Instance, _check_house, _check_seats, _fast_arrays, _Record
+from .core import Allocation, Instance, _check_house, _check_seats, _Record, require_valid
 
 # the largest Q_c a child's caps keep as one list of numerators (the
 # 2**60 of the module docstring)
@@ -159,7 +159,7 @@ def _walk(
     under the cap; otherwise :class:`NoEligibleChild` reports the stuck
     node and the house size before the seat.
     """
-    _, _, _, _, wnum, wden, children = _fast_arrays(inst)
+    _, _, _, _, wnum, wden, children = require_valid(inst)._fast
     if seats is None:
         seats = [0] * inst.n
     bump = 0 if kind is MethodKind.ADAMS else 1
@@ -258,7 +258,7 @@ def _build_plan(inst: Instance) -> tuple[list[tuple], list[tuple]]:
     So no stored ``Q`` or ``L`` passes ``_Q_LIMIT``, and the plan stays
     O(n) words at any depth.
     """
-    order, parents, _, _, wnum, wden, children = _fast_arrays(inst)
+    order, parents, _, _, wnum, wden, children = require_valid(inst)._fast
     lcm = math.lcm
     # Q_i, and L_i of the nodes with children
     qs = [0] * inst.n

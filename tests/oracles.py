@@ -50,6 +50,7 @@ from apportree import (
     build_tree,
     count_violations,
     relative_entitlements,
+    require_valid,
     run_method,
     to_full_binary,
 )
@@ -58,7 +59,6 @@ from apportree.core import (
     NON_TREE,
     WEIGHT_OUT_OF_RANGE,
     StructuralError,
-    _fast_arrays,
     _quotas,
 )
 
@@ -403,7 +403,7 @@ def both_quotas_by_reduction(
     """
     reduction = to_full_binary(inst)
     reduced = reduction.reduced
-    _, parents, _, _, wnum, wden, _ = _fast_arrays(reduced)
+    _, parents, _, _, wnum, wden, _ = require_valid(reduced)._fast
     seats = [0] * reduced.n
     seats[0] = h
     intervals = []
@@ -437,7 +437,7 @@ def _nearest_down(num: int, den: int) -> int:
 def _pairs_as_written(inst: Instance, h: int, seats: list[int]):
     """``existence._pairs`` as first written: fills in ``seats`` and yields
     ``(x, v, low, high, scaled, rest)`` per pair of the binary rewrite."""
-    order, _, rnum, rden, wnum, wden, children = _fast_arrays(inst)
+    order, _, rnum, rden, wnum, wden, children = require_valid(inst)._fast
     seats[0] = h
     extremes = [(h, 1, h, 1)] * inst.n
     for i in order:

@@ -315,7 +315,7 @@ class TestAllocate:
     @pytest.mark.parametrize("method", ["adams", "jefferson", "quota", "ucquota"])
     def test_trajectory_budget_is_h_plus_one_times_n(self, sym7_file, capsys, monkeypatch, method):
         # sym7 has 7 nodes: nine seats print 10 allocations, 70 counts
-        monkeypatch.setattr(cli, "_TRAJECTORY_BUDGET", 70)
+        monkeypatch.setattr(cli, "_COUNT_BUDGET", 70)
         argv = ["allocate", sym7_file, "--method", method, "--seats"]
         assert main(argv + ["9", "--trajectory"]) == 0
         assert len(json.loads(capsys.readouterr().out)["trajectory"]) == 10
@@ -735,6 +735,12 @@ class TestExperiment:
         path = write(tmp_path, "cfg.json", '{"family": {"kind": "x", "height": 3}}')
         assert main(["experiment", "--config", path]) == 1
         assert capsys.readouterr() == ("", "error: 'x' is not a valid TreeKind\n")
+
+    def test_unknown_config_key_is_domain_error(self, tmp_path, capsys):
+        doc = {"family": {"kind": "binary", "height": 1}, "instance_count": 2, "house_size": [7], "method": ["adams"]}
+        path = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["experiment", "--config", path]) == 1
+        assert capsys.readouterr() == ("", "error: unknown config key 'house_size'\n")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_are_domain_errors(self, capsys, workers):

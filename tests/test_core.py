@@ -311,6 +311,9 @@ class TestValidation:
                 instance_to_json(inst)
         else:
             assert sorted(order) == list(range(inst.n))
+            if not errors:
+                # the writer's walk and validation's walk agree
+                assert order == tuple(require_valid(inst)._fast[0])
 
 
 class TestEntitlements:
@@ -343,7 +346,7 @@ class TestEntitlements:
 
     @given(irregular_instances(max_nodes=30, max_weight=1000))
     def test_fast_arrays_equal_fraction_products(self, inst):
-        _, _, rnum, rden, _, _, _ = core._fast_arrays(inst)
+        _, _, rnum, rden, _, _, _ = require_valid(inst)._fast
         expected = shares_by_products(inst)
         assert list(zip(rnum, rden)) == [(s.numerator, s.denominator) for s in expected]
         assert relative_entitlements(inst) == tuple(expected)
@@ -352,7 +355,7 @@ class TestEntitlements:
     def test_loaded_arrays_equal_api_arrays(self, inst):
         # the loader's validating walk builds the arrays from the Fractions it parsed
         loaded = instance_from_json(instance_to_json(inst))
-        assert loaded._fast == core._fast_arrays(Instance(inst.parents, inst.weights))
+        assert loaded._fast == require_valid(Instance(inst.parents, inst.weights))._fast
         _, _, rnum, rden, _, _, _ = loaded._fast
         expected = shares_by_products(inst)
         assert list(zip(rnum, rden)) == [(s.numerator, s.denominator) for s in expected]

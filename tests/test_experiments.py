@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import apportree.experiments as experiments
-import apportree.generator as generator
 from apportree import (
     ALL_METHODS,
     ExperimentConfig,
@@ -283,32 +282,20 @@ class TestRowsAreSumsOfCells:
                 gc.enable()
         assert peaks[1] <= peaks[0] + 1024
 
-    def test_serial_run_builds_each_family_tree_once(self, monkeypatch):
-        calls = []
-        real = generator.build_tree
-
-        def spy(family):
-            calls.append(family)
-            return real(family)
-
-        # every binding of build_tree in the package, wherever it was imported
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "apportree":
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, spy)
-        generator._family_tree.cache_clear()
+    def test_serial_run_builds_each_family_tree_once(self):
+        # build_tree caches each family's shape, so a cache miss is one build
+        build_tree.cache_clear()
         try:
             run_experiment(ExperimentConfig(BINARY3, instance_count=12, house_sizes=(20,)))
-            assert calls == [BINARY3]
+            assert build_tree.cache_info().misses == 1
             run_experiment(ExperimentConfig(FOURARY3, instance_count=7, house_sizes=(20, 40)))
             run_experiment(ExperimentConfig(BINARY3, instance_count=3, base_seed=50))
-            assert calls == [BINARY3, FOURARY3]
+            assert build_tree.cache_info().misses == 2
             # the command bounds the work on the same tree that the run draws on
             assert main(["experiment", "--family", "binary", "--height", "2", "--count", "2"]) == 0
-            assert calls == [BINARY3, FOURARY3, TreeFamily(TreeKind.PERFECT_BINARY, 2)]
+            assert build_tree.cache_info().misses == 3
         finally:
-            generator._family_tree.cache_clear()
+            build_tree.cache_clear()
 
 
 class TestFormatFixed:
@@ -518,6 +505,8 @@ class TestConfigFromJson:
             '{"family": {"kind": "binary", "height": 3}, "house_sizes": [{}]}',
             '{"family": {"kind": "binary", "height": 3}, "house_sizes": [true]}',
             '{"family": {"kind": "binary", "height": 3}, "mode": "bogus"}',
+            '{"family": {"kind": "binary", "height": 3}, "house_size": [7]}',
+            '{"family": {"kind": "binary", "height": 3, "max_weight": 5}}',
         ],
     )
     def test_bad_documents_rejected(self, doc):

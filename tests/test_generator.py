@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -22,6 +23,37 @@ from apportree import (
     run_experiment,
     validate_instance,
 )
+
+
+# sha256 prefixes of instance_to_json(random_instance(TreeFamily(kind, height),
+# seed, max_weight)) for max_weight 1, 10 and 1000, frozen from the generator
+# as released, so a change in what is drawn, or in what order, shows
+KNOWN_DIGESTS = {
+    ("binary", 1, 0): ("97e401f9126e", "a3d44bc5105a", "723adfe4662d"),
+    ("binary", 1, 1): ("97e401f9126e", "fe62c9635b72", "a43ded6f7908"),
+    ("binary", 1, 2**64 - 1): ("97e401f9126e", "a08bd60ffd79", "df2bbf26b680"),
+    ("binary", 2, 0): ("70aecb190bf9", "66cc3b86c019", "f7114b4159ec"),
+    ("binary", 2, 1): ("70aecb190bf9", "d05956316d11", "a705734ccd7d"),
+    ("binary", 2, 2**64 - 1): ("70aecb190bf9", "7d65dbe60a63", "67309ff1030c"),
+    ("binary", 3, 0): ("12cea2023dc0", "274322bc4fe5", "42b77ae016fa"),
+    ("binary", 3, 1): ("12cea2023dc0", "63e510f422e7", "8ad4bcdac491"),
+    ("binary", 3, 2**64 - 1): ("12cea2023dc0", "5dba8d0da757", "261cd3b6ee12"),
+    ("binary", 4, 0): ("5d2063245b7b", "f421c27fe5ea", "23f46414450c"),
+    ("binary", 4, 1): ("5d2063245b7b", "ffeb2e92fcfe", "533ca0b3a6fe"),
+    ("binary", 4, 2**64 - 1): ("5d2063245b7b", "92bf145276ac", "99f905653048"),
+    ("4ary", 1, 0): ("355ed85ee97f", "1fbd58c69867", "fa89fa8c41fd"),
+    ("4ary", 1, 1): ("355ed85ee97f", "2faf7dd5600d", "985043cbd5c7"),
+    ("4ary", 1, 2**64 - 1): ("355ed85ee97f", "96babb095203", "3a70bfe7b114"),
+    ("4ary", 2, 0): ("add6ecf68da5", "e2ca87df5a0d", "9c9e36143bd6"),
+    ("4ary", 2, 1): ("add6ecf68da5", "15121e01f927", "69e8b5a40b8d"),
+    ("4ary", 2, 2**64 - 1): ("add6ecf68da5", "a591969df14a", "8ae624b1e9c1"),
+    ("4ary", 3, 0): ("fff2d63b1d23", "719b40fe19d0", "92c3faf33227"),
+    ("4ary", 3, 1): ("fff2d63b1d23", "7deed77c32ef", "dd490d1fedd7"),
+    ("4ary", 3, 2**64 - 1): ("fff2d63b1d23", "3b077ec5f415", "07f1b67f9b34"),
+    ("4ary", 4, 0): ("cac296edc672", "2c3cfa399454", "80d4e7282a3c"),
+    ("4ary", 4, 1): ("cac296edc672", "1f5ade0583de", "3b2bcf1c92b5"),
+    ("4ary", 4, 2**64 - 1): ("cac296edc672", "162363ad73f9", "2025f8ad2396"),
+}
 
 
 class TestSplitMix64:
@@ -208,6 +240,15 @@ class TestAssignEntitlements:
         assert instance_to_json(random_instance(fam, seed)) == instance_to_json(
             random_instance(fam, seed)
         )
+
+    @pytest.mark.parametrize("key", list(KNOWN_DIGESTS))
+    def test_known_answer_digests(self, key):
+        kind, height, seed = key
+        digests = tuple(
+            hashlib.sha256(instance_to_json(random_instance(TreeFamily(kind, height), seed, mw)).encode()).hexdigest()[:12]
+            for mw in (1, 10, 1000)
+        )
+        assert digests == KNOWN_DIGESTS[key]
 
     def test_different_seeds_differ(self):
         fam = TreeFamily(TreeKind.PERFECT_BINARY, 3)

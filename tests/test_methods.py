@@ -28,6 +28,7 @@ from apportree import (
     instance_to_json,
     random_instance,
     relative_entitlements,
+    require_valid,
     run_method,
     step,
 )
@@ -60,7 +61,7 @@ method_kinds = st.sampled_from(list(MethodKind))
 
 def splits_of(inst: Instance) -> list[tuple[int, int, int, bool]]:
     """What the command line's work bound reads of ``inst``."""
-    _, _, _, _, _, wden, children = core._fast_arrays(inst)
+    _, _, _, _, _, wden, children = require_valid(inst)._fast
     return methods._splits(children, wden)
 
 
